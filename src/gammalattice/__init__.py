@@ -12,6 +12,7 @@ from .coeffs import (
     coeff_plain,
     coeff_plus,
     coefficient,
+    coefficient_table,
     rational_gamma_ratio,
 )
 from .density import (

@@ -31,7 +31,7 @@ from .coeffs import (
     Kappa,
     LatticeSpec,
     build_system,
-    coefficient,
+    coefficient_table,
 )
 from .density import BoundVariant, density_grid
 from .errors import GammaLatticeError, SingularMatrixError, SpecMismatchError
@@ -107,6 +107,15 @@ def _parse_indices(text: str) -> tuple[int, ...]:
         raise ValueError(f"bad index list {text!r}; want e.g. 1,2,5") from None
 
 
+def _parse_shift(text: str) -> Fraction:
+    """'1/3' -> Fraction(1, 3); a malformed value or a zero denominator is a
+    usage error, not a crash."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"bad shift {text!r}; want a rational such as 1/3") from None
+
+
 def _warn_conditional(warnings: list, values) -> None:
     listed = ", ".join(str(v) for v in values)
     warnings.append(
@@ -116,14 +125,14 @@ def _warn_conditional(warnings: list, values) -> None:
     )
 
 
-def _resolve_kappa(family: FamilyKind, value: Fraction | None, warnings: list):
+def _resolve_kappa(family: FamilyKind, text: str | None, warnings: list):
     if family is FamilyKind.PLAIN:
-        if value is not None:
+        if text is not None:
             raise SpecMismatchError("plain family takes no --kappa")
         return None
-    if value is None:
+    if text is None:
         raise SpecMismatchError(f"--kappa is required for the {family.value} family")
-    kappa = Kappa(value)
+    kappa = Kappa(_parse_shift(text))
     if not kappa.known_transcendental:
         _warn_conditional(warnings, [kappa.value])
     return kappa
@@ -146,27 +155,25 @@ def _cmd_coeffs(args) -> OutputEnvelope:
     family = FamilyKind(args.family)
     kappa = _resolve_kappa(family, args.kappa, warnings)
     ms = _parse_int_range(args.m)
-    low = 1 if family is FamilyKind.PLAIN else 0
-    if any(m < low for m in ms):
-        raise ValueError(f"{family.value} lattice indices must be >= {low}")
-    rows = []
-    for m in ms:
-        for ell in range(args.n + 1):
-            rows.append(
-                {
-                    "family": family.value,
-                    "kappa": str(kappa.value) if kappa else "",
-                    "n": args.n,
-                    "ell": ell,
-                    "m": m,
-                    "value": str(coefficient(family, args.n, ell, m, kappa)),
-                }
-            )
+    table = coefficient_table(family, args.n, ms, kappa)
+    shift = str(kappa.value) if kappa else ""
+    rows = [
+        {
+            "family": family.value,
+            "kappa": shift,
+            "n": args.n,
+            "ell": ell,
+            "m": m,
+            "value": str(value),
+        }
+        for m, values in zip(ms, table)
+        for ell, value in enumerate(values)
+    ]
     params = {
         "family": family.value,
         "n": args.n,
         "m": args.m,
-        "kappa": str(args.kappa) if args.kappa is not None else None,
+        "kappa": str(kappa.value) if kappa else None,
     }
     return OutputEnvelope("coeffs", params, rows, warnings)
 
@@ -182,7 +189,7 @@ def _cmd_matrix(args) -> OutputEnvelope:
         "family": family.value,
         "n": args.n,
         "indices": args.indices,
-        "kappa": str(args.kappa) if args.kappa is not None else None,
+        "kappa": str(kappa.value) if kappa else None,
         "show": args.show,
         "shape": f"{system.matrix.rows}x{system.matrix.cols}",
         "unknowns": list(system.unknowns_label),
@@ -266,7 +273,11 @@ def _verify_kappas(family: FamilyKind, kappa_set: str | None, warnings: list):
             raise SpecMismatchError("plain family takes no --kappa-set")
         return [None]
     if kappa_set:
-        values = [Fraction(part) for part in kappa_set.split(",")]
+        values = [_parse_shift(part) for part in kappa_set.split(",")]
+        repeated = sorted({v for v in values if values.count(v) > 1})
+        if repeated:
+            listed = ", ".join(str(v) for v in repeated)
+            raise ValueError(f"--kappa-set repeats {listed}")
     else:
         values = sorted(KNOWN_TRANSCENDENTAL_SHIFTS)
     kappas = [Kappa(v) for v in values]
@@ -276,10 +287,22 @@ def _verify_kappas(family: FamilyKind, kappa_set: str | None, warnings: list):
     return kappas
 
 
+def _check_tolerance(text: str | None) -> None:
+    if text is None:
+        return
+    try:
+        value = mp.mpf(text)
+    except ValueError:
+        raise ValueError(f"bad tolerance {text!r}; want e.g. 1e-40") from None
+    if not mp.isfinite(value):
+        raise ValueError(f"tolerance {text!r} must be finite")
+
+
 def _cmd_verify(args) -> OutputEnvelope:
     warnings: list = []
     family = FamilyKind(args.family)
     ctx = PrecisionContext(args.digits)
+    _check_tolerance(args.tolerance)
     kappas = _verify_kappas(family, args.kappa_set, warnings)
     digits = ctx.decimal_digits
     params = {
@@ -448,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     coeffs.add_argument("--family", required=True, choices=["plain", "plus", "minus"])
     coeffs.add_argument("--n", type=int, required=True, help="derivative order")
     coeffs.add_argument("--m", required=True, help="lattice index, single or lo:hi")
-    coeffs.add_argument("--kappa", type=Fraction, default=None, help="shift, e.g. 1/2")
+    coeffs.add_argument("--kappa", default=None, help="shift, e.g. 1/2")
     coeffs.add_argument("--format", choices=["csv", "json"], default="json")
     coeffs.set_defaults(handler=_cmd_coeffs)
 
@@ -456,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     matrix.add_argument("--family", required=True, choices=["plain", "plus", "minus"])
     matrix.add_argument("--n", type=int, required=True)
     matrix.add_argument("--indices", required=True, help="comma list, e.g. 1,2,5")
-    matrix.add_argument("--kappa", type=Fraction, default=None)
+    matrix.add_argument("--kappa", default=None)
     matrix.add_argument(
         "--show", choices=["det", "inverse", "cauchy-binet"], default=None
     )

@@ -10,8 +10,9 @@ kappa, the factorial is replaced by the exact rational ratio
 Gamma(m+kappa)/Gamma(kappa) (resp. Gamma(-m+kappa)/Gamma(kappa)), and the
 symmetric polynomials run over the plus-shift (resp. minus-shift) variable
 family, elementary for the plus side and complete homogeneous for the minus
-side.  Stacking one expansion per index yields the linear systems assembled by
-`build_system`.
+side.  One prefix table over the longest prefix holds every coefficient of a
+sweep over indices; `coefficient_table` reads a sweep off such a table, and
+stacking its rows yields the linear systems assembled by `build_system`.
 
 Everything here is exact rational arithmetic; no floating point.
 """
@@ -21,12 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, prod
+from typing import Iterable
 
 from .errors import InvalidKappaError, SpecMismatchError
 from .linalg import RationalMatrix
 from .sympoly import (
     ArgumentFamily,
     FamilyKind,
+    PrefixTable,
     elementary_prefix,
     homogeneous_prefix,
 )
@@ -125,48 +128,114 @@ def _order_factor(n: int, ell: int) -> int:
     return factorial(n) // factorial(ell)
 
 
+def _check_family(family: FamilyKind, kappa: Kappa | None) -> None:
+    if family is FamilyKind.PLAIN:
+        if kappa is not None:
+            raise SpecMismatchError("plain family takes no shift")
+    elif kappa is None:
+        raise SpecMismatchError(f"{family.value}-shift family requires a shift")
+
+
+def _check_index(family: FamilyKind, m: int) -> None:
+    low = 1 if family is FamilyKind.PLAIN else 0
+    if m < low:
+        raise ValueError(f"{family.value} lattice index {m} must be >= {low}")
+
+
+def _prefix_length(family: FamilyKind, m: int) -> int:
+    """Number of variables behind the expansion at index m."""
+    return m - 1 if family is FamilyKind.PLAIN else m
+
+
+def _prefix_table(
+    family: FamilyKind, kappa: Kappa | None, m: int, degree: int
+) -> PrefixTable:
+    """The family's table over the prefixes of every index up to m: e over 1/s
+    for the plain lattice, e (plus) or h (minus) over the shifted variables."""
+    length = _prefix_length(family, m)
+    if family is FamilyKind.PLAIN:
+        return elementary_prefix(ArgumentFamily(FamilyKind.PLAIN), length, degree)
+    variables = ArgumentFamily(family, kappa.value)
+    if family is FamilyKind.PLUS_SHIFT:
+        return elementary_prefix(variables, length, degree)
+    return homogeneous_prefix(variables, length, degree)
+
+
+def _expansion(
+    family: FamilyKind,
+    kappa: Kappa | None,
+    table: PrefixTable,
+    n: int,
+    m: int,
+    ells: Iterable[int],
+) -> tuple[Fraction, ...]:
+    """Coefficients of the given basis orders in the expansion at index m.
+
+    Each is the scale at m, (m-1)! or the exact gamma ratio, times n!/ell!
+    times the table entry of degree n - ell over the prefix of m.
+    """
+    length = _prefix_length(family, m)
+    if family is FamilyKind.PLAIN:
+        scale = factorial(m - 1)
+    else:
+        scale = rational_gamma_ratio(kappa, m, family)
+    return tuple(
+        scale * _order_factor(n, ell) * table.value(length, n - ell) for ell in ells
+    )
+
+
+def _cell(
+    family: FamilyKind, n: int, ell: int, m: int, kappa: Kappa | None
+) -> Fraction:
+    """One coefficient from a table just large enough for it."""
+    _order_factor(n, ell)
+    _check_index(family, m)
+    table = _prefix_table(family, kappa, m, n - ell)
+    return _expansion(family, kappa, table, n, m, (ell,))[0]
+
+
 def coeff_plain(n: int, ell: int, m: int) -> Fraction:
     """Coefficient of the ell-th basis derivative in the expansion at m >= 1."""
-    f = _order_factor(n, ell)
-    if m < 1:
-        raise ValueError(f"plain lattice point {m} must be >= 1")
-    table = elementary_prefix(ArgumentFamily(FamilyKind.PLAIN), m - 1, n - ell)
-    return factorial(m - 1) * f * table.value(m - 1, n - ell)
+    return _cell(FamilyKind.PLAIN, n, ell, m, None)
 
 
 def coeff_plus(n: int, ell: int, m: int, kappa: Kappa) -> Fraction:
     """Coefficient of the ell-th derivative at kappa in the expansion at m + kappa."""
-    f = _order_factor(n, ell)
-    family = ArgumentFamily(FamilyKind.PLUS_SHIFT, kappa.value)
-    table = elementary_prefix(family, m, n - ell)
-    return rational_gamma_ratio(kappa, m, FamilyKind.PLUS_SHIFT) * f * table.value(
-        m, n - ell
-    )
+    return _cell(FamilyKind.PLUS_SHIFT, n, ell, m, kappa)
 
 
 def coeff_minus(n: int, ell: int, m: int, kappa: Kappa) -> Fraction:
     """Coefficient of the ell-th derivative at kappa in the expansion at -m + kappa."""
-    f = _order_factor(n, ell)
-    family = ArgumentFamily(FamilyKind.MINUS_SHIFT, kappa.value)
-    table = homogeneous_prefix(family, m, n - ell)
-    return rational_gamma_ratio(kappa, m, FamilyKind.MINUS_SHIFT) * f * table.value(
-        m, n - ell
-    )
+    return _cell(FamilyKind.MINUS_SHIFT, n, ell, m, kappa)
 
 
 def coefficient(
     family: FamilyKind, n: int, ell: int, m: int, kappa: Kappa | None = None
 ) -> Fraction:
-    """Dispatch to the family's coefficient."""
-    if family is FamilyKind.PLAIN:
-        if kappa is not None:
-            raise SpecMismatchError("plain family takes no shift")
-        return coeff_plain(n, ell, m)
-    if kappa is None:
-        raise SpecMismatchError(f"{family.value}-shift family requires a shift")
-    if family is FamilyKind.PLUS_SHIFT:
-        return coeff_plus(n, ell, m, kappa)
-    return coeff_minus(n, ell, m, kappa)
+    """The family's coefficient of the ell-th basis derivative at index m."""
+    _check_family(family, kappa)
+    return _cell(family, n, ell, m, kappa)
+
+
+def coefficient_table(
+    family: FamilyKind, n: int, ms: Iterable[int], kappa: Kappa | None = None
+) -> tuple[tuple[Fraction, ...], ...]:
+    """Every coefficient of a sweep over the indices `ms`.
+
+    Row i holds coefficient(family, n, ell, ms[i], kappa) for ell = 0..n.  One
+    prefix table of degree n over the longest prefix serves every row, so a
+    sweep builds a single table instead of one per coefficient.
+    """
+    _check_family(family, kappa)
+    if n < 0:
+        raise ValueError(f"derivative order {n} must be >= 0")
+    ms = tuple(ms)
+    if not ms:
+        raise ValueError("no lattice indices")
+    for m in ms:
+        _check_index(family, m)
+    table = _prefix_table(family, kappa, max(ms), n)
+    return tuple(_expansion(family, kappa, table, n, m, range(n + 1)) for m in ms)
 
 
 @dataclass(frozen=True)
@@ -195,38 +264,14 @@ def build_system(spec: LatticeSpec, n: int) -> CoeffSystem:
     """Assemble the coefficient matrix (and constant column) for `spec`."""
     if n < 0:
         raise ValueError(f"derivative order {n} must be >= 0")
+    if spec.family is FamilyKind.PLAIN and n < 1:
+        raise SpecMismatchError("plain system needs n >= 1 (no unknown columns)")
+    rows = coefficient_table(spec.family, n, spec.indices, spec.kappa)
     if spec.family is FamilyKind.PLAIN:
-        if n < 1:
-            raise SpecMismatchError("plain system needs n >= 1 (no unknown columns)")
-        table = elementary_prefix(
-            ArgumentFamily(FamilyKind.PLAIN), max(spec.indices) - 1, n
-        )
-        rows = []
-        consts = []
-        for m in spec.indices:
-            scale = factorial(m - 1)
-            rows.append(
-                [
-                    scale * _order_factor(n, c) * table.value(m - 1, n - c)
-                    for c in range(1, n + 1)
-                ]
-            )
-            consts.append(scale * _order_factor(n, 0) * table.value(m - 1, n))
-        labels = tuple(f"Gamma^({ell})(1)" for ell in range(1, n + 1))
-        return CoeffSystem(
-            spec, n, RationalMatrix.from_rows(rows), tuple(consts), labels
-        )
-
-    family = spec.argument_family()
-    if spec.family is FamilyKind.PLUS_SHIFT:
-        table = elementary_prefix(family, max(spec.indices), n)
+        # Gamma(1) = 1, so the ell = 0 terms are known constants.
+        first, basis, consts = 1, 1, tuple(row[0] for row in rows)
     else:
-        table = homogeneous_prefix(family, max(spec.indices), n)
-    rows = []
-    for m in spec.indices:
-        ratio = rational_gamma_ratio(spec.kappa, m, spec.family)
-        rows.append(
-            [ratio * _order_factor(n, ell) * table.value(m, n - ell) for ell in range(n + 1)]
-        )
-    labels = tuple(f"Gamma^({ell})({spec.kappa.value})" for ell in range(n + 1))
-    return CoeffSystem(spec, n, RationalMatrix.from_rows(rows), (), labels)
+        first, basis, consts = 0, spec.kappa.value, ()
+    matrix = RationalMatrix.from_rows(row[first:] for row in rows)
+    labels = tuple(f"Gamma^({ell})({basis})" for ell in range(first, n + 1))
+    return CoeffSystem(spec, n, matrix, consts, labels)

@@ -18,8 +18,8 @@ v > 0.  Note the second term of the h recurrence reads from the *current*
 prefix, so each row is filled degree by degree.
 
 All arithmetic is exact `fractions.Fraction`.  The brute-force enumerations
-are deliberately naive; they exist as independent oracles for the recurrence
-tables and stay in the library so the CLI can expose cross-check modes.
+are deliberately naive; they exist only as independent oracles against which
+the test suite checks the recurrence tables.
 """
 
 from __future__ import annotations

@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from gammalattice.cli import main
 
@@ -85,6 +88,38 @@ class TestCoeffsCommand:
         )
         assert payload["warnings"] == []
         assert err == ""
+
+    def test_negative_order_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "coeffs", "--family", "plain", "--n", "-1", "--m", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_zero_denominator_kappa_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys,
+            "coeffs", "--family", "plus", "--n", "2", "--m", "0:2", "--kappa", "1/0",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    # sha256 of stdout, recorded before the coefficient sweep shared one table
+    GOLDEN = {
+        "plain": ("--m", "1:8",
+                  "661a78e42308a4225b08c45956aa4dd4677c67d61d438ccb96bf9fe4cb1c1ebf"),
+        "plus": ("--m", "0:8", "--kappa", "1/3",
+                 "05704390214f55e9562fbdd333a98daf1674cb0f15556f41556378420a693d89"),
+        "minus": ("--m", "0:8", "--kappa", "1/3",
+                  "6304c02851e7828bccc35a635e60c54759c07e4108b411ef9717be5395b5b9fe"),
+    }
+
+    @pytest.mark.parametrize("family", sorted(GOLDEN))
+    def test_stdout_byte_identical(self, capsys, family):
+        *argv, digest = self.GOLDEN[family]
+        code, out, _ = run(capsys, "coeffs", "--family", family, "--n", "6", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_csv_format(self, capsys):
         code, out, _ = run(
@@ -177,6 +212,24 @@ class TestMatrixCommand:
         )
         assert code == 2
 
+    def test_negative_order_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "matrix", "--family", "plus", "--n", "-1", "--indices", "0,1",
+            "--kappa", "1/3",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_zero_denominator_kappa_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "matrix", "--family", "minus", "--n", "1", "--indices", "0,1",
+            "--kappa", "1/0", "--show", "det",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestVerifyCommand:
     def test_identity_sweep_passes(self, capsys):
@@ -231,6 +284,34 @@ class TestVerifyCommand:
         assert code == 1
         assert payload["exitStatus"] == 1
         assert not any(row["pass"] for row in payload["rows"])
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf"])
+    def test_non_finite_tolerance_is_usage_error(self, capsys, tolerance):
+        code, out, err = run(
+            capsys, "verify", "--family", "plain", "--n-max", "1", "--m-max", "2",
+            "--digits", "40", f"--tolerance={tolerance}",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_zero_denominator_kappa_set_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--family", "plus", "--n-max", "1", "--m-max", "1",
+            "--kappa-set", "1/2,1/0", "--digits", "40",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_repeated_kappa_set_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--family", "minus", "--n-max", "0", "--m-max", "1",
+            "--kappa-set", "1/3,1/2,2/6", "--digits", "40",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "1/3" in err
 
     def test_missing_m_max_identity(self, capsys):
         code, _, _ = run(capsys, "verify", "--family", "plain", "--n-max", "1")

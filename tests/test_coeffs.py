@@ -15,8 +15,10 @@ from gammalattice import (
     coeff_plain,
     coeff_plus,
     coefficient,
+    coefficient_table,
     rational_gamma_ratio,
 )
+from gammalattice import coeffs as coeffs_module
 
 from _oracles import (
     minus_coefficient_oracle,
@@ -26,6 +28,37 @@ from _oracles import (
 
 HALF = Kappa(Fraction(1, 2))
 QUARTER = Kappa(Fraction(1, 4))
+THIRD = Kappa(Fraction(1, 3))
+
+# (family, shift, oracle taking (n, ell, m)) for every family
+FAMILIES = [
+    (FamilyKind.PLAIN, None, plain_coefficient_oracle),
+    (
+        FamilyKind.PLUS_SHIFT,
+        THIRD,
+        lambda n, ell, m: plus_coefficient_oracle(n, ell, m, THIRD.value),
+    ),
+    (
+        FamilyKind.MINUS_SHIFT,
+        THIRD,
+        lambda n, ell, m: minus_coefficient_oracle(n, ell, m, THIRD.value),
+    ),
+]
+FAMILY_IDS = ["plain", "plus", "minus"]
+
+
+def count_tables(monkeypatch):
+    """Record (max_len, max_deg) of every prefix table the coeffs module builds."""
+    built = []
+    for name in ("elementary_prefix", "homogeneous_prefix"):
+        original = getattr(coeffs_module, name)
+
+        def recording(family, max_len, max_deg, _original=original):
+            built.append((max_len, max_deg))
+            return _original(family, max_len, max_deg)
+
+        monkeypatch.setattr(coeffs_module, name, recording)
+    return built
 
 
 class TestKappa:
@@ -173,6 +206,74 @@ class TestAgainstExpansionOracle:
                     assert coeff_minus(n, ell, m, k) == minus_coefficient_oracle(
                         n, ell, m, kappa
                     )
+
+
+class TestCoefficientTable:
+    """The sweep entry point against single cells and the expansion oracles."""
+
+    @pytest.mark.parametrize("family,kappa,oracle", FAMILIES, ids=FAMILY_IDS)
+    def test_matches_cells_and_oracle(self, family, kappa, oracle):
+        low = 1 if family is FamilyKind.PLAIN else 0
+        ms = list(range(low, 7))
+        for n in range(6):
+            table = coefficient_table(family, n, ms, kappa)
+            assert len(table) == len(ms)
+            for m, row in zip(ms, table):
+                assert len(row) == n + 1
+                for ell, value in enumerate(row):
+                    assert value == coefficient(family, n, ell, m, kappa)
+                    assert value == oracle(n, ell, m)
+
+    @pytest.mark.parametrize("family,kappa,oracle", FAMILIES, ids=FAMILY_IDS)
+    def test_non_contiguous_indices(self, family, kappa, oracle):
+        # build_system passes sparse increasing indices; rows follow `ms`
+        ms = (2, 5, 9)
+        table = coefficient_table(family, 4, ms, kappa)
+        for m, row in zip(ms, table):
+            assert row == tuple(oracle(4, ell, m) for ell in range(5))
+
+    @pytest.mark.parametrize("family,kappa,oracle", FAMILIES, ids=FAMILY_IDS)
+    def test_order_zero(self, family, kappa, oracle):
+        low = 1 if family is FamilyKind.PLAIN else 0
+        ms = range(low, low + 5)
+        table = coefficient_table(family, 0, ms, kappa)
+        assert table == tuple((oracle(0, 0, m),) for m in ms)
+
+    @pytest.mark.parametrize("family,kappa", [f[:2] for f in FAMILIES], ids=FAMILY_IDS)
+    def test_empty_prefix_row(self, family, kappa):
+        # plain m = 1 and shifted m = 0 expand onto the top derivative alone
+        m = 1 if family is FamilyKind.PLAIN else 0
+        for n in range(6):
+            (row,) = coefficient_table(family, n, [m], kappa)
+            assert row == tuple(Fraction(int(ell == n)) for ell in range(n + 1))
+
+    @pytest.mark.parametrize("family,kappa", [f[:2] for f in FAMILIES], ids=FAMILY_IDS)
+    def test_one_table_per_sweep(self, family, kappa, monkeypatch):
+        built = count_tables(monkeypatch)
+        coefficient_table(family, 5, (3, 4, 8), kappa)
+        length = 7 if family is FamilyKind.PLAIN else 8
+        assert built == [(length, 5)]
+
+    @pytest.mark.parametrize("family,kappa", [f[:2] for f in FAMILIES], ids=FAMILY_IDS)
+    def test_single_cell_table_stays_small(self, family, kappa, monkeypatch):
+        built = count_tables(monkeypatch)
+        coefficient(family, 6, 2, 5, kappa)
+        length = 4 if family is FamilyKind.PLAIN else 5
+        assert built == [(length, 4)]
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            coefficient_table(FamilyKind.PLAIN, -1, [1])
+        with pytest.raises(ValueError):
+            coefficient_table(FamilyKind.PLAIN, 2, [])
+        with pytest.raises(ValueError):
+            coefficient_table(FamilyKind.PLAIN, 2, [0, 1])
+        with pytest.raises(ValueError):
+            coefficient_table(FamilyKind.MINUS_SHIFT, 2, [-1], HALF)
+        with pytest.raises(SpecMismatchError):
+            coefficient_table(FamilyKind.PLAIN, 2, [1], HALF)
+        with pytest.raises(SpecMismatchError):
+            coefficient_table(FamilyKind.PLUS_SHIFT, 2, [1])
 
 
 class TestBuildSystem:
