@@ -13,6 +13,7 @@ from .coeffs import (
     coeff_plus,
     coefficient,
     coefficient_table,
+    family_of,
     rational_gamma_ratio,
 )
 from .density import (
@@ -42,36 +43,36 @@ from .errors import (
 from .gammanum import (
     GammaDerivatives,
     PrecisionContext,
+    RecoveryReport,
     VerificationReport,
     gamma_derivatives,
     gamma_value,
-    machin_pi,
     polygamma,
     recover_basis,
     verify_identity,
+    verify_recovery,
 )
 from .linalg import (
     CauchyBinetCertificate,
     CauchyBinetTerm,
-    PolyKind,
+    PrefixCertificate,
     RationalMatrix,
     cauchy_binet,
+    certify_prefix_matrix,
     det_exact,
     difference_factorization,
     difference_minor,
     elementary_matrix,
     homogeneous_matrix,
     inverse_exact,
-    permutation_sign,
     row_difference,
 )
 from .sympoly import (
     ArgumentFamily,
     FamilyKind,
+    PolyKind,
     PrefixTable,
-    elementary_bruteforce,
     elementary_prefix,
-    homogeneous_bruteforce,
     homogeneous_prefix,
 )
 

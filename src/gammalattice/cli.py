@@ -32,25 +32,12 @@ from .coeffs import (
     LatticeSpec,
     build_system,
     coefficient_table,
+    family_of,
 )
 from .density import BoundVariant, density_grid
-from .errors import GammaLatticeError, SingularMatrixError, SpecMismatchError
-from .gammanum import (
-    PrecisionContext,
-    gamma_derivatives,
-    recover_basis,
-    verify_identity,
-)
-from .linalg import (
-    PolyKind,
-    RationalMatrix,
-    cauchy_binet,
-    det_exact,
-    difference_factorization,
-    elementary_matrix,
-    homogeneous_matrix,
-    inverse_exact,
-)
+from .errors import GammaLatticeError, SingularMatrixError
+from .gammanum import PrecisionContext, verify_identity, verify_recovery
+from .linalg import RationalMatrix, certify_prefix_matrix, det_exact, inverse_exact
 from .sympoly import FamilyKind
 
 VERIFICATION_FAILURE = 1
@@ -125,17 +112,19 @@ def _warn_conditional(warnings: list, values) -> None:
     )
 
 
-def _resolve_kappa(family: FamilyKind, text: str | None, warnings: list):
-    if family is FamilyKind.PLAIN:
-        if text is not None:
-            raise SpecMismatchError("plain family takes no --kappa")
-        return None
+def _resolve_kappa(text: str | None, warnings: list) -> Kappa | None:
     if text is None:
-        raise SpecMismatchError(f"--kappa is required for the {family.value} family")
+        return None
     kappa = Kappa(_parse_shift(text))
     if not kappa.known_transcendental:
         _warn_conditional(warnings, [kappa.value])
     return kappa
+
+
+def _at_least(flag: str, value: int, low: int, family: FamilyKind) -> None:
+    """Reject a bound that would leave the sweep empty."""
+    if value < low:
+        raise ValueError(f"{flag} must be >= {low}; the {family.value} sweep is empty")
 
 
 def _real_str(value, digits: int) -> str:
@@ -153,7 +142,7 @@ def _matrix_rows(matrix: RationalMatrix) -> list:
 def _cmd_coeffs(args) -> OutputEnvelope:
     warnings: list = []
     family = FamilyKind(args.family)
-    kappa = _resolve_kappa(family, args.kappa, warnings)
+    kappa = _resolve_kappa(args.kappa, warnings)
     ms = _parse_int_range(args.m)
     table = coefficient_table(family, args.n, ms, kappa)
     shift = str(kappa.value) if kappa else ""
@@ -181,9 +170,8 @@ def _cmd_coeffs(args) -> OutputEnvelope:
 def _cmd_matrix(args) -> OutputEnvelope:
     warnings: list = []
     family = FamilyKind(args.family)
-    kappa = _resolve_kappa(family, args.kappa, warnings)
-    indices = _parse_indices(args.indices)
-    spec = LatticeSpec(family, indices, kappa)
+    kappa = _resolve_kappa(args.kappa, warnings)
+    spec = LatticeSpec(family, _parse_indices(args.indices), kappa)
     system = build_system(spec, args.n)
     params = {
         "family": family.value,
@@ -216,29 +204,11 @@ def _cmd_matrix(args) -> OutputEnvelope:
         return OutputEnvelope("matrix", params, _matrix_rows(inverse), warnings)
 
     # cauchy-binet: certificate for the prefix-matrix chain behind this system
-    if len(indices) < 2:
-        raise ValueError("--show cauchy-binet needs at least two indices")
-    fam = spec.argument_family()
-    if family is FamilyKind.PLAIN:
-        m_primes = [m - 1 for m in indices]
-    else:
-        m_primes = list(indices)
-    if family is FamilyKind.MINUS_SHIFT:
-        parent = homogeneous_matrix(m_primes, fam, len(indices) - 1)
-        kind = PolyKind.HOMOGENEOUS
-    else:
-        parent = elementary_matrix(m_primes, fam, len(indices))
-        kind = PolyKind.ELEMENTARY
-    banded, prefix = difference_factorization(m_primes, fam, kind)
-    certificate = cauchy_binet(banded, prefix)
-    parent_det = det_exact(parent)
-    positive = all(
-        term.det_left > 0 and term.det_right > 0 for term in certificate.surviving
-    )
-    ok = (
-        certificate.total_det == parent_det
-        and bool(certificate.surviving)
-        and positive
+    variables = spec.argument_family
+    certificate = certify_prefix_matrix(
+        [variables.prefix_length(m) for m in spec.indices],
+        variables,
+        variables.poly_kind,
     )
     rows = [
         {
@@ -248,14 +218,14 @@ def _cmd_matrix(args) -> OutputEnvelope:
             "det_right": str(term.det_right),
             "product": str(term.product),
         }
-        for term in certificate.surviving
+        for term in certificate.expansion.surviving
     ]
     params.update(
         {
-            "total_det": str(certificate.total_det),
-            "parent_det": str(parent_det),
-            "pruned": certificate.pruned_count,
-            "all_terms_positive": positive,
+            "total_det": str(certificate.expansion.total_det),
+            "parent_det": str(certificate.parent_det),
+            "pruned": certificate.expansion.pruned_count,
+            "all_terms_positive": certificate.all_terms_positive,
         }
     )
     return OutputEnvelope(
@@ -263,23 +233,23 @@ def _cmd_matrix(args) -> OutputEnvelope:
         params,
         rows,
         warnings,
-        exit_status=0 if ok else VERIFICATION_FAILURE,
+        exit_status=0 if certificate.holds else VERIFICATION_FAILURE,
     )
 
 
 def _verify_kappas(family: FamilyKind, kappa_set: str | None, warnings: list):
-    if family is FamilyKind.PLAIN:
-        if kappa_set:
-            raise SpecMismatchError("plain family takes no --kappa-set")
-        return [None]
-    if kappa_set:
+    """The shifts to sweep: --kappa-set if given, else the whitelist for the
+    shifted families and no shift for the plain one."""
+    if kappa_set is None:
+        if not family.shifted:
+            return [None]
+        values = sorted(KNOWN_TRANSCENDENTAL_SHIFTS)
+    else:
         values = [_parse_shift(part) for part in kappa_set.split(",")]
         repeated = sorted({v for v in values if values.count(v) > 1})
         if repeated:
             listed = ", ".join(str(v) for v in repeated)
             raise ValueError(f"--kappa-set repeats {listed}")
-    else:
-        values = sorted(KNOWN_TRANSCENDENTAL_SHIFTS)
     kappas = [Kappa(v) for v in values]
     outside = sorted(k.value for k in kappas if not k.known_transcendental)
     if outside:
@@ -287,22 +257,10 @@ def _verify_kappas(family: FamilyKind, kappa_set: str | None, warnings: list):
     return kappas
 
 
-def _check_tolerance(text: str | None) -> None:
-    if text is None:
-        return
-    try:
-        value = mp.mpf(text)
-    except ValueError:
-        raise ValueError(f"bad tolerance {text!r}; want e.g. 1e-40") from None
-    if not mp.isfinite(value):
-        raise ValueError(f"tolerance {text!r} must be finite")
-
-
 def _cmd_verify(args) -> OutputEnvelope:
     warnings: list = []
     family = FamilyKind(args.family)
     ctx = PrecisionContext(args.digits)
-    _check_tolerance(args.tolerance)
     kappas = _verify_kappas(family, args.kappa_set, warnings)
     digits = ctx.decimal_digits
     params = {
@@ -314,23 +272,23 @@ def _cmd_verify(args) -> OutputEnvelope:
         "digits": args.digits,
         "tolerance": args.tolerance,
     }
+    if args.mode == "identity" and args.m_max is None:
+        raise ValueError("--m-max is required for identity mode")
     rows = []
-    any_failed = False
-
-    if args.mode == "identity":
-        if args.m_max is None:
-            raise ValueError("--m-max is required for identity mode")
-        m_start = 1 if family is FamilyKind.PLAIN else 0
-        for kappa in kappas:
+    for kappa in kappas:
+        variables = family_of(family, kappa)
+        head = {"family": family.value, "kappa": str(kappa.value) if kappa else ""}
+        if args.mode == "identity":
+            _at_least("--n-max", args.n_max, 0, family)
+            _at_least("--m-max", args.m_max, variables.min_index, family)
             for n in range(args.n_max + 1):
-                for m in range(m_start, args.m_max + 1):
+                for m in range(variables.min_index, args.m_max + 1):
                     report = verify_identity(
                         family, n, m, kappa, ctx, tolerance=args.tolerance
                     )
                     rows.append(
                         {
-                            "family": family.value,
-                            "kappa": str(kappa.value) if kappa else "",
+                            **head,
                             "n": n,
                             "m": m,
                             "lhs": _real_str(report.lhs, digits),
@@ -340,55 +298,28 @@ def _cmd_verify(args) -> OutputEnvelope:
                             "pass": report.passed,
                         }
                     )
-                    any_failed |= not report.passed
-    else:
-        n_start = 2 if family is FamilyKind.PLAIN else 1
-        for kappa in kappas:
+        else:
+            # from the smallest system that is more than one identity
+            n_start = variables.first_order + 1
+            _at_least("--n-max", args.n_max, n_start, family)
             for n in range(n_start, args.n_max + 1):
-                if family is FamilyKind.PLAIN:
-                    indices = tuple(range(1, n + 1))
-                    basis_point = Fraction(1)
-                    first_ell = 1
-                else:
-                    indices = tuple(range(n + 1))
-                    basis_point = kappa.value
-                    first_ell = 0
-                spec = LatticeSpec(family, indices, kappa)
-                recovered = recover_basis(spec, n, ctx)
-                references = gamma_derivatives(basis_point, n, ctx).values
-                with mp.workdps(ctx.working_digits):
-                    tol = (
-                        mp.mpf(args.tolerance)
-                        if args.tolerance is not None
-                        else ctx.default_tolerance()
+                for report in verify_recovery(family, n, kappa, ctx, args.tolerance):
+                    rows.append(
+                        {
+                            **head,
+                            "n": n,
+                            "indices": " ".join(str(i) for i in report.spec.indices),
+                            "ell": report.ell,
+                            "recovered": _real_str(report.recovered, digits),
+                            "reference": _real_str(report.reference, digits),
+                            "abs_error": _real_str(report.abs_residual, digits),
+                            "rel_error": _real_str(report.rel_residual, digits),
+                            "pass": report.passed,
+                        }
                     )
-                    for offset, value in enumerate(recovered):
-                        ell = first_ell + offset
-                        reference = references[ell]
-                        abs_error = abs(value - reference)
-                        magnitude = abs(reference)
-                        rel_error = (
-                            abs_error / magnitude if magnitude > 0 else mp.inf
-                        )
-                        effective = abs_error if magnitude < 1 else rel_error
-                        ok = bool(effective < tol)
-                        rows.append(
-                            {
-                                "family": family.value,
-                                "kappa": str(kappa.value) if kappa else "",
-                                "n": n,
-                                "indices": " ".join(str(i) for i in indices),
-                                "ell": ell,
-                                "recovered": _real_str(value, digits),
-                                "reference": _real_str(reference, digits),
-                                "abs_error": _real_str(abs_error, digits),
-                                "rel_error": _real_str(rel_error, digits),
-                                "pass": ok,
-                            }
-                        )
-                        any_failed |= not ok
 
-    status = VERIFICATION_FAILURE if any_failed else 0
+    failed = not all(row["pass"] for row in rows)
+    status = VERIFICATION_FAILURE if failed else 0
     return OutputEnvelope("verify", params, rows, warnings, exit_status=status)
 
 
@@ -459,8 +390,15 @@ def _cmd_density(args) -> OutputEnvelope:
     return OutputEnvelope("density", params, rows, exit_status=status)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one `error:` line, without the usage block."""
+
+    def error(self, message):
+        self.exit(USAGE_ERROR, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gammalattice",
         description="Exact coefficient systems, certificates, numeric checks, "
         "and density bounds for Gamma derivatives at lattice points.",

@@ -1,27 +1,23 @@
 """Rational coefficients linking Gamma derivatives at lattice points to a basis.
 
-For the plain lattice m = 1, 2, ... the n-th derivative at m expands over the
-derivatives at 1:
+The n-th derivative at lattice index m expands over the derivatives at the
+family's basis point; the coefficient of the ell-th one is
 
-    coeff_plain(n, ell, m) = (m-1)! * (n!/ell!) * e_{n-ell}(1, 1/2, ..., 1/(m-1))
+    scale(m) * (n!/ell!) * E_{n-ell}(x_1, ..., x_j),    j = prefix length of m,
 
-For shifted lattice points m + kappa (resp. -m + kappa) the basis point is
-kappa, the factorial is replaced by the exact rational ratio
-Gamma(m+kappa)/Gamma(kappa) (resp. Gamma(-m+kappa)/Gamma(kappa)), and the
-symmetric polynomials run over the plus-shift (resp. minus-shift) variable
-family, elementary for the plus side and complete homogeneous for the minus
-side.  One prefix table over the longest prefix holds every coefficient of a
-sweep over indices; `coefficient_table` reads a sweep off such a table, and
-stacking its rows yields the linear systems assembled by `build_system`.
-
-Everything here is exact rational arithmetic; no floating point.
+with scale (m-1)! on the plain lattice and Gamma(point)/Gamma(kappa) on the
+shifted ones, and E = e (plain, plus) or h (minus).  These per-family facts
+live on `sympoly.ArgumentFamily`; this module never asks which family it has.
+One prefix table over the longest prefix holds every coefficient of a sweep;
+`coefficient_table` reads a sweep off it, and `build_system` stacks its rows
+into linear systems.  Everything here is exact rational arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial
 from typing import Iterable
 
 from .errors import InvalidKappaError, SpecMismatchError
@@ -29,6 +25,7 @@ from .linalg import RationalMatrix
 from .sympoly import (
     ArgumentFamily,
     FamilyKind,
+    PolyKind,
     PrefixTable,
     elementary_prefix,
     homogeneous_prefix,
@@ -57,6 +54,11 @@ class Kappa:
         )
 
 
+def family_of(kind: FamilyKind, kappa: Kappa | None) -> ArgumentFamily:
+    """The argument family of `kind` at the shift `kappa` (None for plain)."""
+    return ArgumentFamily(kind, None if kappa is None else kappa.value)
+
+
 @dataclass(frozen=True)
 class LatticeSpec:
     """A family selector plus a strictly increasing set of lattice indices.
@@ -68,58 +70,35 @@ class LatticeSpec:
     family: FamilyKind
     indices: tuple[int, ...]
     kappa: Kappa | None = None
+    argument_family: ArgumentFamily = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "indices", tuple(int(v) for v in self.indices))
+        family = family_of(self.family, self.kappa)
+        object.__setattr__(self, "argument_family", family)
         if not self.indices:
             raise SpecMismatchError("empty index set")
         if any(b <= a for a, b in zip(self.indices, self.indices[1:])):
             raise SpecMismatchError(
                 f"indices {self.indices} are not strictly increasing"
             )
-        if self.family is FamilyKind.PLAIN:
-            if self.indices[0] < 1:
-                raise SpecMismatchError("plain lattice indices must be >= 1")
-            if self.kappa is not None:
-                raise SpecMismatchError("plain lattice takes no shift")
-        else:
-            if self.indices[0] < 0:
-                raise SpecMismatchError("shifted lattice indices must be >= 0")
-            if self.kappa is None:
-                raise SpecMismatchError(
-                    f"{self.family.value}-shift lattice requires a shift"
-                )
-
-    def argument_family(self) -> ArgumentFamily:
-        if self.family is FamilyKind.PLAIN:
-            return ArgumentFamily(FamilyKind.PLAIN)
-        return ArgumentFamily(self.family, self.kappa.value)
+        if self.indices[0] < family.min_index:
+            raise SpecMismatchError(
+                f"{self.family.value} lattice indices must be >= {family.min_index}"
+            )
 
     def points(self) -> tuple[Fraction, ...]:
         """The actual lattice points: m, m + kappa, or -m + kappa."""
-        if self.family is FamilyKind.PLAIN:
-            return tuple(Fraction(m) for m in self.indices)
-        if self.family is FamilyKind.PLUS_SHIFT:
-            return tuple(m + self.kappa.value for m in self.indices)
-        return tuple(-m + self.kappa.value for m in self.indices)
+        return tuple(self.argument_family.point(m) for m in self.indices)
 
 
 def rational_gamma_ratio(kappa: Kappa, m: int, family: FamilyKind) -> Fraction:
     """Gamma(m+kappa)/Gamma(kappa) or Gamma(-m+kappa)/Gamma(kappa), exactly.
 
-    Both follow from Gamma(z+1) = z Gamma(z): the plus side is the rising
-    product prod_{u=0}^{m-1} (u + kappa), the minus side the reciprocal of the
-    signed product prod_{u=1}^{m} (-u + kappa).  Empty products are 1.  The
-    sign of the minus side, (-1)^m, comes out of the literal product.
+    The scale of a shifted family at index m; the plain family takes no shift
+    and is rejected.
     """
-    if m < 0:
-        raise ValueError(f"lattice index {m} must be >= 0")
-    k = kappa.value
-    if family is FamilyKind.PLUS_SHIFT:
-        return prod((u + k for u in range(m)), start=Fraction(1))
-    if family is FamilyKind.MINUS_SHIFT:
-        return 1 / prod((k - u for u in range(1, m + 1)), start=Fraction(1))
-    raise SpecMismatchError("gamma ratio is defined for shifted families only")
+    return family_of(family, kappa).scale(m)
 
 
 def _order_factor(n: int, ell: int) -> int:
@@ -128,93 +107,55 @@ def _order_factor(n: int, ell: int) -> int:
     return factorial(n) // factorial(ell)
 
 
-def _check_family(family: FamilyKind, kappa: Kappa | None) -> None:
-    if family is FamilyKind.PLAIN:
-        if kappa is not None:
-            raise SpecMismatchError("plain family takes no shift")
-    elif kappa is None:
-        raise SpecMismatchError(f"{family.value}-shift family requires a shift")
-
-
-def _check_index(family: FamilyKind, m: int) -> None:
-    low = 1 if family is FamilyKind.PLAIN else 0
-    if m < low:
-        raise ValueError(f"{family.value} lattice index {m} must be >= {low}")
-
-
-def _prefix_length(family: FamilyKind, m: int) -> int:
-    """Number of variables behind the expansion at index m."""
-    return m - 1 if family is FamilyKind.PLAIN else m
-
-
-def _prefix_table(
-    family: FamilyKind, kappa: Kappa | None, m: int, degree: int
-) -> PrefixTable:
-    """The family's table over the prefixes of every index up to m: e over 1/s
-    for the plain lattice, e (plus) or h (minus) over the shifted variables."""
-    length = _prefix_length(family, m)
-    if family is FamilyKind.PLAIN:
-        return elementary_prefix(ArgumentFamily(FamilyKind.PLAIN), length, degree)
-    variables = ArgumentFamily(family, kappa.value)
-    if family is FamilyKind.PLUS_SHIFT:
-        return elementary_prefix(variables, length, degree)
-    return homogeneous_prefix(variables, length, degree)
+def _prefix_table(family: ArgumentFamily, m: int, degree: int) -> PrefixTable:
+    """The family's table, e or h, over the prefixes of every index up to m."""
+    build = (
+        elementary_prefix
+        if family.poly_kind is PolyKind.ELEMENTARY
+        else homogeneous_prefix
+    )
+    return build(family, family.prefix_length(m), degree)
 
 
 def _expansion(
-    family: FamilyKind,
-    kappa: Kappa | None,
-    table: PrefixTable,
-    n: int,
-    m: int,
-    ells: Iterable[int],
+    family: ArgumentFamily, table: PrefixTable, n: int, m: int, ells: Iterable[int]
 ) -> tuple[Fraction, ...]:
     """Coefficients of the given basis orders in the expansion at index m.
 
-    Each is the scale at m, (m-1)! or the exact gamma ratio, times n!/ell!
-    times the table entry of degree n - ell over the prefix of m.
+    Each is the family's scale at m, (m-1)! or the exact gamma ratio, times
+    n!/ell! times the table entry of degree n - ell over the prefix of m.
     """
-    length = _prefix_length(family, m)
-    if family is FamilyKind.PLAIN:
-        scale = factorial(m - 1)
-    else:
-        scale = rational_gamma_ratio(kappa, m, family)
+    length = family.prefix_length(m)
+    scale = family.scale(m)
     return tuple(
         scale * _order_factor(n, ell) * table.value(length, n - ell) for ell in ells
     )
 
 
-def _cell(
-    family: FamilyKind, n: int, ell: int, m: int, kappa: Kappa | None
-) -> Fraction:
-    """One coefficient from a table just large enough for it."""
-    _order_factor(n, ell)
-    _check_index(family, m)
-    table = _prefix_table(family, kappa, m, n - ell)
-    return _expansion(family, kappa, table, n, m, (ell,))[0]
-
-
 def coeff_plain(n: int, ell: int, m: int) -> Fraction:
     """Coefficient of the ell-th basis derivative in the expansion at m >= 1."""
-    return _cell(FamilyKind.PLAIN, n, ell, m, None)
+    return coefficient(FamilyKind.PLAIN, n, ell, m)
 
 
 def coeff_plus(n: int, ell: int, m: int, kappa: Kappa) -> Fraction:
     """Coefficient of the ell-th derivative at kappa in the expansion at m + kappa."""
-    return _cell(FamilyKind.PLUS_SHIFT, n, ell, m, kappa)
+    return coefficient(FamilyKind.PLUS_SHIFT, n, ell, m, kappa)
 
 
 def coeff_minus(n: int, ell: int, m: int, kappa: Kappa) -> Fraction:
     """Coefficient of the ell-th derivative at kappa in the expansion at -m + kappa."""
-    return _cell(FamilyKind.MINUS_SHIFT, n, ell, m, kappa)
+    return coefficient(FamilyKind.MINUS_SHIFT, n, ell, m, kappa)
 
 
 def coefficient(
     family: FamilyKind, n: int, ell: int, m: int, kappa: Kappa | None = None
 ) -> Fraction:
-    """The family's coefficient of the ell-th basis derivative at index m."""
-    _check_family(family, kappa)
-    return _cell(family, n, ell, m, kappa)
+    """The family's coefficient of the ell-th basis derivative at index m,
+    read off a table just large enough for it."""
+    variables = family_of(family, kappa)
+    _order_factor(n, ell)
+    table = _prefix_table(variables, m, n - ell)
+    return _expansion(variables, table, n, m, (ell,))[0]
 
 
 def coefficient_table(
@@ -226,16 +167,14 @@ def coefficient_table(
     prefix table of degree n over the longest prefix serves every row, so a
     sweep builds a single table instead of one per coefficient.
     """
-    _check_family(family, kappa)
+    variables = family_of(family, kappa)
     if n < 0:
         raise ValueError(f"derivative order {n} must be >= 0")
     ms = tuple(ms)
     if not ms:
         raise ValueError("no lattice indices")
-    for m in ms:
-        _check_index(family, m)
-    table = _prefix_table(family, kappa, max(ms), n)
-    return tuple(_expansion(family, kappa, table, n, m, range(n + 1)) for m in ms)
+    table = _prefix_table(variables, max(ms), n)
+    return tuple(_expansion(variables, table, n, m, range(n + 1)) for m in ms)
 
 
 @dataclass(frozen=True)
@@ -264,14 +203,18 @@ def build_system(spec: LatticeSpec, n: int) -> CoeffSystem:
     """Assemble the coefficient matrix (and constant column) for `spec`."""
     if n < 0:
         raise ValueError(f"derivative order {n} must be >= 0")
-    if spec.family is FamilyKind.PLAIN and n < 1:
-        raise SpecMismatchError("plain system needs n >= 1 (no unknown columns)")
+    family = spec.argument_family
+    first = family.first_order
+    if n < first:
+        raise SpecMismatchError(
+            f"{spec.family.value} system needs n >= {first} (no unknown columns)"
+        )
     rows = coefficient_table(spec.family, n, spec.indices, spec.kappa)
-    if spec.family is FamilyKind.PLAIN:
-        # Gamma(1) = 1, so the ell = 0 terms are known constants.
-        first, basis, consts = 1, 1, tuple(row[0] for row in rows)
-    else:
-        first, basis, consts = 0, spec.kappa.value, ()
+    # Known basis orders move to the constant column: Gamma(1) = 1 makes the
+    # plain ell = 0 terms constants.
+    consts = tuple(row[0] for row in rows) if first else ()
     matrix = RationalMatrix.from_rows(row[first:] for row in rows)
-    labels = tuple(f"Gamma^({ell})({basis})" for ell in range(first, n + 1))
+    labels = tuple(
+        f"Gamma^({ell})({family.basis_point})" for ell in range(first, n + 1)
+    )
     return CoeffSystem(spec, n, matrix, consts, labels)

@@ -45,14 +45,20 @@ class DensityBound:
     exact: bool = True
 
 
+def _check_digits(digits: int) -> None:
+    if digits < 1:
+        raise ValueError(f"digits={digits} must be >= 1")
+
+
 def prior_univariate_bound(N: int, digits: int = 50) -> DensityBound:
     """max{0, sqrt(N) - 5/2} / N over derivative orders 1..N at one point.
 
     Exact when the bound clamps to zero (N <= 6) or N is a perfect square;
-    otherwise a high-precision real computed at `digits` digits.
+    otherwise a high-precision real computed at `digits` (>= 1) digits.
     """
     if N < 1:
         raise ValueError(f"N={N} must be >= 1")
+    _check_digits(digits)
     params = {"N": N}
     if N <= 6:
         return DensityBound(BoundVariant.PRIOR, params, Fraction(0), "clamped-zero")
@@ -158,8 +164,9 @@ def density_grid(
     The first range is N for the prior and bivariate variants and n for the
     fixed-order ones; the second range is M (ignored by the prior variant).
     Bivariate rows carry the min-sum oracle value unless `include_oracle` is
-    switched off.
+    switched off.  `digits` (>= 1) is the precision of inexact values.
     """
+    _check_digits(digits)
     firsts = sorted(set(first_range))
     seconds = sorted(set(second_range)) if second_range is not None else []
     rows: list[GridRow] = []

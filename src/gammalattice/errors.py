@@ -9,20 +9,21 @@ class GammaLatticeError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class MissingKappaError(GammaLatticeError):
+class SpecMismatchError(GammaLatticeError):
+    """Lattice family, shift, and index set are inconsistent."""
+
+
+class MissingKappaError(SpecMismatchError):
     """A shifted argument family was built without a shift value."""
 
 
-class InvalidKappaError(GammaLatticeError):
-    """A shift value lies outside the open interval (0, 1)."""
+class InvalidKappaError(SpecMismatchError):
+    """A shift value lies outside the open interval (0, 1), or was given to
+    the plain family."""
 
 
 class GuardExceededError(GammaLatticeError):
-    """A brute-force enumeration would exceed its size guard."""
-
-
-class SpecMismatchError(GammaLatticeError):
-    """Lattice family, shift, and index set are inconsistent."""
+    """An enumeration would exceed its size guard."""
 
 
 class NotSquareError(GammaLatticeError):

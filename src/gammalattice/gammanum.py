@@ -19,7 +19,8 @@ verify.
 
 All computations run at decimal_digits + guard_digits working precision;
 comparisons default to a tolerance of 10^-(decimal_digits - 20), i.e. the
-guard-digit budget.
+guard-digit budget.  `verify_identity` and `verify_recovery` share one
+residual rule: relative, or absolute where the reference is below 1.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from functools import lru_cache
 
 from mpmath import mp
 
-from .coeffs import Kappa, LatticeSpec, build_system, coefficient
+from .coeffs import Kappa, LatticeSpec, build_system, coefficient, family_of
 from .errors import PoleArgumentError, SpecMismatchError
 from .linalg import inverse_exact
 from .sympoly import FamilyKind
@@ -66,6 +67,11 @@ def _as_point(q) -> Fraction:
 
 def _to_mpf(x: Fraction):
     return mp.mpf(x.numerator) / mp.mpf(x.denominator)
+
+
+def _dot(rationals, reals):
+    """sum_i rationals[i] * reals[i], accumulated left to right."""
+    return sum((_to_mpf(a) * b for a, b in zip(rationals, reals)), mp.mpf(0))
 
 
 @lru_cache(maxsize=None)
@@ -136,6 +142,28 @@ def gamma_derivatives(q, n: int, ctx: PrecisionContext) -> GammaDerivatives:
     return GammaDerivatives(point, n, values, ctx)
 
 
+def _compare(value, reference, tolerance, ctx: PrecisionContext):
+    """Absolute and relative residual of `value` against `reference`, whether
+    it passes, and the threshold used, at the current precision.  It passes
+    when the relative residual is below the threshold, or the absolute one
+    where |reference| < 1.  The threshold is `tolerance` (finite, >= 0; 0
+    fails every comparison) or else the context default."""
+    if tolerance is None:
+        tol = ctx.default_tolerance()
+    else:
+        try:
+            tol = mp.mpf(tolerance)
+        except (TypeError, ValueError):
+            raise ValueError(f"bad tolerance {tolerance!r}; want e.g. 1e-40") from None
+        if not mp.isfinite(tol) or tol < 0:
+            raise ValueError(f"tolerance {tolerance!r} must be finite and >= 0")
+    abs_residual = abs(reference - value)
+    magnitude = abs(reference)
+    rel_residual = abs_residual / magnitude if magnitude > 0 else mp.inf
+    effective = abs_residual if magnitude < 1 else rel_residual
+    return abs_residual, rel_residual, bool(effective < tol), tol
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     family: FamilyKind
@@ -169,39 +197,15 @@ def verify_identity(
         ctx = PrecisionContext()
     if n < 0:
         raise ValueError(f"derivative order {n} must be >= 0")
-    if family is FamilyKind.PLAIN:
-        if kappa is not None:
-            raise SpecMismatchError("plain family takes no shift")
-        if m < 1:
-            raise ValueError(f"plain lattice point {m} must be >= 1")
-        basis_point = Fraction(1)
-        lattice_point = Fraction(m)
-    else:
-        if kappa is None:
-            raise SpecMismatchError(f"{family.value}-shift family requires a shift")
-        if m < 0:
-            raise ValueError(f"shifted lattice index {m} must be >= 0")
-        basis_point = kappa.value
-        if family is FamilyKind.PLUS_SHIFT:
-            lattice_point = m + kappa.value
-        else:
-            lattice_point = -m + kappa.value
-
-    basis = gamma_derivatives(basis_point, n, ctx).values
+    variables = family_of(family, kappa)
+    lattice_point = variables.point(m)
+    basis = gamma_derivatives(variables.basis_point, n, ctx).values
     lhs = gamma_derivatives(lattice_point, n, ctx).values[n]
+    terms = [coefficient(family, n, ell, m, kappa) for ell in range(n + 1)]
     with mp.workdps(ctx.working_digits):
-        rhs = mp.mpf(0)
-        for ell in range(n + 1):
-            rhs += _to_mpf(coefficient(family, n, ell, m, kappa)) * basis[ell]
-        tol = mp.mpf(tolerance) if tolerance is not None else ctx.default_tolerance()
-        abs_residual = abs(lhs - rhs)
-        magnitude = abs(lhs)
-        rel_residual = abs_residual / magnitude if magnitude > 0 else mp.inf
-        effective = abs_residual if magnitude < 1 else rel_residual
-        passed = bool(effective < tol)
-    return VerificationReport(
-        family, n, m, kappa, lhs, rhs, abs_residual, rel_residual, passed, tol
-    )
+        rhs = _dot(terms, basis)
+        verdict = _compare(rhs, lhs, tolerance, ctx)
+    return VerificationReport(family, n, m, kappa, lhs, rhs, *verdict)
 
 
 def recover_basis(spec: LatticeSpec, n: int, ctx: PrecisionContext | None = None) -> list:
@@ -224,32 +228,36 @@ def recover_basis(spec: LatticeSpec, n: int, ctx: PrecisionContext | None = None
     with mp.workdps(ctx.working_digits):
         if system.constant_column:
             data = [d - _to_mpf(c) for d, c in zip(data, system.constant_column)]
-        recovered = []
-        for r in range(inv.rows):
-            acc = mp.mpf(0)
-            for c in range(inv.cols):
-                acc += _to_mpf(inv.at(r, c)) * data[c]
-            recovered.append(acc)
-    return recovered
+        return [_dot(inv.row(r), data) for r in range(inv.rows)]
 
 
-def machin_pi(ctx: PrecisionContext):
-    """pi from Machin's arctangent formula; independent of the polygamma path.
+@dataclass(frozen=True)
+class RecoveryReport:
+    """One recovered basis derivative Gamma^(ell) against its direct value."""
 
-    Used as a cross-method anchor when checking values like psi'(1) = pi^2/6.
-    """
+    spec: LatticeSpec
+    ell: int
+    recovered: object
+    reference: object
+    abs_residual: object
+    rel_residual: object
+    passed: bool
+    tolerance: object
+
+
+def verify_recovery(
+    family: FamilyKind, n: int, kappa: Kappa | None, ctx: PrecisionContext, tolerance
+) -> list[RecoveryReport]:
+    """Recover the order-n basis from the square system at the first lattice
+    indices, and check each value against its direct evaluation by the
+    residual rule of `verify_identity`."""
+    variables = family_of(family, kappa)
+    first, low = variables.first_order, variables.min_index
+    spec = LatticeSpec(family, range(low, low + n + 1 - first), kappa)
+    recovered = recover_basis(spec, n, ctx)
+    references = gamma_derivatives(variables.basis_point, n, ctx).values[first:]
     with mp.workdps(ctx.working_digits):
-        return 16 * _atan_unit_fraction(5) - 4 * _atan_unit_fraction(239)
-
-
-def _atan_unit_fraction(n: int):
-    # atan(1/n) = sum_j (-1)^j / ((2j+1) n^(2j+1)); runs at the caller's dps.
-    threshold = mp.mpf(10) ** -(mp.dps + 5)
-    acc = mp.mpf(0)
-    j = 0
-    while True:
-        term = mp.mpf(1) / ((2 * j + 1) * n ** (2 * j + 1))
-        if term < threshold:
-            return acc
-        acc += term if j % 2 == 0 else -term
-        j += 1
+        return [
+            RecoveryReport(spec, ell, value, ref, *_compare(value, ref, tolerance, ctx))
+            for ell, (value, ref) in enumerate(zip(recovered, references), first)
+        ]

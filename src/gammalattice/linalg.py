@@ -11,9 +11,10 @@ positive by an explicit chain:
        banded factor carries x_j on disjoint column bands m'_r < j <= m'_{r+1},
     4. expand det(D) with the Cauchy-Binet formula over column subsets.
 
-`cauchy_binet` returns the full certificate, i.e. every surviving subset with
+`cauchy_binet` returns the full expansion, i.e. every surviving subset with
 both of its sub-determinants, so positivity can be asserted term by term
-rather than only for the total.
+rather than only for the total; `certify_prefix_matrix` runs the whole chain
+and checks the expansion against the determinant of the matrix itself.
 
 Determinants use fraction-free (Bareiss) elimination over a denominator-cleared
 integer copy, which keeps intermediate growth polynomial; inversion is exact
@@ -24,7 +25,6 @@ Gauss-Jordan over Fractions.  Everything is sized for desk-scale matrices
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
@@ -37,14 +37,9 @@ from .errors import (
     NotSquareError,
     SingularMatrixError,
 )
-from .sympoly import ArgumentFamily, elementary_prefix, homogeneous_prefix
+from .sympoly import ArgumentFamily, PolyKind, elementary_prefix, homogeneous_prefix
 
 SUBSET_GUARD = 10**6
-
-
-class PolyKind(Enum):
-    ELEMENTARY = "elementary"
-    HOMOGENEOUS = "homogeneous"
 
 
 @dataclass(frozen=True)
@@ -185,30 +180,33 @@ def _checked_m_primes(m_primes: Sequence[int]) -> tuple[int, ...]:
     return mp_
 
 
+def _table(kind: PolyKind):
+    return elementary_prefix if kind is PolyKind.ELEMENTARY else homogeneous_prefix
+
+
+def _prefix_matrix(
+    m_primes: Sequence[int], family: ArgumentFamily, kind: PolyKind, size: int
+) -> RationalMatrix:
+    """size x size matrix with entry (r, c) = e_c or h_c of the first m'_r variables."""
+    mp_ = _checked_m_primes(m_primes)
+    if len(mp_) != size:
+        raise ValueError(f"{len(mp_)} indices for a {size}x{size} prefix matrix")
+    table = _table(kind)(family, mp_[-1], size - 1)
+    return RationalMatrix.from_rows(table.values[j] for j in mp_)
+
+
 def elementary_matrix(
     m_primes: Sequence[int], family: ArgumentFamily, n: int
 ) -> RationalMatrix:
     """n x n matrix with entry (r, c) = e_c of the first m'_r family variables."""
-    mp_ = _checked_m_primes(m_primes)
-    if len(mp_) != n:
-        raise ValueError(f"{len(mp_)} indices for an order-{n} matrix")
-    table = elementary_prefix(family, mp_[-1], n - 1)
-    return RationalMatrix.from_rows(
-        [[table.value(j, c) for c in range(n)] for j in mp_]
-    )
+    return _prefix_matrix(m_primes, family, PolyKind.ELEMENTARY, n)
 
 
 def homogeneous_matrix(
     m_primes: Sequence[int], family: ArgumentFamily, n: int
 ) -> RationalMatrix:
     """(n+1) x (n+1) matrix with entry (r, c) = h_c of the first m'_r variables."""
-    mp_ = _checked_m_primes(m_primes)
-    if len(mp_) != n + 1:
-        raise ValueError(f"{len(mp_)} indices for an order-{n} matrix (need {n + 1})")
-    table = homogeneous_prefix(family, mp_[-1], n)
-    return RationalMatrix.from_rows(
-        [[table.value(j, c) for c in range(n + 1)] for j in mp_]
-    )
+    return _prefix_matrix(m_primes, family, PolyKind.HOMOGENEOUS, n + 1)
 
 
 def row_difference(m: RationalMatrix) -> RationalMatrix:
@@ -264,12 +262,9 @@ def difference_factorization(
         ]
         for r in range(k - 1)
     ]
-    if kind is PolyKind.ELEMENTARY:
-        table = elementary_prefix(family, width - 1, k - 2)
-        prefix = [[table.value(j - 1, c) for c in range(k - 1)] for j in range(1, width + 1)]
-    else:
-        table = homogeneous_prefix(family, width, k - 2)
-        prefix = [[table.value(j, c) for c in range(k - 1)] for j in range(1, width + 1)]
+    lag = 1 if kind is PolyKind.ELEMENTARY else 0
+    table = _table(kind)(family, width - lag, k - 2)
+    prefix = [table.values[j - lag] for j in range(1, width + 1)]
     return RationalMatrix.from_rows(banded), RationalMatrix.from_rows(prefix)
 
 
@@ -339,22 +334,35 @@ def cauchy_binet(
     return CauchyBinetCertificate(total, tuple(surviving), pruned)
 
 
-def permutation_sign(perm: Sequence[int]) -> int:
-    """Sign of a permutation of 0..k-1, by cycle decomposition."""
-    k = len(perm)
-    if sorted(perm) != list(range(k)):
-        raise ValueError(f"{perm} is not a permutation of 0..{k - 1}")
-    seen = [False] * k
-    sign = 1
-    for start in range(k):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+@dataclass(frozen=True)
+class PrefixCertificate:
+    """det > 0 of one prefix matrix, shown by Bareiss and again by the
+    Cauchy-Binet expansion of its difference minor, term by term."""
+
+    parent_det: Fraction
+    expansion: CauchyBinetCertificate
+
+    @property
+    def all_terms_positive(self) -> bool:
+        return all(t.det_left > 0 and t.det_right > 0 for t in self.expansion.surviving)
+
+    @property
+    def holds(self) -> bool:
+        """Both routes agree on a nonempty sum of positive terms."""
+        total, terms = self.expansion.total_det, self.expansion.surviving
+        return total == self.parent_det and bool(terms) and self.all_terms_positive
+
+
+def certify_prefix_matrix(
+    m_primes: Sequence[int], family: ArgumentFamily, kind: PolyKind
+) -> PrefixCertificate:
+    """The certificate chain for the k x k prefix matrix of e_0..e_{k-1} (or
+    h_0..h_{k-1}) over m'_1 < ... < m'_k, k >= 2: `difference_factorization`,
+    then `cauchy_binet`, checked against the matrix's own determinant."""
+    mp_ = _checked_m_primes(m_primes)
+    if len(mp_) < 2:
+        raise ValueError("a certificate needs at least two indices")
+    banded, prefix = difference_factorization(mp_, family, kind)
+    expansion = cauchy_binet(banded, prefix)
+    parent_det = det_exact(_prefix_matrix(mp_, family, kind, len(mp_)))
+    return PrefixCertificate(parent_det, expansion)

@@ -1,14 +1,19 @@
-"""Prefix tables of elementary and complete homogeneous symmetric polynomials.
+"""Argument families, and prefix tables of elementary and complete homogeneous
+symmetric polynomials over their variables.
 
-Three families of positive rational variables appear throughout the package:
+Three lattices of Gamma arguments appear throughout the package:
 
-    plain        x_s = 1/s
-    plus shift   x_s = 1/(s - 1 + kappa)
-    minus shift  x_s = 1/(s - kappa)
+    plain        points m,          m >= 1, basis 1,      x_s = 1/s
+    plus shift   points m + kappa,  m >= 0, basis kappa,  x_s = 1/(s - 1 + kappa)
+    minus shift  points -m + kappa, m >= 0, basis kappa,  x_s = 1/(s - kappa)
 
-for s = 1, 2, ... and a rational shift kappa in (0, 1).  A prefix table holds
-e_v (or h_v) of the first j variables for every 0 <= j <= max_len and
-0 <= v <= max_deg, filled one variable at a time by
+for s = 1, 2, ... and a rational shift kappa in (0, 1).  The plain lattice is
+the plus-shift lattice at kappa = 1 counted from m = 1, so `ArgumentFamily`
+derives every per-family fact from the basis point, the direction and the
+first index.
+
+A prefix table holds e_v (or h_v) of the first j variables for every
+0 <= j <= max_len and 0 <= v <= max_deg, filled one variable at a time by
 
     e_v(x_1..x_j) = e_v(x_1..x_{j-1}) + x_j * e_{v-1}(x_1..x_{j-1})
     h_v(x_1..x_j) = h_v(x_1..x_{j-1}) + x_j * h_{v-1}(x_1..x_j)
@@ -17,9 +22,7 @@ seeded with the empty-prefix conventions e_0 = h_0 = 1 and e_v = h_v = 0 for
 v > 0.  Note the second term of the h recurrence reads from the *current*
 prefix, so each row is filled degree by degree.
 
-All arithmetic is exact `fractions.Fraction`.  The brute-force enumerations
-are deliberately naive; they exist only as independent oracles against which
-the test suite checks the recurrence tables.
+All arithmetic is exact `fractions.Fraction`.
 """
 
 from __future__ import annotations
@@ -27,16 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
-from math import comb, prod
-from typing import Sequence
+from math import prod
 
-from .errors import GuardExceededError, InvalidKappaError, MissingKappaError
-
-# Subset enumeration is exponential in the list length; multiset enumeration
-# is capped by the number of monomials instead.
-SUBSET_GUARD_LEN = 20
-MONOMIAL_GUARD = 10**6
+from .errors import InvalidKappaError, MissingKappaError
 
 
 class FamilyKind(Enum):
@@ -49,9 +45,18 @@ class FamilyKind(Enum):
         return self is not FamilyKind.PLAIN
 
 
+class PolyKind(Enum):
+    ELEMENTARY = "elementary"
+    HOMOGENEOUS = "homogeneous"
+
+
 @dataclass(frozen=True)
 class ArgumentFamily:
-    """One of the three variable families, with its shift when applicable."""
+    """One of the three lattice families, with its shift when applicable.
+
+    The one place that knows how the families differ.  Building one checks
+    the shift: the plain family takes none, the shifted ones need one in (0, 1).
+    """
 
     kind: FamilyKind
     kappa: Fraction | None = None
@@ -67,19 +72,63 @@ class ArgumentFamily:
         elif self.kappa is not None:
             raise InvalidKappaError("plain family takes no shift value")
 
+    @property
+    def basis_point(self) -> Fraction:
+        """The point whose derivatives every other point expands over."""
+        return self.kappa if self.kind.shifted else Fraction(1)
+
+    @property
+    def sign(self) -> int:
+        """+1 when the points run up from the basis point, -1 when down."""
+        return -1 if self.kind is FamilyKind.MINUS_SHIFT else 1
+
+    @property
+    def min_index(self) -> int:
+        """The first lattice index, and the lowest unknown basis order: the
+        plain lattice starts at 1, and Gamma(1) = 1 is known."""
+        return 0 if self.kind.shifted else 1
+
+    first_order = min_index
+
+    @property
+    def poly_kind(self) -> PolyKind:
+        """e for points above the basis point, h for points below it."""
+        return PolyKind.ELEMENTARY if self.sign > 0 else PolyKind.HOMOGENEOUS
+
     def x(self, s: int) -> Fraction:
         """The s-th variable of the family, s >= 1.  Always positive."""
         if s < 1:
             raise ValueError(f"variable index {s} must be >= 1")
-        if self.kind is FamilyKind.PLAIN:
-            return Fraction(1, s)
-        if self.kind is FamilyKind.PLUS_SHIFT:
-            return 1 / (s - 1 + self.kappa)
-        return 1 / (s - self.kappa)
+        p, q = self.basis_point.numerator, self.basis_point.denominator
+        if self.sign > 0:
+            return Fraction(q, (s - 1) * q + p)
+        return Fraction(q, s * q - p)
 
     def prefix(self, length: int) -> tuple[Fraction, ...]:
         """The first `length` variables, x_1 .. x_length."""
         return tuple(self.x(s) for s in range(1, length + 1))
+
+    def prefix_length(self, m: int) -> int:
+        """Number of variables behind the expansion at lattice index m."""
+        if m < self.min_index:
+            raise ValueError(
+                f"{self.kind.value} lattice index {m} must be >= {self.min_index}"
+            )
+        return m - self.min_index
+
+    def point(self, m: int) -> Fraction:
+        """The lattice point of index m: m, m + kappa or -m + kappa."""
+        return self.basis_point + self.sign * self.prefix_length(m)
+
+    def scale(self, m: int) -> Fraction:
+        """Gamma(point(m)) / Gamma(basis_point), exactly, by Gamma(z+1) = z Gamma(z):
+        prod_{u<j} (u + b) going up, 1 / prod_{u=1}^{j} (b - u) going down, for
+        the prefix length j.  (m-1)! on the plain lattice; sign (-1)^m below."""
+        j = self.prefix_length(m)
+        p, q = self.basis_point.numerator, self.basis_point.denominator
+        if self.sign > 0:
+            return Fraction(prod(u * q + p for u in range(j)), q**j)
+        return Fraction(q**j, prod(p - u * q for u in range(1, j + 1)))
 
 
 @dataclass(frozen=True)
@@ -103,69 +152,33 @@ class PrefixTable:
         return self.values[length][degree]
 
 
-def _check_table_bounds(max_len: int, max_deg: int) -> None:
+def _fill(
+    family: ArgumentFamily, max_len: int, max_deg: int, kind: PolyKind
+) -> PrefixTable:
     if max_len < 0:
         raise ValueError(f"max_len {max_len} must be >= 0")
     if max_deg < 0:
         raise ValueError(f"max_deg {max_deg} must be >= 0")
+    homogeneous = kind is PolyKind.HOMOGENEOUS
+    rows = [(Fraction(1),) + (Fraction(0),) * max_deg]
+    for j in range(1, max_len + 1):
+        xj = family.x(j)
+        prev = rows[j - 1]
+        row = [Fraction(1)]
+        # e_{v-1} comes from the previous prefix, h_{v-1} from the entry of
+        # the length-j prefix just appended.
+        source = row if homogeneous else prev
+        for v in range(1, max_deg + 1):
+            row.append(prev[v] + xj * source[v - 1])
+        rows.append(tuple(row))
+    return PrefixTable(family, max_len, max_deg, tuple(rows))
 
 
 def elementary_prefix(family: ArgumentFamily, max_len: int, max_deg: int) -> PrefixTable:
     """Table of elementary symmetric polynomials e_v over family prefixes."""
-    _check_table_bounds(max_len, max_deg)
-    rows = [(Fraction(1),) + (Fraction(0),) * max_deg]
-    for j in range(1, max_len + 1):
-        xj = family.x(j)
-        prev = rows[j - 1]
-        row = [Fraction(1)]
-        for v in range(1, max_deg + 1):
-            row.append(prev[v] + xj * prev[v - 1])
-        rows.append(tuple(row))
-    return PrefixTable(family, max_len, max_deg, tuple(rows))
+    return _fill(family, max_len, max_deg, PolyKind.ELEMENTARY)
 
 
 def homogeneous_prefix(family: ArgumentFamily, max_len: int, max_deg: int) -> PrefixTable:
     """Table of complete homogeneous symmetric polynomials h_v over prefixes."""
-    _check_table_bounds(max_len, max_deg)
-    rows = [(Fraction(1),) + (Fraction(0),) * max_deg]
-    for j in range(1, max_len + 1):
-        xj = family.x(j)
-        prev = rows[j - 1]
-        row = [Fraction(1)]
-        for v in range(1, max_deg + 1):
-            # h_{v-1} of the length-j prefix is the entry just appended.
-            row.append(prev[v] + xj * row[v - 1])
-        rows.append(tuple(row))
-    return PrefixTable(family, max_len, max_deg, tuple(rows))
-
-
-def elementary_bruteforce(xs: Sequence[Fraction], v: int) -> Fraction:
-    """e_v by enumerating all size-v subsets of `xs`.  Exponential; guarded."""
-    if v < 0:
-        raise ValueError(f"degree {v} must be >= 0")
-    if len(xs) > SUBSET_GUARD_LEN:
-        raise GuardExceededError(
-            f"subset enumeration over {len(xs)} > {SUBSET_GUARD_LEN} variables"
-        )
-    if v == 0:
-        return Fraction(1)
-    if v > len(xs):
-        return Fraction(0)
-    return sum((prod(c) for c in combinations(xs, v)), start=Fraction(0))
-
-
-def homogeneous_bruteforce(xs: Sequence[Fraction], v: int) -> Fraction:
-    """h_v by enumerating all degree-v monomials with repetition.  Guarded."""
-    if v < 0:
-        raise ValueError(f"degree {v} must be >= 0")
-    if v == 0:
-        return Fraction(1)
-    if not xs:
-        return Fraction(0)
-    if comb(len(xs) + v - 1, v) > MONOMIAL_GUARD:
-        raise GuardExceededError(
-            f"monomial enumeration needs {comb(len(xs) + v - 1, v)} > {MONOMIAL_GUARD} terms"
-        )
-    return sum(
-        (prod(c) for c in combinations_with_replacement(xs, v)), start=Fraction(0)
-    )
+    return _fill(family, max_len, max_deg, PolyKind.HOMOGENEOUS)

@@ -1,14 +1,21 @@
-"""Independent exact oracles used only by the tests.
+"""Independent oracles used only by the tests.
 
 Coefficients are re-derived here without symmetric polynomials: multiply out
 the linear factors as an exact polynomial in the series variable (constant
 term first), invert the polynomial as a truncated power series where needed,
-and read the coefficient off directly.  Nothing below touches the package's
-prefix-table code paths.
+and read the coefficient off directly.  Symmetric polynomials are summed by
+brute-force enumeration, and pi by Machin's formula.  Nothing below touches
+the package's prefix-table or polygamma code paths.
 """
 
 from fractions import Fraction
-from math import factorial
+from itertools import combinations, combinations_with_replacement
+from math import comb, factorial, prod
+from typing import Sequence
+
+from mpmath import mp
+
+from gammalattice import GuardExceededError, PrecisionContext
 
 
 def poly_mul(a, b, truncate=None):
@@ -58,3 +65,64 @@ def minus_coefficient_oracle(n, ell, m, kappa):
     denominator = linear_product([kappa - u for u in range(1, m + 1)])
     series = series_inverse(denominator, n)
     return Fraction(factorial(n), factorial(ell)) * _series_coefficient(series, n - ell)
+
+
+# Symmetric polynomials by direct enumeration, checked against the prefix
+# tables.  Subset enumeration is exponential in the list length; multiset
+# enumeration is capped by the number of monomials instead.
+SUBSET_GUARD_LEN = 20
+MONOMIAL_GUARD = 10**6
+
+
+def elementary_bruteforce(xs: Sequence[Fraction], v: int) -> Fraction:
+    """e_v by enumerating all size-v subsets of `xs`.  Exponential; guarded."""
+    if v < 0:
+        raise ValueError(f"degree {v} must be >= 0")
+    if len(xs) > SUBSET_GUARD_LEN:
+        raise GuardExceededError(
+            f"subset enumeration over {len(xs)} > {SUBSET_GUARD_LEN} variables"
+        )
+    if v == 0:
+        return Fraction(1)
+    if v > len(xs):
+        return Fraction(0)
+    return sum((prod(c) for c in combinations(xs, v)), start=Fraction(0))
+
+
+def homogeneous_bruteforce(xs: Sequence[Fraction], v: int) -> Fraction:
+    """h_v by enumerating all degree-v monomials with repetition.  Guarded."""
+    if v < 0:
+        raise ValueError(f"degree {v} must be >= 0")
+    if v == 0:
+        return Fraction(1)
+    if not xs:
+        return Fraction(0)
+    if comb(len(xs) + v - 1, v) > MONOMIAL_GUARD:
+        raise GuardExceededError(
+            f"monomial enumeration needs {comb(len(xs) + v - 1, v)} > {MONOMIAL_GUARD} terms"
+        )
+    return sum(
+        (prod(c) for c in combinations_with_replacement(xs, v)), start=Fraction(0)
+    )
+
+
+def machin_pi(ctx: PrecisionContext):
+    """pi from Machin's arctangent formula; independent of the polygamma path.
+
+    Used as a cross-method anchor when checking values like psi'(1) = pi^2/6.
+    """
+    with mp.workdps(ctx.working_digits):
+        return 16 * _atan_unit_fraction(5) - 4 * _atan_unit_fraction(239)
+
+
+def _atan_unit_fraction(n: int):
+    # atan(1/n) = sum_j (-1)^j / ((2j+1) n^(2j+1)); runs at the caller's dps.
+    threshold = mp.mpf(10) ** -(mp.dps + 5)
+    acc = mp.mpf(0)
+    j = 0
+    while True:
+        term = mp.mpf(1) / ((2 * j + 1) * n ** (2 * j + 1))
+        if term < threshold:
+            return acc
+        acc += term if j % 2 == 0 else -term
+        j += 1

@@ -23,22 +23,20 @@ from gammalattice import (
     bivariate_min_sum,
     bivariate_shifted_bound,
     build_system,
-    cauchy_binet,
+    certify_prefix_matrix,
     det_exact,
-    difference_factorization,
-    elementary_bruteforce,
     elementary_matrix,
     elementary_prefix,
     gamma_derivatives,
     gamma_value,
-    homogeneous_bruteforce,
     homogeneous_matrix,
     homogeneous_prefix,
     inverse_exact,
-    machin_pi,
     recover_basis,
     verify_identity,
 )
+
+from _oracles import elementary_bruteforce, homogeneous_bruteforce, machin_pi
 
 CTX60 = PrecisionContext(60)
 
@@ -97,28 +95,22 @@ def test_criterion_2_determinant_certificates():
     for family in SWEEP_FAMILIES:
         for m_primes in subsets:
             k = len(m_primes)
-            e_matrix = elementary_matrix(m_primes, family, k)
-            h_matrix = homogeneous_matrix(m_primes, family, k - 1)
-            det_e = det_exact(e_matrix)
-            det_h = det_exact(h_matrix)
-            if det_e <= 0 or det_h <= 0:
-                failures.append(("det", family.kind.value, m_primes))
-                continue
             if k < 2:
+                det_e = det_exact(elementary_matrix(m_primes, family, k))
+                det_h = det_exact(homogeneous_matrix(m_primes, family, k - 1))
+                if det_e <= 0 or det_h <= 0:
+                    failures.append(("det", family.kind.value, m_primes))
                 continue
-            for kind, parent_det in (
-                (PolyKind.ELEMENTARY, det_e),
-                (PolyKind.HOMOGENEOUS, det_h),
-            ):
-                banded, prefix = difference_factorization(m_primes, family, kind)
-                certificate = cauchy_binet(banded, prefix)
-                if certificate.total_det != parent_det:
+            for kind in PolyKind:
+                certificate = certify_prefix_matrix(m_primes, family, kind)
+                if certificate.parent_det <= 0:
+                    failures.append(("det", family.kind.value, kind.value, m_primes))
+                    continue
+                if certificate.expansion.total_det != certificate.parent_det:
                     failures.append(("total", family.kind.value, kind.value, m_primes))
-                if not certificate.surviving:
+                if not certificate.expansion.surviving:
                     failures.append(("empty", family.kind.value, kind.value, m_primes))
-                if any(
-                    t.det_left <= 0 or t.det_right <= 0 for t in certificate.surviving
-                ):
+                if not certificate.all_terms_positive:
                     failures.append(("sign", family.kind.value, kind.value, m_primes))
     elapsed = time.time() - started
     ok = not failures and elapsed < 60

@@ -17,6 +17,67 @@ def run_json(capsys, *argv):
     return code, json.loads(out), err
 
 
+# sha256 of stdout for argv covering every family of coeffs, matrix (entries,
+# det, inverse, cauchy-binet) and verify (identity, recover).  The coeffs rows
+# were recorded before the coefficient sweep shared one table, the rest before
+# the family facts moved into the family object.
+GOLDEN_STDOUT = [
+    ("plain", "coeffs --family plain --n 6 --m 1:8",
+     "661a78e42308a4225b08c45956aa4dd4677c67d61d438ccb96bf9fe4cb1c1ebf"),
+    ("plus", "coeffs --family plus --n 6 --m 0:8 --kappa 1/3",
+     "05704390214f55e9562fbdd333a98daf1674cb0f15556f41556378420a693d89"),
+    ("minus", "coeffs --family minus --n 6 --m 0:8 --kappa 1/3",
+     "6304c02851e7828bccc35a635e60c54759c07e4108b411ef9717be5395b5b9fe"),
+    ("matrix-plain-entries", "matrix --family plain --n 3 --indices 1,2,4",
+     "7245b8dad93b09759acea2bb60a4a13b2c176d2298beff5885e27fc382b140e3"),
+    ("matrix-plus-entries",
+     "matrix --family plus --n 2 --indices 0,1,3 --kappa 1/3",
+     "b67e521a0a47e8c3e946d73805db3efea0118d52a51295a4c638d336f92da70a"),
+    ("matrix-minus-entries",
+     "matrix --family minus --n 2 --indices 0,2,3 --kappa 1/3",
+     "e12f568a4d8db292cd2a26a12a042fdf000ae3b22a4f02e8024bb631d3b4e7cb"),
+    ("matrix-plain-det",
+     "matrix --family plain --n 3 --indices 1,2,4 --show det",
+     "c742ff8b62bc81a8d3ff7c6a396814729e7184ed441a3b12f9054168aa8089d0"),
+    ("matrix-plus-det",
+     "matrix --family plus --n 2 --indices 0,1,3 --kappa 1/3 --show det",
+     "463e5b19f8f5f28d33b5a4e6346b6345950021114fe048a20932e0472335e336"),
+    ("matrix-minus-det",
+     "matrix --family minus --n 2 --indices 0,2,3 --kappa 1/3 --show det",
+     "17080dc1d7fd58eff696e0ef692fd26212f968d218eed46547b20f7ef6bdc3a6"),
+    ("matrix-plain-inverse",
+     "matrix --family plain --n 3 --indices 1,2,4 --show inverse",
+     "1acd49abc868ee5c2f03ee6632498888f6d64c75302215ad6fdfad996261bdfe"),
+    ("matrix-plus-inverse",
+     "matrix --family plus --n 2 --indices 0,1,3 --kappa 1/3 --show inverse",
+     "b1df4d7337c424d5f5d8f3c7046044d5738d9584374a36d45bdbc3a6d91cc9e8"),
+    ("matrix-minus-inverse",
+     "matrix --family minus --n 2 --indices 0,2,3 --kappa 1/3 --show inverse",
+     "bd7b86c86a784cd8b16e8511eb2425f0c329bb163534e051c21f03bafb4bec5b"),
+    ("matrix-plain-cauchy-binet",
+     "matrix --family plain --n 3 --indices 1,3,6 --show cauchy-binet",
+     "38bed0e47906b767f021750dcea0f7f91d7fb84522d54b28fb1bb6c6f48d20ef"),
+    ("matrix-plus-cauchy-binet",
+     "matrix --family plus --n 2 --indices 0,2,5 --kappa 1/3 --show cauchy-binet",
+     "0060f3d81fd12dfdd24f46fe36354ffbefe841c4cab1fb345f908e5227ac20cb"),
+    ("matrix-minus-cauchy-binet",
+     "matrix --family minus --n 2 --indices 0,2,5 --kappa 1/3 --show cauchy-binet",
+     "5bf73e3ea8eb62fed4d53bc27c3a5752911678ddee3e0fa932c871ec1ee1e08c"),
+    ("verify-plain-identity",
+     "verify --family plain --n-max 3 --m-max 4 --digits 30",
+     "381b63fd6c7a7e4a9f2a3e7d31a2f49a1b4f076cfe0e2d41f4b9ad324af48a6c"),
+    ("verify-minus-identity",
+     "verify --family minus --n-max 2 --m-max 3 --kappa-set 1/3 --digits 30",
+     "e9b249178beecef3b65237696411f89cb9836c5f5a9cb85a25faa263804cb4de"),
+    ("verify-plain-recover",
+     "verify --family plain --mode recover --n-max 3 --digits 30",
+     "c09196f1cdc6fa2d4c25663d636591a155ebf2778d6e5d56a63bf7f2c52844bc"),
+    ("verify-plus-recover",
+     "verify --family plus --mode recover --n-max 2 --kappa-set 1/3 --digits 30",
+     "b3e8f9acf5af7144e523ab51edd9304b7c0729e161f87108363f812c4388da9c"),
+]
+
+
 class TestCoeffsCommand:
     def test_plain_row_values(self, capsys):
         code, payload, err = run_json(
@@ -67,8 +128,15 @@ class TestCoeffsCommand:
         assert code == 2
 
     def test_unknown_family_is_usage_error(self, capsys):
-        code, _, _ = run(capsys, "coeffs", "--family", "weird", "--n", "1", "--m", "1")
+        code, _, err = run(capsys, "coeffs", "--family", "weird", "--n", "1", "--m", "1")
         assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_missing_flag_is_one_line_usage_error(self, capsys):
+        code, out, err = run(capsys, "coeffs", "--family", "plain", "--m", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_conditional_warning_off_whitelist(self, capsys):
         code, payload, err = run_json(
@@ -104,20 +172,13 @@ class TestCoeffsCommand:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
-    # sha256 of stdout, recorded before the coefficient sweep shared one table
-    GOLDEN = {
-        "plain": ("--m", "1:8",
-                  "661a78e42308a4225b08c45956aa4dd4677c67d61d438ccb96bf9fe4cb1c1ebf"),
-        "plus": ("--m", "0:8", "--kappa", "1/3",
-                 "05704390214f55e9562fbdd333a98daf1674cb0f15556f41556378420a693d89"),
-        "minus": ("--m", "0:8", "--kappa", "1/3",
-                  "6304c02851e7828bccc35a635e60c54759c07e4108b411ef9717be5395b5b9fe"),
-    }
-
-    @pytest.mark.parametrize("family", sorted(GOLDEN))
-    def test_stdout_byte_identical(self, capsys, family):
-        *argv, digest = self.GOLDEN[family]
-        code, out, _ = run(capsys, "coeffs", "--family", family, "--n", "6", *argv)
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [case[1:] for case in GOLDEN_STDOUT],
+        ids=[case[0] for case in GOLDEN_STDOUT],
+    )
+    def test_stdout_byte_identical(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv.split())
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -313,6 +374,34 @@ class TestVerifyCommand:
         assert out == ""
         assert err.startswith("error:") and "1/3" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--family", "plain", "--n-max", "1", "--m-max", "1", "--tolerance=-1"),
+            ("--family", "plain", "--n-max", "-1", "--m-max", "3"),
+            ("--family", "plain", "--n-max", "1", "--m-max", "0"),
+            ("--family", "minus", "--n-max", "1", "--m-max", "-1", "--kappa-set", "1/3"),
+            ("--family", "plus", "--n-max", "1", "--m-max", "1", "--kappa-set="),
+            ("--family", "plain", "--mode", "recover", "--n-max", "1"),
+            ("--family", "plus", "--mode", "recover", "--n-max", "0", "--kappa-set", "1/3"),
+        ],
+        ids=[
+            "negative-tolerance",
+            "negative-n-max",
+            "m-max-below-plain-start",
+            "m-max-below-shifted-start",
+            "empty-kappa-set",
+            "plain-recover-n-max-1",
+            "shifted-recover-n-max-0",
+        ],
+    )
+    def test_empty_or_failing_sweep_is_usage_error(self, capsys, argv):
+        # each would otherwise "pass" with no rows, or fail every row
+        code, out, err = run(capsys, "verify", *argv, "--digits", "30")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_missing_m_max_identity(self, capsys):
         code, _, _ = run(capsys, "verify", "--family", "plain", "--n-max", "1")
         assert code == 2
@@ -380,6 +469,16 @@ class TestDensityCommand:
             capsys, "density", "--variant", "prior", "--N", "25", "--with-oracle"
         )
         assert code == 2
+
+    @pytest.mark.parametrize("digits", ["0", "-3"])
+    def test_digits_below_one_is_usage_error(self, capsys, digits):
+        # no precision below one digit can print the bound, about 0.0992
+        code, out, err = run(
+            capsys, "density", "--variant", "prior", "--N", "30", f"--digits={digits}"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_missing_required_range(self, capsys):
         code, _, _ = run(capsys, "density", "--variant", "bivariate", "--N", "5")

@@ -43,6 +43,10 @@ class TestPriorBound:
     def test_validation(self):
         with pytest.raises(ValueError):
             prior_univariate_bound(0)
+        with pytest.raises(ValueError):
+            prior_univariate_bound(30, digits=0)
+        with pytest.raises(ValueError):
+            density_grid(BoundVariant.PRIOR, [30], digits=-3)
 
 
 class TestFixedOrderBounds:

@@ -13,11 +13,13 @@ from gammalattice import (
     build_system,
     gamma_derivatives,
     gamma_value,
-    machin_pi,
     polygamma,
     recover_basis,
     verify_identity,
+    verify_recovery,
 )
+
+from _oracles import machin_pi
 
 CTX = PrecisionContext(60)
 HALF = Kappa(Fraction(1, 2))
@@ -202,6 +204,34 @@ class TestRecoverBasis:
     def test_rectangular_rejected(self):
         with pytest.raises(SpecMismatchError):
             recover_basis(LatticeSpec(FamilyKind.PLAIN, (1, 2, 3)), 2, CTX)
+
+
+class TestVerifyRecovery:
+    def test_plain_recovers_euler(self):
+        reports = verify_recovery(FamilyKind.PLAIN, 2, None, CTX, None)
+        assert [r.ell for r in reports] == [1, 2]
+        assert reports[0].spec.indices == (1, 2)
+        assert all(r.passed for r in reports)
+        with mp.workdps(CTX.working_digits):
+            assert close(reports[0].recovered, -mp.euler)
+
+    def test_shifted_starts_at_order_zero(self):
+        reports = verify_recovery(FamilyKind.MINUS_SHIFT, 1, HALF, CTX, None)
+        assert [r.ell for r in reports] == [0, 1]
+        assert reports[0].spec.indices == (0, 1)
+        assert close(reports[0].reference, gamma_value(Fraction(1, 2), CTX))
+        assert all(r.passed for r in reports)
+
+    def test_zero_tolerance_fails(self):
+        reports = verify_recovery(FamilyKind.PLAIN, 2, None, CTX, "0")
+        assert not any(r.passed for r in reports)
+
+    @pytest.mark.parametrize("tolerance", ["-1", "nan", "inf", "abc"])
+    def test_bad_tolerance_rejected(self, tolerance):
+        with pytest.raises(ValueError):
+            verify_identity(FamilyKind.PLAIN, 1, 1, ctx=CTX, tolerance=tolerance)
+        with pytest.raises(ValueError):
+            verify_recovery(FamilyKind.PLAIN, 2, None, CTX, tolerance)
 
 
 class TestIdentityGrid:

@@ -14,17 +14,18 @@ from gammalattice import (
     NonIncreasingIndicesError,
     NotSquareError,
     PolyKind,
+    PrefixCertificate,
     RationalMatrix,
     SingularMatrixError,
     build_system,
     cauchy_binet,
+    certify_prefix_matrix,
     det_exact,
     difference_factorization,
     difference_minor,
     elementary_matrix,
     homogeneous_matrix,
     inverse_exact,
-    permutation_sign,
     row_difference,
 )
 
@@ -276,6 +277,33 @@ class TestCauchyBinet:
             cauchy_binet(left, right)
 
 
+class TestCertifyPrefixMatrix:
+    @pytest.mark.parametrize("kind", list(PolyKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("family", [PLAIN, PLUS_QUARTER, MINUS_HALF],
+                             ids=lambda f: f.kind.value)
+    def test_chain(self, family, kind):
+        m_primes = (0, 2, 5)
+        certificate = certify_prefix_matrix(m_primes, family, kind)
+        if kind is PolyKind.ELEMENTARY:
+            parent = elementary_matrix(m_primes, family, 3)
+        else:
+            parent = homogeneous_matrix(m_primes, family, 2)
+        assert certificate.parent_det == det_exact(parent) > 0
+        banded, prefix = difference_factorization(m_primes, family, kind)
+        assert certificate.expansion == cauchy_binet(banded, prefix)
+        assert certificate.all_terms_positive
+        assert certificate.holds
+
+    def test_disagreeing_routes_do_not_hold(self):
+        certificate = certify_prefix_matrix((0, 1), PLAIN, PolyKind.ELEMENTARY)
+        wrong = PrefixCertificate(certificate.parent_det + 1, certificate.expansion)
+        assert not wrong.holds
+
+    def test_needs_two_indices(self):
+        with pytest.raises(ValueError):
+            certify_prefix_matrix([3], PLAIN, PolyKind.ELEMENTARY)
+
+
 class TestRandomizedPositivitySweep:
     """Larger index sets than the exhaustive acceptance sweep, seeded RNG."""
 
@@ -303,22 +331,6 @@ class TestRandomizedPositivitySweep:
                 assert cauchy_binet(banded, prefix).total_det == det_h
 
 
-class TestPermutationSign:
-    def test_basics(self):
-        assert permutation_sign([0, 1, 2]) == 1
-        assert permutation_sign([1, 0, 2]) == -1
-        assert permutation_sign([2, 1, 0]) == -1
-
-    def test_reversal_parity(self):
-        for n in range(1, 9):
-            reversal = list(reversed(range(n)))
-            assert permutation_sign(reversal) == (-1) ** (n // 2)
-
-    def test_rejects_non_permutation(self):
-        with pytest.raises(ValueError):
-            permutation_sign([0, 0, 1])
-
-
 class TestScalingEquivalence:
     """The coefficient matrix is a scaled, column-reversed prefix matrix."""
 
@@ -337,5 +349,5 @@ class TestScalingEquivalence:
         column_scales = Fraction(1)
         for c in range(1, n + 1):
             column_scales *= Fraction(factorial(n), factorial(c))
-        sign = permutation_sign(list(reversed(range(n))))
+        sign = (-1) ** (n // 2)  # sign of the column reversal
         assert det_exact(system.matrix) == sign * row_scales * column_scales * prefix_det

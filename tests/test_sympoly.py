@@ -10,11 +10,13 @@ from gammalattice import (
     GuardExceededError,
     InvalidKappaError,
     MissingKappaError,
-    elementary_bruteforce,
+    PolyKind,
+    SpecMismatchError,
     elementary_prefix,
-    homogeneous_bruteforce,
     homogeneous_prefix,
 )
+
+from _oracles import elementary_bruteforce, homogeneous_bruteforce
 
 PLAIN = ArgumentFamily(FamilyKind.PLAIN)
 PLUS_THIRD = ArgumentFamily(FamilyKind.PLUS_SHIFT, Fraction(1, 3))
@@ -67,6 +69,37 @@ class TestArgumentFamily:
     def test_variable_index_positive(self):
         with pytest.raises(ValueError):
             PLAIN.x(0)
+
+    def test_shift_errors_are_spec_mismatches(self):
+        assert issubclass(MissingKappaError, SpecMismatchError)
+        assert issubclass(InvalidKappaError, SpecMismatchError)
+
+    @pytest.mark.parametrize(
+        "family,first,basis,kind,points",
+        [
+            (PLAIN, 1, Fraction(1), PolyKind.ELEMENTARY, (1, 2, 3)),
+            (PLUS_THIRD, 0, Fraction(1, 3), PolyKind.ELEMENTARY,
+             (Fraction(1, 3), Fraction(4, 3), Fraction(7, 3))),
+            (MINUS_HALF, 0, Fraction(1, 2), PolyKind.HOMOGENEOUS,
+             (Fraction(1, 2), Fraction(-1, 2), Fraction(-3, 2))),
+        ],
+        ids=["plain", "plus", "minus"],
+    )
+    def test_family_facts(self, family, first, basis, kind, points):
+        assert family.min_index == family.first_order == first
+        assert family.basis_point == basis
+        assert family.poly_kind is kind
+        ms = range(first, first + 3)
+        assert tuple(family.point(m) for m in ms) == points
+        assert [family.prefix_length(m) for m in ms] == [0, 1, 2]
+        with pytest.raises(ValueError):
+            family.prefix_length(first - 1)
+
+    def test_scale_is_gamma_ratio(self):
+        assert [PLAIN.scale(m) for m in range(1, 6)] == [1, 1, 2, 6, 24]
+        # Gamma(7/3)/Gamma(1/3) and Gamma(-3/2)/Gamma(1/2)
+        assert PLUS_THIRD.scale(2) == Fraction(1, 3) * Fraction(4, 3)
+        assert MINUS_HALF.scale(2) == 1 / (Fraction(-1, 2) * Fraction(-3, 2))
 
 
 class TestPrefixTables:
