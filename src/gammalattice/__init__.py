@@ -5,7 +5,6 @@ and rationally shifted lattice points."""
 from .coeffs import (
     KNOWN_TRANSCENDENTAL_SHIFTS,
     CoeffSystem,
-    Kappa,
     LatticeSpec,
     build_system,
     coeff_minus,
@@ -13,7 +12,6 @@ from .coeffs import (
     coeff_plus,
     coefficient,
     coefficient_table,
-    family_of,
     rational_gamma_ratio,
 )
 from .density import (

@@ -28,17 +28,15 @@ from mpmath import mp
 
 from .coeffs import (
     KNOWN_TRANSCENDENTAL_SHIFTS,
-    Kappa,
     LatticeSpec,
     build_system,
     coefficient_table,
-    family_of,
 )
 from .density import BoundVariant, density_grid
-from .errors import GammaLatticeError, SingularMatrixError
+from .errors import GammaLatticeError, NotSquareError, SingularMatrixError
 from .gammanum import PrecisionContext, verify_identity, verify_recovery
 from .linalg import RationalMatrix, certify_prefix_matrix, det_exact, inverse_exact
-from .sympoly import FamilyKind
+from .sympoly import ArgumentFamily, FamilyKind
 
 VERIFICATION_FAILURE = 1
 USAGE_ERROR = 2
@@ -103,21 +101,24 @@ def _parse_shift(text: str) -> Fraction:
         raise ValueError(f"bad shift {text!r}; want a rational such as 1/3") from None
 
 
-def _warn_conditional(warnings: list, values) -> None:
-    listed = ", ".join(str(v) for v in values)
-    warnings.append(
-        f"shift value(s) {listed} outside the known-transcendental whitelist "
-        f"{{1/6, 1/4, 1/3, 1/2, 2/3, 3/4, 5/6}}; results are conditional on "
-        f"transcendence of Gamma at the shift"
-    )
+def _warn_conditional(warnings: list, shifts) -> None:
+    """One warning naming every shift off the known-transcendental whitelist."""
+    outside = sorted(v for v in shifts if v not in KNOWN_TRANSCENDENTAL_SHIFTS)
+    if outside:
+        listed = ", ".join(str(v) for v in outside)
+        whitelist = ", ".join(str(v) for v in sorted(KNOWN_TRANSCENDENTAL_SHIFTS))
+        warnings.append(
+            f"shift value(s) {listed} outside the known-transcendental whitelist "
+            f"{{{whitelist}}}; results are conditional on "
+            f"transcendence of Gamma at the shift"
+        )
 
 
-def _resolve_kappa(text: str | None, warnings: list) -> Kappa | None:
+def _resolve_kappa(text: str | None, warnings: list) -> Fraction | None:
     if text is None:
         return None
-    kappa = Kappa(_parse_shift(text))
-    if not kappa.known_transcendental:
-        _warn_conditional(warnings, [kappa.value])
+    kappa = _parse_shift(text)
+    _warn_conditional(warnings, [kappa])
     return kappa
 
 
@@ -145,7 +146,7 @@ def _cmd_coeffs(args) -> OutputEnvelope:
     kappa = _resolve_kappa(args.kappa, warnings)
     ms = _parse_int_range(args.m)
     table = coefficient_table(family, args.n, ms, kappa)
-    shift = str(kappa.value) if kappa else ""
+    shift = str(kappa) if kappa else ""
     rows = [
         {
             "family": family.value,
@@ -162,7 +163,7 @@ def _cmd_coeffs(args) -> OutputEnvelope:
         "family": family.value,
         "n": args.n,
         "m": args.m,
-        "kappa": str(kappa.value) if kappa else None,
+        "kappa": str(kappa) if kappa else None,
     }
     return OutputEnvelope("coeffs", params, rows, warnings)
 
@@ -177,7 +178,7 @@ def _cmd_matrix(args) -> OutputEnvelope:
         "family": family.value,
         "n": args.n,
         "indices": args.indices,
-        "kappa": str(kappa.value) if kappa else None,
+        "kappa": str(kappa) if kappa else None,
         "show": args.show,
         "shape": f"{system.matrix.rows}x{system.matrix.cols}",
         "unknowns": list(system.unknowns_label),
@@ -204,6 +205,9 @@ def _cmd_matrix(args) -> OutputEnvelope:
         return OutputEnvelope("matrix", params, _matrix_rows(inverse), warnings)
 
     # cauchy-binet: certificate for the prefix-matrix chain behind this system
+    if not system.is_square:
+        shape = params["shape"]
+        raise NotSquareError(f"cauchy-binet needs a square system, got {shape}")
     variables = spec.argument_family
     certificate = certify_prefix_matrix(
         [variables.prefix_length(m) for m in spec.indices],
@@ -250,18 +254,18 @@ def _verify_kappas(family: FamilyKind, kappa_set: str | None, warnings: list):
         if repeated:
             listed = ", ".join(str(v) for v in repeated)
             raise ValueError(f"--kappa-set repeats {listed}")
-    kappas = [Kappa(v) for v in values]
-    outside = sorted(k.value for k in kappas if not k.known_transcendental)
-    if outside:
-        _warn_conditional(warnings, outside)
-    return kappas
+    _warn_conditional(warnings, values)
+    return values
 
 
 def _cmd_verify(args) -> OutputEnvelope:
     warnings: list = []
     family = FamilyKind(args.family)
     ctx = PrecisionContext(args.digits)
-    kappas = _verify_kappas(family, args.kappa_set, warnings)
+    families = [
+        ArgumentFamily(family, kappa)
+        for kappa in _verify_kappas(family, args.kappa_set, warnings)
+    ]
     digits = ctx.decimal_digits
     params = {
         "family": family.value,
@@ -274,10 +278,12 @@ def _cmd_verify(args) -> OutputEnvelope:
     }
     if args.mode == "identity" and args.m_max is None:
         raise ValueError("--m-max is required for identity mode")
+    if args.mode == "recover" and args.m_max is not None:
+        raise ValueError("--m-max does not apply to recover mode")
     rows = []
-    for kappa in kappas:
-        variables = family_of(family, kappa)
-        head = {"family": family.value, "kappa": str(kappa.value) if kappa else ""}
+    for variables in families:
+        kappa = variables.kappa
+        head = {"family": family.value, "kappa": str(kappa) if kappa else ""}
         if args.mode == "identity":
             _at_least("--n-max", args.n_max, 0, family)
             _at_least("--m-max", args.m_max, variables.min_index, family)
@@ -325,56 +331,32 @@ def _cmd_verify(args) -> OutputEnvelope:
 
 def _cmd_density(args) -> OutputEnvelope:
     variant = BoundVariant(args.variant)
+    flags = {"N": args.N, "M": args.M, "n": args.n}
     params = {
         "variant": variant.value,
-        "N": args.N,
-        "M": args.M,
-        "n": args.n,
+        **flags,
         "with_oracle": args.with_oracle,
         "digits": args.digits,
     }
-
-    def need(flag, name):
-        if flag is None:
+    ranges = []
+    for name in variant.ranges:
+        text = flags.pop(name)
+        if text is None:
             raise ValueError(f"--{name} is required for variant {variant.value}")
-        return _parse_int_range(flag)
-
-    def reject(flag, name):
-        if flag is not None:
+        ranges.append(_parse_int_range(text))
+    for name, text in flags.items():
+        if text is not None:
             raise ValueError(f"--{name} does not apply to variant {variant.value}")
-
-    if variant is BoundVariant.PRIOR:
-        first = need(args.N, "N")
-        reject(args.M, "M")
-        reject(args.n, "n")
-        second = None
-        first_key = "N"
-    elif variant in (BoundVariant.FIXED_N, BoundVariant.FIXED_N_SHIFTED):
-        first = need(args.n, "n")
-        second = need(args.M, "M")
-        reject(args.N, "N")
-        first_key = "n"
-    else:
-        first = need(args.N, "N")
-        second = need(args.M, "M")
-        reject(args.n, "n")
-        first_key = "N"
-    if args.with_oracle and variant not in (
-        BoundVariant.BIVARIATE,
-        BoundVariant.BIVARIATE_SHIFTED,
-    ):
+    if args.with_oracle and not variant.has_oracle:
         raise ValueError("--with-oracle applies to the bivariate variants only")
 
     grid = density_grid(
-        variant, first, second, include_oracle=args.with_oracle, digits=args.digits
+        variant, *ranges, include_oracle=args.with_oracle, digits=args.digits
     )
     rows = []
-    any_mismatch = False
     for cell in grid:
         bound = cell.bound
-        row = {"variant": variant.value, first_key: bound.params[first_key]}
-        if second is not None:
-            row["M"] = bound.params["M"]
+        row = {"variant": variant.value, **bound.params}
         row["value"] = (
             str(bound.value) if bound.exact else _real_str(bound.value, args.digits)
         )
@@ -382,11 +364,10 @@ def _cmd_density(args) -> OutputEnvelope:
         row["exact"] = bound.exact
         if args.with_oracle:
             row["oracle"] = str(cell.oracle)
-            matched = cell.oracle == bound.value
-            row["oracle_match"] = matched
-            any_mismatch |= not matched
+            row["oracle_match"] = cell.oracle == bound.value
         rows.append(row)
-    status = VERIFICATION_FAILURE if any_mismatch else 0
+    failed = not all(row.get("oracle_match", True) for row in rows)
+    status = VERIFICATION_FAILURE if failed else 0
     return OutputEnvelope("density", params, rows, exit_status=status)
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterable
 
-from .errors import InvalidKappaError, SpecMismatchError
+from .errors import SpecMismatchError
 from .linalg import RationalMatrix
 from .sympoly import (
     ArgumentFamily,
@@ -39,27 +39,6 @@ KNOWN_TRANSCENDENTAL_SHIFTS = frozenset(
 
 
 @dataclass(frozen=True)
-class Kappa:
-    """A rational shift in (0, 1), flagged if it is on the known whitelist."""
-
-    value: Fraction
-    known_transcendental: bool = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", Fraction(self.value))
-        if not 0 < self.value < 1:
-            raise InvalidKappaError(f"shift {self.value} outside (0, 1)")
-        object.__setattr__(
-            self, "known_transcendental", self.value in KNOWN_TRANSCENDENTAL_SHIFTS
-        )
-
-
-def family_of(kind: FamilyKind, kappa: Kappa | None) -> ArgumentFamily:
-    """The argument family of `kind` at the shift `kappa` (None for plain)."""
-    return ArgumentFamily(kind, None if kappa is None else kappa.value)
-
-
-@dataclass(frozen=True)
 class LatticeSpec:
     """A family selector plus a strictly increasing set of lattice indices.
 
@@ -69,12 +48,12 @@ class LatticeSpec:
 
     family: FamilyKind
     indices: tuple[int, ...]
-    kappa: Kappa | None = None
+    kappa: Fraction | None = None
     argument_family: ArgumentFamily = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "indices", tuple(int(v) for v in self.indices))
-        family = family_of(self.family, self.kappa)
+        family = ArgumentFamily(self.family, self.kappa)
         object.__setattr__(self, "argument_family", family)
         if not self.indices:
             raise SpecMismatchError("empty index set")
@@ -92,13 +71,13 @@ class LatticeSpec:
         return tuple(self.argument_family.point(m) for m in self.indices)
 
 
-def rational_gamma_ratio(kappa: Kappa, m: int, family: FamilyKind) -> Fraction:
+def rational_gamma_ratio(kappa: Fraction, m: int, family: FamilyKind) -> Fraction:
     """Gamma(m+kappa)/Gamma(kappa) or Gamma(-m+kappa)/Gamma(kappa), exactly.
 
     The scale of a shifted family at index m; the plain family takes no shift
     and is rejected.
     """
-    return family_of(family, kappa).scale(m)
+    return ArgumentFamily(family, kappa).scale(m)
 
 
 def _order_factor(n: int, ell: int) -> int:
@@ -137,29 +116,29 @@ def coeff_plain(n: int, ell: int, m: int) -> Fraction:
     return coefficient(FamilyKind.PLAIN, n, ell, m)
 
 
-def coeff_plus(n: int, ell: int, m: int, kappa: Kappa) -> Fraction:
+def coeff_plus(n: int, ell: int, m: int, kappa: Fraction) -> Fraction:
     """Coefficient of the ell-th derivative at kappa in the expansion at m + kappa."""
     return coefficient(FamilyKind.PLUS_SHIFT, n, ell, m, kappa)
 
 
-def coeff_minus(n: int, ell: int, m: int, kappa: Kappa) -> Fraction:
+def coeff_minus(n: int, ell: int, m: int, kappa: Fraction) -> Fraction:
     """Coefficient of the ell-th derivative at kappa in the expansion at -m + kappa."""
     return coefficient(FamilyKind.MINUS_SHIFT, n, ell, m, kappa)
 
 
 def coefficient(
-    family: FamilyKind, n: int, ell: int, m: int, kappa: Kappa | None = None
+    family: FamilyKind, n: int, ell: int, m: int, kappa: Fraction | None = None
 ) -> Fraction:
     """The family's coefficient of the ell-th basis derivative at index m,
     read off a table just large enough for it."""
-    variables = family_of(family, kappa)
+    variables = ArgumentFamily(family, kappa)
     _order_factor(n, ell)
     table = _prefix_table(variables, m, n - ell)
     return _expansion(variables, table, n, m, (ell,))[0]
 
 
 def coefficient_table(
-    family: FamilyKind, n: int, ms: Iterable[int], kappa: Kappa | None = None
+    family: FamilyKind, n: int, ms: Iterable[int], kappa: Fraction | None = None
 ) -> tuple[tuple[Fraction, ...], ...]:
     """Every coefficient of a sweep over the indices `ms`.
 
@@ -167,7 +146,7 @@ def coefficient_table(
     prefix table of degree n over the longest prefix serves every row, so a
     sweep builds a single table instead of one per coefficient.
     """
-    variables = family_of(family, kappa)
+    variables = ArgumentFamily(family, kappa)
     if n < 0:
         raise ValueError(f"derivative order {n} must be >= 0")
     ms = tuple(ms)

@@ -3,9 +3,11 @@
 Each bound is the complement of an averaged cap on how many derivative values
 in a finite window can be algebraic: at most n-1 plain lattice points per
 order n >= 2, at most n shifted points per order n >= 1 on each one-sided
-lattice.  The bivariate closed forms have an independent brute-force
-counterpart (`bivariate_min_sum`) that performs the min-sum directly, with no
-case split; the two must agree exactly on every cell.
+lattice.  A plain window is the shifted window one step in, so one rule
+computes the fixed-order and bivariate bounds of both lattices.  The bivariate
+closed forms have an independent brute-force counterpart (`bivariate_min_sum`)
+that performs the min-sum directly, with no case split; the two must agree
+exactly on every cell.
 
 True densities of transcendental values are not computable (they hinge on open
 transcendence questions); only these lower-bound functions are provided.
@@ -13,6 +15,7 @@ transcendence questions); only these lower-bound functions are provided.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -22,11 +25,23 @@ from mpmath import mp
 
 
 class BoundVariant(Enum):
-    PRIOR = "prior"
-    FIXED_N = "fixed-n"
-    FIXED_N_SHIFTED = "fixed-n-shifted"
-    BIVARIATE = "bivariate"
-    BIVARIATE_SHIFTED = "bivariate-shifted"
+    """A bound, with the integer ranges it sweeps (first, then M if any),
+    whether its lattice window is the shifted one, and whether the min-sum
+    oracle applies (to the bivariate bounds, over N x M)."""
+
+    PRIOR = ("prior", ("N",), False)
+    FIXED_N = ("fixed-n", ("n", "M"), False)
+    FIXED_N_SHIFTED = ("fixed-n-shifted", ("n", "M"), True)
+    BIVARIATE = ("bivariate", ("N", "M"), False)
+    BIVARIATE_SHIFTED = ("bivariate-shifted", ("N", "M"), True)
+
+    def __new__(cls, value: str, ranges: tuple[str, ...], shifted: bool):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.ranges = ranges
+        member.shifted = shifted
+        member.has_oracle = ranges == ("N", "M")
+        return member
 
 
 @dataclass(frozen=True)
@@ -73,58 +88,54 @@ def prior_univariate_bound(N: int, digits: int = 50) -> DensityBound:
     )
 
 
+def _window_bound(variant: BoundVariant, first: int, M: int) -> DensityBound:
+    """The fixed-order or bivariate bound, computed in shifted coordinates.
+
+    Gamma(1) = 1 is known, so a plain window is the shifted one a step in:
+    order n (orders 2..N) over points 1..M is order n-1 (orders 1..N-1) over
+    shifted points 0..M-1.  With offset 1 (plain) or 0 (shifted), the window
+    has m = M + 1 - offset points, n = first - offset, and shifted order k has
+    at most k algebraic values in it.  So the bound is 1 - min{n, m}/m at fixed
+    order, and over orders 1..n it averages to (m-1)/(2n) if m <= n, else
+    1 - (n+1)/(2m).
+    """
+    name = variant.ranges[0]
+    offset = 0 if variant.shifted else 1
+    if first < 1 + offset:
+        raise ValueError(f"{name}={first} must be >= {1 + offset}")
+    if M < offset:
+        raise ValueError(f"M={M} must be >= {offset}")
+    n, m = first - offset, M + 1 - offset
+    if not variant.has_oracle:  # fixed order
+        value = 1 - Fraction(min(n, m), m)
+    elif m <= n:
+        value = Fraction(m - 1, 2 * n)
+    else:
+        value = 1 - Fraction(n + 1, 2 * m)
+    window, cap = ("M+1", name) if variant.shifted else ("M", f"{name}-1")
+    # interned: a grid shares one label object per branch, not one per cell
+    branch = sys.intern(f"{window}<={cap}" if m <= n else f"{window}>{cap}")
+    return DensityBound(variant, {name: first, "M": M}, value, branch)
+
+
 def fixed_order_bound(n: int, M: int) -> DensityBound:
     """1 - min{n-1, M}/M over plain lattice points 1..M at fixed order n >= 2."""
-    if n < 2:
-        raise ValueError(f"n={n} must be >= 2")
-    if M < 1:
-        raise ValueError(f"M={M} must be >= 1")
-    branch = "M<=n-1" if M <= n - 1 else "M>n-1"
-    value = 1 - Fraction(min(n - 1, M), M)
-    return DensityBound(BoundVariant.FIXED_N, {"n": n, "M": M}, value, branch)
+    return _window_bound(BoundVariant.FIXED_N, n, M)
 
 
 def fixed_order_shifted_bound(n: int, M: int) -> DensityBound:
     """1 - min{n, M+1}/(M+1) over one-sided shifted points 0..M at order n >= 1."""
-    if n < 1:
-        raise ValueError(f"n={n} must be >= 1")
-    if M < 0:
-        raise ValueError(f"M={M} must be >= 0")
-    branch = "M+1<=n" if M + 1 <= n else "M+1>n"
-    value = 1 - Fraction(min(n, M + 1), M + 1)
-    return DensityBound(BoundVariant.FIXED_N_SHIFTED, {"n": n, "M": M}, value, branch)
+    return _window_bound(BoundVariant.FIXED_N_SHIFTED, n, M)
 
 
 def bivariate_bound(N: int, M: int) -> DensityBound:
     """Closed form over orders 2..N and plain points 1..M."""
-    if N < 2:
-        raise ValueError(f"N={N} must be >= 2 (order window 2..N would be empty)")
-    if M < 1:
-        raise ValueError(f"M={M} must be >= 1")
-    if M <= N - 1:
-        value = Fraction(M - 1, 2 * (N - 1))
-        branch = "M<=N-1"
-    else:
-        value = 1 - Fraction(N, 2 * M)
-        branch = "M>N-1"
-    return DensityBound(BoundVariant.BIVARIATE, {"N": N, "M": M}, value, branch)
+    return _window_bound(BoundVariant.BIVARIATE, N, M)
 
 
 def bivariate_shifted_bound(N: int, M: int) -> DensityBound:
     """Closed form over orders 1..N and one-sided shifted points 0..M."""
-    if N < 1:
-        raise ValueError(f"N={N} must be >= 1")
-    if M < 0:
-        raise ValueError(f"M={M} must be >= 0")
-    if M + 1 <= N:
-        value = Fraction(M, 2 * N)
-        branch = "M+1<=N"
-    else:
-        value = 1 - Fraction(N + 1, 2 * (M + 1))
-        branch = "M+1>N"
-    return DensityBound(
-        BoundVariant.BIVARIATE_SHIFTED, {"N": N, "M": M}, value, branch
-    )
+    return _window_bound(BoundVariant.BIVARIATE_SHIFTED, N, M)
 
 
 def bivariate_min_sum(variant: str, N: int, M: int) -> Fraction:
@@ -161,31 +172,23 @@ def density_grid(
 ) -> list[GridRow]:
     """Cartesian sweep of a bound over integer ranges, sorted by coordinates.
 
-    The first range is N for the prior and bivariate variants and n for the
-    fixed-order ones; the second range is M (ignored by the prior variant).
+    The ranges are the variant's: N for the prior and bivariate variants and n
+    for the fixed-order ones, then M (ignored by the prior variant).
     Bivariate rows carry the min-sum oracle value unless `include_oracle` is
     switched off.  `digits` (>= 1) is the precision of inexact values.
     """
     _check_digits(digits)
     firsts = sorted(set(first_range))
-    seconds = sorted(set(second_range)) if second_range is not None else []
-    rows: list[GridRow] = []
     if variant is BoundVariant.PRIOR:
-        for N in firsts:
-            rows.append(GridRow(prior_univariate_bound(N, digits=digits)))
-        return rows
-    for a in firsts:
-        for b in seconds:
-            if variant is BoundVariant.FIXED_N:
-                rows.append(GridRow(fixed_order_bound(a, b)))
-            elif variant is BoundVariant.FIXED_N_SHIFTED:
-                rows.append(GridRow(fixed_order_shifted_bound(a, b)))
-            elif variant is BoundVariant.BIVARIATE:
-                oracle = bivariate_min_sum("plain", a, b) if include_oracle else None
-                rows.append(GridRow(bivariate_bound(a, b), oracle))
-            elif variant is BoundVariant.BIVARIATE_SHIFTED:
-                oracle = bivariate_min_sum("shifted", a, b) if include_oracle else None
-                rows.append(GridRow(bivariate_shifted_bound(a, b), oracle))
-            else:
-                raise ValueError(f"unknown variant {variant}")
-    return rows
+        return [GridRow(prior_univariate_bound(N, digits=digits)) for N in firsts]
+    seconds = sorted(set(second_range or ()))
+    oracle = include_oracle and variant.has_oracle
+    window = "shifted" if variant.shifted else "plain"
+    return [
+        GridRow(
+            _window_bound(variant, a, b),
+            bivariate_min_sum(window, a, b) if oracle else None,
+        )
+        for a in firsts
+        for b in seconds
+    ]

@@ -17,10 +17,11 @@ valid at every non-pole point.  In particular the values at negative points
 are never produced by the rational-coefficient expansion they are used to
 verify.
 
-All computations run at decimal_digits + guard_digits working precision;
-comparisons default to a tolerance of 10^-(decimal_digits - 20), i.e. the
-guard-digit budget.  `verify_identity` and `verify_recovery` share one
-residual rule: relative, or absolute where the reference is below 1.
+All computations run at decimal_digits + guard_digits working precision.
+Comparisons default to a tolerance of 10^-(decimal_digits - 20) whatever
+guard_digits is; decimal_digits must be >= 30, so that default is <= 1e-10.
+`verify_identity` and `verify_recovery` share one residual rule: relative,
+or absolute where the reference is below 1.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ from functools import lru_cache
 
 from mpmath import mp
 
-from .coeffs import Kappa, LatticeSpec, build_system, coefficient, family_of
+from .coeffs import LatticeSpec, build_system, coefficient
 from .errors import PoleArgumentError, SpecMismatchError
 from .linalg import inverse_exact
-from .sympoly import FamilyKind
+from .sympoly import ArgumentFamily, FamilyKind
 
 
 @dataclass(frozen=True)
@@ -44,8 +45,8 @@ class PrecisionContext:
     guard_digits: int = 20
 
     def __post_init__(self):
-        if self.decimal_digits < 20:
-            raise ValueError("decimal_digits must be >= 20")
+        if self.decimal_digits < 30:
+            raise ValueError("decimal_digits must be >= 30")
         if self.guard_digits < 0:
             raise ValueError("guard_digits must be >= 0")
 
@@ -54,6 +55,7 @@ class PrecisionContext:
         return self.decimal_digits + self.guard_digits
 
     def default_tolerance(self):
+        """10^-(decimal_digits - 20), whatever guard_digits is."""
         with mp.workdps(self.working_digits):
             return mp.mpf(10) ** -(self.decimal_digits - 20)
 
@@ -169,7 +171,7 @@ class VerificationReport:
     family: FamilyKind
     n: int
     m: int
-    kappa: Kappa | None
+    kappa: Fraction | None
     lhs: object
     rhs: object
     abs_residual: object
@@ -182,7 +184,7 @@ def verify_identity(
     family: FamilyKind,
     n: int,
     m: int,
-    kappa: Kappa | None = None,
+    kappa: Fraction | None = None,
     ctx: PrecisionContext | None = None,
     tolerance=None,
 ) -> VerificationReport:
@@ -197,7 +199,7 @@ def verify_identity(
         ctx = PrecisionContext()
     if n < 0:
         raise ValueError(f"derivative order {n} must be >= 0")
-    variables = family_of(family, kappa)
+    variables = ArgumentFamily(family, kappa)
     lattice_point = variables.point(m)
     basis = gamma_derivatives(variables.basis_point, n, ctx).values
     lhs = gamma_derivatives(lattice_point, n, ctx).values[n]
@@ -246,12 +248,12 @@ class RecoveryReport:
 
 
 def verify_recovery(
-    family: FamilyKind, n: int, kappa: Kappa | None, ctx: PrecisionContext, tolerance
+    family: FamilyKind, n: int, kappa: Fraction | None, ctx: PrecisionContext, tolerance
 ) -> list[RecoveryReport]:
     """Recover the order-n basis from the square system at the first lattice
     indices, and check each value against its direct evaluation by the
     residual rule of `verify_identity`."""
-    variables = family_of(family, kappa)
+    variables = ArgumentFamily(family, kappa)
     first, low = variables.first_order, variables.min_index
     spec = LatticeSpec(family, range(low, low + n + 1 - first), kappa)
     recovered = recover_basis(spec, n, ctx)

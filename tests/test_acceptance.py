@@ -14,7 +14,6 @@ from gammalattice import (
     KNOWN_TRANSCENDENTAL_SHIFTS,
     ArgumentFamily,
     FamilyKind,
-    Kappa,
     LatticeSpec,
     PolyKind,
     PrecisionContext,
@@ -46,7 +45,7 @@ SWEEP_FAMILIES = [
     ArgumentFamily(FamilyKind.MINUS_SHIFT, Fraction(1, 2)),
 ]
 
-ALL_KAPPAS = [Kappa(v) for v in sorted(KNOWN_TRANSCENDENTAL_SHIFTS)]
+ALL_KAPPAS = sorted(KNOWN_TRANSCENDENTAL_SHIFTS)
 
 
 def _report(number, label, ok, detail=""):
@@ -80,7 +79,7 @@ def test_criterion_1_identity_sweep():
                     report = verify_identity(family, n, m, kappa, CTX60)
                     checked += 1
                     if not (report.passed and report.rel_residual < tol):
-                        failures.append((family.value, kappa.value, n, m))
+                        failures.append((family.value, kappa, n, m))
     elapsed = time.time() - started
     ok = not failures and elapsed < 120
     _report(1, "identity sweep", ok, f"{checked} identities, {elapsed:.1f}s")
@@ -127,7 +126,7 @@ def test_criterion_2_determinant_certificates():
 def test_criterion_3_square_system_nonsingularity():
     failures = []
     count = 0
-    kappa = Kappa(Fraction(1, 2))
+    kappa = Fraction(1, 2)
     for m_primes in _sweep_subsets():
         k = len(m_primes)
         systems = [
@@ -178,10 +177,10 @@ def test_criterion_4_basis_recovery():
             for n in (1, 2, 3):
                 spec = LatticeSpec(family, tuple(range(n + 1)), kappa)
                 recovered = recover_basis(spec, n, CTX60)
-                reference = gamma_value(kappa.value, CTX60)
+                reference = gamma_value(kappa, CTX60)
                 with mp.workdps(CTX60.working_digits):
                     if abs(recovered[0] - reference) >= tol:
-                        failures.append((family.value, kappa.value, n))
+                        failures.append((family.value, kappa, n))
 
     # the pair (Gamma'(1), Gamma''(1)) encodes zeta(2) = pi^2/6
     derivs = gamma_derivatives(1, 2, CTX60).values

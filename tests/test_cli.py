@@ -18,9 +18,11 @@ def run_json(capsys, *argv):
 
 
 # sha256 of stdout for argv covering every family of coeffs, matrix (entries,
-# det, inverse, cauchy-binet) and verify (identity, recover).  The coeffs rows
-# were recorded before the coefficient sweep shared one table, the rest before
-# the family facts moved into the family object.
+# det, inverse, cauchy-binet) and verify (identity, recover), and every density
+# variant in JSON and CSV.  The coeffs rows were recorded before the coefficient
+# sweep shared one table, the matrix and verify rows before the family facts
+# moved into the family object, and the density rows before the bounds shared
+# one window rule.
 GOLDEN_STDOUT = [
     ("plain", "coeffs --family plain --n 6 --m 1:8",
      "661a78e42308a4225b08c45956aa4dd4677c67d61d438ccb96bf9fe4cb1c1ebf"),
@@ -75,6 +77,39 @@ GOLDEN_STDOUT = [
     ("verify-plus-recover",
      "verify --family plus --mode recover --n-max 2 --kappa-set 1/3 --digits 30",
      "b3e8f9acf5af7144e523ab51edd9304b7c0729e161f87108363f812c4388da9c"),
+    ("density-prior",
+     "density --variant prior --N 1:30",
+     "1c392e9e3d5fdcd088f6668d01228d66c179470309fe3f3229afcb77d8b85fc4"),
+    ("density-prior-csv",
+     "density --variant prior --N 1:30 --format csv",
+     "a831dec198d9695dfb502d5931c70f1353fb69e9d05da9726a923c95d725ef8b"),
+    ("density-fixed-n",
+     "density --variant fixed-n --n 2:6 --M 1:8",
+     "21c98763b1f864bd53722621a05f54343e367df10ccaa833b9cb9217c3df5c80"),
+    ("density-fixed-n-csv",
+     "density --variant fixed-n --n 2:6 --M 1:8 --format csv",
+     "3cd93b301a5d468776712e9acf0435fc95e37e93b5aaf275b23208d19be3b7db"),
+    ("density-fixed-n-shifted",
+     "density --variant fixed-n-shifted --n 1:5 --M 0:7",
+     "c7c49f421723995701d4c6f16de5fd13d1450f6002ee14a25f371d0fa627f6d4"),
+    ("density-fixed-n-shifted-csv",
+     "density --variant fixed-n-shifted --n 1:5 --M 0:7 --format csv",
+     "99e4ab95a4d46b42b944e5a9fe82b2c5aab21112f75126a0cddceb89707785b4"),
+    ("density-bivariate-oracle",
+     "density --variant bivariate --N 2:9 --M 1:9 --with-oracle",
+     "a8ed204749c8f3bdcef5d16daf1969558d23881ef67dbca44e5e7844225f8661"),
+    ("density-bivariate-oracle-csv",
+     "density --variant bivariate --N 2:9 --M 1:9 --with-oracle --format csv",
+     "b2a690f9028443907a8d837b06d600c51d911615fa92440d044b35da01ff131a"),
+    ("density-bivariate",
+     "density --variant bivariate --N 2:9 --M 1:9",
+     "0647eb833b03d5b0a1bbeacae7ecdacb175ae92b12a6832dc78eaabbed085172"),
+    ("density-bivariate-shifted-oracle",
+     "density --variant bivariate-shifted --N 1:8 --M 0:8 --with-oracle",
+     "6ba16bef3070fae1871b2c956d8547c04deb805ea4f32cd4789a6a4631583f3e"),
+    ("density-bivariate-shifted-oracle-csv",
+     "density --variant bivariate-shifted --N 1:8 --M 0:8 --with-oracle --format csv",
+     "2c7ccf6b3bd7064047cc1b9c994d56395833bfa30fa58612ab1782589e8de382"),
 ]
 
 
@@ -148,6 +183,18 @@ class TestCoeffsCommand:
         assert len(conditional) == 1
         assert len(payload["warnings"]) == 1
         assert "conditional" in err
+
+    def test_conditional_warning_names_the_whitelist(self, capsys):
+        code, _, err = run(
+            capsys,
+            "coeffs", "--family", "plus", "--n", "1", "--m", "1", "--kappa", "2/5",
+        )
+        assert code == 0
+        assert err == (
+            "warning: shift value(s) 2/5 outside the known-transcendental whitelist "
+            "{1/6, 1/4, 1/3, 1/2, 2/3, 3/4, 5/6}; results are conditional on "
+            "transcendence of Gamma at the shift\n"
+        )
 
     def test_no_warning_on_whitelist(self, capsys):
         _, payload, err = run_json(
@@ -259,6 +306,17 @@ class TestMatrixCommand:
         )
         assert code == 2
 
+    def test_rectangular_cauchy_binet_is_usage_error(self, capsys):
+        # the certificate covers the 3x3 prefix matrix, not this 3x9 system
+        code, out, err = run(
+            capsys,
+            "matrix", "--family", "plain", "--n", "9", "--indices", "1,3,6",
+            "--show", "cauchy-binet",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_rectangular_det_is_usage_error(self, capsys):
         code, _, _ = run(
             capsys,
@@ -335,6 +393,26 @@ class TestVerifyCommand:
             "--digits", "10",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("digits", ["20", "29"])
+    def test_digits_below_thirty_is_usage_error(self, capsys, digits):
+        # below 30 digits the default tolerance 10^-(digits-20) passes anything
+        code, out, err = run(
+            capsys, "verify", "--family", "plain", "--n-max", "1", "--m-max", "2",
+            "--digits", digits,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_m_max_in_recover_mode_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--family", "plain", "--mode", "recover", "--n-max", "2",
+            "--m-max", "99", "--digits", "30",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --m-max does not apply to recover mode\n"
 
     def test_zero_tolerance_forces_failure(self, capsys):
         code, payload, _ = run_json(

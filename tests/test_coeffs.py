@@ -5,9 +5,9 @@ import pytest
 
 from gammalattice import (
     KNOWN_TRANSCENDENTAL_SHIFTS,
+    ArgumentFamily,
     FamilyKind,
     InvalidKappaError,
-    Kappa,
     LatticeSpec,
     SpecMismatchError,
     build_system,
@@ -26,9 +26,9 @@ from _oracles import (
     plus_coefficient_oracle,
 )
 
-HALF = Kappa(Fraction(1, 2))
-QUARTER = Kappa(Fraction(1, 4))
-THIRD = Kappa(Fraction(1, 3))
+HALF = Fraction(1, 2)
+QUARTER = Fraction(1, 4)
+THIRD = Fraction(1, 3)
 
 # (family, shift, oracle taking (n, ell, m)) for every family
 FAMILIES = [
@@ -36,12 +36,12 @@ FAMILIES = [
     (
         FamilyKind.PLUS_SHIFT,
         THIRD,
-        lambda n, ell, m: plus_coefficient_oracle(n, ell, m, THIRD.value),
+        lambda n, ell, m: plus_coefficient_oracle(n, ell, m, THIRD),
     ),
     (
         FamilyKind.MINUS_SHIFT,
         THIRD,
-        lambda n, ell, m: minus_coefficient_oracle(n, ell, m, THIRD.value),
+        lambda n, ell, m: minus_coefficient_oracle(n, ell, m, THIRD),
     ),
 ]
 FAMILY_IDS = ["plain", "plus", "minus"]
@@ -63,18 +63,23 @@ def count_tables(monkeypatch):
 
 class TestKappa:
     def test_whitelist_membership(self):
-        assert len(KNOWN_TRANSCENDENTAL_SHIFTS) == 7
+        assert sorted(KNOWN_TRANSCENDENTAL_SHIFTS) == [
+            Fraction(1, 6), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
+            Fraction(2, 3), Fraction(3, 4), Fraction(5, 6),
+        ]
         for value in KNOWN_TRANSCENDENTAL_SHIFTS:
-            assert Kappa(value).known_transcendental
+            assert ArgumentFamily(FamilyKind.PLUS_SHIFT, value).basis_point == value
 
     def test_off_whitelist(self):
-        assert not Kappa(Fraction(2, 5)).known_transcendental
-        assert not Kappa(Fraction(1, 7)).known_transcendental
+        assert Fraction(2, 5) not in KNOWN_TRANSCENDENTAL_SHIFTS
+        assert Fraction(1, 7) not in KNOWN_TRANSCENDENTAL_SHIFTS
 
     @pytest.mark.parametrize("bad", [Fraction(0), Fraction(1), Fraction(-1, 3), Fraction(7, 5)])
     def test_out_of_range(self, bad):
-        with pytest.raises(InvalidKappaError):
-            Kappa(bad)
+        for kind in (FamilyKind.PLUS_SHIFT, FamilyKind.MINUS_SHIFT):
+            with pytest.raises(InvalidKappaError) as info:
+                ArgumentFamily(kind, bad)
+            assert str(info.value) == f"shift {bad} outside (0, 1)"
 
 
 class TestLatticeSpec:
@@ -189,21 +194,19 @@ class TestAgainstExpansionOracle:
 
     @pytest.mark.parametrize("kappa", [Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)])
     def test_plus(self, kappa):
-        k = Kappa(kappa)
         for n in range(5):
             for m in range(5):
                 for ell in range(n + 1):
-                    assert coeff_plus(n, ell, m, k) == plus_coefficient_oracle(
+                    assert coeff_plus(n, ell, m, kappa) == plus_coefficient_oracle(
                         n, ell, m, kappa
                     )
 
     @pytest.mark.parametrize("kappa", [Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)])
     def test_minus(self, kappa):
-        k = Kappa(kappa)
         for n in range(5):
             for m in range(5):
                 for ell in range(n + 1):
-                    assert coeff_minus(n, ell, m, k) == minus_coefficient_oracle(
+                    assert coeff_minus(n, ell, m, kappa) == minus_coefficient_oracle(
                         n, ell, m, kappa
                     )
 

@@ -5,7 +5,6 @@ from mpmath import mp
 
 from gammalattice import (
     FamilyKind,
-    Kappa,
     LatticeSpec,
     PoleArgumentError,
     PrecisionContext,
@@ -22,7 +21,7 @@ from gammalattice import (
 from _oracles import machin_pi
 
 CTX = PrecisionContext(60)
-HALF = Kappa(Fraction(1, 2))
+HALF = Fraction(1, 2)
 
 
 def close(a, b, ctx=CTX, tol="1e-40"):
@@ -38,12 +37,20 @@ class TestPrecisionContext:
         with pytest.raises(ValueError):
             PrecisionContext(19)
         with pytest.raises(ValueError):
+            PrecisionContext(29)
+        with pytest.raises(ValueError):
             PrecisionContext(40, -1)
 
     def test_default_tolerance_is_guard_budget(self):
         ctx = PrecisionContext(60)
         with mp.workdps(ctx.working_digits):
             assert ctx.default_tolerance() == mp.mpf(10) ** -40
+
+
+    def test_default_tolerance_ignores_guard_digits(self):
+        assert float(PrecisionContext(60, 30).default_tolerance()) == 1e-40
+        assert float(PrecisionContext(60, 0).default_tolerance()) == 1e-40
+        assert float(PrecisionContext(30).default_tolerance()) == 1e-10
 
 
 class TestPolygamma:
@@ -238,7 +245,7 @@ class TestIdentityGrid:
     @pytest.mark.parametrize("family,kappa", [
         (FamilyKind.PLAIN, None),
         (FamilyKind.PLUS_SHIFT, HALF),
-        (FamilyKind.MINUS_SHIFT, Kappa(Fraction(2, 3))),
+        (FamilyKind.MINUS_SHIFT, Fraction(2, 3)),
     ], ids=["plain", "plus", "minus"])
     def test_small_grid_passes(self, family, kappa):
         m_start = 1 if family is FamilyKind.PLAIN else 0
