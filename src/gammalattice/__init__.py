@@ -7,12 +7,8 @@ from .coeffs import (
     CoeffSystem,
     LatticeSpec,
     build_system,
-    coeff_minus,
-    coeff_plain,
-    coeff_plus,
     coefficient,
     coefficient_table,
-    rational_gamma_ratio,
 )
 from .density import (
     BoundVariant,

@@ -114,18 +114,22 @@ def _warn_conditional(warnings: list, shifts) -> None:
         )
 
 
-def _resolve_kappa(text: str | None, warnings: list) -> Fraction | None:
-    if text is None:
-        return None
-    kappa = _parse_shift(text)
-    _warn_conditional(warnings, [kappa])
-    return kappa
+def _resolve_family(args, warnings: list) -> ArgumentFamily:
+    """The lattice named by --family and --kappa."""
+    shifts = [] if args.kappa is None else [_parse_shift(args.kappa)]
+    family = ArgumentFamily(FamilyKind(args.family), *shifts)
+    _warn_conditional(warnings, shifts)
+    return family
 
 
-def _at_least(flag: str, value: int, low: int, family: FamilyKind) -> None:
+def _shift_str(family: ArgumentFamily) -> str:
+    return str(family.kappa) if family.kappa else ""
+
+
+def _at_least(flag: str, value: int, low: int, family: str) -> None:
     """Reject a bound that would leave the sweep empty."""
     if value < low:
-        raise ValueError(f"{flag} must be >= {low}; the {family.value} sweep is empty")
+        raise ValueError(f"{flag} must be >= {low}; the {family} sweep is empty")
 
 
 def _real_str(value, digits: int) -> str:
@@ -142,14 +146,13 @@ def _matrix_rows(matrix: RationalMatrix) -> list:
 
 def _cmd_coeffs(args) -> OutputEnvelope:
     warnings: list = []
-    family = FamilyKind(args.family)
-    kappa = _resolve_kappa(args.kappa, warnings)
+    family = _resolve_family(args, warnings)
     ms = _parse_int_range(args.m)
-    table = coefficient_table(family, args.n, ms, kappa)
-    shift = str(kappa) if kappa else ""
+    table = coefficient_table(family, args.n, ms)
+    shift = _shift_str(family)
     rows = [
         {
-            "family": family.value,
+            "family": args.family,
             "kappa": shift,
             "n": args.n,
             "ell": ell,
@@ -160,25 +163,24 @@ def _cmd_coeffs(args) -> OutputEnvelope:
         for ell, value in enumerate(values)
     ]
     params = {
-        "family": family.value,
+        "family": args.family,
         "n": args.n,
         "m": args.m,
-        "kappa": str(kappa) if kappa else None,
+        "kappa": shift or None,
     }
     return OutputEnvelope("coeffs", params, rows, warnings)
 
 
 def _cmd_matrix(args) -> OutputEnvelope:
     warnings: list = []
-    family = FamilyKind(args.family)
-    kappa = _resolve_kappa(args.kappa, warnings)
-    spec = LatticeSpec(family, _parse_indices(args.indices), kappa)
+    family = _resolve_family(args, warnings)
+    spec = LatticeSpec(family, _parse_indices(args.indices))
     system = build_system(spec, args.n)
     params = {
-        "family": family.value,
+        "family": args.family,
         "n": args.n,
         "indices": args.indices,
-        "kappa": str(kappa) if kappa else None,
+        "kappa": _shift_str(family) or None,
         "show": args.show,
         "shape": f"{system.matrix.rows}x{system.matrix.cols}",
         "unknowns": list(system.unknowns_label),
@@ -208,11 +210,8 @@ def _cmd_matrix(args) -> OutputEnvelope:
     if not system.is_square:
         shape = params["shape"]
         raise NotSquareError(f"cauchy-binet needs a square system, got {shape}")
-    variables = spec.argument_family
     certificate = certify_prefix_matrix(
-        [variables.prefix_length(m) for m in spec.indices],
-        variables,
-        variables.poly_kind,
+        [family.prefix_length(m) for m in spec.indices], family, family.poly_kind
     )
     rows = [
         {
@@ -241,34 +240,29 @@ def _cmd_matrix(args) -> OutputEnvelope:
     )
 
 
-def _verify_kappas(family: FamilyKind, kappa_set: str | None, warnings: list):
-    """The shifts to sweep: --kappa-set if given, else the whitelist for the
-    shifted families and no shift for the plain one."""
+def _verify_families(kind: FamilyKind, kappa_set: str | None, warnings: list):
+    """One family per shift to sweep: --kappa-set if given, else the whitelist
+    for the shifted kinds and no shift for the plain one.  All are built
+    before the sweep, so a bad shift fails before any row is computed."""
     if kappa_set is None:
-        if not family.shifted:
-            return [None]
-        values = sorted(KNOWN_TRANSCENDENTAL_SHIFTS)
+        values = sorted(KNOWN_TRANSCENDENTAL_SHIFTS) if kind.shifted else [None]
     else:
         values = [_parse_shift(part) for part in kappa_set.split(",")]
         repeated = sorted({v for v in values if values.count(v) > 1})
         if repeated:
             listed = ", ".join(str(v) for v in repeated)
             raise ValueError(f"--kappa-set repeats {listed}")
-    _warn_conditional(warnings, values)
-    return values
+        _warn_conditional(warnings, values)
+    return [ArgumentFamily(kind, kappa) for kappa in values]
 
 
 def _cmd_verify(args) -> OutputEnvelope:
     warnings: list = []
-    family = FamilyKind(args.family)
     ctx = PrecisionContext(args.digits)
-    families = [
-        ArgumentFamily(family, kappa)
-        for kappa in _verify_kappas(family, args.kappa_set, warnings)
-    ]
+    families = _verify_families(FamilyKind(args.family), args.kappa_set, warnings)
     digits = ctx.decimal_digits
     params = {
-        "family": family.value,
+        "family": args.family,
         "mode": args.mode,
         "n_max": args.n_max,
         "m_max": args.m_max,
@@ -281,16 +275,15 @@ def _cmd_verify(args) -> OutputEnvelope:
     if args.mode == "recover" and args.m_max is not None:
         raise ValueError("--m-max does not apply to recover mode")
     rows = []
-    for variables in families:
-        kappa = variables.kappa
-        head = {"family": family.value, "kappa": str(kappa) if kappa else ""}
+    for family in families:
+        head = {"family": args.family, "kappa": _shift_str(family)}
         if args.mode == "identity":
-            _at_least("--n-max", args.n_max, 0, family)
-            _at_least("--m-max", args.m_max, variables.min_index, family)
+            _at_least("--n-max", args.n_max, 0, args.family)
+            _at_least("--m-max", args.m_max, family.min_index, args.family)
             for n in range(args.n_max + 1):
-                for m in range(variables.min_index, args.m_max + 1):
+                for m in range(family.min_index, args.m_max + 1):
                     report = verify_identity(
-                        family, n, m, kappa, ctx, tolerance=args.tolerance
+                        family, n, m, ctx, tolerance=args.tolerance
                     )
                     rows.append(
                         {
@@ -306,10 +299,10 @@ def _cmd_verify(args) -> OutputEnvelope:
                     )
         else:
             # from the smallest system that is more than one identity
-            n_start = variables.first_order + 1
-            _at_least("--n-max", args.n_max, n_start, family)
+            n_start = family.first_order + 1
+            _at_least("--n-max", args.n_max, n_start, args.family)
             for n in range(n_start, args.n_max + 1):
-                for report in verify_recovery(family, n, kappa, ctx, args.tolerance):
+                for report in verify_recovery(family, n, ctx, args.tolerance):
                     rows.append(
                         {
                             **head,
@@ -385,9 +378,10 @@ def build_parser() -> argparse.ArgumentParser:
         "and density bounds for Gamma derivatives at lattice points.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    kinds = [kind.value for kind in FamilyKind]
 
     coeffs = sub.add_parser("coeffs", help="print coefficient tables")
-    coeffs.add_argument("--family", required=True, choices=["plain", "plus", "minus"])
+    coeffs.add_argument("--family", required=True, choices=kinds)
     coeffs.add_argument("--n", type=int, required=True, help="derivative order")
     coeffs.add_argument("--m", required=True, help="lattice index, single or lo:hi")
     coeffs.add_argument("--kappa", default=None, help="shift, e.g. 1/2")
@@ -395,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     coeffs.set_defaults(handler=_cmd_coeffs)
 
     matrix = sub.add_parser("matrix", help="print systems, dets, inverses, certificates")
-    matrix.add_argument("--family", required=True, choices=["plain", "plus", "minus"])
+    matrix.add_argument("--family", required=True, choices=kinds)
     matrix.add_argument("--n", type=int, required=True)
     matrix.add_argument("--indices", required=True, help="comma list, e.g. 1,2,5")
     matrix.add_argument("--kappa", default=None)
@@ -406,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     matrix.set_defaults(handler=_cmd_matrix)
 
     verify = sub.add_parser("verify", help="identity / recovery verification sweeps")
-    verify.add_argument("--family", required=True, choices=["plain", "plus", "minus"])
+    verify.add_argument("--family", required=True, choices=kinds)
     verify.add_argument("--mode", choices=["identity", "recover"], default="identity")
     verify.add_argument("--n-max", type=int, required=True)
     verify.add_argument("--m-max", type=int, default=None)

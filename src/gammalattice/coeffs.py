@@ -7,7 +7,8 @@ family's basis point; the coefficient of the ell-th one is
 
 with scale (m-1)! on the plain lattice and Gamma(point)/Gamma(kappa) on the
 shifted ones, and E = e (plain, plus) or h (minus).  These per-family facts
-live on `sympoly.ArgumentFamily`; this module never asks which family it has.
+live on `sympoly.ArgumentFamily`, the family argument of every entry point
+here; this module never asks which family it has.
 One prefix table over the longest prefix holds every coefficient of a sweep;
 `coefficient_table` reads a sweep off it, and `build_system` stacks its rows
 into linear systems.  Everything here is exact rational arithmetic.
@@ -15,16 +16,15 @@ into linear systems.  Everything here is exact rational arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Iterable
 
 from .errors import SpecMismatchError
-from .linalg import RationalMatrix
+from .linalg import RationalMatrix, increasing_indices
 from .sympoly import (
     ArgumentFamily,
-    FamilyKind,
     PolyKind,
     PrefixTable,
     elementary_prefix,
@@ -40,44 +40,26 @@ KNOWN_TRANSCENDENTAL_SHIFTS = frozenset(
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """A family selector plus a strictly increasing set of lattice indices.
+    """A lattice family plus a strictly increasing set of its indices.
 
     Plain indices are the points themselves (m >= 1); shifted indices m >= 0
     select the points m + kappa or -m + kappa.
     """
 
-    family: FamilyKind
+    family: ArgumentFamily
     indices: tuple[int, ...]
-    kappa: Fraction | None = None
-    argument_family: ArgumentFamily = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(int(v) for v in self.indices))
-        family = ArgumentFamily(self.family, self.kappa)
-        object.__setattr__(self, "argument_family", family)
-        if not self.indices:
-            raise SpecMismatchError("empty index set")
-        if any(b <= a for a, b in zip(self.indices, self.indices[1:])):
+        object.__setattr__(self, "indices", increasing_indices(self.indices))
+        low = self.family.min_index
+        if self.indices[0] < low:
             raise SpecMismatchError(
-                f"indices {self.indices} are not strictly increasing"
-            )
-        if self.indices[0] < family.min_index:
-            raise SpecMismatchError(
-                f"{self.family.value} lattice indices must be >= {family.min_index}"
+                f"{self.family.kind.value} lattice indices must be >= {low}"
             )
 
     def points(self) -> tuple[Fraction, ...]:
         """The actual lattice points: m, m + kappa, or -m + kappa."""
-        return tuple(self.argument_family.point(m) for m in self.indices)
-
-
-def rational_gamma_ratio(kappa: Fraction, m: int, family: FamilyKind) -> Fraction:
-    """Gamma(m+kappa)/Gamma(kappa) or Gamma(-m+kappa)/Gamma(kappa), exactly.
-
-    The scale of a shifted family at index m; the plain family takes no shift
-    and is rejected.
-    """
-    return ArgumentFamily(family, kappa).scale(m)
+        return tuple(self.family.point(m) for m in self.indices)
 
 
 def _order_factor(n: int, ell: int) -> int:
@@ -111,49 +93,30 @@ def _expansion(
     )
 
 
-def coeff_plain(n: int, ell: int, m: int) -> Fraction:
-    """Coefficient of the ell-th basis derivative in the expansion at m >= 1."""
-    return coefficient(FamilyKind.PLAIN, n, ell, m)
-
-
-def coeff_plus(n: int, ell: int, m: int, kappa: Fraction) -> Fraction:
-    """Coefficient of the ell-th derivative at kappa in the expansion at m + kappa."""
-    return coefficient(FamilyKind.PLUS_SHIFT, n, ell, m, kappa)
-
-
-def coeff_minus(n: int, ell: int, m: int, kappa: Fraction) -> Fraction:
-    """Coefficient of the ell-th derivative at kappa in the expansion at -m + kappa."""
-    return coefficient(FamilyKind.MINUS_SHIFT, n, ell, m, kappa)
-
-
-def coefficient(
-    family: FamilyKind, n: int, ell: int, m: int, kappa: Fraction | None = None
-) -> Fraction:
+def coefficient(family: ArgumentFamily, n: int, ell: int, m: int) -> Fraction:
     """The family's coefficient of the ell-th basis derivative at index m,
     read off a table just large enough for it."""
-    variables = ArgumentFamily(family, kappa)
     _order_factor(n, ell)
-    table = _prefix_table(variables, m, n - ell)
-    return _expansion(variables, table, n, m, (ell,))[0]
+    table = _prefix_table(family, m, n - ell)
+    return _expansion(family, table, n, m, (ell,))[0]
 
 
 def coefficient_table(
-    family: FamilyKind, n: int, ms: Iterable[int], kappa: Fraction | None = None
+    family: ArgumentFamily, n: int, ms: Iterable[int]
 ) -> tuple[tuple[Fraction, ...], ...]:
     """Every coefficient of a sweep over the indices `ms`.
 
-    Row i holds coefficient(family, n, ell, ms[i], kappa) for ell = 0..n.  One
-    prefix table of degree n over the longest prefix serves every row, so a
-    sweep builds a single table instead of one per coefficient.
+    Row i holds coefficient(family, n, ell, ms[i]) for ell = 0..n.  One prefix
+    table of degree n over the longest prefix serves every row, so a sweep
+    builds a single table instead of one per coefficient.
     """
-    variables = ArgumentFamily(family, kappa)
     if n < 0:
         raise ValueError(f"derivative order {n} must be >= 0")
     ms = tuple(ms)
     if not ms:
         raise ValueError("no lattice indices")
-    table = _prefix_table(variables, max(ms), n)
-    return tuple(_expansion(variables, table, n, m, range(n + 1)) for m in ms)
+    table = _prefix_table(family, max(ms), n)
+    return tuple(_expansion(family, table, n, m, range(n + 1)) for m in ms)
 
 
 @dataclass(frozen=True)
@@ -182,13 +145,13 @@ def build_system(spec: LatticeSpec, n: int) -> CoeffSystem:
     """Assemble the coefficient matrix (and constant column) for `spec`."""
     if n < 0:
         raise ValueError(f"derivative order {n} must be >= 0")
-    family = spec.argument_family
+    family = spec.family
     first = family.first_order
     if n < first:
         raise SpecMismatchError(
-            f"{spec.family.value} system needs n >= {first} (no unknown columns)"
+            f"{family.kind.value} system needs n >= {first} (no unknown columns)"
         )
-    rows = coefficient_table(spec.family, n, spec.indices, spec.kappa)
+    rows = coefficient_table(family, n, spec.indices)
     # Known basis orders move to the constant column: Gamma(1) = 1 makes the
     # plain ell = 0 terms constants.
     consts = tuple(row[0] for row in rows) if first else ()

@@ -173,7 +173,8 @@ def density_grid(
     """Cartesian sweep of a bound over integer ranges, sorted by coordinates.
 
     The ranges are the variant's: N for the prior and bivariate variants and n
-    for the fixed-order ones, then M (ignored by the prior variant).
+    for the fixed-order ones, then M (ignored by the prior variant, required
+    by the others, and nonempty unless the first range is empty).
     Bivariate rows carry the min-sum oracle value unless `include_oracle` is
     switched off.  `digits` (>= 1) is the precision of inexact values.
     """
@@ -182,6 +183,9 @@ def density_grid(
     if variant is BoundVariant.PRIOR:
         return [GridRow(prior_univariate_bound(N, digits=digits)) for N in firsts]
     seconds = sorted(set(second_range or ()))
+    if not seconds and (firsts or second_range is None):
+        # no M values would silently drop every first value
+        raise ValueError(f"variant {variant.value} needs a nonempty M range")
     oracle = include_oracle and variant.has_oracle
     window = "shifted" if variant.shifted else "plain"
     return [

@@ -38,8 +38,8 @@ class SingularMatrixError(GammaLatticeError):
         self.det = det
 
 
-class NonIncreasingIndicesError(GammaLatticeError):
-    """An index set is not strictly increasing (or has a negative entry)."""
+class NonIncreasingIndicesError(SpecMismatchError):
+    """An index set is empty, not strictly increasing, or has a negative entry."""
 
 
 class DimensionMismatchError(GammaLatticeError):

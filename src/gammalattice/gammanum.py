@@ -20,8 +20,9 @@ verify.
 All computations run at decimal_digits + guard_digits working precision.
 Comparisons default to a tolerance of 10^-(decimal_digits - 20) whatever
 guard_digits is; decimal_digits must be >= 30, so that default is <= 1e-10.
-`verify_identity` and `verify_recovery` share one residual rule: relative,
-or absolute where the reference is below 1.
+`verify_identity` and `verify_recovery` take the lattice as one
+`ArgumentFamily` and share one residual rule: relative, or absolute where the
+reference is below 1.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from mpmath import mp
 from .coeffs import LatticeSpec, build_system, coefficient
 from .errors import PoleArgumentError, SpecMismatchError
 from .linalg import inverse_exact
-from .sympoly import ArgumentFamily, FamilyKind
+from .sympoly import ArgumentFamily
 
 
 @dataclass(frozen=True)
@@ -168,10 +169,9 @@ def _compare(value, reference, tolerance, ctx: PrecisionContext):
 
 @dataclass(frozen=True)
 class VerificationReport:
-    family: FamilyKind
+    family: ArgumentFamily
     n: int
     m: int
-    kappa: Fraction | None
     lhs: object
     rhs: object
     abs_residual: object
@@ -181,10 +181,9 @@ class VerificationReport:
 
 
 def verify_identity(
-    family: FamilyKind,
+    family: ArgumentFamily,
     n: int,
     m: int,
-    kappa: Fraction | None = None,
     ctx: PrecisionContext | None = None,
     tolerance=None,
 ) -> VerificationReport:
@@ -199,15 +198,13 @@ def verify_identity(
         ctx = PrecisionContext()
     if n < 0:
         raise ValueError(f"derivative order {n} must be >= 0")
-    variables = ArgumentFamily(family, kappa)
-    lattice_point = variables.point(m)
-    basis = gamma_derivatives(variables.basis_point, n, ctx).values
-    lhs = gamma_derivatives(lattice_point, n, ctx).values[n]
-    terms = [coefficient(family, n, ell, m, kappa) for ell in range(n + 1)]
+    basis = gamma_derivatives(family.basis_point, n, ctx).values
+    lhs = gamma_derivatives(family.point(m), n, ctx).values[n]
+    terms = [coefficient(family, n, ell, m) for ell in range(n + 1)]
     with mp.workdps(ctx.working_digits):
         rhs = _dot(terms, basis)
         verdict = _compare(rhs, lhs, tolerance, ctx)
-    return VerificationReport(family, n, m, kappa, lhs, rhs, *verdict)
+    return VerificationReport(family, n, m, lhs, rhs, *verdict)
 
 
 def recover_basis(spec: LatticeSpec, n: int, ctx: PrecisionContext | None = None) -> list:
@@ -248,16 +245,15 @@ class RecoveryReport:
 
 
 def verify_recovery(
-    family: FamilyKind, n: int, kappa: Fraction | None, ctx: PrecisionContext, tolerance
+    family: ArgumentFamily, n: int, ctx: PrecisionContext, tolerance
 ) -> list[RecoveryReport]:
     """Recover the order-n basis from the square system at the first lattice
     indices, and check each value against its direct evaluation by the
     residual rule of `verify_identity`."""
-    variables = ArgumentFamily(family, kappa)
-    first, low = variables.first_order, variables.min_index
-    spec = LatticeSpec(family, range(low, low + n + 1 - first), kappa)
+    first, low = family.first_order, family.min_index
+    spec = LatticeSpec(family, range(low, low + n + 1 - first))
     recovered = recover_basis(spec, n, ctx)
-    references = gamma_derivatives(variables.basis_point, n, ctx).values[first:]
+    references = gamma_derivatives(family.basis_point, n, ctx).values[first:]
     with mp.workdps(ctx.working_digits):
         return [
             RecoveryReport(spec, ell, value, ref, *_compare(value, ref, tolerance, ctx))

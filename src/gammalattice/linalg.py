@@ -169,14 +169,22 @@ def inverse_exact(m: RationalMatrix) -> RationalMatrix:
     return RationalMatrix.from_rows([row[n:] for row in aug])
 
 
-def _checked_m_primes(m_primes: Sequence[int]) -> tuple[int, ...]:
-    mp_ = tuple(int(v) for v in m_primes)
-    if not mp_:
+def increasing_indices(values: Iterable[int]) -> tuple[int, ...]:
+    """The values as a tuple of ints, checked nonempty and strictly increasing."""
+    indices = tuple(int(v) for v in values)
+    if not indices:
         raise NonIncreasingIndicesError("empty index set")
+    if any(b <= a for a, b in zip(indices, indices[1:])):
+        raise NonIncreasingIndicesError(
+            f"indices {indices} are not strictly increasing"
+        )
+    return indices
+
+
+def _checked_m_primes(m_primes: Sequence[int]) -> tuple[int, ...]:
+    mp_ = increasing_indices(m_primes)
     if mp_[0] < 0:
         raise NonIncreasingIndicesError(f"index {mp_[0]} is negative")
-    if any(b <= a for a, b in zip(mp_, mp_[1:])):
-        raise NonIncreasingIndicesError(f"indices {mp_} are not strictly increasing")
     return mp_
 
 

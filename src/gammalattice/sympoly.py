@@ -54,8 +54,10 @@ class PolyKind(Enum):
 class ArgumentFamily:
     """One of the three lattice families, with its shift when applicable.
 
-    The one place that knows how the families differ.  Building one checks
-    the shift: the plain family takes none, the shifted ones need one in (0, 1).
+    The one place that knows how the families differ, and the one value every
+    entry point of the package takes to name a lattice.  Building one checks
+    the shift: the plain family takes none, the shifted ones need a `Fraction`
+    in (0, 1).
     """
 
     kind: FamilyKind
@@ -67,6 +69,8 @@ class ArgumentFamily:
                 raise MissingKappaError(
                     f"{self.kind.value}-shift family requires a shift value"
                 )
+            if not isinstance(self.kappa, Fraction):
+                raise InvalidKappaError(f"shift {self.kappa!r} is not a Fraction")
             if not 0 < self.kappa < 1:
                 raise InvalidKappaError(f"shift {self.kappa} outside (0, 1)")
         elif self.kappa is not None:

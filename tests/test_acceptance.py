@@ -68,18 +68,19 @@ def test_criterion_1_identity_sweep():
         tol = mp.mpf(10) ** -40
     for n in range(9):
         for m in range(1, 13):
-            report = verify_identity(FamilyKind.PLAIN, n, m, None, CTX60)
+            report = verify_identity(SWEEP_FAMILIES[0], n, m, CTX60)
             checked += 1
             if not (report.passed and report.rel_residual < tol):
                 failures.append(("plain", n, m))
-    for family in (FamilyKind.PLUS_SHIFT, FamilyKind.MINUS_SHIFT):
+    for kind in (FamilyKind.PLUS_SHIFT, FamilyKind.MINUS_SHIFT):
         for kappa in ALL_KAPPAS:
+            family = ArgumentFamily(kind, kappa)
             for n in range(7):
                 for m in range(9):
-                    report = verify_identity(family, n, m, kappa, CTX60)
+                    report = verify_identity(family, n, m, CTX60)
                     checked += 1
                     if not (report.passed and report.rel_residual < tol):
-                        failures.append((family.value, kappa, n, m))
+                        failures.append((kind.value, kappa, n, m))
     elapsed = time.time() - started
     ok = not failures and elapsed < 120
     _report(1, "identity sweep", ok, f"{checked} identities, {elapsed:.1f}s")
@@ -126,30 +127,26 @@ def test_criterion_2_determinant_certificates():
 def test_criterion_3_square_system_nonsingularity():
     failures = []
     count = 0
-    kappa = Fraction(1, 2)
+    plain, plus, minus = SWEEP_FAMILIES  # shifted at 1/2
     for m_primes in _sweep_subsets():
         k = len(m_primes)
         systems = [
-            build_system(
-                LatticeSpec(FamilyKind.PLAIN, tuple(m + 1 for m in m_primes)), k
-            )
+            build_system(LatticeSpec(plain, tuple(m + 1 for m in m_primes)), k),
+            build_system(LatticeSpec(plus, m_primes), k - 1),
+            build_system(LatticeSpec(minus, m_primes), k - 1),
         ]
-        systems.append(
-            build_system(LatticeSpec(FamilyKind.PLUS_SHIFT, m_primes, kappa), k - 1)
-        )
-        systems.append(
-            build_system(LatticeSpec(FamilyKind.MINUS_SHIFT, m_primes, kappa), k - 1)
-        )
         for system in systems:
             count += 1
             det = det_exact(system.matrix)
             if det == 0:
-                failures.append((system.spec.family.value, m_primes, "det=0"))
+                failures.append((system.spec.family.kind.value, m_primes, "det=0"))
                 continue
             inverse = inverse_exact(system.matrix)
             identity = RationalMatrix.identity(system.matrix.rows)
             if (system.matrix @ inverse).entries != identity.entries:
-                failures.append((system.spec.family.value, m_primes, "round-trip"))
+                failures.append(
+                    (system.spec.family.kind.value, m_primes, "round-trip")
+                )
     _report(3, "square-system nonsingularity", not failures, f"{count} systems")
     assert not failures, failures[:10]
 
@@ -167,20 +164,21 @@ def test_criterion_4_basis_recovery():
     }
     for n, index_sets in plain_index_sets.items():
         for indices in index_sets:
-            recovered = recover_basis(LatticeSpec(FamilyKind.PLAIN, indices), n, CTX60)
+            recovered = recover_basis(LatticeSpec(SWEEP_FAMILIES[0], indices), n, CTX60)
             with mp.workdps(CTX60.working_digits):
                 if abs(recovered[0] - euler_reference) >= tol:
                     failures.append(("plain", n, indices))
 
-    for family in (FamilyKind.PLUS_SHIFT, FamilyKind.MINUS_SHIFT):
+    for kind in (FamilyKind.PLUS_SHIFT, FamilyKind.MINUS_SHIFT):
         for kappa in ALL_KAPPAS:
+            family = ArgumentFamily(kind, kappa)
             for n in (1, 2, 3):
-                spec = LatticeSpec(family, tuple(range(n + 1)), kappa)
+                spec = LatticeSpec(family, tuple(range(n + 1)))
                 recovered = recover_basis(spec, n, CTX60)
                 reference = gamma_value(kappa, CTX60)
                 with mp.workdps(CTX60.working_digits):
                     if abs(recovered[0] - reference) >= tol:
-                        failures.append((family.value, kappa, n))
+                        failures.append((kind.value, kappa, n))
 
     # the pair (Gamma'(1), Gamma''(1)) encodes zeta(2) = pi^2/6
     derivs = gamma_derivatives(1, 2, CTX60).values

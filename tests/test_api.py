@@ -1,0 +1,74 @@
+"""The package names a lattice one way: every public entry point takes an
+`ArgumentFamily`, never a loose family kind plus shift."""
+
+import dataclasses
+import inspect
+
+import pytest
+
+import gammalattice
+from gammalattice import ArgumentFamily
+
+
+def _exported():
+    for name in sorted(dir(gammalattice)):
+        obj = getattr(gammalattice, name)
+        if name.startswith("_") or obj is ArgumentFamily:
+            continue
+        if inspect.isfunction(obj) or dataclasses.is_dataclass(obj):
+            yield name, obj
+
+
+def _loose_family(name, annotation) -> bool:
+    return name == "kappa" or "FamilyKind" in str(annotation)
+
+
+def _violations(name, obj):
+    found = []
+    if dataclasses.is_dataclass(obj):
+        found += [
+            f"{name}.{f.name}"
+            for f in dataclasses.fields(obj)
+            if _loose_family(f.name, f.type)
+        ]
+        callables = [
+            (f"{name}.{attr}", fn)
+            for attr, fn in inspect.getmembers(obj, inspect.isfunction)
+            if not attr.startswith("_")
+        ]
+    else:
+        callables = [(name, obj)]
+    for label, fn in callables:
+        for param in inspect.signature(fn).parameters.values():
+            if _loose_family(param.name, param.annotation):
+                found.append(f"{label}({param.name})")
+    return found
+
+
+EXPORTED = list(_exported())
+
+
+def test_walk_sees_the_entry_points():
+    names = {name for name, _ in EXPORTED}
+    entry_points = {"LatticeSpec", "coefficient", "verify_identity", "VerificationReport"}
+    assert entry_points <= names
+
+
+@pytest.mark.parametrize("name,obj", EXPORTED, ids=[name for name, _ in EXPORTED])
+def test_no_loose_family_argument(name, obj):
+    assert _violations(name, obj) == []
+
+
+def test_guard_catches_a_loose_pair():
+    def coefficient(family: "FamilyKind", n: int, kappa=None):
+        pass
+
+    @dataclasses.dataclass
+    class Report:
+        family: "FamilyKind"
+        kappa: object = None
+
+    assert _violations("coefficient", coefficient) == [
+        "coefficient(family)", "coefficient(kappa)"
+    ]
+    assert _violations("Report", Report) == ["Report.family", "Report.kappa"]

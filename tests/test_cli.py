@@ -331,6 +331,20 @@ class TestMatrixCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "indices,line",
+        [
+            ("3,1", "error: indices (3, 1) are not strictly increasing\n"),
+            ("1,1", "error: indices (1, 1) are not strictly increasing\n"),
+            ("0,1", "error: plain lattice indices must be >= 1\n"),
+        ],
+    )
+    def test_bad_index_set_message(self, capsys, indices, line):
+        code, out, err = run(
+            capsys, "matrix", "--family", "plain", "--n", "2", "--indices", indices
+        )
+        assert (code, out, err) == (2, "", line)
+
     def test_negative_order_is_usage_error(self, capsys):
         code, out, err = run(
             capsys, "matrix", "--family", "plus", "--n", "-1", "--indices", "0,1",

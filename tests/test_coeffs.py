@@ -11,12 +11,8 @@ from gammalattice import (
     LatticeSpec,
     SpecMismatchError,
     build_system,
-    coeff_minus,
-    coeff_plain,
-    coeff_plus,
     coefficient,
     coefficient_table,
-    rational_gamma_ratio,
 )
 from gammalattice import coeffs as coeffs_module
 
@@ -29,20 +25,22 @@ from _oracles import (
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
 THIRD = Fraction(1, 3)
+PLAIN = ArgumentFamily(FamilyKind.PLAIN)
 
-# (family, shift, oracle taking (n, ell, m)) for every family
+
+def plus(kappa):
+    return ArgumentFamily(FamilyKind.PLUS_SHIFT, kappa)
+
+
+def minus(kappa):
+    return ArgumentFamily(FamilyKind.MINUS_SHIFT, kappa)
+
+
+# (family, oracle taking (n, ell, m)) for every family
 FAMILIES = [
-    (FamilyKind.PLAIN, None, plain_coefficient_oracle),
-    (
-        FamilyKind.PLUS_SHIFT,
-        THIRD,
-        lambda n, ell, m: plus_coefficient_oracle(n, ell, m, THIRD),
-    ),
-    (
-        FamilyKind.MINUS_SHIFT,
-        THIRD,
-        lambda n, ell, m: minus_coefficient_oracle(n, ell, m, THIRD),
-    ),
+    (PLAIN, plain_coefficient_oracle),
+    (plus(THIRD), lambda n, ell, m: plus_coefficient_oracle(n, ell, m, THIRD)),
+    (minus(THIRD), lambda n, ell, m: minus_coefficient_oracle(n, ell, m, THIRD)),
 ]
 FAMILY_IDS = ["plain", "plus", "minus"]
 
@@ -81,106 +79,114 @@ class TestKappa:
                 ArgumentFamily(kind, bad)
             assert str(info.value) == f"shift {bad} outside (0, 1)"
 
+    @pytest.mark.parametrize("bad", [0.5, "1/2"], ids=["float", "str"])
+    def test_not_a_fraction(self, bad):
+        for kind in (FamilyKind.PLUS_SHIFT, FamilyKind.MINUS_SHIFT):
+            with pytest.raises(InvalidKappaError) as info:
+                ArgumentFamily(kind, bad)
+            assert str(info.value) == f"shift {bad!r} is not a Fraction"
+
 
 class TestLatticeSpec:
     def test_points_plain(self):
-        spec = LatticeSpec(FamilyKind.PLAIN, (1, 3, 7))
+        spec = LatticeSpec(PLAIN, (1, 3, 7))
         assert spec.points() == (Fraction(1), Fraction(3), Fraction(7))
 
     def test_points_shifted(self):
-        plus = LatticeSpec(FamilyKind.PLUS_SHIFT, (0, 2), HALF)
-        minus = LatticeSpec(FamilyKind.MINUS_SHIFT, (0, 2), HALF)
-        assert plus.points() == (Fraction(1, 2), Fraction(5, 2))
-        assert minus.points() == (Fraction(1, 2), Fraction(-3, 2))
+        up = LatticeSpec(plus(HALF), (0, 2))
+        down = LatticeSpec(minus(HALF), (0, 2))
+        assert up.points() == (Fraction(1, 2), Fraction(5, 2))
+        assert down.points() == (Fraction(1, 2), Fraction(-3, 2))
 
     def test_validation(self):
         with pytest.raises(SpecMismatchError):
-            LatticeSpec(FamilyKind.PLAIN, ())
+            LatticeSpec(PLAIN, ())
         with pytest.raises(SpecMismatchError):
-            LatticeSpec(FamilyKind.PLAIN, (2, 2))
+            LatticeSpec(PLAIN, (2, 2))
         with pytest.raises(SpecMismatchError):
-            LatticeSpec(FamilyKind.PLAIN, (3, 1))
+            LatticeSpec(PLAIN, (3, 1))
         with pytest.raises(SpecMismatchError):
-            LatticeSpec(FamilyKind.PLAIN, (0, 1))  # plain starts at 1
+            LatticeSpec(PLAIN, (0, 1))  # plain starts at 1
         with pytest.raises(SpecMismatchError):
-            LatticeSpec(FamilyKind.PLUS_SHIFT, (-1, 0), HALF)
+            LatticeSpec(plus(HALF), (-1, 0))
         with pytest.raises(SpecMismatchError):
-            LatticeSpec(FamilyKind.PLAIN, (1, 2), HALF)
+            LatticeSpec(ArgumentFamily(FamilyKind.PLAIN, HALF), (1, 2))
         with pytest.raises(SpecMismatchError):
-            LatticeSpec(FamilyKind.MINUS_SHIFT, (0, 1))
+            LatticeSpec(ArgumentFamily(FamilyKind.MINUS_SHIFT), (0, 1))
 
 
 class TestGammaRatio:
+    """ArgumentFamily.scale: Gamma(point(m)) / Gamma(basis point), exactly."""
+
     def test_examples(self):
-        assert rational_gamma_ratio(HALF, 1, FamilyKind.PLUS_SHIFT) == Fraction(1, 2)
-        assert rational_gamma_ratio(HALF, 0, FamilyKind.PLUS_SHIFT) == 1
-        assert rational_gamma_ratio(HALF, 0, FamilyKind.MINUS_SHIFT) == 1
-        assert rational_gamma_ratio(HALF, 1, FamilyKind.MINUS_SHIFT) == -2
+        assert plus(HALF).scale(1) == Fraction(1, 2)
+        assert plus(HALF).scale(0) == 1
+        assert minus(HALF).scale(0) == 1
+        assert minus(HALF).scale(1) == -2
 
     def test_rising_product(self):
         # (1/4)(5/4)(9/4)
-        assert rational_gamma_ratio(QUARTER, 3, FamilyKind.PLUS_SHIFT) == Fraction(45, 64)
+        assert plus(QUARTER).scale(3) == Fraction(45, 64)
 
     def test_minus_sign_alternates(self):
         # the literal signed product gives sign (-1)^m
         for m in range(7):
-            value = rational_gamma_ratio(HALF, m, FamilyKind.MINUS_SHIFT)
+            value = minus(HALF).scale(m)
             assert (value > 0) == (m % 2 == 0)
 
     def test_plain_rejected(self):
+        # the plain family takes no shift; its scale is (m-1)!
         with pytest.raises(SpecMismatchError):
-            rational_gamma_ratio(HALF, 2, FamilyKind.PLAIN)
+            ArgumentFamily(FamilyKind.PLAIN, HALF)
+        assert PLAIN.scale(4) == 6
 
     def test_negative_m_rejected(self):
         with pytest.raises(ValueError):
-            rational_gamma_ratio(HALF, -1, FamilyKind.PLUS_SHIFT)
+            plus(HALF).scale(-1)
 
 
 class TestCoefficients:
     def test_plain_frozen(self):
-        assert coeff_plain(1, 0, 2) == 1
-        assert coeff_plain(1, 1, 2) == 1
-        assert [coeff_plain(2, ell, 3) for ell in range(3)] == [2, 6, 2]
-        assert coeff_plain(3, 0, 1) == 0
+        assert coefficient(PLAIN, 1, 0, 2) == 1
+        assert coefficient(PLAIN, 1, 1, 2) == 1
+        assert [coefficient(PLAIN, 2, ell, 3) for ell in range(3)] == [2, 6, 2]
+        assert coefficient(PLAIN, 3, 0, 1) == 0
 
     def test_plus_frozen(self):
-        assert coeff_plus(1, 0, 1, HALF) == 1
-        assert coeff_plus(1, 1, 1, HALF) == Fraction(1, 2)
-        assert coeff_plus(0, 0, 0, QUARTER) == 1
-        assert coeff_plus(2, 2, 3, QUARTER) == Fraction(45, 64)
+        assert coefficient(plus(HALF), 1, 0, 1) == 1
+        assert coefficient(plus(HALF), 1, 1, 1) == Fraction(1, 2)
+        assert coefficient(plus(QUARTER), 0, 0, 0) == 1
+        assert coefficient(plus(QUARTER), 2, 2, 3) == Fraction(45, 64)
 
     def test_minus_frozen(self):
-        assert coeff_minus(0, 0, 1, HALF) == -2
-        assert coeff_minus(0, 0, 0, HALF) == 1
-        assert coeff_minus(1, 0, 1, HALF) == -4
+        assert coefficient(minus(HALF), 0, 0, 1) == -2
+        assert coefficient(minus(HALF), 0, 0, 0) == 1
+        assert coefficient(minus(HALF), 1, 0, 1) == -4
 
     def test_degenerate_plain_row(self):
         # at m = 1 the whole row collapses onto the top derivative
         for n in range(7):
             for ell in range(n + 1):
                 expected = 1 if ell == n else 0
-                assert coeff_plain(n, ell, 1) == expected
+                assert coefficient(PLAIN, n, ell, 1) == expected
 
     def test_order_zero_is_factorial(self):
         for m in range(1, 9):
-            assert coeff_plain(0, 0, m) == factorial(m - 1)
+            assert coefficient(PLAIN, 0, 0, m) == factorial(m - 1)
 
     def test_dispatch(self):
-        assert coefficient(FamilyKind.PLAIN, 2, 1, 3) == coeff_plain(2, 1, 3)
-        assert coefficient(FamilyKind.PLUS_SHIFT, 1, 0, 1, HALF) == coeff_plus(1, 0, 1, HALF)
-        assert coefficient(FamilyKind.MINUS_SHIFT, 1, 0, 1, HALF) == coeff_minus(1, 0, 1, HALF)
         with pytest.raises(SpecMismatchError):
-            coefficient(FamilyKind.PLAIN, 1, 0, 1, HALF)
+            coefficient(ArgumentFamily(FamilyKind.PLAIN, HALF), 1, 0, 1)
         with pytest.raises(SpecMismatchError):
-            coefficient(FamilyKind.PLUS_SHIFT, 1, 0, 1)
+            coefficient(ArgumentFamily(FamilyKind.PLUS_SHIFT), 1, 0, 1)
 
     def test_bad_orders(self):
         with pytest.raises(ValueError):
-            coeff_plain(2, 3, 1)
+            coefficient(PLAIN, 2, 3, 1)
         with pytest.raises(ValueError):
-            coeff_plain(-1, 0, 1)
+            coefficient(PLAIN, -1, 0, 1)
         with pytest.raises(ValueError):
-            coeff_plain(2, 1, 0)
+            coefficient(PLAIN, 2, 1, 0)
 
 
 class TestAgainstExpansionOracle:
@@ -190,134 +196,130 @@ class TestAgainstExpansionOracle:
         for n in range(6):
             for m in range(1, 7):
                 for ell in range(n + 1):
-                    assert coeff_plain(n, ell, m) == plain_coefficient_oracle(n, ell, m)
+                    assert coefficient(PLAIN, n, ell, m) == plain_coefficient_oracle(n, ell, m)
 
     @pytest.mark.parametrize("kappa", [Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)])
     def test_plus(self, kappa):
         for n in range(5):
             for m in range(5):
                 for ell in range(n + 1):
-                    assert coeff_plus(n, ell, m, kappa) == plus_coefficient_oracle(
-                        n, ell, m, kappa
-                    )
+                    expected = plus_coefficient_oracle(n, ell, m, kappa)
+                    assert coefficient(plus(kappa), n, ell, m) == expected
 
     @pytest.mark.parametrize("kappa", [Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)])
     def test_minus(self, kappa):
         for n in range(5):
             for m in range(5):
                 for ell in range(n + 1):
-                    assert coeff_minus(n, ell, m, kappa) == minus_coefficient_oracle(
-                        n, ell, m, kappa
-                    )
+                    expected = minus_coefficient_oracle(n, ell, m, kappa)
+                    assert coefficient(minus(kappa), n, ell, m) == expected
 
 
 class TestCoefficientTable:
     """The sweep entry point against single cells and the expansion oracles."""
 
-    @pytest.mark.parametrize("family,kappa,oracle", FAMILIES, ids=FAMILY_IDS)
-    def test_matches_cells_and_oracle(self, family, kappa, oracle):
-        low = 1 if family is FamilyKind.PLAIN else 0
-        ms = list(range(low, 7))
+    @pytest.mark.parametrize("family,oracle", FAMILIES, ids=FAMILY_IDS)
+    def test_matches_cells_and_oracle(self, family, oracle):
+        ms = list(range(family.min_index, 7))
         for n in range(6):
-            table = coefficient_table(family, n, ms, kappa)
+            table = coefficient_table(family, n, ms)
             assert len(table) == len(ms)
             for m, row in zip(ms, table):
                 assert len(row) == n + 1
                 for ell, value in enumerate(row):
-                    assert value == coefficient(family, n, ell, m, kappa)
+                    assert value == coefficient(family, n, ell, m)
                     assert value == oracle(n, ell, m)
 
-    @pytest.mark.parametrize("family,kappa,oracle", FAMILIES, ids=FAMILY_IDS)
-    def test_non_contiguous_indices(self, family, kappa, oracle):
+    @pytest.mark.parametrize("family,oracle", FAMILIES, ids=FAMILY_IDS)
+    def test_non_contiguous_indices(self, family, oracle):
         # build_system passes sparse increasing indices; rows follow `ms`
         ms = (2, 5, 9)
-        table = coefficient_table(family, 4, ms, kappa)
+        table = coefficient_table(family, 4, ms)
         for m, row in zip(ms, table):
             assert row == tuple(oracle(4, ell, m) for ell in range(5))
 
-    @pytest.mark.parametrize("family,kappa,oracle", FAMILIES, ids=FAMILY_IDS)
-    def test_order_zero(self, family, kappa, oracle):
-        low = 1 if family is FamilyKind.PLAIN else 0
+    @pytest.mark.parametrize("family,oracle", FAMILIES, ids=FAMILY_IDS)
+    def test_order_zero(self, family, oracle):
+        low = family.min_index
         ms = range(low, low + 5)
-        table = coefficient_table(family, 0, ms, kappa)
+        table = coefficient_table(family, 0, ms)
         assert table == tuple((oracle(0, 0, m),) for m in ms)
 
-    @pytest.mark.parametrize("family,kappa", [f[:2] for f in FAMILIES], ids=FAMILY_IDS)
-    def test_empty_prefix_row(self, family, kappa):
+    @pytest.mark.parametrize("family", [f[0] for f in FAMILIES], ids=FAMILY_IDS)
+    def test_empty_prefix_row(self, family):
         # plain m = 1 and shifted m = 0 expand onto the top derivative alone
-        m = 1 if family is FamilyKind.PLAIN else 0
         for n in range(6):
-            (row,) = coefficient_table(family, n, [m], kappa)
+            (row,) = coefficient_table(family, n, [family.min_index])
             assert row == tuple(Fraction(int(ell == n)) for ell in range(n + 1))
 
-    @pytest.mark.parametrize("family,kappa", [f[:2] for f in FAMILIES], ids=FAMILY_IDS)
-    def test_one_table_per_sweep(self, family, kappa, monkeypatch):
+    @pytest.mark.parametrize("family", [f[0] for f in FAMILIES], ids=FAMILY_IDS)
+    def test_one_table_per_sweep(self, family, monkeypatch):
         built = count_tables(monkeypatch)
-        coefficient_table(family, 5, (3, 4, 8), kappa)
-        length = 7 if family is FamilyKind.PLAIN else 8
+        coefficient_table(family, 5, (3, 4, 8))
+        length = 7 if family == PLAIN else 8
         assert built == [(length, 5)]
 
-    @pytest.mark.parametrize("family,kappa", [f[:2] for f in FAMILIES], ids=FAMILY_IDS)
-    def test_single_cell_table_stays_small(self, family, kappa, monkeypatch):
+    @pytest.mark.parametrize("family", [f[0] for f in FAMILIES], ids=FAMILY_IDS)
+    def test_single_cell_table_stays_small(self, family, monkeypatch):
         built = count_tables(monkeypatch)
-        coefficient(family, 6, 2, 5, kappa)
-        length = 4 if family is FamilyKind.PLAIN else 5
+        coefficient(family, 6, 2, 5)
+        length = 4 if family == PLAIN else 5
         assert built == [(length, 4)]
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            coefficient_table(FamilyKind.PLAIN, -1, [1])
+            coefficient_table(PLAIN, -1, [1])
         with pytest.raises(ValueError):
-            coefficient_table(FamilyKind.PLAIN, 2, [])
+            coefficient_table(PLAIN, 2, [])
         with pytest.raises(ValueError):
-            coefficient_table(FamilyKind.PLAIN, 2, [0, 1])
+            coefficient_table(PLAIN, 2, [0, 1])
         with pytest.raises(ValueError):
-            coefficient_table(FamilyKind.MINUS_SHIFT, 2, [-1], HALF)
+            coefficient_table(minus(HALF), 2, [-1])
         with pytest.raises(SpecMismatchError):
-            coefficient_table(FamilyKind.PLAIN, 2, [1], HALF)
+            coefficient_table(ArgumentFamily(FamilyKind.PLAIN, HALF), 2, [1])
         with pytest.raises(SpecMismatchError):
-            coefficient_table(FamilyKind.PLUS_SHIFT, 2, [1])
+            coefficient_table(ArgumentFamily(FamilyKind.PLUS_SHIFT), 2, [1])
 
 
 class TestBuildSystem:
     def test_plain_square(self):
-        system = build_system(LatticeSpec(FamilyKind.PLAIN, (1, 2)), 2)
+        system = build_system(LatticeSpec(PLAIN, (1, 2)), 2)
         assert system.matrix.to_rows() == [[0, 1], [2, 1]]
         assert system.constant_column == (0, 0)
         assert system.unknowns_label == ("Gamma^(1)(1)", "Gamma^(2)(1)")
         assert system.is_square
 
     def test_plain_rectangular(self):
-        system = build_system(LatticeSpec(FamilyKind.PLAIN, (1,)), 2)
+        system = build_system(LatticeSpec(PLAIN, (1,)), 2)
         assert system.matrix.to_rows() == [[0, 1]]
         assert not system.is_square
 
     def test_plus_square(self):
-        system = build_system(LatticeSpec(FamilyKind.PLUS_SHIFT, (0, 1), HALF), 1)
+        system = build_system(LatticeSpec(plus(HALF), (0, 1)), 1)
         assert system.matrix.to_rows() == [[0, 1], [1, Fraction(1, 2)]]
         assert system.constant_column == ()
         assert system.unknowns_label == ("Gamma^(0)(1/2)", "Gamma^(1)(1/2)")
 
     def test_minus_entries_match_coefficients(self):
-        spec = LatticeSpec(FamilyKind.MINUS_SHIFT, (0, 2, 3), HALF)
+        spec = LatticeSpec(minus(HALF), (0, 2, 3))
         system = build_system(spec, 2)
         for r, m in enumerate(spec.indices):
             for c in range(3):
-                assert system.matrix.at(r, c) == coeff_minus(2, c, m, HALF)
+                assert system.matrix.at(r, c) == coefficient(minus(HALF), 2, c, m)
 
     def test_plain_entries_match_coefficients(self):
-        spec = LatticeSpec(FamilyKind.PLAIN, (2, 4, 5))
+        spec = LatticeSpec(PLAIN, (2, 4, 5))
         system = build_system(spec, 3)
         for r, m in enumerate(spec.indices):
-            assert system.constant_column[r] == coeff_plain(3, 0, m)
+            assert system.constant_column[r] == coefficient(PLAIN, 3, 0, m)
             for c in range(1, 4):
-                assert system.matrix.at(r, c - 1) == coeff_plain(3, c, m)
+                assert system.matrix.at(r, c - 1) == coefficient(PLAIN, 3, c, m)
 
     def test_plain_needs_a_column(self):
         with pytest.raises(SpecMismatchError):
-            build_system(LatticeSpec(FamilyKind.PLAIN, (1, 2)), 0)
+            build_system(LatticeSpec(PLAIN, (1, 2)), 0)
 
     def test_shifted_order_zero(self):
-        system = build_system(LatticeSpec(FamilyKind.MINUS_SHIFT, (1,), HALF), 0)
+        system = build_system(LatticeSpec(minus(HALF), (1,)), 0)
         assert system.matrix.to_rows() == [[-2]]
         assert system.is_square

@@ -167,6 +167,18 @@ class TestDensityGrid:
         assert density_grid(BoundVariant.BIVARIATE, [], []) == []
         assert density_grid(BoundVariant.PRIOR, []) == []
 
+    @pytest.mark.parametrize(
+        "variant",
+        [v for v in BoundVariant if len(v.ranges) == 2],
+        ids=lambda v: v.value,
+    )
+    def test_missing_second_range_rejected(self, variant):
+        for second in (None, []):
+            with pytest.raises(ValueError, match="nonempty M range"):
+                density_grid(variant, [3], second)
+        with pytest.raises(ValueError, match="nonempty M range"):
+            density_grid(variant, [])
+
     def test_sorted_by_coordinates(self):
         rows = density_grid(BoundVariant.FIXED_N, [4, 2], [9, 1])
         coords = [(r.bound.params["n"], r.bound.params["M"]) for r in rows]

@@ -4,6 +4,7 @@ import pytest
 from mpmath import mp
 
 from gammalattice import (
+    ArgumentFamily,
     FamilyKind,
     LatticeSpec,
     PoleArgumentError,
@@ -22,6 +23,9 @@ from _oracles import machin_pi
 
 CTX = PrecisionContext(60)
 HALF = Fraction(1, 2)
+PLAIN = ArgumentFamily(FamilyKind.PLAIN)
+PLUS_HALF = ArgumentFamily(FamilyKind.PLUS_SHIFT, HALF)
+MINUS_HALF = ArgumentFamily(FamilyKind.MINUS_SHIFT, HALF)
 
 
 def close(a, b, ctx=CTX, tol="1e-40"):
@@ -142,13 +146,13 @@ class TestGammaDerivatives:
 
 class TestVerifyIdentity:
     def test_order_zero_is_factorial(self):
-        report = verify_identity(FamilyKind.PLAIN, 0, 5, ctx=CTX)
+        report = verify_identity(PLAIN, 0, 5, ctx=CTX)
         assert report.passed
         assert close(report.lhs, 24)
         assert close(report.rhs, 24)
 
     def test_plain_second_derivative(self):
-        report = verify_identity(FamilyKind.PLAIN, 2, 3, ctx=CTX)
+        report = verify_identity(PLAIN, 2, 3, ctx=CTX)
         with mp.workdps(CTX.working_digits):
             expected = 2 - 6 * mp.euler + 2 * (mp.euler**2 + mp.pi**2 / 6)
             assert close(report.lhs, expected)
@@ -157,44 +161,46 @@ class TestVerifyIdentity:
             assert report.rel_residual < mp.mpf(10) ** -40
 
     def test_minus_shift_reflection_point(self):
-        report = verify_identity(FamilyKind.MINUS_SHIFT, 0, 1, HALF, CTX)
+        report = verify_identity(MINUS_HALF, 0, 1, CTX)
+        assert report.family == MINUS_HALF
         assert report.passed
         with mp.workdps(CTX.working_digits):
             assert close(report.lhs, -2 * mp.sqrt(mp.pi))
 
     def test_family_kappa_consistency(self):
+        # the family carries its shift, so a mismatch fails before any sum
         with pytest.raises(SpecMismatchError):
-            verify_identity(FamilyKind.PLAIN, 1, 2, HALF, CTX)
+            verify_identity(ArgumentFamily(FamilyKind.PLAIN, HALF), 1, 2, CTX)
         with pytest.raises(SpecMismatchError):
-            verify_identity(FamilyKind.PLUS_SHIFT, 1, 2, None, CTX)
+            verify_identity(ArgumentFamily(FamilyKind.PLUS_SHIFT), 1, 2, CTX)
 
     def test_tolerance_override_can_fail(self):
         # residuals can round to exactly zero, so only a zero tolerance is a
         # guaranteed forcing knob under the strict comparison
-        report = verify_identity(FamilyKind.PLAIN, 2, 3, ctx=CTX, tolerance="0")
+        report = verify_identity(PLAIN, 2, 3, ctx=CTX, tolerance="0")
         assert not report.passed
 
 
 class TestRecoverBasis:
     def test_plain_recovers_euler(self):
-        spec = LatticeSpec(FamilyKind.PLAIN, (1, 2))
+        spec = LatticeSpec(PLAIN, (1, 2))
         recovered = recover_basis(spec, 2, CTX)
         with mp.workdps(CTX.working_digits):
             assert close(recovered[0], -mp.euler)
 
     def test_plain_index_set_independence(self):
         for indices in ((1, 2), (2, 5), (1, 7)):
-            recovered = recover_basis(LatticeSpec(FamilyKind.PLAIN, indices), 2, CTX)
+            recovered = recover_basis(LatticeSpec(PLAIN, indices), 2, CTX)
             with mp.workdps(CTX.working_digits):
                 assert close(recovered[0], -mp.euler)
 
     def test_plus_recovers_gamma_at_half(self):
-        spec = LatticeSpec(FamilyKind.PLUS_SHIFT, (0, 1), HALF)
+        spec = LatticeSpec(PLUS_HALF, (0, 1))
         recovered = recover_basis(spec, 1, CTX)
         assert close(recovered[0], gamma_value(Fraction(1, 2), CTX))
 
     def test_round_trip_through_system(self):
-        spec = LatticeSpec(FamilyKind.MINUS_SHIFT, (0, 2, 3), HALF)
+        spec = LatticeSpec(MINUS_HALF, (0, 2, 3))
         recovered = recover_basis(spec, 2, CTX)
         system = build_system(spec, 2)
         with mp.workdps(CTX.working_digits):
@@ -210,12 +216,12 @@ class TestRecoverBasis:
 
     def test_rectangular_rejected(self):
         with pytest.raises(SpecMismatchError):
-            recover_basis(LatticeSpec(FamilyKind.PLAIN, (1, 2, 3)), 2, CTX)
+            recover_basis(LatticeSpec(PLAIN, (1, 2, 3)), 2, CTX)
 
 
 class TestVerifyRecovery:
     def test_plain_recovers_euler(self):
-        reports = verify_recovery(FamilyKind.PLAIN, 2, None, CTX, None)
+        reports = verify_recovery(PLAIN, 2, CTX, None)
         assert [r.ell for r in reports] == [1, 2]
         assert reports[0].spec.indices == (1, 2)
         assert all(r.passed for r in reports)
@@ -223,33 +229,32 @@ class TestVerifyRecovery:
             assert close(reports[0].recovered, -mp.euler)
 
     def test_shifted_starts_at_order_zero(self):
-        reports = verify_recovery(FamilyKind.MINUS_SHIFT, 1, HALF, CTX, None)
+        reports = verify_recovery(MINUS_HALF, 1, CTX, None)
         assert [r.ell for r in reports] == [0, 1]
         assert reports[0].spec.indices == (0, 1)
         assert close(reports[0].reference, gamma_value(Fraction(1, 2), CTX))
         assert all(r.passed for r in reports)
 
     def test_zero_tolerance_fails(self):
-        reports = verify_recovery(FamilyKind.PLAIN, 2, None, CTX, "0")
+        reports = verify_recovery(PLAIN, 2, CTX, "0")
         assert not any(r.passed for r in reports)
 
     @pytest.mark.parametrize("tolerance", ["-1", "nan", "inf", "abc"])
     def test_bad_tolerance_rejected(self, tolerance):
         with pytest.raises(ValueError):
-            verify_identity(FamilyKind.PLAIN, 1, 1, ctx=CTX, tolerance=tolerance)
+            verify_identity(PLAIN, 1, 1, ctx=CTX, tolerance=tolerance)
         with pytest.raises(ValueError):
-            verify_recovery(FamilyKind.PLAIN, 2, None, CTX, tolerance)
+            verify_recovery(PLAIN, 2, CTX, tolerance)
 
 
 class TestIdentityGrid:
-    @pytest.mark.parametrize("family,kappa", [
-        (FamilyKind.PLAIN, None),
-        (FamilyKind.PLUS_SHIFT, HALF),
-        (FamilyKind.MINUS_SHIFT, Fraction(2, 3)),
+    @pytest.mark.parametrize("family", [
+        PLAIN,
+        PLUS_HALF,
+        ArgumentFamily(FamilyKind.MINUS_SHIFT, Fraction(2, 3)),
     ], ids=["plain", "plus", "minus"])
-    def test_small_grid_passes(self, family, kappa):
-        m_start = 1 if family is FamilyKind.PLAIN else 0
+    def test_small_grid_passes(self, family):
         for n in range(4):
-            for m in range(m_start, 5):
-                report = verify_identity(family, n, m, kappa, CTX)
+            for m in range(family.min_index, 5):
+                report = verify_identity(family, n, m, CTX)
                 assert report.passed, (family, n, m)

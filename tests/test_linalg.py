@@ -339,7 +339,7 @@ class TestScalingEquivalence:
     )
     def test_plain_det_factors(self, indices):
         n = len(indices)
-        system = build_system(LatticeSpec(FamilyKind.PLAIN, indices), n)
+        system = build_system(LatticeSpec(PLAIN, indices), n)
         prefix_det = det_exact(
             elementary_matrix([m - 1 for m in indices], PLAIN, n)
         )
