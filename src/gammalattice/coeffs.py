@@ -50,6 +50,7 @@ class LatticeSpec:
     indices: tuple[int, ...]
 
     def __post_init__(self):
+        ArgumentFamily.require(self.family)
         object.__setattr__(self, "indices", increasing_indices(self.indices))
         low = self.family.min_index
         if self.indices[0] < low:
@@ -96,6 +97,7 @@ def _expansion(
 def coefficient(family: ArgumentFamily, n: int, ell: int, m: int) -> Fraction:
     """The family's coefficient of the ell-th basis derivative at index m,
     read off a table just large enough for it."""
+    ArgumentFamily.require(family)
     _order_factor(n, ell)
     table = _prefix_table(family, m, n - ell)
     return _expansion(family, table, n, m, (ell,))[0]
@@ -110,6 +112,7 @@ def coefficient_table(
     table of degree n over the longest prefix serves every row, so a sweep
     builds a single table instead of one per coefficient.
     """
+    ArgumentFamily.require(family)
     if n < 0:
         raise ValueError(f"derivative order {n} must be >= 0")
     ms = tuple(ms)

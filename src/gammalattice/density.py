@@ -7,7 +7,9 @@ lattice.  A plain window is the shifted window one step in, so one rule
 computes the fixed-order and bivariate bounds of both lattices.  The bivariate
 closed forms have an independent brute-force counterpart (`bivariate_min_sum`)
 that performs the min-sum directly, with no case split; the two must agree
-exactly on every cell.
+exactly on every cell.  The oracle takes a whole column of N values at one M
+and sums the caps once, as a running sum over the orders, so a grid costs one
+pass per M rather than one per cell.
 
 True densities of transcendental values are not computable (they hinge on open
 transcendence questions); only these lower-bound functions are provided.
@@ -19,7 +21,9 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate, count, islice
 from math import isqrt
+from typing import Iterable
 
 from mpmath import mp
 
@@ -138,23 +142,32 @@ def bivariate_shifted_bound(N: int, M: int) -> DensityBound:
     return _window_bound(BoundVariant.BIVARIATE_SHIFTED, N, M)
 
 
-def bivariate_min_sum(variant: str, N: int, M: int) -> Fraction:
-    """The bivariate bound by direct min-summation; no branch arithmetic."""
+def bivariate_min_sum(variant: str, Ns: Iterable[int], M: int) -> list[Fraction]:
+    """The bivariate bound at each N of the strictly ascending `Ns`, one M.
+
+    A direct min-summation with no branch arithmetic: the algebraic caps
+    min(n-1, M) (plain, orders n >= 2) or min(n, M+1) (shifted, n >= 1) are
+    summed once, as one running sum over n up to the largest N, and the
+    column reads its cells off that sum.
+    """
     if variant == "plain":
-        if N < 2:
-            raise ValueError(f"N={N} must be >= 2")
-        if M < 1:
-            raise ValueError(f"M={M} must be >= 1")
-        algebraic_cap = sum(min(n - 1, M) for n in range(2, N + 1))
-        return 1 - Fraction(algebraic_cap, (N - 1) * M)
-    if variant == "shifted":
-        if N < 1:
-            raise ValueError(f"N={N} must be >= 1")
-        if M < 0:
-            raise ValueError(f"M={M} must be >= 0")
-        algebraic_cap = sum(min(n, M + 1) for n in range(1, N + 1))
-        return 1 - Fraction(algebraic_cap, N * (M + 1))
-    raise ValueError(f"unknown variant {variant!r} (want 'plain' or 'shifted')")
+        first, low_M, points = 2, 1, M
+        caps = (min(n - 1, M) for n in count(first))
+    elif variant == "shifted":
+        first, low_M, points = 1, 0, M + 1
+        caps = (min(n, M + 1) for n in count(first))
+    else:
+        raise ValueError(f"unknown variant {variant!r} (want 'plain' or 'shifted')")
+    Ns = list(Ns)
+    if any(b <= a for a, b in zip(Ns, Ns[1:])):
+        raise ValueError("N values must be strictly increasing")
+    if Ns and Ns[0] < first:
+        raise ValueError(f"N={Ns[0]} must be >= {first}")
+    if M < low_M:
+        raise ValueError(f"M={M} must be >= {low_M}")
+    running = list(accumulate(islice(caps, Ns[-1] - first + 1))) if Ns else []
+    # a window holds N - first + 1 orders times `points` lattice points
+    return [1 - Fraction(running[N - first], (N - first + 1) * points) for N in Ns]
 
 
 @dataclass(frozen=True)
@@ -176,7 +189,8 @@ def density_grid(
     for the fixed-order ones, then M (ignored by the prior variant, required
     by the others, and nonempty unless the first range is empty).
     Bivariate rows carry the min-sum oracle value unless `include_oracle` is
-    switched off.  `digits` (>= 1) is the precision of inexact values.
+    switched off; the oracle runs once per M, over every N at once.
+    `digits` (>= 1) is the precision of inexact values.
     """
     _check_digits(digits)
     firsts = sorted(set(first_range))
@@ -186,13 +200,11 @@ def density_grid(
     if not seconds and (firsts or second_range is None):
         # no M values would silently drop every first value
         raise ValueError(f"variant {variant.value} needs a nonempty M range")
-    oracle = include_oracle and variant.has_oracle
+    bounds = [_window_bound(variant, a, b) for a in firsts for b in seconds]
+    if not (bounds and include_oracle and variant.has_oracle):
+        return [GridRow(bound) for bound in bounds]
     window = "shifted" if variant.shifted else "plain"
-    return [
-        GridRow(
-            _window_bound(variant, a, b),
-            bivariate_min_sum(window, a, b) if oracle else None,
-        )
-        for a in firsts
-        for b in seconds
-    ]
+    columns = [bivariate_min_sum(window, firsts, b) for b in seconds]
+    # the columns run down N at fixed M; the rows run along M at fixed N
+    oracles = (value for row in zip(*columns) for value in row)
+    return [GridRow(bound, value) for bound, value in zip(bounds, oracles)]

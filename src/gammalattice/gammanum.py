@@ -194,6 +194,7 @@ def verify_identity(
     The check uses the relative residual, falling back to the absolute one
     when |lhs| < 1.
     """
+    ArgumentFamily.require(family)
     if ctx is None:
         ctx = PrecisionContext()
     if n < 0:
@@ -250,6 +251,7 @@ def verify_recovery(
     """Recover the order-n basis from the square system at the first lattice
     indices, and check each value against its direct evaluation by the
     residual rule of `verify_identity`."""
+    ArgumentFamily.require(family)
     first, low = family.first_order, family.min_index
     spec = LatticeSpec(family, range(low, low + n + 1 - first))
     recovered = recover_basis(spec, n, ctx)

@@ -32,7 +32,7 @@ from enum import Enum
 from fractions import Fraction
 from math import prod
 
-from .errors import InvalidKappaError, MissingKappaError
+from .errors import InvalidKappaError, MissingKappaError, SpecMismatchError
 
 
 class FamilyKind(Enum):
@@ -75,6 +75,13 @@ class ArgumentFamily:
                 raise InvalidKappaError(f"shift {self.kappa} outside (0, 1)")
         elif self.kappa is not None:
             raise InvalidKappaError("plain family takes no shift value")
+
+    @staticmethod
+    def require(family: object) -> None:
+        """The check an entry point makes on its family argument: a bare
+        FamilyKind, or any other value, is a SpecMismatchError."""
+        if not isinstance(family, ArgumentFamily):
+            raise SpecMismatchError(f"family must be an ArgumentFamily, got {family!r}")
 
     @property
     def basis_point(self) -> Fraction:

@@ -4,8 +4,9 @@ Coefficients are re-derived here without symmetric polynomials: multiply out
 the linear factors as an exact polynomial in the series variable (constant
 term first), invert the polynomial as a truncated power series where needed,
 and read the coefficient off directly.  Symmetric polynomials are summed by
-brute-force enumeration, and pi by Machin's formula.  Nothing below touches
-the package's prefix-table or polygamma code paths.
+brute-force enumeration, pi by Machin's formula, and Cauchy-Binet expansions
+over every column subset with Fraction Gaussian elimination.  Nothing below
+touches the package's prefix-table, Bareiss or polygamma code paths.
 """
 
 from fractions import Fraction
@@ -126,3 +127,49 @@ def _atan_unit_fraction(n: int):
             return acc
         acc += term if j % 2 == 0 else -term
         j += 1
+
+
+# The Cauchy-Binet expansion over every column subset, with determinants by
+# Gaussian elimination over Fractions: no band structure and no Bareiss step.
+CAUCHY_BINET_GUARD = 10**5
+
+
+def fraction_det(rows) -> Fraction:
+    """Determinant by Gaussian elimination with row swaps, in Fractions."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for k in range(len(a)):
+        pivot = next((r for r in range(k, len(a)) if a[r][k] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        for r in range(k + 1, len(a)):
+            factor = a[r][k] / a[k][k]
+            a[r] = [x - factor * y for x, y in zip(a[r], a[k])]
+    return det
+
+
+def generic_cauchy_binet(left, right):
+    """(total, terms, pruned) for det(left @ right), with `left` p x q and
+    `right` q x p as lists of rows.  Every size-p subset S of the q shared
+    indices is visited in lexicographic order: those whose left columns leave
+    some row all zero are pruned, the rest contribute det(left[:, S]) *
+    det(right[S, :]), and the terms with a nonzero product are listed as
+    (1-based subset, det_left, det_right)."""
+    p, q = len(left), len(right)
+    if comb(q, p) > CAUCHY_BINET_GUARD:
+        raise GuardExceededError(f"{comb(q, p)} subsets > {CAUCHY_BINET_GUARD}")
+    total, terms, pruned = Fraction(0), [], 0
+    for subset in combinations(range(q), p):
+        if any(all(row[j] == 0 for j in subset) for row in left):
+            pruned += 1
+            continue
+        det_left = fraction_det([[row[j] for j in subset] for row in left])
+        det_right = fraction_det([right[j] for j in subset])
+        if det_left * det_right != 0:
+            terms.append((tuple(j + 1 for j in subset), det_left, det_right))
+            total += det_left * det_right
+    return total, terms, pruned

@@ -112,6 +112,10 @@ def test_criterion_2_determinant_certificates():
                     failures.append(("empty", family.kind.value, kind.value, m_primes))
                 if not certificate.all_terms_positive:
                     failures.append(("sign", family.kind.value, kind.value, m_primes))
+                if certificate.expansion.fallback_count:
+                    failures.append(
+                        ("fallback", family.kind.value, kind.value, m_primes)
+                    )
     elapsed = time.time() - started
     ok = not failures and elapsed < 60
     _report(
@@ -197,13 +201,13 @@ def test_criterion_5_density_closed_forms():
     failures = []
     for N in range(2, 201):
         for M in range(1, 201):
-            if bivariate_bound(N, M).value != bivariate_min_sum("plain", N, M):
+            if bivariate_bound(N, M).value != bivariate_min_sum("plain", [N], M)[0]:
                 failures.append(("plain", N, M))
     for N in range(1, 201):
         for M in range(201):
             if bivariate_shifted_bound(N, M).value != bivariate_min_sum(
-                "shifted", N, M
-            ):
+                "shifted", [N], M
+            )[0]:
                 failures.append(("shifted", N, M))
     for N in range(2, 201):
         M = N - 1

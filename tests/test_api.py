@@ -7,7 +7,17 @@ import inspect
 import pytest
 
 import gammalattice
-from gammalattice import ArgumentFamily
+from gammalattice import (
+    ArgumentFamily,
+    FamilyKind,
+    LatticeSpec,
+    PrecisionContext,
+    SpecMismatchError,
+    coefficient,
+    coefficient_table,
+    verify_identity,
+    verify_recovery,
+)
 
 
 def _exported():
@@ -72,3 +82,21 @@ def test_guard_catches_a_loose_pair():
         "coefficient(family)", "coefficient(kappa)"
     ]
     assert _violations("Report", Report) == ["Report.family", "Report.kappa"]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: LatticeSpec(FamilyKind.PLAIN, (1, 2)),
+        lambda: coefficient(FamilyKind.PLAIN, 1, 0, 2),
+        lambda: coefficient_table(FamilyKind.PLAIN, 1, [2]),
+        lambda: verify_identity(FamilyKind.PLAIN, 1, 2),
+        lambda: verify_recovery(FamilyKind.PLAIN, 2, PrecisionContext(), None),
+    ],
+    ids=["LatticeSpec", "coefficient", "coefficient_table", "verify_identity",
+         "verify_recovery"],
+)
+def test_bare_family_kind_is_a_spec_mismatch(call):
+    with pytest.raises(SpecMismatchError, match="must be an ArgumentFamily") as info:
+        call()
+    assert "\n" not in str(info.value)

@@ -298,6 +298,34 @@ class TestMatrixCommand:
             assert not row["det_left"].startswith("-")
             assert not row["det_right"].startswith("-")
 
+    def test_cauchy_binet_walks_band_products_not_subsets(self, capsys):
+        # C(36, 7) = 8,347,680 column subsets, but only 30 * 1^6 band products
+        code, payload, _ = run_json(
+            capsys,
+            "matrix", "--family", "minus", "--n", "7",
+            "--indices", "0,30,31,32,33,34,35,36", "--kappa", "1/3",
+            "--show", "cauchy-binet",
+        )
+        assert code == 0
+        params = payload["params"]
+        assert len(payload["rows"]) == 30
+        assert params["pruned"] == 8347650
+        assert params["total_det"] == params["parent_det"]
+        assert params["all_terms_positive"] is True
+
+    def test_cauchy_binet_over_budget_is_usage_error(self, capsys):
+        # 4^8 = 65,536 band products exceed the walk's budget
+        code, out, err = run(
+            capsys,
+            "matrix", "--family", "minus", "--n", "8",
+            "--indices", "0,4,8,12,16,20,24,28,32", "--kappa", "1/3",
+            "--show", "cauchy-binet",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: 65536 band products exceed guard")
+        assert err.count("\n") == 1
+
     def test_cauchy_binet_needs_two_indices(self, capsys):
         code, _, err = run(
             capsys,

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from gammalattice import (
@@ -109,19 +111,21 @@ class TestBivariateBounds:
             assert bivariate_shifted_bound(N, M).value == low
 
     def test_oracle_examples(self):
-        assert bivariate_min_sum("plain", 10, 10) == Fraction(1, 2)
-        assert bivariate_min_sum("shifted", 4, 2) == Fraction(1, 4)
-        assert bivariate_min_sum("plain", 2, 1) == 0
+        assert bivariate_min_sum("plain", [10], 10)[0] == Fraction(1, 2)
+        assert bivariate_min_sum("shifted", [4], 2)[0] == Fraction(1, 4)
+        assert bivariate_min_sum("plain", [2], 1)[0] == 0
 
     def test_closed_form_equals_oracle_moderate_grid(self):
         for N in range(2, 41):
             for M in range(1, 41):
-                assert bivariate_bound(N, M).value == bivariate_min_sum("plain", N, M)
+                assert bivariate_bound(N, M).value == bivariate_min_sum(
+                    "plain", [N], M
+                )[0]
         for N in range(1, 41):
             for M in range(41):
                 assert bivariate_shifted_bound(N, M).value == bivariate_min_sum(
-                    "shifted", N, M
-                )
+                    "shifted", [N], M
+                )[0]
 
     def test_values_within_unit_interval(self):
         samples = [bivariate_bound(N, M).value for N in (2, 7, 30) for M in (1, 6, 50)]
@@ -143,6 +147,30 @@ class TestBivariateBounds:
             values = [bivariate_bound(N, M).value for N in range(2, 50)]
             assert all(a >= b for a, b in zip(values, values[1:]))
 
+    @given(
+        Ns=st.sets(st.integers(2, 60), min_size=1, max_size=12).map(sorted),
+        M=st.integers(1, 60),
+        variant=st.sampled_from(["plain", "shifted"]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_column_equals_per_cell_sums(self, Ns, M, variant):
+        # the min-sum of one cell at a time, from scratch
+        def cell(N):
+            if variant == "plain":
+                cap = sum(min(n - 1, M) for n in range(2, N + 1))
+                return 1 - Fraction(cap, (N - 1) * M)
+            cap = sum(min(n, M + 1) for n in range(1, N + 1))
+            return 1 - Fraction(cap, N * (M + 1))
+
+        assert bivariate_min_sum(variant, Ns, M) == [cell(N) for N in Ns]
+
+    def test_column_needs_ascending_orders(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            bivariate_min_sum("plain", [5, 3], 4)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            bivariate_min_sum("shifted", [3, 3], 4)
+        assert bivariate_min_sum("plain", [], 4) == []
+
     def test_degenerate_cells_rejected(self):
         with pytest.raises(ValueError):
             bivariate_bound(1, 5)
@@ -151,9 +179,9 @@ class TestBivariateBounds:
         with pytest.raises(ValueError):
             bivariate_shifted_bound(0, 3)
         with pytest.raises(ValueError):
-            bivariate_min_sum("plain", 1, 1)
+            bivariate_min_sum("plain", [1], 1)
         with pytest.raises(ValueError):
-            bivariate_min_sum("diagonal", 3, 3)
+            bivariate_min_sum("diagonal", [3], 3)
 
 
 class TestDensityGrid:

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import factorial
+from math import factorial, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -28,10 +28,14 @@ from gammalattice import (
     inverse_exact,
     row_difference,
 )
+from gammalattice.linalg import SUBSET_GUARD
+
+from _oracles import generic_cauchy_binet
 
 PLAIN = ArgumentFamily(FamilyKind.PLAIN)
 MINUS_HALF = ArgumentFamily(FamilyKind.MINUS_SHIFT, Fraction(1, 2))
 PLUS_QUARTER = ArgumentFamily(FamilyKind.PLUS_SHIFT, Fraction(1, 4))
+MINUS_THIRD = ArgumentFamily(FamilyKind.MINUS_SHIFT, Fraction(1, 3))
 
 small_fractions = st.fractions(
     min_value=Fraction(-4), max_value=Fraction(4), max_denominator=5
@@ -259,22 +263,119 @@ class TestCauchyBinet:
         # pruned + evaluated = all size-2 subsets of 5 columns
         assert certificate.pruned_count + len(certificate.surviving) <= 10
 
-    def test_random_product(self):
-        left = RationalMatrix.from_rows([[1, 2, 0, 1], [0, 1, 3, 2]])
-        right = RationalMatrix.from_rows([[1, 1], [2, 0], [0, 5], [1, 3]])
-        certificate = cauchy_binet(left, right)
-        assert certificate.total_det == det_exact(left @ right)
-
     def test_dimension_mismatch(self):
         a = RationalMatrix.from_rows([[1, 2]])
         with pytest.raises(DimensionMismatchError):
             cauchy_binet(a, a)
 
     def test_guard(self):
-        left = RationalMatrix.from_rows([[1] * 50] * 5)
-        right = RationalMatrix.from_rows([[1] * 5] * 50)
-        with pytest.raises(GuardExceededError):
+        # the budget counts band products, here just one more than it allows
+        width = isqrt(SUBSET_GUARD) + 1
+        assert width * width > SUBSET_GUARD
+        left = RationalMatrix.from_rows(
+            [[1] * width + [0] * width, [0] * width + [1] * width]
+        )
+        right = RationalMatrix.from_rows([[1, 0]] * width + [[0, 1]] * width)
+        with pytest.raises(GuardExceededError, match="band products exceed guard"):
             cauchy_binet(left, right)
+
+    def test_not_banded(self):
+        # column 1 is nonzero in both rows
+        left = RationalMatrix.from_rows([[1, 2, 0, 1], [0, 1, 3, 2]])
+        right = RationalMatrix.from_rows([[1, 1], [2, 0], [0, 5], [1, 3]])
+        with pytest.raises(ValueError, match="not banded") as info:
+            cauchy_binet(left, right)
+        assert "\n" not in str(info.value)
+        # disjoint supports, but the bands interleave
+        left = RationalMatrix.from_rows([[1, 0, 1], [0, 1, 0]])
+        right = RationalMatrix.from_rows([[1, 0], [0, 1], [1, 1]])
+        with pytest.raises(ValueError, match="not banded"):
+            cauchy_binet(left, right)
+
+    def test_zero_first_pivot_takes_the_fallback(self):
+        left = RationalMatrix.from_rows([[1, 2, 0], [0, 0, 3]])
+        # row 0 of right has a zero first entry, so the path through column 1
+        # cannot divide by its pivot
+        right = RationalMatrix.from_rows([[0, 1], [1, 0], [Fraction(1, 2), 4]])
+        certificate = cauchy_binet(left, right)
+        assert certificate.fallback_count == 1
+        assert _as_oracle(certificate) == generic_cauchy_binet(
+            left.to_rows(), right.to_rows()
+        )
+        assert certificate.total_det == det_exact(left @ right)
+
+    def test_no_fallback_on_prefix_factors(self):
+        banded, prefix = difference_factorization(
+            [0, 3, 6, 9, 12], MINUS_THIRD, PolyKind.HOMOGENEOUS
+        )
+        assert cauchy_binet(banded, prefix).fallback_count == 0
+
+
+def _as_oracle(certificate):
+    terms = [(t.subset, t.det_left, t.det_right) for t in certificate.surviving]
+    return certificate.total_det, terms, certificate.pruned_count
+
+
+@st.composite
+def banded_products(draw):
+    """A banded left over ordered bands with zero columns before, between and
+    after them, and a right of small integers (zeros included, so some paths
+    meet a zero pivot)."""
+    p = draw(st.integers(1, 4))
+    gaps = draw(st.lists(st.integers(0, 2), min_size=p + 1, max_size=p + 1))
+    widths = draw(st.lists(st.integers(1, 3), min_size=p, max_size=p))
+    nonzero = small_fractions.filter(lambda x: x != 0)
+    left = []
+    col = gaps[0]
+    q = sum(gaps) + sum(widths)
+    for r, width in enumerate(widths):
+        row = [Fraction(0)] * q
+        for j in range(col, col + width):
+            row[j] = draw(nonzero)
+        left.append(row)
+        col += width + gaps[r + 1]
+    right = draw(st.lists(
+        st.lists(st.integers(-2, 2).map(Fraction), min_size=p, max_size=p),
+        min_size=q, max_size=q,
+    ))
+    return RationalMatrix.from_rows(left), RationalMatrix.from_rows(right)
+
+
+class TestCauchyBinetAgainstOracle:
+    """The band walk against the generic expansion over every column subset
+    (tests/_oracles.py): same total, same terms in the same order, same
+    pruned count."""
+
+    @given(
+        m_primes=st.lists(st.integers(0, 11), min_size=2, max_size=6, unique=True)
+        .map(sorted),
+        family=st.sampled_from([PLAIN, PLUS_QUARTER, MINUS_HALF, MINUS_THIRD]),
+        kind=st.sampled_from(list(PolyKind)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_prefix_factors(self, m_primes, family, kind):
+        banded, prefix = difference_factorization(m_primes, family, kind)
+        certificate = cauchy_binet(banded, prefix)
+        assert _as_oracle(certificate) == generic_cauchy_binet(
+            banded.to_rows(), prefix.to_rows()
+        )
+        assert certificate.fallback_count == 0
+
+    @given(pair=banded_products())
+    @settings(max_examples=80, deadline=None)
+    def test_random_band_layouts(self, pair):
+        left, right = pair
+        certificate = cauchy_binet(left, right)
+        assert _as_oracle(certificate) == generic_cauchy_binet(
+            left.to_rows(), right.to_rows()
+        )
+        assert certificate.total_det == det_exact(left @ right)
+
+    def test_generic_route_on_a_non_banded_product(self):
+        left = RationalMatrix.from_rows([[1, 2, 0, 1], [0, 1, 3, 2]])
+        right = RationalMatrix.from_rows([[1, 1], [2, 0], [0, 5], [1, 3]])
+        total, _, _ = generic_cauchy_binet(left.to_rows(), right.to_rows())
+        assert total == det_exact(left @ right)
 
 
 class TestCertifyPrefixMatrix:
