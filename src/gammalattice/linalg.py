@@ -43,12 +43,14 @@ from .errors import (
 )
 from .sympoly import ArgumentFamily, PolyKind, elementary_prefix, homogeneous_prefix
 
-#: Most band products `cauchy_binet` walks.  The time per leaf grows with the
-#: depth p: with every band of width 2, 2^13 leaves at depth 13 take about
-#: 17 s on the h-minors of the minus-1/3 lattice (2-core x86-64, CPython
-#: 3.11), and 2^14 leaves at depth 14 about 56 s.  Bands of width 1 add depth
-#: but no leaves, so this bounds the time only with a bound on the system size.
-SUBSET_GUARD = 10**4
+#: Most estimated small-integer operations `cauchy_binet` may spend (see
+#: `_walk_work`).  On the minus-1/3 and plain lattices (2-core x86-64, CPython
+#: 3.11, one process) the walk ran 0.4-2.7 us per estimated operation, so a
+#: walk under this guard finishes in about 30 s or less.
+WORK_GUARD = 10**7
+
+#: Estimated operations for one leaf's `Fraction` and term, beyond its row.
+_LEAF_OPS = 30
 
 
 @dataclass(frozen=True)
@@ -352,8 +354,45 @@ def _bands(left: RationalMatrix) -> list[list[int]]:
     return bands
 
 
+def _walk_work(
+    left: RationalMatrix,
+    bands: list[list[int]],
+    scaled: dict[int, tuple[int, list[int]]],
+) -> float:
+    """Estimated small-integer operations of the band walk.
+
+    A node at depth d reduces its row against the d pivots above it; the i-th
+    reduction takes p-1-i products of integers about as long as the rows on
+    the path so far together (Bareiss entries are minors), counting each band
+    at its longest scaled entry, and a product of s-bit integers costs
+    1 + (s/1000)^2 small ones.  Every leaf adds `_LEAF_OPS` for its term, and
+    t / 10^4 for adding it to the running total, whose denominator of t bits
+    divides the product of the left entries' and row scales' denominators.
+    """
+    bits = [
+        max((abs(x).bit_length() for j in band for x in scaled[j][1]), default=0)
+        for band in bands
+    ]
+    total_bits = sum(
+        left.at(r, j).denominator.bit_length() + scaled[j][0].bit_length()
+        for r, band in enumerate(bands)
+        for j in band
+    )
+    p = len(bands)
+    work, nodes = 0.0, 1
+    for d, band in enumerate(bands):
+        nodes *= len(band)
+        node = _LEAF_OPS + total_bits / 10**4 if d == p - 1 else 0
+        above = 0
+        for i in range(d):
+            above += bits[i]
+            node += (p - 1 - i) * (1 + ((above + bits[d]) / 1000) ** 2)
+        work += nodes * node
+    return work
+
+
 def cauchy_binet(
-    left: RationalMatrix, right: RationalMatrix, guard: int = SUBSET_GUARD
+    left: RationalMatrix, right: RationalMatrix, guard: int = WORK_GUARD
 ) -> CauchyBinetCertificate:
     """det(left @ right) as a sum over column subsets, with a term-wise record.
 
@@ -361,7 +400,8 @@ def cauchy_binet(
     shared indices has a nonzero left minor only if it takes one column from
     each band, and then det_left is the product of the chosen entries.  The
     other C(q, p) - prod |band| subsets are pruned without being visited, and
-    `guard` bounds prod |band|, the number of subsets walked.
+    `guard` bounds the walk's estimated operations (`_walk_work`), which grow
+    with the band product, the depth p and the length of `right`'s entries.
 
     The walk takes band r at depth r, its columns in ascending order, so the
     terms come out in lexicographic order.  Each row of `right` is scaled to
@@ -379,10 +419,14 @@ def cauchy_binet(
         )
     bands = _bands(left)
     leaves = prod(len(band) for band in bands)
-    if leaves > guard:
-        raise GuardExceededError(f"{leaves} band products exceed guard {guard}")
-
     scaled = {j: _integer_row(right.row(j)) for band in bands for j in band}
+    work = _walk_work(left, bands, scaled)
+    if work > guard:
+        raise GuardExceededError(
+            f"{leaves} band products at depth {p} need about {work:.2g} "
+            f"operations, over the guard {guard}"
+        )
+
     surviving: list[CauchyBinetTerm] = []
     fallback = 0
 

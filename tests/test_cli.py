@@ -313,17 +313,26 @@ class TestMatrixCommand:
         assert params["total_det"] == params["parent_det"]
         assert params["all_terms_positive"] is True
 
-    def test_cauchy_binet_over_budget_is_usage_error(self, capsys):
-        # 4^8 = 65,536 band products exceed the walk's budget
+    @pytest.mark.parametrize(
+        "n, indices, leaves",
+        [
+            # 4^9 = 262,144 band products
+            (9, "0,4,8,12,16,20,24,28,32,36", 262144),
+            # 2^13 = 8,192 band products, but each at depth 16
+            (16, "0,2,4,6,8,10,12,14,16,18,20,22,24,26,27,28,29", 8192),
+        ],
+        ids=["wide", "deep"],
+    )
+    def test_cauchy_binet_over_budget_is_usage_error(self, capsys, n, indices, leaves):
         code, out, err = run(
             capsys,
-            "matrix", "--family", "minus", "--n", "8",
-            "--indices", "0,4,8,12,16,20,24,28,32", "--kappa", "1/3",
-            "--show", "cauchy-binet",
+            "matrix", "--family", "minus", "--n", str(n),
+            "--indices", indices, "--kappa", "1/3", "--show", "cauchy-binet",
         )
         assert code == 2
         assert out == ""
-        assert err.startswith("error: 65536 band products exceed guard")
+        assert err.startswith(f"error: {leaves} band products at depth {n} need about ")
+        assert err.endswith(" operations, over the guard 10000000\n")
         assert err.count("\n") == 1
 
     def test_cauchy_binet_needs_two_indices(self, capsys):

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import factorial, isqrt
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -28,8 +28,6 @@ from gammalattice import (
     inverse_exact,
     row_difference,
 )
-from gammalattice.linalg import SUBSET_GUARD
-
 from _oracles import generic_cauchy_binet
 
 PLAIN = ArgumentFamily(FamilyKind.PLAIN)
@@ -269,15 +267,41 @@ class TestCauchyBinet:
             cauchy_binet(a, a)
 
     def test_guard(self):
-        # the budget counts band products, here just one more than it allows
-        width = isqrt(SUBSET_GUARD) + 1
-        assert width * width > SUBSET_GUARD
+        # two bands of 600 unit entries: 360,000 leaves at about 30 operations
+        # each estimate more work than the guard allows
+        width = 600
         left = RationalMatrix.from_rows(
             [[1] * width + [0] * width, [0] * width + [1] * width]
         )
         right = RationalMatrix.from_rows([[1, 0]] * width + [[0, 1]] * width)
-        with pytest.raises(GuardExceededError, match="band products exceed guard"):
+        with pytest.raises(GuardExceededError, match="over the guard") as info:
             cauchy_binet(left, right)
+        assert str(info.value).startswith("360000 band products at depth 2 ")
+        assert "\n" not in str(info.value)
+
+    def test_guard_is_a_parameter(self):
+        banded, prefix = difference_factorization([0, 2, 5], PLAIN, PolyKind.ELEMENTARY)
+        with pytest.raises(GuardExceededError):
+            cauchy_binet(banded, prefix, guard=10)
+        assert cauchy_binet(banded, prefix, guard=10**3).surviving
+
+    def test_guard_passes_a_shallow_wide_product(self):
+        # C(202, 2) = 20,301 subsets and 101^2 = 10,201 band products, each a
+        # 2x2 elimination: cheap, so certified
+        certificate = certify_prefix_matrix([0, 101, 202], PLAIN, PolyKind.ELEMENTARY)
+        assert certificate.holds
+        assert len(certificate.expansion.surviving) == 101 * 101
+        assert certificate.expansion.pruned_count == 20301 - 10201
+
+    def test_guard_refuses_a_deep_product_with_few_leaves(self):
+        # 13 bands of width 2 then 3 of width 1: 8,192 leaves, but each walks
+        # a 16-deep elimination of long integers
+        m_primes = [*range(0, 27, 2), 27, 28, 29]
+        banded, prefix = difference_factorization(
+            m_primes, MINUS_THIRD, PolyKind.HOMOGENEOUS
+        )
+        with pytest.raises(GuardExceededError, match="8192 band products at depth 16"):
+            cauchy_binet(banded, prefix)
 
     def test_not_banded(self):
         # column 1 is nonzero in both rows
