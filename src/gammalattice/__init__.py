@@ -40,26 +40,20 @@ from .gammanum import (
     RecoveryReport,
     VerificationReport,
     gamma_derivatives,
-    gamma_value,
-    polygamma,
     recover_basis,
     verify_identity,
     verify_recovery,
 )
 from .linalg import (
     CauchyBinetCertificate,
-    CauchyBinetTerm,
     PrefixCertificate,
     RationalMatrix,
     cauchy_binet,
     certify_prefix_matrix,
     det_exact,
     difference_factorization,
-    difference_minor,
-    elementary_matrix,
-    homogeneous_matrix,
     inverse_exact,
-    row_difference,
+    prefix_matrix,
 )
 from .sympoly import (
     ArgumentFamily,

@@ -299,7 +299,7 @@ def _cmd_verify(args) -> OutputEnvelope:
                     )
         else:
             # from the smallest system that is more than one identity
-            n_start = family.first_order + 1
+            n_start = family.min_index + 1
             _at_least("--n-max", args.n_max, n_start, args.family)
             for n in range(n_start, args.n_max + 1):
                 for report in verify_recovery(family, n, ctx, args.tolerance):

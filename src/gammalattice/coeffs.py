@@ -23,13 +23,7 @@ from typing import Iterable
 
 from .errors import SpecMismatchError
 from .linalg import RationalMatrix, increasing_indices
-from .sympoly import (
-    ArgumentFamily,
-    PolyKind,
-    PrefixTable,
-    elementary_prefix,
-    homogeneous_prefix,
-)
+from .sympoly import ArgumentFamily, PrefixTable
 
 #: Shift values whose Gamma value is known to be transcendental.
 KNOWN_TRANSCENDENTAL_SHIFTS = frozenset(
@@ -71,12 +65,7 @@ def _order_factor(n: int, ell: int) -> int:
 
 def _prefix_table(family: ArgumentFamily, m: int, degree: int) -> PrefixTable:
     """The family's table, e or h, over the prefixes of every index up to m."""
-    build = (
-        elementary_prefix
-        if family.poly_kind is PolyKind.ELEMENTARY
-        else homogeneous_prefix
-    )
-    return build(family, family.prefix_length(m), degree)
+    return family.poly_kind.table(family, family.prefix_length(m), degree)
 
 
 def _expansion(
@@ -149,7 +138,7 @@ def build_system(spec: LatticeSpec, n: int) -> CoeffSystem:
     if n < 0:
         raise ValueError(f"derivative order {n} must be >= 0")
     family = spec.family
-    first = family.first_order
+    first = family.min_index
     if n < first:
         raise SpecMismatchError(
             f"{family.kind.value} system needs n >= {first} (no unknown columns)"

@@ -1,9 +1,9 @@
 """Exact dense linear algebra over the rationals, plus determinant certificates.
 
-The structured matrices here collect symmetric-polynomial prefix values: row r
-lists e_0, e_1, ... (or h_0, h_1, ...) of the first m'_r family variables for a
-strictly increasing index set m'_1 < ... < m'_k.  Their determinants are shown
-positive by an explicit chain:
+The structured matrices here (`prefix_matrix`) collect symmetric-polynomial
+prefix values: row r lists e_0, e_1, ... (or h_0, h_1, ...) of the first m'_r
+family variables for a strictly increasing index set m'_1 < ... < m'_k.  Their
+determinants are shown positive by an explicit chain:
 
     1. subtract consecutive rows (determinant preserved),
     2. expand along the resulting (1, 0, ..., 0) first column,
@@ -13,6 +13,10 @@ positive by an explicit chain:
        only if it picks one column from each band, so the expansion is a walk
        over the band product: depth r picks a column of band r, and the rows
        of the prefix factor on the path share one Bareiss elimination.
+
+Steps 1 and 2 are not run: `difference_factorization` builds the two factors
+of D directly, and tests/_oracles.py checks their product against the
+row-differenced prefix matrix.
 
 `cauchy_binet` returns the full expansion, i.e. every surviving subset with
 both of its sub-determinants, so positivity can be asserted term by term
@@ -41,7 +45,7 @@ from .errors import (
     NotSquareError,
     SingularMatrixError,
 )
-from .sympoly import ArgumentFamily, PolyKind, elementary_prefix, homogeneous_prefix
+from .sympoly import ArgumentFamily, PolyKind
 
 #: Most estimated small-integer operations `cauchy_binet` may spend (see
 #: `_walk_work`).  On the minus-1/3 and plain lattices (2-core x86-64, CPython
@@ -80,12 +84,6 @@ class RationalMatrix:
         entries = tuple(Fraction(x) for row in data for x in row)
         return cls(len(data), cols, entries)
 
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls.from_rows(
-            [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        )
-
     def at(self, r: int, c: int) -> Fraction:
         return self.entries[r * self.cols + c]
 
@@ -94,30 +92,6 @@ class RationalMatrix:
 
     def to_rows(self) -> list[list[Fraction]]:
         return [list(self.row(r)) for r in range(self.rows)]
-
-    def select(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "RationalMatrix":
-        """Submatrix given by the listed rows and columns (kept in order)."""
-        return RationalMatrix.from_rows(
-            [[self.at(r, c) for c in col_idx] for r in row_idx]
-        )
-
-    def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.cols != other.rows:
-            raise DimensionMismatchError(
-                f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}"
-            )
-        return RationalMatrix.from_rows(
-            [
-                [
-                    sum(
-                        (self.at(r, k) * other.at(k, c) for k in range(self.cols)),
-                        start=Fraction(0),
-                    )
-                    for c in range(other.cols)
-                ]
-                for r in range(self.rows)
-            ]
-        )
 
 
 def _integer_row(row: Iterable[Fraction]) -> tuple[int, list[int]]:
@@ -223,63 +197,14 @@ def _checked_m_primes(m_primes: Sequence[int]) -> tuple[int, ...]:
     return mp_
 
 
-def _table(kind: PolyKind):
-    return elementary_prefix if kind is PolyKind.ELEMENTARY else homogeneous_prefix
-
-
-def _prefix_matrix(
-    m_primes: Sequence[int], family: ArgumentFamily, kind: PolyKind, size: int
+def prefix_matrix(
+    m_primes: Sequence[int], family: ArgumentFamily, kind: PolyKind
 ) -> RationalMatrix:
-    """size x size matrix with entry (r, c) = e_c or h_c of the first m'_r variables."""
+    """k x k matrix with entry (r, c) = e_c or h_c of the first m'_r family
+    variables, for the k indices m'_1 < ... < m'_k."""
     mp_ = _checked_m_primes(m_primes)
-    if len(mp_) != size:
-        raise ValueError(f"{len(mp_)} indices for a {size}x{size} prefix matrix")
-    table = _table(kind)(family, mp_[-1], size - 1)
+    table = kind.table(family, mp_[-1], len(mp_) - 1)
     return RationalMatrix.from_rows(table.values[j] for j in mp_)
-
-
-def elementary_matrix(
-    m_primes: Sequence[int], family: ArgumentFamily, n: int
-) -> RationalMatrix:
-    """n x n matrix with entry (r, c) = e_c of the first m'_r family variables."""
-    return _prefix_matrix(m_primes, family, PolyKind.ELEMENTARY, n)
-
-
-def homogeneous_matrix(
-    m_primes: Sequence[int], family: ArgumentFamily, n: int
-) -> RationalMatrix:
-    """(n+1) x (n+1) matrix with entry (r, c) = h_c of the first m'_r variables."""
-    return _prefix_matrix(m_primes, family, PolyKind.HOMOGENEOUS, n + 1)
-
-
-def row_difference(m: RationalMatrix) -> RationalMatrix:
-    """Keep row 0; replace row r >= 1 by (row r) - (row r-1) of the input.
-
-    Each replaced row is a difference of *input* rows, so the whole map is
-    unit lower triangular and the determinant is unchanged.
-    """
-    rows = m.to_rows()
-    out = [rows[0]]
-    for r in range(1, m.rows):
-        out.append([a - b for a, b in zip(rows[r], rows[r - 1])])
-    return RationalMatrix.from_rows(out)
-
-
-def difference_minor(m: RationalMatrix) -> RationalMatrix:
-    """Row-difference `m`, then drop the first row and column.
-
-    Valid as a determinant-preserving step only when the first column of `m`
-    is constant 1: the differenced first column is then (1, 0, ..., 0) and
-    expansion along it leaves exactly this minor.
-    """
-    if m.rows < 2 or m.cols < 2:
-        raise ValueError("need at least a 2x2 matrix")
-    diff = row_difference(m)
-    if diff.at(0, 0) != 1 or any(diff.at(r, 0) != 0 for r in range(1, diff.rows)):
-        raise ValueError("first column is not constant 1; minor would change det")
-    keep_rows = range(1, diff.rows)
-    keep_cols = range(1, diff.cols)
-    return diff.select(list(keep_rows), list(keep_cols))
 
 
 def difference_factorization(
@@ -290,8 +215,9 @@ def difference_factorization(
     For m'_1 < ... < m'_k the banded factor is (k-1) x m'_k with x_j in row r
     exactly on the band m'_r < j <= m'_{r+1}; the prefix factor is m'_k x (k-1)
     with entry (j, c) equal to e_c of the first j-1 variables (elementary) or
-    h_c of the first j variables (homogeneous).  Their product equals
-    `difference_minor` of the corresponding prefix matrix, entry by entry.
+    h_c of the first j variables (homogeneous).  Their product equals the
+    difference minor of `prefix_matrix` (rows differenced, first row and
+    column dropped) entry by entry; tests/_oracles.py checks that step.
     """
     mp_ = _checked_m_primes(m_primes)
     k = len(mp_)
@@ -306,7 +232,7 @@ def difference_factorization(
         for r in range(k - 1)
     ]
     lag = 1 if kind is PolyKind.ELEMENTARY else 0
-    table = _table(kind)(family, width - lag, k - 2)
+    table = kind.table(family, width - lag, k - 2)
     prefix = [table.values[j - lag] for j in range(1, width + 1)]
     return RationalMatrix.from_rows(banded), RationalMatrix.from_rows(prefix)
 
@@ -499,5 +425,5 @@ def certify_prefix_matrix(
         raise ValueError("a certificate needs at least two indices")
     banded, prefix = difference_factorization(mp_, family, kind)
     expansion = cauchy_binet(banded, prefix)
-    parent_det = det_exact(_prefix_matrix(mp_, family, kind, len(mp_)))
+    parent_det = det_exact(prefix_matrix(mp_, family, kind))
     return PrefixCertificate(parent_det, expansion)

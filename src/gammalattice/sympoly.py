@@ -49,6 +49,12 @@ class PolyKind(Enum):
     ELEMENTARY = "elementary"
     HOMOGENEOUS = "homogeneous"
 
+    def table(self, family: ArgumentFamily, max_len: int, max_deg: int) -> PrefixTable:
+        """This kind's prefix table.  The builder is looked up by its module
+        name at call time, so a wrapper on that name sees every table."""
+        build = elementary_prefix if self is PolyKind.ELEMENTARY else homogeneous_prefix
+        return build(family, max_len, max_deg)
+
 
 @dataclass(frozen=True)
 class ArgumentFamily:
@@ -99,8 +105,6 @@ class ArgumentFamily:
         plain lattice starts at 1, and Gamma(1) = 1 is known."""
         return 0 if self.kind.shifted else 1
 
-    first_order = min_index
-
     @property
     def poly_kind(self) -> PolyKind:
         """e for points above the basis point, h for points below it."""
@@ -114,10 +118,6 @@ class ArgumentFamily:
         if self.sign > 0:
             return Fraction(q, (s - 1) * q + p)
         return Fraction(q, s * q - p)
-
-    def prefix(self, length: int) -> tuple[Fraction, ...]:
-        """The first `length` variables, x_1 .. x_length."""
-        return tuple(self.x(s) for s in range(1, length + 1))
 
     def prefix_length(self, m: int) -> int:
         """Number of variables behind the expansion at lattice index m."""

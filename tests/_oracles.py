@@ -5,8 +5,10 @@ the linear factors as an exact polynomial in the series variable (constant
 term first), invert the polynomial as a truncated power series where needed,
 and read the coefficient off directly.  Symmetric polynomials are summed by
 brute-force enumeration, pi by Machin's formula, and Cauchy-Binet expansions
-over every column subset with Fraction Gaussian elimination.  Nothing below
-touches the package's prefix-table, Bareiss or polygamma code paths.
+over every column subset with Fraction Gaussian elimination.  The certificate
+chain's first steps (row differencing, then dropping the first row and column)
+and the matrix product run on plain lists of rows.  Nothing below touches the
+package's prefix-table, Bareiss or polygamma code paths.
 """
 
 from fractions import Fraction
@@ -173,3 +175,43 @@ def generic_cauchy_binet(left, right):
             terms.append((tuple(j + 1 for j in subset), det_left, det_right))
             total += det_left * det_right
     return total, terms, pruned
+
+
+# The row-difference steps of the certificate chain and the matrix product,
+# on lists of rows: no elimination, only entrywise Fraction arithmetic.
+
+
+def matmul(a, b):
+    """The product of two matrices given as lists of rows."""
+    if len(a[0]) != len(b):
+        raise ValueError(f"{len(a)}x{len(a[0])} @ {len(b)}x{len(b[0])}")
+    cols = list(zip(*b))
+    return [
+        [sum((Fraction(x) * y for x, y in zip(row, col)), Fraction(0)) for col in cols]
+        for row in a
+    ]
+
+
+def row_difference(rows):
+    """Keep row 0; replace row r >= 1 by (row r) - (row r-1) of the input.
+
+    Each replaced row is a difference of *input* rows, so the whole map is
+    unit lower triangular and the determinant is unchanged.
+    """
+    rows = [[Fraction(x) for x in row] for row in rows]
+    return rows[:1] + [[a - b for a, b in zip(r, s)] for s, r in zip(rows, rows[1:])]
+
+
+def difference_minor(rows):
+    """Row-difference the matrix, then drop the first row and column.
+
+    Valid as a determinant-preserving step only when the first column is
+    constant 1: the differenced first column is then (1, 0, ..., 0) and
+    expansion along it leaves exactly this minor.
+    """
+    if len(rows) < 2 or len(rows[0]) < 2:
+        raise ValueError("need at least a 2x2 matrix")
+    diff = row_difference(rows)
+    if [row[0] for row in diff] != [1] + [0] * (len(diff) - 1):
+        raise ValueError("first column is not constant 1; minor would change det")
+    return [row[1:] for row in diff[1:]]

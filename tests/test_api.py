@@ -1,5 +1,6 @@
 """The package names a lattice one way: every public entry point takes an
-`ArgumentFamily`, never a loose family kind plus shift."""
+`ArgumentFamily`, never a loose family kind plus shift.  Its exports are a
+pinned list, so a new one is a deliberate edit."""
 
 import dataclasses
 import inspect
@@ -18,6 +19,34 @@ from gammalattice import (
     verify_identity,
     verify_recovery,
 )
+
+
+EXPORTS = [
+    "ArgumentFamily", "BoundVariant", "CauchyBinetCertificate", "CoeffSystem",
+    "DensityBound", "DimensionMismatchError", "FamilyKind", "GammaDerivatives",
+    "GammaLatticeError", "GridRow", "GuardExceededError", "InvalidKappaError",
+    "KNOWN_TRANSCENDENTAL_SHIFTS", "LatticeSpec", "MissingKappaError",
+    "NonIncreasingIndicesError", "NotSquareError", "PoleArgumentError", "PolyKind",
+    "PrecisionContext", "PrefixCertificate", "PrefixTable", "RationalMatrix",
+    "RecoveryReport", "SingularMatrixError", "SpecMismatchError",
+    "VerificationReport", "bivariate_bound", "bivariate_min_sum",
+    "bivariate_shifted_bound", "build_system", "cauchy_binet",
+    "certify_prefix_matrix", "coefficient", "coefficient_table", "density_grid",
+    "det_exact", "difference_factorization", "elementary_prefix",
+    "fixed_order_bound", "fixed_order_shifted_bound", "gamma_derivatives",
+    "homogeneous_prefix", "inverse_exact", "prefix_matrix",
+    "prior_univariate_bound", "recover_basis", "verify_identity", "verify_recovery",
+]
+
+
+def test_exports_are_pinned():
+    public = [
+        name
+        for name in dir(gammalattice)
+        if not name.startswith("_") and not inspect.ismodule(getattr(gammalattice, name))
+    ]
+    assert EXPORTS == sorted(EXPORTS)
+    assert sorted(public) == EXPORTS
 
 
 def _exported():

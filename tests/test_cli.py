@@ -456,6 +456,26 @@ class TestVerifyCommand:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_digits_at_the_cap_accepted(self, capsys):
+        code, payload, _ = run_json(
+            capsys, "verify", "--family", "plain", "--n-max", "0", "--m-max", "3",
+            "--digits", "1000",
+        )
+        assert code == 0
+        assert payload["params"]["digits"] == 1000
+        assert all(row["pass"] for row in payload["rows"])
+
+    @pytest.mark.parametrize("digits", ["1001", "100000000"])
+    def test_digits_above_the_cap_is_usage_error(self, capsys, digits):
+        # rejected before any row is computed, not after minutes of work
+        code, out, err = run(
+            capsys, "verify", "--family", "plain", "--n-max", "2", "--m-max", "2",
+            "--digits", digits,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: decimal_digits must be <= 1000\n"
+
     def test_m_max_in_recover_mode_is_usage_error(self, capsys):
         code, out, err = run(
             capsys, "verify", "--family", "plain", "--mode", "recover", "--n-max", "2",

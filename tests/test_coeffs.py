@@ -14,7 +14,7 @@ from gammalattice import (
     coefficient,
     coefficient_table,
 )
-from gammalattice import coeffs as coeffs_module
+from gammalattice import sympoly as sympoly_module
 
 from _oracles import (
     minus_coefficient_oracle,
@@ -46,16 +46,17 @@ FAMILY_IDS = ["plain", "plus", "minus"]
 
 
 def count_tables(monkeypatch):
-    """Record (max_len, max_deg) of every prefix table the coeffs module builds."""
+    """Record (max_len, max_deg) of every prefix table built, at the builders'
+    own bindings in sympoly, through which `PolyKind.table` calls them."""
     built = []
     for name in ("elementary_prefix", "homogeneous_prefix"):
-        original = getattr(coeffs_module, name)
+        original = getattr(sympoly_module, name)
 
         def recording(family, max_len, max_deg, _original=original):
             built.append((max_len, max_deg))
             return _original(family, max_len, max_deg)
 
-        monkeypatch.setattr(coeffs_module, name, recording)
+        monkeypatch.setattr(sympoly_module, name, recording)
     return built
 
 

@@ -12,12 +12,12 @@ from gammalattice import (
     SpecMismatchError,
     build_system,
     gamma_derivatives,
-    gamma_value,
-    polygamma,
     recover_basis,
     verify_identity,
     verify_recovery,
 )
+
+from gammalattice import gammanum
 
 from _oracles import machin_pi
 
@@ -33,6 +33,18 @@ def close(a, b, ctx=CTX, tol="1e-40"):
         return abs(a - b) < mp.mpf(tol)
 
 
+def gamma_at(q, ctx=CTX):
+    return gamma_derivatives(q, 0, ctx).values[0]
+
+
+def psi_at(q):
+    """psi(q) and psi'(q), read off Gamma'/Gamma and Gamma''/Gamma - psi^2."""
+    g0, g1, g2 = gamma_derivatives(q, 2, CTX).values
+    with mp.workdps(CTX.working_digits):
+        psi = g1 / g0
+        return psi, g2 / g0 - psi**2
+
+
 class TestPrecisionContext:
     def test_working_digits(self):
         assert PrecisionContext(40, 15).working_digits == 55
@@ -44,6 +56,12 @@ class TestPrecisionContext:
             PrecisionContext(29)
         with pytest.raises(ValueError):
             PrecisionContext(40, -1)
+
+    def test_maximum_digits(self):
+        assert PrecisionContext(1000).working_digits == 1020
+        for digits in (1001, 100000000):
+            with pytest.raises(ValueError, match="decimal_digits must be <= 1000"):
+                PrecisionContext(digits)
 
     def test_default_tolerance_is_guard_budget(self):
         ctx = PrecisionContext(60)
@@ -58,57 +76,69 @@ class TestPrecisionContext:
 
 
 class TestPolygamma:
+    """psi anchors, read through `gamma_derivatives`."""
+
     def test_euler_anchor(self):
         # psi(1) = -gamma; reference from an unrelated internal algorithm
         with mp.workdps(CTX.working_digits):
-            assert close(polygamma(0, 1, CTX), -mp.euler)
+            assert close(psi_at(1)[0], -mp.euler)
 
     def test_zeta_two_anchor(self):
         # psi'(1) = pi^2 / 6 with pi from the arctangent series
         pi_ref = machin_pi(CTX)
         with mp.workdps(CTX.working_digits):
-            assert close(polygamma(1, 1, CTX), pi_ref**2 / 6)
+            assert close(psi_at(1)[1], pi_ref**2 / 6)
 
     def test_half_argument_closed_form(self):
         with mp.workdps(CTX.working_digits):
             expected = -mp.euler - 2 * mp.log(2)
-            assert close(polygamma(0, Fraction(1, 2), CTX), expected)
+            assert close(psi_at(Fraction(1, 2))[0], expected)
 
     def test_negative_argument_recurrence(self):
-        # psi''(-1/2) = psi''(1/2) + 2!/(-1/2)^3 reversed: shift by one step
-        lhs = polygamma(2, Fraction(-1, 2), CTX)
-        rhs_base = polygamma(2, Fraction(1, 2), CTX)
+        # Gamma(q + 1) = q Gamma(q) differentiated n times, at q = -1/2:
+        # Gamma^(n)(1/2) = -1/2 Gamma^(n)(-1/2) + n Gamma^(n-1)(-1/2).  The
+        # right side takes psi up to psi'' and Gamma through the shift to 1/2.
+        q = Fraction(-1, 2)
+        above = gamma_derivatives(q + 1, 3, CTX).values
+        below = gamma_derivatives(q, 3, CTX).values
         with mp.workdps(CTX.working_digits):
-            step = 2 / (mp.mpf(-1) / 2) ** 3
-            assert close(lhs, rhs_base - step)
+            for n in range(4):
+                shifted = mp.mpf(q.numerator) / q.denominator * below[n]
+                if n:
+                    shifted += n * below[n - 1]
+                assert close(above[n], shifted), n
 
     def test_poles_rejected(self):
         for bad in (0, -1, -7):
             with pytest.raises(PoleArgumentError):
-                polygamma(0, bad, CTX)
-
-    def test_negative_order_rejected(self):
-        with pytest.raises(ValueError):
-            polygamma(-1, 1, CTX)
+                gamma_derivatives(bad, 1, CTX)
 
 
 class TestGammaValue:
+    """Gamma anchors, read as the order-0 entry of `gamma_derivatives`."""
+
     def test_half(self):
         pi_ref = machin_pi(CTX)
         with mp.workdps(CTX.working_digits):
-            assert close(gamma_value(Fraction(1, 2), CTX), mp.sqrt(pi_ref))
+            assert close(gamma_at(Fraction(1, 2)), mp.sqrt(pi_ref))
 
     def test_factorial(self):
-        assert close(gamma_value(5, CTX), 24)
+        assert close(gamma_at(5), 24)
 
     def test_negative_half(self):
         pi_ref = machin_pi(CTX)
         with mp.workdps(CTX.working_digits):
-            assert close(gamma_value(Fraction(-1, 2), CTX), -2 * mp.sqrt(pi_ref))
+            assert close(gamma_at(Fraction(-1, 2)), -2 * mp.sqrt(pi_ref))
 
     def test_pole(self):
         with pytest.raises(PoleArgumentError):
-            gamma_value(-2, CTX)
+            gamma_derivatives(-2, 0, CTX)
+
+
+class TestCaches:
+    def test_psi_and_gamma_caches_are_bounded(self):
+        for cache in (gammanum._psi_cached, gammanum._gamma_cached):
+            assert cache.cache_info().maxsize == 4096
 
 
 class TestGammaDerivatives:
@@ -197,7 +227,7 @@ class TestRecoverBasis:
     def test_plus_recovers_gamma_at_half(self):
         spec = LatticeSpec(PLUS_HALF, (0, 1))
         recovered = recover_basis(spec, 1, CTX)
-        assert close(recovered[0], gamma_value(Fraction(1, 2), CTX))
+        assert close(recovered[0], gamma_at(Fraction(1, 2)))
 
     def test_round_trip_through_system(self):
         spec = LatticeSpec(MINUS_HALF, (0, 2, 3))
@@ -232,7 +262,7 @@ class TestVerifyRecovery:
         reports = verify_recovery(MINUS_HALF, 1, CTX, None)
         assert [r.ell for r in reports] == [0, 1]
         assert reports[0].spec.indices == (0, 1)
-        assert close(reports[0].reference, gamma_value(Fraction(1, 2), CTX))
+        assert close(reports[0].reference, gamma_at(Fraction(1, 2)))
         assert all(r.passed for r in reports)
 
     def test_zero_tolerance_fails(self):

@@ -22,13 +22,10 @@ from gammalattice import (
     certify_prefix_matrix,
     det_exact,
     difference_factorization,
-    difference_minor,
-    elementary_matrix,
-    homogeneous_matrix,
     inverse_exact,
-    row_difference,
+    prefix_matrix,
 )
-from _oracles import generic_cauchy_binet
+from _oracles import difference_minor, generic_cauchy_binet, matmul, row_difference
 
 PLAIN = ArgumentFamily(FamilyKind.PLAIN)
 MINUS_HALF = ArgumentFamily(FamilyKind.MINUS_SHIFT, Fraction(1, 2))
@@ -44,6 +41,15 @@ def square_matrices(n):
     return st.lists(
         st.lists(small_fractions, min_size=n, max_size=n), min_size=n, max_size=n
     ).map(RationalMatrix.from_rows)
+
+
+def identity(n):
+    return RationalMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def product(a, b):
+    """a @ b by the oracle's entrywise product."""
+    return RationalMatrix.from_rows(matmul(a.to_rows(), b.to_rows()))
 
 
 class TestRationalMatrix:
@@ -63,19 +69,21 @@ class TestRationalMatrix:
         m = RationalMatrix.from_rows([[1, 2], [3, 4]])
         assert m.at(1, 0) == 3
         assert m.row(0) == (1, 2)
-        assert m.select([1], [0, 1]).to_rows() == [[3, 4]]
+        assert m.to_rows() == [[1, 2], [3, 4]]
 
     def test_matmul(self):
+        # the oracle product the tests multiply with
         a = RationalMatrix.from_rows([[1, 2], [3, 4]])
-        assert (a @ RationalMatrix.identity(2)).to_rows() == a.to_rows()
-        with pytest.raises(DimensionMismatchError):
-            a @ RationalMatrix.from_rows([[1, 2, 3]])
+        assert product(a, identity(2)) == a
+        assert matmul([[1, 2]], [[3], [Fraction(1, 2)]]) == [[4]]
+        with pytest.raises(ValueError):
+            matmul(a.to_rows(), [[1, 2, 3]])
 
 
 class TestDeterminant:
     def test_frozen_examples(self):
         assert det_exact(RationalMatrix.from_rows([[0, 1], [2, 1]])) == -2
-        assert det_exact(RationalMatrix.identity(5)) == 1
+        assert det_exact(identity(5)) == 1
         repeated = RationalMatrix.from_rows([[1, 2, 3], [4, 5, 6], [1, 2, 3]])
         assert det_exact(repeated) == 0
 
@@ -90,18 +98,19 @@ class TestDeterminant:
     @given(m=square_matrices(4))
     @settings(max_examples=40, deadline=None)
     def test_row_difference_preserves_det(self, m):
-        assert det_exact(row_difference(m)) == det_exact(m)
+        differenced = RationalMatrix.from_rows(row_difference(m.to_rows()))
+        assert det_exact(differenced) == det_exact(m)
 
     @given(m=square_matrices(3))
     @settings(max_examples=40, deadline=None)
     def test_transpose_free_cofactor_consistency(self, m):
         # expansion along the first row must agree with elimination
-        expected = sum(
-            (-1) ** c
-            * m.at(0, c)
-            * det_exact(m.select([1, 2], [cc for cc in range(3) if cc != c]))
-            for c in range(3)
-        )
+        def minor(c):
+            return RationalMatrix.from_rows(
+                row[:c] + row[c + 1 :] for row in m.to_rows()[1:]
+            )
+
+        expected = sum((-1) ** c * m.at(0, c) * det_exact(minor(c)) for c in range(3))
         assert det_exact(m) == expected
 
 
@@ -111,7 +120,7 @@ class TestInverse:
         assert inv.to_rows() == [[Fraction(-1, 2), Fraction(1, 2)], [1, 0]]
 
     def test_identity(self):
-        assert inverse_exact(RationalMatrix.identity(4)).to_rows() == RationalMatrix.identity(4).to_rows()
+        assert inverse_exact(identity(4)) == identity(4)
 
     def test_singular(self):
         with pytest.raises(SingularMatrixError) as info:
@@ -125,66 +134,60 @@ class TestInverse:
             with pytest.raises(SingularMatrixError):
                 inverse_exact(m)
         else:
-            assert (m @ inverse_exact(m)).to_rows() == RationalMatrix.identity(3).to_rows()
+            assert product(m, inverse_exact(m)) == identity(3)
 
 
 class TestPrefixMatrices:
     def test_order_one_is_trivial(self):
         for family in (PLAIN, MINUS_HALF, PLUS_QUARTER):
-            e = elementary_matrix([5], family, 1)
-            assert e.to_rows() == [[1]]
-            assert det_exact(e) == 1
-            h = homogeneous_matrix([5], family, 0)
-            assert h.to_rows() == [[1]]
-            assert det_exact(h) == 1
+            for kind in PolyKind:
+                m = prefix_matrix([5], family, kind)
+                assert m.to_rows() == [[1]]
+                assert det_exact(m) == 1
 
     def test_small_frozen(self):
-        e = elementary_matrix([0, 1], PLAIN, 2)
+        e = prefix_matrix([0, 1], PLAIN, PolyKind.ELEMENTARY)
         assert e.to_rows() == [[1, 0], [1, 1]]
         assert det_exact(e) == 1
-        h = homogeneous_matrix([0, 1], MINUS_HALF, 1)
+        h = prefix_matrix([0, 1], MINUS_HALF, PolyKind.HOMOGENEOUS)
         assert h.to_rows() == [[1, 0], [1, 2]]
         assert det_exact(h) == 2
 
     def test_positive_determinants(self):
-        assert det_exact(elementary_matrix([0, 2, 5], PLAIN, 3)) > 0
-        assert det_exact(homogeneous_matrix([0, 1, 3], ArgumentFamily(FamilyKind.MINUS_SHIFT, Fraction(1, 3)), 2)) > 0
+        assert det_exact(prefix_matrix([0, 2, 5], PLAIN, PolyKind.ELEMENTARY)) > 0
+        assert det_exact(prefix_matrix([0, 1, 3], MINUS_THIRD, PolyKind.HOMOGENEOUS)) > 0
 
     def test_index_validation(self):
         with pytest.raises(NonIncreasingIndicesError):
-            elementary_matrix([2, 1], PLAIN, 2)
+            prefix_matrix([2, 1], PLAIN, PolyKind.ELEMENTARY)
         with pytest.raises(NonIncreasingIndicesError):
-            elementary_matrix([-1, 0], PLAIN, 2)
+            prefix_matrix([-1, 0], PLAIN, PolyKind.ELEMENTARY)
         with pytest.raises(NonIncreasingIndicesError):
-            homogeneous_matrix([], PLAIN, 0)
-        with pytest.raises(ValueError):
-            elementary_matrix([0, 1], PLAIN, 3)
-        with pytest.raises(ValueError):
-            homogeneous_matrix([0, 1], PLAIN, 2)
+            prefix_matrix([], PLAIN, PolyKind.HOMOGENEOUS)
 
 
 class TestRowDifference:
+    """The oracle's row-difference steps, which check `difference_factorization`."""
+
     def test_direct(self):
-        m = RationalMatrix.from_rows([[1, 0], [1, 1]])
-        assert row_difference(m).to_rows() == [[1, 0], [0, 1]]
+        assert row_difference([[1, 0], [1, 1]]) == [[1, 0], [0, 1]]
 
     def test_single_row_unchanged(self):
-        m = RationalMatrix.from_rows([[3, 4, 5]])
-        assert row_difference(m).to_rows() == [[3, 4, 5]]
+        assert row_difference([[3, 4, 5]]) == [[3, 4, 5]]
 
     def test_uses_input_rows_not_cumulative(self):
-        m = RationalMatrix.from_rows([[1, 1], [2, 4], [4, 9]])
-        assert row_difference(m).to_rows() == [[1, 1], [1, 3], [2, 5]]
+        assert row_difference([[1, 1], [2, 4], [4, 9]]) == [[1, 1], [1, 3], [2, 5]]
 
     def test_difference_minor_requires_unit_column(self):
         with pytest.raises(ValueError):
-            difference_minor(RationalMatrix.from_rows([[2, 0], [2, 1]]))
+            difference_minor([[2, 0], [2, 1]])
         with pytest.raises(ValueError):
-            difference_minor(RationalMatrix.from_rows([[1, 0]]))
+            difference_minor([[1, 0]])
 
     def test_difference_minor_keeps_determinant(self):
-        e = elementary_matrix([1, 3, 6], PLAIN, 3)
-        assert det_exact(difference_minor(e)) == det_exact(e)
+        e = prefix_matrix([1, 3, 6], PLAIN, PolyKind.ELEMENTARY)
+        minor = RationalMatrix.from_rows(difference_minor(e.to_rows()))
+        assert det_exact(minor) == det_exact(e)
 
 
 class TestDifferenceFactorization:
@@ -192,7 +195,7 @@ class TestDifferenceFactorization:
         banded, prefix = difference_factorization([0, 1], PLAIN, PolyKind.ELEMENTARY)
         assert banded.to_rows() == [[1]]
         assert prefix.to_rows() == [[1]]
-        assert (banded @ prefix).to_rows() == [[1]]
+        assert matmul(banded.to_rows(), prefix.to_rows()) == [[1]]
 
     def test_homogeneous_frozen(self):
         banded, prefix = difference_factorization([0, 1], MINUS_HALF, PolyKind.HOMOGENEOUS)
@@ -209,15 +212,11 @@ class TestDifferenceFactorization:
                              ids=lambda f: f.kind.value)
     @pytest.mark.parametrize("m_primes", [(0, 1), (0, 2, 5), (1, 3, 4, 7), (2, 5)])
     def test_product_equals_difference_minor(self, family, m_primes):
-        k = len(m_primes)
-        banded_e, prefix_e = difference_factorization(m_primes, family, PolyKind.ELEMENTARY)
-        assert (banded_e @ prefix_e).to_rows() == difference_minor(
-            elementary_matrix(m_primes, family, k)
-        ).to_rows()
-        banded_h, prefix_h = difference_factorization(m_primes, family, PolyKind.HOMOGENEOUS)
-        assert (banded_h @ prefix_h).to_rows() == difference_minor(
-            homogeneous_matrix(m_primes, family, k - 1)
-        ).to_rows()
+        for kind in PolyKind:
+            banded, prefix = difference_factorization(m_primes, family, kind)
+            assert matmul(banded.to_rows(), prefix.to_rows()) == difference_minor(
+                prefix_matrix(m_primes, family, kind).to_rows()
+            )
 
     def test_needs_two_indices(self):
         with pytest.raises(ValueError):
@@ -235,8 +234,10 @@ class TestCauchyBinet:
     def test_matches_direct_determinant(self):
         banded, prefix = difference_factorization([0, 2, 5], PLAIN, PolyKind.ELEMENTARY)
         certificate = cauchy_binet(banded, prefix)
-        assert certificate.total_det == det_exact(banded @ prefix)
-        assert certificate.total_det == det_exact(elementary_matrix([0, 2, 5], PLAIN, 3))
+        assert certificate.total_det == det_exact(product(banded, prefix))
+        assert certificate.total_det == det_exact(
+            prefix_matrix([0, 2, 5], PLAIN, PolyKind.ELEMENTARY)
+        )
         assert certificate.surviving
         for term in certificate.surviving:
             assert term.det_left > 0
@@ -326,7 +327,7 @@ class TestCauchyBinet:
         assert _as_oracle(certificate) == generic_cauchy_binet(
             left.to_rows(), right.to_rows()
         )
-        assert certificate.total_det == det_exact(left @ right)
+        assert certificate.total_det == det_exact(product(left, right))
 
     def test_no_fallback_on_prefix_factors(self):
         banded, prefix = difference_factorization(
@@ -393,13 +394,13 @@ class TestCauchyBinetAgainstOracle:
         assert _as_oracle(certificate) == generic_cauchy_binet(
             left.to_rows(), right.to_rows()
         )
-        assert certificate.total_det == det_exact(left @ right)
+        assert certificate.total_det == det_exact(product(left, right))
 
     def test_generic_route_on_a_non_banded_product(self):
         left = RationalMatrix.from_rows([[1, 2, 0, 1], [0, 1, 3, 2]])
         right = RationalMatrix.from_rows([[1, 1], [2, 0], [0, 5], [1, 3]])
         total, _, _ = generic_cauchy_binet(left.to_rows(), right.to_rows())
-        assert total == det_exact(left @ right)
+        assert total == det_exact(product(left, right))
 
 
 class TestCertifyPrefixMatrix:
@@ -409,10 +410,7 @@ class TestCertifyPrefixMatrix:
     def test_chain(self, family, kind):
         m_primes = (0, 2, 5)
         certificate = certify_prefix_matrix(m_primes, family, kind)
-        if kind is PolyKind.ELEMENTARY:
-            parent = elementary_matrix(m_primes, family, 3)
-        else:
-            parent = homogeneous_matrix(m_primes, family, 2)
+        parent = prefix_matrix(m_primes, family, kind)
         assert certificate.parent_det == det_exact(parent) > 0
         banded, prefix = difference_factorization(m_primes, family, kind)
         assert certificate.expansion == cauchy_binet(banded, prefix)
@@ -440,10 +438,8 @@ class TestRandomizedPositivitySweep:
         for _ in range(25):
             m_primes = tuple(sorted(rng.sample(range(13), 6)))
             for family in families:
-                e = elementary_matrix(m_primes, family, 6)
-                h = homogeneous_matrix(m_primes, family, 5)
-                det_e = det_exact(e)
-                det_h = det_exact(h)
+                det_e = det_exact(prefix_matrix(m_primes, family, PolyKind.ELEMENTARY))
+                det_h = det_exact(prefix_matrix(m_primes, family, PolyKind.HOMOGENEOUS))
                 assert det_e > 0, (family.kind, m_primes)
                 assert det_h > 0, (family.kind, m_primes)
                 banded, prefix = difference_factorization(
@@ -466,7 +462,7 @@ class TestScalingEquivalence:
         n = len(indices)
         system = build_system(LatticeSpec(PLAIN, indices), n)
         prefix_det = det_exact(
-            elementary_matrix([m - 1 for m in indices], PLAIN, n)
+            prefix_matrix([m - 1 for m in indices], PLAIN, PolyKind.ELEMENTARY)
         )
         row_scales = 1
         for m in indices:

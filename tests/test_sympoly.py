@@ -30,6 +30,11 @@ ALL_FAMILIES = [
     ArgumentFamily(FamilyKind.MINUS_SHIFT, Fraction(2, 3)),
 ]
 
+def variables(family, length):
+    """x_1 .. x_length of the family."""
+    return tuple(family.x(s) for s in range(1, length + 1))
+
+
 small_fractions = st.fractions(
     min_value=Fraction(-3), max_value=Fraction(3), max_denominator=6
 )
@@ -37,19 +42,19 @@ small_fractions = st.fractions(
 
 class TestArgumentFamily:
     def test_plain_variables(self):
-        assert PLAIN.prefix(3) == (Fraction(1), Fraction(1, 2), Fraction(1, 3))
+        assert variables(PLAIN, 3) == (Fraction(1), Fraction(1, 2), Fraction(1, 3))
 
     def test_plus_shift_variables(self):
         # x_s = 1/(s - 1 + 1/3)
-        assert PLUS_THIRD.prefix(3) == (Fraction(3), Fraction(3, 4), Fraction(3, 7))
+        assert variables(PLUS_THIRD, 3) == (Fraction(3), Fraction(3, 4), Fraction(3, 7))
 
     def test_minus_shift_variables(self):
         # x_s = 1/(s - 1/2)
-        assert MINUS_HALF.prefix(3) == (Fraction(2), Fraction(2, 3), Fraction(2, 5))
+        assert variables(MINUS_HALF, 3) == (Fraction(2), Fraction(2, 3), Fraction(2, 5))
 
     def test_all_variables_positive(self):
         for family in ALL_FAMILIES:
-            assert all(x > 0 for x in family.prefix(12))
+            assert all(x > 0 for x in variables(family, 12))
 
     def test_missing_kappa(self):
         with pytest.raises(MissingKappaError):
@@ -86,7 +91,7 @@ class TestArgumentFamily:
         ids=["plain", "plus", "minus"],
     )
     def test_family_facts(self, family, first, basis, kind, points):
-        assert family.min_index == family.first_order == first
+        assert family.min_index == first
         assert family.basis_point == basis
         assert family.poly_kind is kind
         ms = range(first, first + 3)
@@ -103,6 +108,14 @@ class TestArgumentFamily:
 
 
 class TestPrefixTables:
+    def test_kind_selects_its_builder(self):
+        assert PolyKind.ELEMENTARY.table(PLUS_THIRD, 4, 3) == elementary_prefix(
+            PLUS_THIRD, 4, 3
+        )
+        assert PolyKind.HOMOGENEOUS.table(PLUS_THIRD, 4, 3) == homogeneous_prefix(
+            PLUS_THIRD, 4, 3
+        )
+
     def test_elementary_plain_frozen(self):
         # computed with elementary_bruteforce over (1, 1/2, 1/3)
         table = elementary_prefix(PLAIN, 3, 3)
@@ -192,7 +205,7 @@ class TestRecurrenceAgainstOracle:
     def test_elementary_table_matches_bruteforce(self, family):
         table = elementary_prefix(family, 8, 8)
         for j in range(9):
-            prefix = family.prefix(j)
+            prefix = variables(family, j)
             for v in range(9):
                 assert table.value(j, v) == elementary_bruteforce(prefix, v)
 
@@ -200,7 +213,7 @@ class TestRecurrenceAgainstOracle:
     def test_homogeneous_table_matches_bruteforce(self, family):
         table = homogeneous_prefix(family, 8, 8)
         for j in range(9):
-            prefix = family.prefix(j)
+            prefix = variables(family, j)
             for v in range(9):
                 assert table.value(j, v) == homogeneous_bruteforce(prefix, v)
 
