@@ -14,13 +14,10 @@ from .density import (
     BoundVariant,
     DensityBound,
     GridRow,
-    bivariate_bound,
     bivariate_min_sum,
-    bivariate_shifted_bound,
     density_grid,
-    fixed_order_bound,
-    fixed_order_shifted_bound,
     prior_univariate_bound,
+    window_bound,
 )
 from .errors import (
     DimensionMismatchError,
@@ -35,7 +32,6 @@ from .errors import (
     SpecMismatchError,
 )
 from .gammanum import (
-    GammaDerivatives,
     PrecisionContext,
     RecoveryReport,
     VerificationReport,

@@ -10,8 +10,9 @@ shifted ones, and E = e (plain, plus) or h (minus).  These per-family facts
 live on `sympoly.ArgumentFamily`, the family argument of every entry point
 here; this module never asks which family it has.
 One prefix table over the longest prefix holds every coefficient of a sweep;
-`coefficient_table` reads a sweep off it, and `build_system` stacks its rows
-into linear systems.  Everything here is exact rational arithmetic.
+`coefficient_table` reads a sweep off it, `coefficient` one index, and
+`build_system` stacks its rows into linear systems.  Everything here is exact
+rational arithmetic.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Iterable
 
 from .errors import SpecMismatchError
 from .linalg import RationalMatrix, increasing_indices
-from .sympoly import ArgumentFamily, PrefixTable
+from .sympoly import ArgumentFamily
 
 #: Shift values whose Gamma value is known to be transcendental.
 KNOWN_TRANSCENDENTAL_SHIFTS = frozenset(
@@ -57,39 +58,10 @@ class LatticeSpec:
         return tuple(self.family.point(m) for m in self.indices)
 
 
-def _order_factor(n: int, ell: int) -> int:
-    if n < 0 or not 0 <= ell <= n:
-        raise ValueError(f"need 0 <= ell <= n, got n={n}, ell={ell}")
-    return factorial(n) // factorial(ell)
-
-
-def _prefix_table(family: ArgumentFamily, m: int, degree: int) -> PrefixTable:
-    """The family's table, e or h, over the prefixes of every index up to m."""
-    return family.poly_kind.table(family, family.prefix_length(m), degree)
-
-
-def _expansion(
-    family: ArgumentFamily, table: PrefixTable, n: int, m: int, ells: Iterable[int]
-) -> tuple[Fraction, ...]:
-    """Coefficients of the given basis orders in the expansion at index m.
-
-    Each is the family's scale at m, (m-1)! or the exact gamma ratio, times
-    n!/ell! times the table entry of degree n - ell over the prefix of m.
-    """
-    length = family.prefix_length(m)
-    scale = family.scale(m)
-    return tuple(
-        scale * _order_factor(n, ell) * table.value(length, n - ell) for ell in ells
-    )
-
-
-def coefficient(family: ArgumentFamily, n: int, ell: int, m: int) -> Fraction:
-    """The family's coefficient of the ell-th basis derivative at index m,
-    read off a table just large enough for it."""
-    ArgumentFamily.require(family)
-    _order_factor(n, ell)
-    table = _prefix_table(family, m, n - ell)
-    return _expansion(family, table, n, m, (ell,))[0]
+def coefficient(family: ArgumentFamily, n: int, m: int) -> tuple[Fraction, ...]:
+    """The coefficients of Gamma^(0..n) at the basis point in the expansion of
+    Gamma^(n) at lattice index m: the one-index row of `coefficient_table`."""
+    return coefficient_table(family, n, (m,))[0]
 
 
 def coefficient_table(
@@ -97,9 +69,10 @@ def coefficient_table(
 ) -> tuple[tuple[Fraction, ...], ...]:
     """Every coefficient of a sweep over the indices `ms`.
 
-    Row i holds coefficient(family, n, ell, ms[i]) for ell = 0..n.  One prefix
-    table of degree n over the longest prefix serves every row, so a sweep
-    builds a single table instead of one per coefficient.
+    Row i holds the coefficients of ell = 0..n at index ms[i]: the family's
+    scale at that index, (m-1)! or the exact gamma ratio, times n!/ell! times
+    the table entry of degree n - ell over its prefix.  One prefix table of
+    degree n over the longest prefix serves every row.
     """
     ArgumentFamily.require(family)
     if n < 0:
@@ -107,8 +80,15 @@ def coefficient_table(
     ms = tuple(ms)
     if not ms:
         raise ValueError("no lattice indices")
-    table = _prefix_table(family, max(ms), n)
-    return tuple(_expansion(family, table, n, m, range(n + 1)) for m in ms)
+    table = family.poly_kind.table(family, family.prefix_length(max(ms)), n)
+    factors = [factorial(n) // factorial(ell) for ell in range(n + 1)]
+    rows = []
+    for m in ms:
+        length, scale = family.prefix_length(m), family.scale(m)
+        rows.append(
+            tuple(scale * f * table.value(length, n - i) for i, f in enumerate(factors))
+        )
+    return tuple(rows)
 
 
 @dataclass(frozen=True)

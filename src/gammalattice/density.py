@@ -27,6 +27,8 @@ from typing import Iterable
 
 from mpmath import mp
 
+from .gammanum import MAX_DIGITS
+
 
 class BoundVariant(Enum):
     """A bound, with the integer ranges it sweeps (first, then M if any),
@@ -67,6 +69,8 @@ class DensityBound:
 def _check_digits(digits: int) -> None:
     if digits < 1:
         raise ValueError(f"digits={digits} must be >= 1")
+    if digits > MAX_DIGITS:
+        raise ValueError(f"digits={digits} must be <= {MAX_DIGITS}")
 
 
 def prior_univariate_bound(N: int, digits: int = 50) -> DensityBound:
@@ -92,7 +96,7 @@ def prior_univariate_bound(N: int, digits: int = 50) -> DensityBound:
     )
 
 
-def _window_bound(variant: BoundVariant, first: int, M: int) -> DensityBound:
+def window_bound(variant: BoundVariant, first: int, M: int) -> DensityBound:
     """The fixed-order or bivariate bound, computed in shifted coordinates.
 
     Gamma(1) = 1 is known, so a plain window is the shifted one a step in:
@@ -101,8 +105,11 @@ def _window_bound(variant: BoundVariant, first: int, M: int) -> DensityBound:
     has m = M + 1 - offset points, n = first - offset, and shifted order k has
     at most k algebraic values in it.  So the bound is 1 - min{n, m}/m at fixed
     order, and over orders 1..n it averages to (m-1)/(2n) if m <= n, else
-    1 - (n+1)/(2m).
+    1 - (n+1)/(2m).  `first` is n for the fixed-order variants, N for the
+    bivariate ones; the prior variant has no window.
     """
+    if variant is BoundVariant.PRIOR:
+        raise ValueError("the prior bound has no lattice window")
     name = variant.ranges[0]
     offset = 0 if variant.shifted else 1
     if first < 1 + offset:
@@ -122,27 +129,9 @@ def _window_bound(variant: BoundVariant, first: int, M: int) -> DensityBound:
     return DensityBound(variant, {name: first, "M": M}, value, branch)
 
 
-def fixed_order_bound(n: int, M: int) -> DensityBound:
-    """1 - min{n-1, M}/M over plain lattice points 1..M at fixed order n >= 2."""
-    return _window_bound(BoundVariant.FIXED_N, n, M)
-
-
-def fixed_order_shifted_bound(n: int, M: int) -> DensityBound:
-    """1 - min{n, M+1}/(M+1) over one-sided shifted points 0..M at order n >= 1."""
-    return _window_bound(BoundVariant.FIXED_N_SHIFTED, n, M)
-
-
-def bivariate_bound(N: int, M: int) -> DensityBound:
-    """Closed form over orders 2..N and plain points 1..M."""
-    return _window_bound(BoundVariant.BIVARIATE, N, M)
-
-
-def bivariate_shifted_bound(N: int, M: int) -> DensityBound:
-    """Closed form over orders 1..N and one-sided shifted points 0..M."""
-    return _window_bound(BoundVariant.BIVARIATE_SHIFTED, N, M)
-
-
-def bivariate_min_sum(variant: str, Ns: Iterable[int], M: int) -> list[Fraction]:
+def bivariate_min_sum(
+    variant: BoundVariant, Ns: Iterable[int], M: int
+) -> list[Fraction]:
     """The bivariate bound at each N of the strictly ascending `Ns`, one M.
 
     A direct min-summation with no branch arithmetic: the algebraic caps
@@ -150,14 +139,14 @@ def bivariate_min_sum(variant: str, Ns: Iterable[int], M: int) -> list[Fraction]
     summed once, as one running sum over n up to the largest N, and the
     column reads its cells off that sum.
     """
-    if variant == "plain":
-        first, low_M, points = 2, 1, M
-        caps = (min(n - 1, M) for n in count(first))
-    elif variant == "shifted":
+    if not isinstance(variant, BoundVariant) or not variant.has_oracle:
+        raise ValueError(f"no min-sum oracle for variant {variant!r}")
+    if variant.shifted:
         first, low_M, points = 1, 0, M + 1
         caps = (min(n, M + 1) for n in count(first))
     else:
-        raise ValueError(f"unknown variant {variant!r} (want 'plain' or 'shifted')")
+        first, low_M, points = 2, 1, M
+        caps = (min(n - 1, M) for n in count(first))
     Ns = list(Ns)
     if any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise ValueError("N values must be strictly increasing")
@@ -200,11 +189,10 @@ def density_grid(
     if not seconds and (firsts or second_range is None):
         # no M values would silently drop every first value
         raise ValueError(f"variant {variant.value} needs a nonempty M range")
-    bounds = [_window_bound(variant, a, b) for a in firsts for b in seconds]
+    bounds = [window_bound(variant, a, b) for a in firsts for b in seconds]
     if not (bounds and include_oracle and variant.has_oracle):
         return [GridRow(bound) for bound in bounds]
-    window = "shifted" if variant.shifted else "plain"
-    columns = [bivariate_min_sum(window, firsts, b) for b in seconds]
+    columns = [bivariate_min_sum(variant, firsts, b) for b in seconds]
     # the columns run down N at fixed M; the rows run along M at fixed N
     oracles = (value for row in zip(*columns) for value in row)
     return [GridRow(bound, value) for bound, value in zip(bounds, oracles)]

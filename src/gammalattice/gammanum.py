@@ -17,10 +17,10 @@ valid at every non-pole point.  In particular the values at negative points
 are never produced by the rational-coefficient expansion they are used to
 verify.
 
-All computations run at decimal_digits + guard_digits working precision.
-Comparisons default to a tolerance of 10^-(decimal_digits - 20) whatever
-guard_digits is; decimal_digits must lie in [30, MAX_DIGITS], so that default
-is <= 1e-10 and a sweep's cost stays bounded; psi and Gamma caches are bounded.
+All computations run at decimal_digits + GUARD_DIGITS working precision.
+Comparisons default to a tolerance of 10^-(decimal_digits - GUARD_DIGITS);
+decimal_digits must lie in [30, MAX_DIGITS], so that default is <= 1e-10 and a
+sweep's cost stays bounded; psi and Gamma caches are bounded.
 `verify_identity` and `verify_recovery` take the lattice as one
 `ArgumentFamily` and share one residual rule: relative, or absolute where the
 reference is below 1.
@@ -45,6 +45,10 @@ from .sympoly import ArgumentFamily
 #: x86-64, CPython 3.11, pure-python mpmath).
 MAX_DIGITS = 1000
 
+#: Digits carried beyond `decimal_digits`, and the digits a comparison gives
+#: up to rounding by default.
+GUARD_DIGITS = 20
+
 #: Entries kept by each of the psi and Gamma caches.
 _CACHE_SIZE = 4096
 
@@ -52,24 +56,21 @@ _CACHE_SIZE = 4096
 @dataclass(frozen=True)
 class PrecisionContext:
     decimal_digits: int = 60
-    guard_digits: int = 20
 
     def __post_init__(self):
         if self.decimal_digits < 30:
             raise ValueError("decimal_digits must be >= 30")
         if self.decimal_digits > MAX_DIGITS:
             raise ValueError(f"decimal_digits must be <= {MAX_DIGITS}")
-        if self.guard_digits < 0:
-            raise ValueError("guard_digits must be >= 0")
 
     @property
     def working_digits(self) -> int:
-        return self.decimal_digits + self.guard_digits
+        return self.decimal_digits + GUARD_DIGITS
 
     def default_tolerance(self):
-        """10^-(decimal_digits - 20), whatever guard_digits is."""
+        """10^-(decimal_digits - GUARD_DIGITS)."""
         with mp.workdps(self.working_digits):
-            return mp.mpf(10) ** -(self.decimal_digits - 20)
+            return mp.mpf(10) ** -(self.decimal_digits - GUARD_DIGITS)
 
 
 def _as_point(q) -> Fraction:
@@ -115,18 +116,8 @@ def _gamma_cached(q: Fraction, dps: int):
         return mp.gamma(_to_mpf(q + shift)) / _to_mpf(divisor)
 
 
-@dataclass(frozen=True)
-class GammaDerivatives:
-    """Gamma^(0..order)(point) at one rational point."""
-
-    point: Fraction
-    order: int
-    values: tuple
-    precision: PrecisionContext
-
-
-def gamma_derivatives(q, n: int, ctx: PrecisionContext) -> GammaDerivatives:
-    """All derivatives Gamma^(0)..Gamma^(n) at q, by Bell composition."""
+def gamma_derivatives(q, n: int, ctx: PrecisionContext) -> tuple:
+    """The tuple Gamma^(0)(q), ..., Gamma^(n)(q), by Bell composition."""
     if n < 0:
         raise ValueError(f"derivative order {n} must be >= 0")
     point = _as_point(q)
@@ -140,8 +131,7 @@ def gamma_derivatives(q, n: int, ctx: PrecisionContext) -> GammaDerivatives:
             for i in range(j):
                 acc += math.comb(j - 1, i) * log_derivs[i] * bell[j - 1 - i]
             bell.append(acc)
-        values = tuple(g * y for y in bell)
-    return GammaDerivatives(point, n, values, ctx)
+        return tuple(g * y for y in bell)
 
 
 def _compare(value, reference, tolerance, ctx: PrecisionContext):
@@ -189,7 +179,8 @@ def verify_identity(
     """Compare Gamma^(n) at a lattice point against its rational expansion.
 
     The left side is evaluated directly at the lattice point; the right side
-    sums coefficient(family, n, ell, m) times Gamma^(ell) at the basis point.
+    sums the row coefficient(family, n, m) against Gamma^(0..n) at the basis
+    point.
     The check uses the relative residual, falling back to the absolute one
     when |lhs| < 1.
     """
@@ -198,9 +189,9 @@ def verify_identity(
         ctx = PrecisionContext()
     if n < 0:
         raise ValueError(f"derivative order {n} must be >= 0")
-    basis = gamma_derivatives(family.basis_point, n, ctx).values
-    lhs = gamma_derivatives(family.point(m), n, ctx).values[n]
-    terms = [coefficient(family, n, ell, m) for ell in range(n + 1)]
+    basis = gamma_derivatives(family.basis_point, n, ctx)
+    lhs = gamma_derivatives(family.point(m), n, ctx)[n]
+    terms = coefficient(family, n, m)
     with mp.workdps(ctx.working_digits):
         rhs = _dot(terms, basis)
         verdict = _compare(rhs, lhs, tolerance, ctx)
@@ -223,7 +214,7 @@ def recover_basis(spec: LatticeSpec, n: int, ctx: PrecisionContext | None = None
             f"system is {system.matrix.rows}x{system.matrix.cols}; solving needs square"
         )
     inv = inverse_exact(system.matrix)
-    data = [gamma_derivatives(p, n, ctx).values[n] for p in spec.points()]
+    data = [gamma_derivatives(p, n, ctx)[n] for p in spec.points()]
     with mp.workdps(ctx.working_digits):
         if system.constant_column:
             data = [d - _to_mpf(c) for d, c in zip(data, system.constant_column)]
@@ -254,7 +245,7 @@ def verify_recovery(
     low = family.min_index
     spec = LatticeSpec(family, range(low, n + 1))
     recovered = recover_basis(spec, n, ctx)
-    references = gamma_derivatives(family.basis_point, n, ctx).values[low:]
+    references = gamma_derivatives(family.basis_point, n, ctx)[low:]
     with mp.workdps(ctx.working_digits):
         return [
             RecoveryReport(spec, ell, value, ref, *_compare(value, ref, tolerance, ctx))

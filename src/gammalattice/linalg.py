@@ -317,17 +317,16 @@ def _walk_work(
     return work
 
 
-def cauchy_binet(
-    left: RationalMatrix, right: RationalMatrix, guard: int = WORK_GUARD
-) -> CauchyBinetCertificate:
+def cauchy_binet(left: RationalMatrix, right: RationalMatrix) -> CauchyBinetCertificate:
     """det(left @ right) as a sum over column subsets, with a term-wise record.
 
     For a banded p x q `left` and a q x p `right`, a size-p subset S of the q
     shared indices has a nonzero left minor only if it takes one column from
     each band, and then det_left is the product of the chosen entries.  The
     other C(q, p) - prod |band| subsets are pruned without being visited, and
-    `guard` bounds the walk's estimated operations (`_walk_work`), which grow
-    with the band product, the depth p and the length of `right`'s entries.
+    `WORK_GUARD`, read at call time, bounds the walk's estimated operations
+    (`_walk_work`), which grow with the band product, the depth p and the
+    length of `right`'s entries.
 
     The walk takes band r at depth r, its columns in ascending order, so the
     terms come out in lexicographic order.  Each row of `right` is scaled to
@@ -347,10 +346,10 @@ def cauchy_binet(
     leaves = prod(len(band) for band in bands)
     scaled = {j: _integer_row(right.row(j)) for band in bands for j in band}
     work = _walk_work(left, bands, scaled)
-    if work > guard:
+    if work > WORK_GUARD:
         raise GuardExceededError(
             f"{leaves} band products at depth {p} need about {work:.2g} "
-            f"operations, over the guard {guard}"
+            f"operations, over the guard {WORK_GUARD}"
         )
 
     surviving: list[CauchyBinetTerm] = []

@@ -16,10 +16,9 @@ from gammalattice import (
     FamilyKind,
     LatticeSpec,
     PolyKind,
+    BoundVariant,
     PrecisionContext,
-    bivariate_bound,
     bivariate_min_sum,
-    bivariate_shifted_bound,
     build_system,
     certify_prefix_matrix,
     det_exact,
@@ -30,6 +29,7 @@ from gammalattice import (
     prefix_matrix,
     recover_basis,
     verify_identity,
+    window_bound,
 )
 
 from _oracles import (
@@ -48,6 +48,7 @@ SWEEP_FAMILIES = [
 ]
 
 ALL_KAPPAS = sorted(KNOWN_TRANSCENDENTAL_SHIFTS)
+PLAIN_2D, SHIFTED_2D = BoundVariant.BIVARIATE, BoundVariant.BIVARIATE_SHIFTED
 
 
 def _report(number, label, ok, detail=""):
@@ -181,13 +182,13 @@ def test_criterion_4_basis_recovery():
             for n in (1, 2, 3):
                 spec = LatticeSpec(family, tuple(range(n + 1)))
                 recovered = recover_basis(spec, n, CTX60)
-                reference = gamma_derivatives(kappa, 0, CTX60).values[0]
+                reference = gamma_derivatives(kappa, 0, CTX60)[0]
                 with mp.workdps(CTX60.working_digits):
                     if abs(recovered[0] - reference) >= tol:
                         failures.append((kind.value, kappa, n))
 
     # the pair (Gamma'(1), Gamma''(1)) encodes zeta(2) = pi^2/6
-    derivs = gamma_derivatives(1, 2, CTX60).values
+    derivs = gamma_derivatives(1, 2, CTX60)
     pi_reference = machin_pi(CTX60)
     with mp.workdps(CTX60.working_digits):
         zeta2 = derivs[2] - derivs[1] ** 2
@@ -203,24 +204,26 @@ def test_criterion_5_density_closed_forms():
     failures = []
     for N in range(2, 201):
         for M in range(1, 201):
-            if bivariate_bound(N, M).value != bivariate_min_sum("plain", [N], M)[0]:
+            if window_bound(PLAIN_2D, N, M).value != bivariate_min_sum(
+                PLAIN_2D, [N], M
+            )[0]:
                 failures.append(("plain", N, M))
     for N in range(1, 201):
         for M in range(201):
-            if bivariate_shifted_bound(N, M).value != bivariate_min_sum(
-                "shifted", [N], M
+            if window_bound(SHIFTED_2D, N, M).value != bivariate_min_sum(
+                SHIFTED_2D, [N], M
             )[0]:
                 failures.append(("shifted", N, M))
     for N in range(2, 201):
         M = N - 1
-        if M >= 1 and bivariate_bound(N, M).value != 1 - Fraction(N, 2 * M):
+        if M >= 1 and window_bound(PLAIN_2D, N, M).value != 1 - Fraction(N, 2 * M):
             failures.append(("plain-boundary", N))
     for N in range(1, 201):
         M = N - 1
-        if bivariate_shifted_bound(N, M).value != 1 - Fraction(N + 1, 2 * (M + 1)):
+        if window_bound(SHIFTED_2D, N, M).value != 1 - Fraction(N + 1, 2 * (M + 1)):
             failures.append(("shifted-boundary", N))
     for N in (10, 100, 200):
-        value = bivariate_bound(N, N).value
+        value = window_bound(PLAIN_2D, N, N).value
         if abs(value - Fraction(1, 2)) > Fraction(1, 2 * (N - 1)):
             failures.append(("diagonal", N))
         if N == 10 and value != Fraction(1, 2):
@@ -262,10 +265,10 @@ def test_criterion_7_precision_doubling_anchors():
         ctx = PrecisionContext(digits)
         d1 = gamma_derivatives(1, 2, ctx)
         return {
-            "neg-euler": d1.values[1],
-            "euler-sq-plus-zeta2": d1.values[2],
-            "sqrt-pi": gamma_derivatives(Fraction(1, 2), 0, ctx).values[0],
-            "neg-two-sqrt-pi": gamma_derivatives(Fraction(-1, 2), 0, ctx).values[0],
+            "neg-euler": d1[1],
+            "euler-sq-plus-zeta2": d1[2],
+            "sqrt-pi": gamma_derivatives(Fraction(1, 2), 0, ctx)[0],
+            "neg-two-sqrt-pi": gamma_derivatives(Fraction(-1, 2), 0, ctx)[0],
         }
 
     for digits in (40, 80):

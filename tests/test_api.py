@@ -23,19 +23,18 @@ from gammalattice import (
 
 EXPORTS = [
     "ArgumentFamily", "BoundVariant", "CauchyBinetCertificate", "CoeffSystem",
-    "DensityBound", "DimensionMismatchError", "FamilyKind", "GammaDerivatives",
-    "GammaLatticeError", "GridRow", "GuardExceededError", "InvalidKappaError",
+    "DensityBound", "DimensionMismatchError", "FamilyKind", "GammaLatticeError",
+    "GridRow", "GuardExceededError", "InvalidKappaError",
     "KNOWN_TRANSCENDENTAL_SHIFTS", "LatticeSpec", "MissingKappaError",
     "NonIncreasingIndicesError", "NotSquareError", "PoleArgumentError", "PolyKind",
     "PrecisionContext", "PrefixCertificate", "PrefixTable", "RationalMatrix",
     "RecoveryReport", "SingularMatrixError", "SpecMismatchError",
-    "VerificationReport", "bivariate_bound", "bivariate_min_sum",
-    "bivariate_shifted_bound", "build_system", "cauchy_binet",
+    "VerificationReport", "bivariate_min_sum", "build_system", "cauchy_binet",
     "certify_prefix_matrix", "coefficient", "coefficient_table", "density_grid",
     "det_exact", "difference_factorization", "elementary_prefix",
-    "fixed_order_bound", "fixed_order_shifted_bound", "gamma_derivatives",
-    "homogeneous_prefix", "inverse_exact", "prefix_matrix",
+    "gamma_derivatives", "homogeneous_prefix", "inverse_exact", "prefix_matrix",
     "prior_univariate_bound", "recover_basis", "verify_identity", "verify_recovery",
+    "window_bound",
 ]
 
 
@@ -117,7 +116,7 @@ def test_guard_catches_a_loose_pair():
     "call",
     [
         lambda: LatticeSpec(FamilyKind.PLAIN, (1, 2)),
-        lambda: coefficient(FamilyKind.PLAIN, 1, 0, 2),
+        lambda: coefficient(FamilyKind.PLAIN, 1, 2),
         lambda: coefficient_table(FamilyKind.PLAIN, 1, [2]),
         lambda: verify_identity(FamilyKind.PLAIN, 1, 2),
         lambda: verify_recovery(FamilyKind.PLAIN, 2, PrecisionContext(), None),

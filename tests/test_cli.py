@@ -629,6 +629,24 @@ class TestDensityCommand:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_digits_at_the_cap_accepted(self, capsys):
+        code, payload, _ = run_json(
+            capsys, "density", "--variant", "prior", "--N", "7", "--digits", "1000"
+        )
+        assert code == 0
+        assert payload["params"]["digits"] == 1000
+        assert payload["rows"][0]["value"].startswith("0.0208216158663700843573736790913")
+
+    @pytest.mark.parametrize("digits", ["1001", "1000000"])
+    def test_digits_above_the_cap_is_usage_error(self, capsys, digits):
+        # a million digits ran for 15 s and printed 1 MB; `verify` has the same cap
+        code, out, err = run(
+            capsys, "density", "--variant", "prior", "--N", "7", f"--digits={digits}"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: digits={digits} must be <= 1000\n"
+
     def test_missing_required_range(self, capsys):
         code, _, _ = run(capsys, "density", "--variant", "bivariate", "--N", "5")
         assert code == 2

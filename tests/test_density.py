@@ -7,14 +7,14 @@ from mpmath import mp
 
 from gammalattice import (
     BoundVariant,
-    bivariate_bound,
     bivariate_min_sum,
-    bivariate_shifted_bound,
     density_grid,
-    fixed_order_bound,
-    fixed_order_shifted_bound,
     prior_univariate_bound,
+    window_bound,
 )
+
+FIXED, FIXED_SHIFTED = BoundVariant.FIXED_N, BoundVariant.FIXED_N_SHIFTED
+BIVARIATE, BIVARIATE_SHIFTED = BoundVariant.BIVARIATE, BoundVariant.BIVARIATE_SHIFTED
 
 
 class TestPriorBound:
@@ -50,48 +50,57 @@ class TestPriorBound:
         with pytest.raises(ValueError):
             density_grid(BoundVariant.PRIOR, [30], digits=-3)
 
+    def test_maximum_digits(self):
+        # the cap `verify` uses: a million digits ran for seconds and printed 1 MB
+        assert not prior_univariate_bound(7, digits=1000).exact
+        for digits in (1001, 1000000):
+            with pytest.raises(ValueError, match="must be <= 1000"):
+                prior_univariate_bound(7, digits=digits)
+            with pytest.raises(ValueError, match="must be <= 1000"):
+                density_grid(BoundVariant.BIVARIATE, [3], [2], digits=digits)
+
 
 class TestFixedOrderBounds:
     def test_plain_examples(self):
-        assert fixed_order_bound(2, 1).value == 0
-        assert fixed_order_bound(3, 10).value == Fraction(4, 5)
-        assert fixed_order_bound(5, 3).value == 0
-        assert fixed_order_bound(5, 3).branch == "M<=n-1"
+        assert window_bound(FIXED, 2, 1).value == 0
+        assert window_bound(FIXED, 3, 10).value == Fraction(4, 5)
+        assert window_bound(FIXED, 5, 3).value == 0
+        assert window_bound(FIXED, 5, 3).branch == "M<=n-1"
 
     def test_shifted_examples(self):
-        assert fixed_order_shifted_bound(1, 0).value == 0
-        assert fixed_order_shifted_bound(2, 9).value == Fraction(4, 5)
-        assert fixed_order_shifted_bound(4, 2).value == 0
-        assert fixed_order_shifted_bound(4, 2).branch == "M+1<=n"
+        assert window_bound(FIXED_SHIFTED, 1, 0).value == 0
+        assert window_bound(FIXED_SHIFTED, 2, 9).value == Fraction(4, 5)
+        assert window_bound(FIXED_SHIFTED, 4, 2).value == 0
+        assert window_bound(FIXED_SHIFTED, 4, 2).branch == "M+1<=n"
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            fixed_order_bound(1, 5)
+            window_bound(FIXED, 1, 5)
         with pytest.raises(ValueError):
-            fixed_order_bound(2, 0)
+            window_bound(FIXED, 2, 0)
         with pytest.raises(ValueError):
-            fixed_order_shifted_bound(0, 5)
+            window_bound(FIXED_SHIFTED, 0, 5)
         with pytest.raises(ValueError):
-            fixed_order_shifted_bound(1, -1)
+            window_bound(FIXED_SHIFTED, 1, -1)
 
     def test_monotone_in_window_size(self):
         for n in range(2, 7):
-            values = [fixed_order_bound(n, M).value for M in range(1, 31)]
+            values = [window_bound(FIXED, n, M).value for M in range(1, 31)]
             assert all(a <= b for a, b in zip(values, values[1:]))
         for n in range(1, 7):
-            values = [fixed_order_shifted_bound(n, M).value for M in range(31)]
+            values = [window_bound(FIXED_SHIFTED, n, M).value for M in range(31)]
             assert all(a <= b for a, b in zip(values, values[1:]))
 
 
 class TestBivariateBounds:
     def test_plain_examples(self):
-        assert bivariate_bound(10, 10).value == Fraction(1, 2)
-        assert bivariate_bound(10, 9).value == Fraction(4, 9)
-        assert bivariate_bound(50, 10).value == Fraction(9, 98)
+        assert window_bound(BIVARIATE, 10, 10).value == Fraction(1, 2)
+        assert window_bound(BIVARIATE, 10, 9).value == Fraction(4, 9)
+        assert window_bound(BIVARIATE, 50, 10).value == Fraction(9, 98)
 
     def test_shifted_examples(self):
-        assert bivariate_shifted_bound(4, 2).value == Fraction(1, 4)
-        assert bivariate_shifted_bound(1, 0).value == 0
+        assert window_bound(BIVARIATE_SHIFTED, 4, 2).value == Fraction(1, 4)
+        assert window_bound(BIVARIATE_SHIFTED, 1, 0).value == 0
 
     def test_branch_continuity(self):
         # at M = N-1 both closed-form branches coincide
@@ -101,62 +110,61 @@ class TestBivariateBounds:
             high = 1 - Fraction(N, 2 * M) if M >= 1 else None
             if M >= 1:
                 assert low == high
-                assert bivariate_bound(N, M).value == low
+                assert window_bound(BIVARIATE, N, M).value == low
         # at M + 1 = N both shifted branches coincide
         for N in range(1, 60):
             M = N - 1
             low = Fraction(M, 2 * N)
             high = 1 - Fraction(N + 1, 2 * (M + 1))
             assert low == high
-            assert bivariate_shifted_bound(N, M).value == low
+            assert window_bound(BIVARIATE_SHIFTED, N, M).value == low
 
     def test_oracle_examples(self):
-        assert bivariate_min_sum("plain", [10], 10)[0] == Fraction(1, 2)
-        assert bivariate_min_sum("shifted", [4], 2)[0] == Fraction(1, 4)
-        assert bivariate_min_sum("plain", [2], 1)[0] == 0
+        assert bivariate_min_sum(BIVARIATE, [10], 10)[0] == Fraction(1, 2)
+        assert bivariate_min_sum(BIVARIATE_SHIFTED, [4], 2)[0] == Fraction(1, 4)
+        assert bivariate_min_sum(BIVARIATE, [2], 1)[0] == 0
 
     def test_closed_form_equals_oracle_moderate_grid(self):
-        for N in range(2, 41):
-            for M in range(1, 41):
-                assert bivariate_bound(N, M).value == bivariate_min_sum(
-                    "plain", [N], M
-                )[0]
-        for N in range(1, 41):
-            for M in range(41):
-                assert bivariate_shifted_bound(N, M).value == bivariate_min_sum(
-                    "shifted", [N], M
-                )[0]
+        for variant, low_N, low_M in ((BIVARIATE, 2, 1), (BIVARIATE_SHIFTED, 1, 0)):
+            for N in range(low_N, 41):
+                for M in range(low_M, 41):
+                    closed = window_bound(variant, N, M).value
+                    assert closed == bivariate_min_sum(variant, [N], M)[0]
 
     def test_values_within_unit_interval(self):
-        samples = [bivariate_bound(N, M).value for N in (2, 7, 30) for M in (1, 6, 50)]
-        samples += [
-            bivariate_shifted_bound(N, M).value for N in (1, 7, 30) for M in (0, 6, 50)
+        samples = [
+            window_bound(BIVARIATE, N, M).value for N in (2, 7, 30) for M in (1, 6, 50)
         ]
-        samples += [fixed_order_bound(n, M).value for n in (2, 9) for M in (1, 40)]
+        samples += [
+            window_bound(BIVARIATE_SHIFTED, N, M).value
+            for N in (1, 7, 30)
+            for M in (0, 6, 50)
+        ]
+        samples += [window_bound(FIXED, n, M).value for n in (2, 9) for M in (1, 40)]
         samples += [prior_univariate_bound(N).value for N in (1, 25, 169)]
         assert all(0 <= value <= 1 for value in samples)
 
     def test_diagonal_approaches_one_half(self):
         for N in (10, 100, 200):
-            value = bivariate_bound(N, N).value
+            value = window_bound(BIVARIATE, N, N).value
             assert abs(value - Fraction(1, 2)) <= Fraction(1, 2 * (N - 1))
             assert value == Fraction(1, 2)
 
     def test_nonincreasing_in_order_window(self):
         for M in (1, 5, 20):
-            values = [bivariate_bound(N, M).value for N in range(2, 50)]
+            values = [window_bound(BIVARIATE, N, M).value for N in range(2, 50)]
             assert all(a >= b for a, b in zip(values, values[1:]))
 
     @given(
         Ns=st.sets(st.integers(2, 60), min_size=1, max_size=12).map(sorted),
         M=st.integers(1, 60),
-        variant=st.sampled_from(["plain", "shifted"]),
+        variant=st.sampled_from([BIVARIATE, BIVARIATE_SHIFTED]),
     )
     @settings(max_examples=80, deadline=None)
     def test_column_equals_per_cell_sums(self, Ns, M, variant):
         # the min-sum of one cell at a time, from scratch
         def cell(N):
-            if variant == "plain":
+            if variant is BIVARIATE:
                 cap = sum(min(n - 1, M) for n in range(2, N + 1))
                 return 1 - Fraction(cap, (N - 1) * M)
             cap = sum(min(n, M + 1) for n in range(1, N + 1))
@@ -166,22 +174,26 @@ class TestBivariateBounds:
 
     def test_column_needs_ascending_orders(self):
         with pytest.raises(ValueError, match="strictly increasing"):
-            bivariate_min_sum("plain", [5, 3], 4)
+            bivariate_min_sum(BIVARIATE, [5, 3], 4)
         with pytest.raises(ValueError, match="strictly increasing"):
-            bivariate_min_sum("shifted", [3, 3], 4)
-        assert bivariate_min_sum("plain", [], 4) == []
+            bivariate_min_sum(BIVARIATE_SHIFTED, [3, 3], 4)
+        assert bivariate_min_sum(BIVARIATE, [], 4) == []
 
     def test_degenerate_cells_rejected(self):
         with pytest.raises(ValueError):
-            bivariate_bound(1, 5)
+            window_bound(BIVARIATE, 1, 5)
         with pytest.raises(ValueError):
-            bivariate_bound(3, 0)
+            window_bound(BIVARIATE, 3, 0)
         with pytest.raises(ValueError):
-            bivariate_shifted_bound(0, 3)
+            window_bound(BIVARIATE_SHIFTED, 0, 3)
         with pytest.raises(ValueError):
-            bivariate_min_sum("plain", [1], 1)
-        with pytest.raises(ValueError):
-            bivariate_min_sum("diagonal", [3], 3)
+            bivariate_min_sum(BIVARIATE, [1], 1)
+        with pytest.raises(ValueError, match="no lattice window"):
+            window_bound(BoundVariant.PRIOR, 30, 1)
+        # the oracle takes a bivariate variant, not a window name such as "plain"
+        for variant in (BoundVariant.PRIOR, FIXED, FIXED_SHIFTED, "plain"):
+            with pytest.raises(ValueError, match="no min-sum oracle"):
+                bivariate_min_sum(variant, [3], 3)
 
 
 class TestDensityGrid:

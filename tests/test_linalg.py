@@ -25,7 +25,14 @@ from gammalattice import (
     inverse_exact,
     prefix_matrix,
 )
-from _oracles import difference_minor, generic_cauchy_binet, matmul, row_difference
+from gammalattice import linalg
+from _oracles import (
+    difference_minor,
+    fraction_det,
+    generic_cauchy_binet,
+    matmul,
+    row_difference,
+)
 
 PLAIN = ArgumentFamily(FamilyKind.PLAIN)
 MINUS_HALF = ArgumentFamily(FamilyKind.MINUS_SHIFT, Fraction(1, 2))
@@ -34,6 +41,13 @@ MINUS_THIRD = ArgumentFamily(FamilyKind.MINUS_SHIFT, Fraction(1, 3))
 
 small_fractions = st.fractions(
     min_value=Fraction(-4), max_value=Fraction(4), max_denominator=5
+)
+
+
+# mostly 0, +-1 and +-1/3, so that zero pivots force row swaps and singular
+# matrices come up (in about a third and a half of 150 draws)
+pivot_entries = st.sampled_from(
+    [0, 1, -1, Fraction(1, 3), Fraction(-1, 3), 2, Fraction(-5, 2), Fraction(3, 4)]
 )
 
 
@@ -94,6 +108,18 @@ class TestDeterminant:
     def test_not_square(self):
         with pytest.raises(NotSquareError):
             det_exact(RationalMatrix.from_rows([[1, 2]]))
+
+    @given(
+        rows=st.integers(1, 5).flatmap(
+            lambda n: st.lists(
+                st.lists(pivot_entries, min_size=n, max_size=n), min_size=n, max_size=n
+            )
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_independent_elimination(self, rows):
+        m = RationalMatrix.from_rows(rows)
+        assert det_exact(m) == fraction_det(m.to_rows())
 
     @given(m=square_matrices(4))
     @settings(max_examples=40, deadline=None)
@@ -280,11 +306,13 @@ class TestCauchyBinet:
         assert str(info.value).startswith("360000 band products at depth 2 ")
         assert "\n" not in str(info.value)
 
-    def test_guard_is_a_parameter(self):
+    def test_guard_reads_the_module_constant(self, monkeypatch):
         banded, prefix = difference_factorization([0, 2, 5], PLAIN, PolyKind.ELEMENTARY)
-        with pytest.raises(GuardExceededError):
-            cauchy_binet(banded, prefix, guard=10)
-        assert cauchy_binet(banded, prefix, guard=10**3).surviving
+        monkeypatch.setattr(linalg, "WORK_GUARD", 10)
+        with pytest.raises(GuardExceededError, match="over the guard 10$"):
+            cauchy_binet(banded, prefix)
+        monkeypatch.setattr(linalg, "WORK_GUARD", 10**3)
+        assert cauchy_binet(banded, prefix).surviving
 
     def test_guard_passes_a_shallow_wide_product(self):
         # C(202, 2) = 20,301 subsets and 101^2 = 10,201 band products, each a
