@@ -20,6 +20,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -42,6 +43,14 @@ VERIFICATION_FAILURE = 1
 USAGE_ERROR = 2
 
 
+# Rows are flat dicts of str, int, bool and None.  Encoded with the separators
+# of an `indent=2` dump at their depth, a row needs no indent logic, so the C
+# encoder writes it; `OutputEnvelope.to_json` puts its braces on lines of their
+# own and splices the rows into the dump of the rest of the envelope.
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+_ROWS_SLOT = '\n  "rows": [],'
+
+
 @dataclass
 class OutputEnvelope:
     command: str
@@ -60,29 +69,40 @@ class OutputEnvelope:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_payload(), sort_keys=True, indent=2)
+        """The payload as `json.dumps(payload, sort_keys=True, indent=2)`."""
+        text = json.dumps({**self.to_payload(), "rows": []}, sort_keys=True, indent=2)
+        if not self.rows:
+            return text
+        head, _, tail = text.partition(_ROWS_SLOT)
+        encode = _ROW_ENCODER.encode
+        rows = ",\n    ".join(
+            "{\n      " + encode(row)[1:-1] + "\n    }" if row else "{}"
+            for row in self.rows
+        )
+        return f'{head}\n  "rows": [\n    {rows}\n  ],{tail}'
 
     def to_csv(self) -> str:
+        """A header of the first row's keys, then every row in that order."""
         if not self.rows:
             return ""
+        fields = list(self.rows[0])
         buf = io.StringIO()
-        writer = csv.DictWriter(
-            buf, fieldnames=list(self.rows[0].keys()), lineterminator="\n"
-        )
-        writer.writeheader()
-        writer.writerows(self.rows)
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(fields)
+        writer.writerows([row[name] for name in fields] for row in self.rows)
         return buf.getvalue()
 
 
-def _parse_int_range(text: str) -> list[int]:
-    """'7' -> [7]; '2:5' -> [2, 3, 4, 5]."""
+def _parse_int_range(text: str) -> range:
+    """'7' -> range(7, 8); '2:5' -> range(2, 6), that is 2, 3, 4, 5."""
     if ":" in text:
         lo_text, hi_text = text.split(":", 1)
         lo, hi = int(lo_text), int(hi_text)
         if hi < lo:
             raise ValueError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+        return range(lo, hi + 1)
+    value = int(text)
+    return range(value, value + 1)
 
 
 def _parse_indices(text: str) -> tuple[int, ...]:
@@ -346,18 +366,21 @@ def _cmd_density(args) -> OutputEnvelope:
     grid = density_grid(
         variant, *ranges, include_oracle=args.with_oracle, digits=args.digits
     )
+    name = variant.value
     rows = []
     for cell in grid:
         bound = cell.bound
-        row = {"variant": variant.value, **bound.params}
-        row["value"] = (
-            str(bound.value) if bound.exact else _real_str(bound.value, args.digits)
-        )
-        row["branch"] = bound.branch
-        row["exact"] = bound.exact
+        value = bound.value
+        row = {
+            "variant": name,
+            **bound.params,
+            "value": str(value) if bound.exact else _real_str(value, args.digits),
+            "branch": bound.branch,
+            "exact": bound.exact,
+        }
         if args.with_oracle:
             row["oracle"] = str(cell.oracle)
-            row["oracle_match"] = cell.oracle == bound.value
+            row["oracle_match"] = cell.oracle == value
         rows.append(row)
     failed = not all(row.get("oracle_match", True) for row in rows)
     status = VERIFICATION_FAILURE if failed else 0
@@ -365,7 +388,13 @@ def _cmd_density(args) -> OutputEnvelope:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as one `error:` line, without the usage block."""
+    """Reports a usage error as one `error:` line, without the usage block,
+    and reads a word such as `-1:2`, `-1,2` or `-1/3` as a value, not a flag:
+    no option of this CLI starts with a dash and a digit."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d[\d:,/]*$")
 
     def error(self, message):
         self.exit(USAGE_ERROR, f"error: {message}\n")
@@ -439,9 +468,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     output = envelope.to_json() if args.format == "json" else envelope.to_csv()
-    if output and not output.endswith("\n"):
-        output += "\n"
     sys.stdout.write(output)
+    if output and not output.endswith("\n"):
+        sys.stdout.write("\n")
     for warning in envelope.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     return envelope.exit_status

@@ -17,23 +17,29 @@ transcendence questions); only these lower-bound functions are provided.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate, count, islice
 from math import isqrt
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from mpmath import mp
 
 from .gammanum import MAX_DIGITS
 
+# Cells in one grid.  At the cap a bivariate grid with the oracle printed as
+# JSON takes about 1.2 s and a 135 MB peak, and the prior bound at 50 digits
+# about 3.6 s and 145 MB (2-core x86-64, CPython 3.11); the cost is linear in
+# the cells, so 2:3000 x 1:3000 would take minutes and gigabytes.
+MAX_GRID_CELLS = 100_000
+
 
 class BoundVariant(Enum):
     """A bound, with the integer ranges it sweeps (first, then M if any),
-    whether its lattice window is the shifted one, and whether the min-sum
-    oracle applies (to the bivariate bounds, over N x M)."""
+    whether its lattice window is the shifted one, whether the min-sum oracle
+    applies (to the bivariate bounds, over N x M), and the branch labels of a
+    windowed bound (the window within the order cap, then beyond it)."""
 
     PRIOR = ("prior", ("N",), False)
     FIXED_N = ("fixed-n", ("n", "M"), False)
@@ -47,10 +53,16 @@ class BoundVariant(Enum):
         member.ranges = ranges
         member.shifted = shifted
         member.has_oracle = ranges == ("N", "M")
+        # the labels of a window within the order cap and of one beyond it,
+        # built once, so that a grid shares two label objects
+        window, cap = ("M+1", ranges[0]) if shifted else ("M", f"{ranges[0]}-1")
+        member.branches = (
+            (f"{window}<={cap}", f"{window}>{cap}") if len(ranges) == 2 else ()
+        )
         return member
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DensityBound:
     """A computed lower bound: value in [0, 1] plus the branch that produced it.
 
@@ -118,14 +130,12 @@ def window_bound(variant: BoundVariant, first: int, M: int) -> DensityBound:
         raise ValueError(f"M={M} must be >= {offset}")
     n, m = first - offset, M + 1 - offset
     if not variant.has_oracle:  # fixed order
-        value = 1 - Fraction(min(n, m), m)
+        value = Fraction(m - min(n, m), m)
     elif m <= n:
         value = Fraction(m - 1, 2 * n)
     else:
-        value = 1 - Fraction(n + 1, 2 * m)
-    window, cap = ("M+1", name) if variant.shifted else ("M", f"{name}-1")
-    # interned: a grid shares one label object per branch, not one per cell
-    branch = sys.intern(f"{window}<={cap}" if m <= n else f"{window}>{cap}")
+        value = Fraction(2 * m - n - 1, 2 * m)
+    branch = variant.branches[m > n]
     return DensityBound(variant, {name: first, "M": M}, value, branch)
 
 
@@ -155,11 +165,27 @@ def bivariate_min_sum(
     if M < low_M:
         raise ValueError(f"M={M} must be >= {low_M}")
     running = list(accumulate(islice(caps, Ns[-1] - first + 1))) if Ns else []
-    # a window holds N - first + 1 orders times `points` lattice points
-    return [1 - Fraction(running[N - first], (N - first + 1) * points) for N in Ns]
+    column = []
+    for N in Ns:
+        size = (N - first + 1) * points  # orders in the window times its points
+        column.append(Fraction(size - running[N - first], size))
+    return column
 
 
-@dataclass(frozen=True)
+def _ascending(values: Iterable[int]) -> Sequence[int]:
+    """The distinct values in ascending order.  A range with a positive step
+    already is that, and is kept, so sizing a huge one allocates nothing."""
+    if isinstance(values, range) and values.step > 0:
+        return values
+    return sorted(set(values))
+
+
+def _check_cells(cells: int) -> None:
+    if cells > MAX_GRID_CELLS:
+        raise ValueError(f"{cells} grid cells are over the budget {MAX_GRID_CELLS}")
+
+
+@dataclass(frozen=True, slots=True)
 class GridRow:
     bound: DensityBound
     oracle: Fraction | None = None
@@ -179,16 +205,19 @@ def density_grid(
     by the others, and nonempty unless the first range is empty).
     Bivariate rows carry the min-sum oracle value unless `include_oracle` is
     switched off; the oracle runs once per M, over every N at once.
-    `digits` (>= 1) is the precision of inexact values.
+    `digits` (>= 1) is the precision of inexact values.  A grid of more than
+    `MAX_GRID_CELLS` cells is refused before any cell is computed.
     """
     _check_digits(digits)
-    firsts = sorted(set(first_range))
+    firsts = _ascending(first_range)
     if variant is BoundVariant.PRIOR:
+        _check_cells(len(firsts))
         return [GridRow(prior_univariate_bound(N, digits=digits)) for N in firsts]
-    seconds = sorted(set(second_range or ()))
+    seconds = _ascending(second_range or ())
     if not seconds and (firsts or second_range is None):
         # no M values would silently drop every first value
         raise ValueError(f"variant {variant.value} needs a nonempty M range")
+    _check_cells(len(firsts) * len(seconds))
     bounds = [window_bound(variant, a, b) for a in firsts for b in seconds]
     if not (bounds and include_oracle and variant.has_oracle):
         return [GridRow(bound) for bound in bounds]

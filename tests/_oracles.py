@@ -7,10 +7,14 @@ and read the coefficient off directly.  Symmetric polynomials are summed by
 brute-force enumeration, pi by Machin's formula, and Cauchy-Binet expansions
 over every column subset with Fraction Gaussian elimination.  The certificate
 chain's first steps (row differencing, then dropping the first row and column)
-and the matrix product run on plain lists of rows.  Nothing below touches the
-package's prefix-table, Bareiss or polygamma code paths.
+and the matrix product run on plain lists of rows.  The CLI envelope is
+rendered by the standard library's own JSON and CSV writers.  Nothing below
+touches the package's prefix-table, Bareiss, polygamma or output code paths.
 """
 
+import csv
+import io
+import json
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb, factorial, prod
@@ -215,3 +219,21 @@ def difference_minor(rows):
     if [row[0] for row in diff] != [1] + [0] * (len(diff) - 1):
         raise ValueError("first column is not constant 1; minor would change det")
     return [row[1:] for row in diff[1:]]
+
+
+# The CLI envelope as the standard library writes it: the whole payload through
+# the JSON encoder at indent 2, and the rows through `csv.DictWriter`.
+
+
+def reference_json(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2)
+
+
+def reference_csv(rows: list) -> str:
+    if not rows:
+        return ""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()

@@ -2,8 +2,12 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gammalattice.cli import main
+from _oracles import reference_csv, reference_json
+from gammalattice import density
+from gammalattice.cli import OutputEnvelope, main
 
 
 def run(capsys, *argv):
@@ -651,8 +655,100 @@ class TestDensityCommand:
         code, _, _ = run(capsys, "density", "--variant", "bivariate", "--N", "5")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--variant", "bivariate", "--N", "2:3000", "--M", "1:3000"],
+            ["--variant", "fixed-n-shifted", "--n", "1:1000000", "--M", "0:1000000"],
+            ["--variant", "prior", "--N", "1:100001"],
+        ],
+        ids=["bivariate", "fixed-n-shifted", "prior"],
+    )
+    def test_grid_over_the_budget_is_usage_error(self, capsys, monkeypatch, argv):
+        # 2:3000 x 1:3000 ran past 10 s with no cap; no cell may be computed
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell was computed")
+
+        monkeypatch.setattr(density, "window_bound", no_cell)
+        monkeypatch.setattr(density, "prior_univariate_bound", no_cell)
+        code, out, err = run(capsys, "density", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith(f"grid cells are over the budget {density.MAX_GRID_CELLS}\n")
+
+
+class TestArgumentParsing:
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["coeffs", "--family", "plus", "--n", "2", "--m", "-1:2", "--kappa", "1/3"],
+             "error: plus lattice index -1 must be >= 0\n"),
+            (["density", "--variant", "bivariate", "--N", "3", "--M", "-1:2"],
+             "error: M=-1 must be >= 1\n"),
+            (["matrix", "--family", "plain", "--n", "2", "--indices", "-1,2"],
+             "error: plain lattice indices must be >= 1\n"),
+        ],
+        ids=["m", "M", "indices"],
+    )
+    def test_value_starting_with_a_dash_is_a_value(self, capsys, argv, line):
+        # `--m -1:2` used to read -1:2 as a flag: "expected one argument"
+        at = next(i for i, word in enumerate(argv) if word.startswith("-1"))
+        joined = [*argv[: at - 1], f"{argv[at - 1]}={argv[at]}", *argv[at + 1 :]]
+        for form in (argv, joined):
+            assert run(capsys, *form) == (2, "", line)
+
+
+# Text an encoder must escape or keep apart from the layout: quotes,
+# backslashes, control characters, raw newlines, non-ASCII, and the very text
+# that separates two rows of the indented dump.
+_TEXT = st.one_of(
+    st.text(max_size=8),
+    st.text(alphabet='"\\\n\r\t\x00\x1f\x7f,:{}[] \u00e9\u2028\U0001f600', max_size=12),
+    st.just("},\n      {"),
+)
+_SCALAR = st.one_of(
+    _TEXT, st.integers(), st.integers(-(10**40), 10**40), st.booleans(), st.none()
+)
+_PARAM = st.recursive(
+    _SCALAR,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _envelopes(draw):
+    """Envelopes whose rows are flat dicts over one key set, as every CLI
+    table is, each row in its own key order."""
+    keys = draw(st.lists(_TEXT | st.just("rows"), unique=True, max_size=5))
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        items = [(key, draw(_SCALAR)) for key in keys]
+        rows.append(dict(draw(st.permutations(items))))
+    params = draw(st.dictionaries(_TEXT | st.just("rows"), _PARAM, max_size=4))
+    warnings = draw(st.lists(_TEXT, max_size=3))
+    return OutputEnvelope(draw(_TEXT), params, rows, warnings, draw(st.integers(0, 2)))
+
 
 class TestEnvelopeContract:
+    @given(envelope=_envelopes())
+    @settings(max_examples=200, deadline=None)
+    def test_renderings_match_the_standard_library(self, envelope):
+        assert envelope.to_json() == reference_json(envelope.to_payload())
+        assert envelope.to_csv() == reference_csv(envelope.rows)
+
+    def test_rows_are_flat(self, capsys):
+        # the row encoder lays out one level of keys; a nested value would
+        # print valid JSON in the wrong layout
+        for _, argv, _ in GOLDEN_STDOUT:
+            if "csv" in argv:
+                continue
+            code, payload, _ = run_json(capsys, *argv.split())
+            assert code == 0
+            for row in payload["rows"]:
+                assert all(type(v) in (str, int, bool, type(None)) for v in row.values())
+
     def test_json_round_trip_is_byte_identical(self, capsys):
         for argv in (
             ["coeffs", "--family", "plain", "--n", "2", "--m", "1:3"],

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from mpmath import mp
 from gammalattice import (
     BoundVariant,
     bivariate_min_sum,
+    density,
     density_grid,
     prior_univariate_bound,
     window_bound,
@@ -82,6 +84,16 @@ class TestFixedOrderBounds:
             window_bound(FIXED_SHIFTED, 0, 5)
         with pytest.raises(ValueError):
             window_bound(FIXED_SHIFTED, 1, -1)
+
+    def test_abstract_formulas(self):
+        # beta_n(M) = 1 - min{n-1, M}/M and ~beta_n(M) = 1 - min{n, M+1}/(M+1)
+        for n in range(2, 31):
+            for M in range(1, 31):
+                assert window_bound(FIXED, n, M).value == 1 - Fraction(min(n - 1, M), M)
+        for n in range(1, 31):
+            for M in range(0, 31):
+                expected = 1 - Fraction(min(n, M + 1), M + 1)
+                assert window_bound(FIXED_SHIFTED, n, M).value == expected
 
     def test_monotone_in_window_size(self):
         for n in range(2, 7):
@@ -229,6 +241,44 @@ class TestDensityGrid:
         assert [r.bound.params["N"] for r in rows] == [4, 7, 25]
         assert rows[2].bound.value == Fraction(1, 10)
         assert rows[0].oracle is None
+
+    @pytest.mark.parametrize(
+        "variant",
+        [v for v in BoundVariant if len(v.ranges) == 2],
+        ids=lambda v: v.value,
+    )
+    def test_two_label_objects_per_grid(self, variant):
+        rows = density_grid(variant, range(2, 12), range(1, 12))
+        labels = {id(row.bound.branch): row.bound.branch for row in rows}
+        assert len(labels) == 2
+        low, high = variant.branches
+        assert all(label is low or label is high for label in labels.values())
+
+    def test_cell_budget(self, monkeypatch):
+        monkeypatch.setattr(density, "MAX_GRID_CELLS", 12)
+        assert len(density_grid(BIVARIATE, range(2, 5), range(1, 5))) == 12
+        assert len(density_grid(BoundVariant.PRIOR, range(1, 13))) == 12
+        # duplicates count once, as they are computed once
+        assert len(density_grid(FIXED, [2, 3, 3, 2], range(1, 7))) == 12
+
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell was computed")
+
+        monkeypatch.setattr(density, "window_bound", no_cell)
+        monkeypatch.setattr(density, "prior_univariate_bound", no_cell)
+        with pytest.raises(ValueError, match=r"^13 grid cells are over the budget 12$"):
+            density_grid(BIVARIATE_SHIFTED, range(1, 14), [0])
+        with pytest.raises(ValueError, match=r"^13 grid cells are over the budget 12$"):
+            density_grid(BoundVariant.PRIOR, range(1, 14))
+        # a range is sized, not built: a set of 10**6 values takes about 50 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="over the budget"):
+                density_grid(BIVARIATE, range(2, 10**6 + 2), range(1, 10**6 + 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**5
 
     def test_oracle_can_be_skipped(self):
         rows = density_grid(
