@@ -33,8 +33,7 @@ from .errors import (
 )
 from .gammanum import (
     PrecisionContext,
-    RecoveryReport,
-    VerificationReport,
+    Residual,
     gamma_derivatives,
     recover_basis,
     verify_identity,

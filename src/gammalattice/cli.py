@@ -35,7 +35,7 @@ from .coeffs import (
 )
 from .density import BoundVariant, density_grid
 from .errors import GammaLatticeError, NotSquareError, SingularMatrixError
-from .gammanum import PrecisionContext, verify_identity, verify_recovery
+from .gammanum import PrecisionContext, check_sweep, verify_identity, verify_recovery
 from .linalg import RationalMatrix, certify_prefix_matrix, det_exact, inverse_exact
 from .sympoly import ArgumentFamily, FamilyKind
 
@@ -278,7 +278,7 @@ def _verify_families(kind: FamilyKind, kappa_set: str | None, warnings: list):
 
 def _cmd_verify(args) -> OutputEnvelope:
     warnings: list = []
-    ctx = PrecisionContext(args.digits)
+    ctx = PrecisionContext(args.digits, args.tolerance)
     families = _verify_families(FamilyKind(args.family), args.kappa_set, warnings)
     digits = ctx.decimal_digits
     params = {
@@ -294,46 +294,47 @@ def _cmd_verify(args) -> OutputEnvelope:
         raise ValueError("--m-max is required for identity mode")
     if args.mode == "recover" and args.m_max is not None:
         raise ValueError("--m-max does not apply to recover mode")
+    check_sweep(families, args.n_max, args.m_max, ctx)
     rows = []
     for family in families:
         head = {"family": args.family, "kappa": _shift_str(family)}
+        low = family.min_index
         if args.mode == "identity":
             _at_least("--n-max", args.n_max, 0, args.family)
-            _at_least("--m-max", args.m_max, family.min_index, args.family)
+            _at_least("--m-max", args.m_max, low, args.family)
             for n in range(args.n_max + 1):
-                for m in range(family.min_index, args.m_max + 1):
-                    report = verify_identity(
-                        family, n, m, ctx, tolerance=args.tolerance
-                    )
+                for m in range(low, args.m_max + 1):
+                    check = verify_identity(family, n, m, ctx)
                     rows.append(
                         {
                             **head,
                             "n": n,
                             "m": m,
-                            "lhs": _real_str(report.lhs, digits),
-                            "rhs": _real_str(report.rhs, digits),
-                            "abs_residual": _real_str(report.abs_residual, digits),
-                            "rel_residual": _real_str(report.rel_residual, digits),
-                            "pass": report.passed,
+                            "lhs": _real_str(check.reference, digits),
+                            "rhs": _real_str(check.value, digits),
+                            "abs_residual": _real_str(check.abs_residual, digits),
+                            "rel_residual": _real_str(check.rel_residual, digits),
+                            "pass": check.passed,
                         }
                     )
         else:
             # from the smallest system that is more than one identity
-            n_start = family.min_index + 1
-            _at_least("--n-max", args.n_max, n_start, args.family)
-            for n in range(n_start, args.n_max + 1):
-                for report in verify_recovery(family, n, ctx, args.tolerance):
+            _at_least("--n-max", args.n_max, low + 1, args.family)
+            for n in range(low + 1, args.n_max + 1):
+                spec = LatticeSpec(family, range(low, n + 1))
+                indices = " ".join(str(i) for i in spec.indices)
+                for ell, check in enumerate(verify_recovery(spec, n, ctx), low):
                     rows.append(
                         {
                             **head,
                             "n": n,
-                            "indices": " ".join(str(i) for i in report.spec.indices),
-                            "ell": report.ell,
-                            "recovered": _real_str(report.recovered, digits),
-                            "reference": _real_str(report.reference, digits),
-                            "abs_error": _real_str(report.abs_residual, digits),
-                            "rel_error": _real_str(report.rel_residual, digits),
-                            "pass": report.passed,
+                            "indices": indices,
+                            "ell": ell,
+                            "recovered": _real_str(check.value, digits),
+                            "reference": _real_str(check.reference, digits),
+                            "abs_error": _real_str(check.abs_residual, digits),
+                            "rel_error": _real_str(check.rel_residual, digits),
+                            "pass": check.passed,
                         }
                     )
 
@@ -389,8 +390,9 @@ def _cmd_density(args) -> OutputEnvelope:
 
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as one `error:` line, without the usage block,
-    and reads a word such as `-1:2`, `-1,2` or `-1/3` as a value, not a flag:
-    no option of this CLI starts with a dash and a digit."""
+    reads a word such as `-1:2`, `-1,2` or `-1/3` as a value, not a flag (no
+    option of this CLI starts with a dash and a digit), and refuses `--n=--`
+    as it refuses `--n --`."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -398,6 +400,12 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(USAGE_ERROR, f"error: {message}\n")
+
+    def _get_values(self, action, arg_strings):
+        # argparse strips the `--` of `--n=--` and would pass on an empty list
+        if action.nargs is None and arg_strings == ["--"]:
+            self.error(f"argument {action.option_strings[0]}: expected one argument")
+        return super()._get_values(action, arg_strings)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -462,12 +470,18 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else USAGE_ERROR
+    # Exact values print in full: the work budgets bound their length, so
+    # CPython's 4300-digit limit on int-to-str is lifted for the run.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         envelope = args.handler(args)
+        output = envelope.to_json() if args.format == "json" else envelope.to_csv()
     except (GammaLatticeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    output = envelope.to_json() if args.format == "json" else envelope.to_csv()
+    finally:
+        sys.set_int_max_str_digits(limit)
     sys.stdout.write(output)
     if output and not output.endswith("\n"):
         sys.stdout.write("\n")

@@ -77,10 +77,14 @@ def coefficient_table(
     ArgumentFamily.require(family)
     if n < 0:
         raise ValueError(f"derivative order {n} must be >= 0")
-    ms = tuple(ms)
+    if not isinstance(ms, range):
+        ms = tuple(ms)
     if not ms:
         raise ValueError("no lattice indices")
-    table = family.poly_kind.table(family, family.prefix_length(max(ms)), n)
+    # a range's largest index is at one end, so a huge range is sized, not
+    # listed, and the table's budget refuses it before any row is computed
+    top = max(ms[0], ms[-1]) if isinstance(ms, range) else max(ms)
+    table = family.poly_kind.table(family, family.prefix_length(top), n)
     factors = [factorial(n) // factorial(ell) for ell in range(n + 1)]
     rows = []
     for m in ms:
@@ -103,7 +107,6 @@ class CoeffSystem:
     """
 
     spec: LatticeSpec
-    order: int
     matrix: RationalMatrix
     constant_column: tuple[Fraction, ...]
     unknowns_label: tuple[str, ...]
@@ -131,4 +134,4 @@ def build_system(spec: LatticeSpec, n: int) -> CoeffSystem:
     labels = tuple(
         f"Gamma^({ell})({family.basis_point})" for ell in range(first, n + 1)
     )
-    return CoeffSystem(spec, n, matrix, consts, labels)
+    return CoeffSystem(spec, matrix, consts, labels)

@@ -31,8 +31,12 @@ from .gammanum import MAX_DIGITS
 # Cells in one grid.  At the cap a bivariate grid with the oracle printed as
 # JSON takes about 1.2 s and a 135 MB peak, and the prior bound at 50 digits
 # about 3.6 s and 145 MB (2-core x86-64, CPython 3.11); the cost is linear in
-# the cells, so 2:3000 x 1:3000 would take minutes and gigabytes.
+# the cells, so 2:3000 x 1:3000 would take minutes and gigabytes.  A prior
+# cell weighs 1 + digits // PRIOR_DIGITS_PER_CELL: at 1000 digits its row took
+# about five times the time and memory of one at 50 (1:10000 took 1.8 s and
+# 64 MB).  The min-sum oracle counts every order up to the largest N at each M.
 MAX_GRID_CELLS = 100_000
+PRIOR_DIGITS_PER_CELL = 250
 
 
 class BoundVariant(Enum):
@@ -180,9 +184,17 @@ def _ascending(values: Iterable[int]) -> Sequence[int]:
     return sorted(set(values))
 
 
-def _check_cells(cells: int) -> None:
-    if cells > MAX_GRID_CELLS:
-        raise ValueError(f"{cells} grid cells are over the budget {MAX_GRID_CELLS}")
+def _count(values: Sequence[int]) -> int:
+    """len(values), also for a range too long for len()."""
+    if isinstance(values, range) and values:
+        return (values[-1] - values[0]) // values.step + 1
+    return len(values)
+
+
+def _check_cells(cells: int, weight: int = 1) -> None:
+    if cells * weight > MAX_GRID_CELLS:
+        each = f" of weight {weight}" if weight > 1 else ""
+        raise ValueError(f"{cells} grid cells{each} are over the budget {MAX_GRID_CELLS}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -206,18 +218,24 @@ def density_grid(
     Bivariate rows carry the min-sum oracle value unless `include_oracle` is
     switched off; the oracle runs once per M, over every N at once.
     `digits` (>= 1) is the precision of inexact values.  A grid of more than
-    `MAX_GRID_CELLS` cells is refused before any cell is computed.
+    `MAX_GRID_CELLS` cells is refused before any cell is computed; a prior
+    cell weighs more at more digits, and the oracle counts every order up to
+    the largest N at each M.
     """
     _check_digits(digits)
     firsts = _ascending(first_range)
     if variant is BoundVariant.PRIOR:
-        _check_cells(len(firsts))
+        _check_cells(_count(firsts), 1 + digits // PRIOR_DIGITS_PER_CELL)
         return [GridRow(prior_univariate_bound(N, digits=digits)) for N in firsts]
     seconds = _ascending(second_range or ())
     if not seconds and (firsts or second_range is None):
         # no M values would silently drop every first value
         raise ValueError(f"variant {variant.value} needs a nonempty M range")
-    _check_cells(len(firsts) * len(seconds))
+    span = _count(firsts)
+    if include_oracle and variant.has_oracle and firsts:
+        # the oracle sums the orders 1..N (shifted) or 2..N (plain) at each M
+        span = firsts[-1] - (0 if variant.shifted else 1)
+    _check_cells(span * _count(seconds))
     bounds = [window_bound(variant, a, b) for a in firsts for b in seconds]
     if not (bounds and include_oracle and variant.has_oracle):
         return [GridRow(bound) for bound in bounds]

@@ -224,6 +224,9 @@ def difference_factorization(
     if k < 2:
         raise ValueError("need at least two indices to factor a difference minor")
     width = mp_[-1]
+    lag = 1 if kind is PolyKind.ELEMENTARY else 0
+    # the table first: its budget refuses a huge width before a row is built
+    table = kind.table(family, width - lag, k - 2)
     banded = [
         [
             family.x(j) if mp_[r] < j <= mp_[r + 1] else Fraction(0)
@@ -231,8 +234,6 @@ def difference_factorization(
         ]
         for r in range(k - 1)
     ]
-    lag = 1 if kind is PolyKind.ELEMENTARY else 0
-    table = kind.table(family, width - lag, k - 2)
     prefix = [table.values[j - lag] for j in range(1, width + 1)]
     return RationalMatrix.from_rows(banded), RationalMatrix.from_rows(prefix)
 

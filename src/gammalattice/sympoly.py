@@ -32,7 +32,27 @@ from enum import Enum
 from fractions import Fraction
 from math import prod
 
-from .errors import InvalidKappaError, MissingKappaError, SpecMismatchError
+from .errors import (
+    GuardExceededError,
+    InvalidKappaError,
+    MissingKappaError,
+    SpecMismatchError,
+)
+
+#: Most estimated work (`exact_work`) of one prefix table, checked before any
+#: row is filled.  Tables of all three families, lengths 500-4000 and degrees
+#: 2-50, filled at 0.4-9.3 us per unit (the slowest on the minus-999/1000
+#: lattice; 2-core x86-64, CPython 3.11), so a table under the budget takes
+#: about 10 s or less; plain degree 2 over 20000 variables (28 s) is refused.
+MAX_TABLE_WORK = 10**6
+
+
+def exact_work(operations: int, bits: int) -> int:
+    """Estimated cost of `operations` exact operations on numbers of up to
+    `bits` bits, in units of one operation on small numbers: each weighs
+    1 + (bits / 10^4)^2, as a `Fraction` sum, product or decimal print costs
+    about the same up to some 10^4 bits and grows quadratically beyond."""
+    return operations * (1 + bits * bits // 10**8)
 
 
 class FamilyKind(Enum):
@@ -54,6 +74,17 @@ class PolyKind(Enum):
         name at call time, so a wrapper on that name sees every table."""
         build = elementary_prefix if self is PolyKind.ELEMENTARY else homogeneous_prefix
         return build(family, max_len, max_deg)
+
+    def entry_bits(self, family: ArgumentFamily, max_len: int, max_deg: int) -> int:
+        """A bound on the bits of an entry of this kind's table (max_len >= 1)
+        times the family scale at its prefix length, as a coefficient reads
+        it.  Each of the max_len variables has a denominator of at most
+        bitlen(max_len * q) bits, for the basis denominator q; an entry's
+        denominator takes each once (e) or up to max_deg times (h), and the
+        scale once more."""
+        per_variable = (max_len * family.basis_point.denominator).bit_length()
+        repeats = max_deg if self is PolyKind.HOMOGENEOUS else 1
+        return (repeats + 1) * max_len * per_variable
 
 
 @dataclass(frozen=True)
@@ -150,7 +181,6 @@ class PrefixTable:
     value(0, v) = 0 for v > 0.
     """
 
-    family: ArgumentFamily
     max_len: int
     max_deg: int
     values: tuple[tuple[Fraction, ...], ...]
@@ -170,6 +200,12 @@ def _fill(
         raise ValueError(f"max_len {max_len} must be >= 0")
     if max_deg < 0:
         raise ValueError(f"max_deg {max_deg} must be >= 0")
+    bits = kind.entry_bits(family, max_len, max_deg)
+    if exact_work((max_len + 1) * (max_deg + 1), bits) > MAX_TABLE_WORK:
+        raise GuardExceededError(
+            f"the {kind.value} table of length {max_len} and degree {max_deg} "
+            f"is over the work budget {MAX_TABLE_WORK}"
+        )
     homogeneous = kind is PolyKind.HOMOGENEOUS
     rows = [(Fraction(1),) + (Fraction(0),) * max_deg]
     for j in range(1, max_len + 1):
@@ -182,7 +218,7 @@ def _fill(
         for v in range(1, max_deg + 1):
             row.append(prev[v] + xj * source[v - 1])
         rows.append(tuple(row))
-    return PrefixTable(family, max_len, max_deg, tuple(rows))
+    return PrefixTable(max_len, max_deg, tuple(rows))
 
 
 def elementary_prefix(family: ArgumentFamily, max_len: int, max_deg: int) -> PrefixTable:

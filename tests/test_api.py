@@ -12,7 +12,6 @@ from gammalattice import (
     ArgumentFamily,
     FamilyKind,
     LatticeSpec,
-    PrecisionContext,
     SpecMismatchError,
     coefficient,
     coefficient_table,
@@ -28,10 +27,10 @@ EXPORTS = [
     "KNOWN_TRANSCENDENTAL_SHIFTS", "LatticeSpec", "MissingKappaError",
     "NonIncreasingIndicesError", "NotSquareError", "PoleArgumentError", "PolyKind",
     "PrecisionContext", "PrefixCertificate", "PrefixTable", "RationalMatrix",
-    "RecoveryReport", "SingularMatrixError", "SpecMismatchError",
-    "VerificationReport", "bivariate_min_sum", "build_system", "cauchy_binet",
-    "certify_prefix_matrix", "coefficient", "coefficient_table", "density_grid",
-    "det_exact", "difference_factorization", "elementary_prefix",
+    "Residual", "SingularMatrixError", "SpecMismatchError", "bivariate_min_sum",
+    "build_system", "cauchy_binet", "certify_prefix_matrix", "coefficient",
+    "coefficient_table", "density_grid", "det_exact", "difference_factorization",
+    "elementary_prefix",
     "gamma_derivatives", "homogeneous_prefix", "inverse_exact", "prefix_matrix",
     "prior_univariate_bound", "recover_basis", "verify_identity", "verify_recovery",
     "window_bound",
@@ -88,7 +87,7 @@ EXPORTED = list(_exported())
 
 def test_walk_sees_the_entry_points():
     names = {name for name, _ in EXPORTED}
-    entry_points = {"LatticeSpec", "coefficient", "verify_identity", "VerificationReport"}
+    entry_points = {"LatticeSpec", "coefficient", "verify_identity", "Residual"}
     assert entry_points <= names
 
 
@@ -119,7 +118,7 @@ def test_guard_catches_a_loose_pair():
         lambda: coefficient(FamilyKind.PLAIN, 1, 2),
         lambda: coefficient_table(FamilyKind.PLAIN, 1, [2]),
         lambda: verify_identity(FamilyKind.PLAIN, 1, 2),
-        lambda: verify_recovery(FamilyKind.PLAIN, 2, PrecisionContext(), None),
+        lambda: verify_recovery(LatticeSpec(FamilyKind.PLAIN, (1, 2)), 2),
     ],
     ids=["LatticeSpec", "coefficient", "coefficient_table", "verify_identity",
          "verify_recovery"],

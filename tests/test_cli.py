@@ -1,12 +1,17 @@
+import contextlib
 import hashlib
+import io
 import json
+import math
+import signal
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import reference_csv, reference_json
-from gammalattice import density
+from gammalattice import cli, density, sympoly
 from gammalattice.cli import OutputEnvelope, main
 
 
@@ -14,6 +19,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _no_cell(*args, **kwargs):
+    raise AssertionError("work started before the budget was checked")
+
+
+BIG = "100000000000000000000000"  # 10**23, past 2**63
 
 
 def run_json(capsys, *argv):
@@ -222,6 +234,52 @@ class TestCoeffsCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_range_end_past_int64_is_usage_error(self, capsys, monkeypatch):
+        # it raised OverflowError (exit 1, a traceback) from tuple(range)
+        monkeypatch.setattr(sympoly.ArgumentFamily, "x", _no_cell)
+        code, out, err = run(
+            capsys, "coeffs", "--family", "plain", "--n", "1", "--m", f"1:{BIG}"
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: the elementary table of length {int(BIG) - 1} and degree 1 "
+            f"is over the work budget {sympoly.MAX_TABLE_WORK}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # ran 28 s, then exited 2 with CPython's int-to-str digit limit
+            ["coeffs", "--family", "plain", "--n", "2", "--m", "20000"],
+            ["coeffs", "--family", "minus", "--n", "50", "--m", "0:400", "--kappa", "1/3"],
+            # ran 34 s, then the same
+            ["matrix", "--family", "plain", "--n", "2", "--indices", "1,20000",
+             "--show", "det"],
+            # ran until it was killed
+            ["matrix", "--family", "plain", "--n", "2", "--indices", f"1,{BIG}"],
+            ["matrix", "--family", "minus", "--n", "1", "--indices", f"0,{BIG}",
+             "--kappa", "1/3", "--show", "cauchy-binet"],
+        ],
+        ids=["coeffs-plain", "coeffs-minus", "matrix-det", "matrix-huge-index",
+             "cauchy-binet-huge-index"],
+    )
+    def test_table_over_the_budget_is_usage_error(self, capsys, monkeypatch, argv):
+        # refused before any row of the table is filled
+        monkeypatch.setattr(sympoly.ArgumentFamily, "x", _no_cell)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the ") and err.count("\n") == 1
+        assert err.endswith(f"is over the work budget {sympoly.MAX_TABLE_WORK}\n")
+
+    def test_long_exact_values_print_in_full(self, capsys):
+        # 1699! has 4,753 digits, past CPython's default int-to-str limit
+        code, payload, _ = run_json(
+            capsys, "coeffs", "--family", "plain", "--n", "0", "--m", "1700"
+        )
+        assert code == 0
+        # Decimal converts ints without that limit
+        assert payload["rows"][0]["value"] == str(Decimal(math.factorial(1699)))
 
     @pytest.mark.parametrize(
         "argv,digest",
@@ -555,6 +613,38 @@ class TestVerifyCommand:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # ran until it was killed
+            ("--n-max", "1", "--m-max", BIG),
+            # 18 s and 969 kB of output
+            ("--n-max", "1", "--m-max", "1700"),
+            ("--n-max", BIG, "--m-max", "1"),
+            ("--mode", "recover", "--n-max", BIG),
+            ("--mode", "recover", "--n-max", "100"),
+        ],
+        ids=["m-max-huge", "m-max-1700", "n-max-huge", "recover-huge", "recover-100"],
+    )
+    def test_sweep_over_the_budget_is_usage_error(self, capsys, monkeypatch, argv):
+        # refused before the first cell runs
+        monkeypatch.setattr(cli, "verify_identity", _no_cell)
+        monkeypatch.setattr(cli, "verify_recovery", _no_cell)
+        code, out, err = run(
+            capsys, "verify", "--family", "plain", *argv, "--digits", "30"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: the verify sweep is over the work budget 10000000\n"
+
+    def test_bad_tolerance_is_reported_before_other_faults(self, capsys):
+        # the context reads the tolerance first, before the shifts or the sweep
+        code, out, err = run(
+            capsys, "verify", "--family", "plus", "--n-max", "1", "--m-max", "1",
+            "--kappa-set", "1/0", "--tolerance", "nan", "--digits", "30",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: tolerance 'nan' must be finite and >= 0\n"
+
     def test_missing_m_max_identity(self, capsys):
         code, _, _ = run(capsys, "verify", "--family", "plain", "--n-max", "1")
         assert code == 2
@@ -677,6 +767,28 @@ class TestDensityCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert err.endswith(f"grid cells are over the budget {density.MAX_GRID_CELLS}\n")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # it raised OverflowError (exit 1, a traceback) from len(range)
+            ["--variant", "bivariate", "--N", f"2:{BIG}", "--M", "1"],
+            # the oracle sums every order up to N at each M
+            ["--variant", "bivariate", "--N", BIG, "--M", "1", "--with-oracle"],
+            # at 1000 digits a prior cell weighs five: 1:10000 took 1.8 s and 64 MB
+            ["--variant", "prior", "--N", "1:20001", "--digits", "1000"],
+        ],
+        ids=["range-past-int64", "oracle-span", "prior-digits"],
+    )
+    def test_weighted_grid_over_the_budget_is_usage_error(
+        self, capsys, monkeypatch, argv
+    ):
+        monkeypatch.setattr(density, "window_bound", _no_cell)
+        monkeypatch.setattr(density, "prior_univariate_bound", _no_cell)
+        code, out, err = run(capsys, "density", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith(f"are over the budget {density.MAX_GRID_CELLS}\n")
+
 
 class TestArgumentParsing:
     @pytest.mark.parametrize(
@@ -697,6 +809,22 @@ class TestArgumentParsing:
         joined = [*argv[: at - 1], f"{argv[at - 1]}={argv[at]}", *argv[at + 1 :]]
         for form in (argv, joined):
             assert run(capsys, *form) == (2, "", line)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["coeffs", "--family", "plain", "--n=--", "--m", "1"],
+            ["coeffs", "--family", "plus", "--n", "1", "--m", "1", "--kappa=--"],
+            ["density", "--variant", "prior", "--N=--"],
+        ],
+        ids=["n", "kappa", "N"],
+    )
+    def test_double_dash_value_is_refused(self, capsys, argv):
+        # argparse stripped the `--` and passed an empty list on: a TypeError
+        flag = next(word for word in argv if word.endswith("=--")).split("=")[0]
+        assert run(capsys, *argv) == (
+            2, "", f"error: argument {flag}: expected one argument\n"
+        )
 
 
 # Text an encoder must escape or keep apart from the layout: quotes,
@@ -785,3 +913,117 @@ class TestEnvelopeContract:
     def test_help_exits_zero(self, capsys):
         code, _, _ = run(capsys, "--help")
         assert code == 0
+
+
+# The CLI contract over argv: exit 0, 1 or 2, never a traceback, one `error:`
+# line and no output on a usage error, and each run inside a few seconds.  An
+# argv is a well-formed one, so that runs get past the parser, with some of
+# its values replaced by hostile ones or its flags dropped.
+_SMALL = st.integers(-1, 8)  # near 0, where the sweeps are small
+_INT = st.one_of(_SMALL, st.integers(-(2**70), -2), st.integers(2**63, 2**70))
+_WHITELIST = st.sampled_from(["1/6", "1/4", "1/3", "1/2", "2/3", "3/4", "5/6", "2/5"])
+_HOSTILE = st.one_of(
+    _INT.map(str),
+    st.tuples(_INT, _INT).map(lambda ends: f"{ends[0]}:{ends[1]}"),
+    st.lists(_INT, min_size=1, max_size=4).map(lambda xs: ",".join(map(str, xs))),
+    st.tuples(_INT, _INT).map(lambda pq: f"{pq[0]}/{pq[1]}"),
+    st.sampled_from(
+        ["", ":", "1:", "a:b", "1:2:3", ",", "1,,2", "1/0", "0/0", "3/2", "1//3",
+         "abc", "nan", "inf", "other", "-1", "-1:2", "-1,2", "-1/3", "-x", "--", "-"]
+    ),
+)
+
+
+def _small_range(low):
+    return st.tuples(st.integers(low, 6), st.integers(0, 3)).map(
+        lambda r: f"{r[0]}:{r[0] + r[1]}" if r[1] else str(r[0])
+    )
+
+
+@st.composite
+def _well_formed(draw, command):
+    """(flag, value) pairs of an argv that parses and runs; None flags a switch."""
+    fmt = [("--format", draw(st.sampled_from(["json", "csv"])))]
+    if command == "density":
+        variant = draw(st.sampled_from(list(density.BoundVariant)))
+        low = {"N": 1, "n": 1, "M": 0}
+        pairs = [("--variant", variant.value)]
+        pairs += [(f"--{name}", draw(_small_range(low[name]))) for name in variant.ranges]
+        if variant.has_oracle and draw(st.booleans()):
+            pairs.append(("--with-oracle", None))
+        if variant is density.BoundVariant.PRIOR and draw(st.booleans()):
+            pairs.append(("--digits", str(draw(st.integers(1, 60)))))
+        return pairs + fmt
+    family = draw(st.sampled_from(["plain", "plus", "minus"]))
+    shifted = family != "plain"
+    pairs = [("--family", family)]
+    if command == "verify":
+        recover = draw(st.booleans())
+        pairs.append(("--n-max", str(draw(st.integers(int(shifted), 6)))))
+        if recover:
+            pairs.append(("--mode", "recover"))
+        else:
+            pairs.append(("--m-max", str(draw(st.integers(1, 6)))))
+        if shifted and draw(st.booleans()):
+            shifts = draw(st.lists(_WHITELIST, min_size=1, max_size=3, unique=True))
+            pairs.append(("--kappa-set", ",".join(shifts)))
+        pairs.append(("--digits", str(draw(st.integers(30, 40)))))
+        if draw(st.booleans()):
+            pairs.append(("--tolerance", draw(st.sampled_from(["0", "1e-20"]))))
+        return pairs + fmt
+    kappa = [("--kappa", draw(_WHITELIST))] if shifted else []
+    pairs.append(("--n", str(draw(st.integers(0, 6)))))
+    if command == "coeffs":
+        return pairs + [("--m", draw(_small_range(1 - shifted)))] + kappa + fmt
+    indices = draw(st.lists(st.integers(1 - shifted, 8), min_size=1, max_size=4, unique=True))
+    pairs.append(("--indices", ",".join(map(str, sorted(indices)))))
+    show = draw(st.sampled_from([None, "det", "inverse", "cauchy-binet"]))
+    return pairs + kappa + ([("--show", show)] if show else []) + fmt
+
+
+@st.composite
+def _argv(draw, command):
+    argv = [command]
+    for flag, value in draw(_well_formed(command)):
+        change = draw(st.integers(0, 7))
+        if change == 7:
+            continue  # dropped
+        if value is None:
+            argv.append(flag)
+            continue
+        if change == 6:
+            value = draw(_HOSTILE)
+        argv += draw(st.sampled_from([[flag, value], [f"{flag}={value}"]]))
+    return argv
+
+
+# A run that passes this is cut off: the budgets bound every accepted run to
+# well under it on a 2-core host.
+_RUN_SECONDS = 10
+
+
+def _timed_out(signum, frame):
+    raise TimeoutError(f"the run took more than {_RUN_SECONDS} s")
+
+
+class TestCliContract:
+    @pytest.mark.parametrize("command", ["coeffs", "matrix", "verify", "density"])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_exit_codes_and_one_line_errors(self, command, data):
+        argv = data.draw(_argv(command), label="argv")
+        out, err = io.StringIO(), io.StringIO()
+        previous = signal.signal(signal.SIGALRM, _timed_out)
+        signal.setitimer(signal.ITIMER_REAL, _RUN_SECONDS)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        err = err.getvalue()
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 2:
+            assert out.getvalue() == ""
+            assert err.startswith("error: ") and err.count("\n") == 1

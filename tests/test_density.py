@@ -16,6 +16,12 @@ from gammalattice import (
 )
 
 FIXED, FIXED_SHIFTED = BoundVariant.FIXED_N, BoundVariant.FIXED_N_SHIFTED
+
+
+def _no_cell(*args, **kwargs):
+    raise AssertionError("a cell was computed")
+
+
 BIVARIATE, BIVARIATE_SHIFTED = BoundVariant.BIVARIATE, BoundVariant.BIVARIATE_SHIFTED
 
 
@@ -279,6 +285,22 @@ class TestDensityGrid:
         finally:
             tracemalloc.stop()
         assert peak < 10**5
+
+    def test_weighted_cells(self, monkeypatch):
+        monkeypatch.setattr(density, "MAX_GRID_CELLS", 12)
+        monkeypatch.setattr(density, "bivariate_min_sum", _no_cell)
+        # a prior cell weighs one more per 250 digits
+        assert len(density_grid(BoundVariant.PRIOR, range(1, 7), digits=250)) == 6
+        with pytest.raises(ValueError, match=r"^7 grid cells of weight 2 are over"):
+            density_grid(BoundVariant.PRIOR, range(1, 8), digits=250)
+        # the oracle sums the orders 2..10 at each of 2 values of M
+        assert len(density_grid(BIVARIATE, [10], [1, 2], include_oracle=False)) == 2
+        monkeypatch.setattr(density, "window_bound", _no_cell)
+        with pytest.raises(ValueError, match=r"^18 grid cells are over the budget 12$"):
+            density_grid(BIVARIATE, [10], [1, 2])
+        # a range past sys.maxsize is sized, not listed
+        with pytest.raises(ValueError, match=rf"^{10**23} grid cells are over"):
+            density_grid(BoundVariant.PRIOR, range(10**23))
 
     def test_oracle_can_be_skipped(self):
         rows = density_grid(

@@ -6,6 +6,7 @@ from mpmath import mp
 from gammalattice import (
     ArgumentFamily,
     FamilyKind,
+    GuardExceededError,
     LatticeSpec,
     PoleArgumentError,
     PrecisionContext,
@@ -65,8 +66,8 @@ class TestPrecisionContext:
     def test_default_tolerance_is_guard_budget(self):
         ctx = PrecisionContext(60)
         with mp.workdps(ctx.working_digits):
-            assert ctx.default_tolerance() == mp.mpf(10) ** -40
-        assert float(PrecisionContext(30).default_tolerance()) == 1e-10
+            assert ctx.tolerance == mp.mpf(10) ** -40
+        assert float(PrecisionContext(30).tolerance) == 1e-10
 
 
 class TestPolygamma:
@@ -172,24 +173,23 @@ class TestVerifyIdentity:
     def test_order_zero_is_factorial(self):
         report = verify_identity(PLAIN, 0, 5, ctx=CTX)
         assert report.passed
-        assert close(report.lhs, 24)
-        assert close(report.rhs, 24)
+        assert close(report.reference, 24)
+        assert close(report.value, 24)
 
     def test_plain_second_derivative(self):
         report = verify_identity(PLAIN, 2, 3, ctx=CTX)
         with mp.workdps(CTX.working_digits):
             expected = 2 - 6 * mp.euler + 2 * (mp.euler**2 + mp.pi**2 / 6)
-            assert close(report.lhs, expected)
+            assert close(report.reference, expected)
         assert report.passed
         with mp.workdps(CTX.working_digits):
             assert report.rel_residual < mp.mpf(10) ** -40
 
     def test_minus_shift_reflection_point(self):
         report = verify_identity(MINUS_HALF, 0, 1, CTX)
-        assert report.family == MINUS_HALF
         assert report.passed
         with mp.workdps(CTX.working_digits):
-            assert close(report.lhs, -2 * mp.sqrt(mp.pi))
+            assert close(report.reference, -2 * mp.sqrt(mp.pi))
 
     def test_family_kappa_consistency(self):
         # the family carries its shift, so a mismatch fails before any sum
@@ -201,7 +201,7 @@ class TestVerifyIdentity:
     def test_tolerance_override_can_fail(self):
         # residuals can round to exactly zero, so only a zero tolerance is a
         # guaranteed forcing knob under the strict comparison
-        report = verify_identity(PLAIN, 2, 3, ctx=CTX, tolerance="0")
+        report = verify_identity(PLAIN, 2, 3, ctx=PrecisionContext(60, "0"))
         assert not report.passed
 
 
@@ -245,30 +245,39 @@ class TestRecoverBasis:
 
 class TestVerifyRecovery:
     def test_plain_recovers_euler(self):
-        reports = verify_recovery(PLAIN, 2, CTX, None)
-        assert [r.ell for r in reports] == [1, 2]
-        assert reports[0].spec.indices == (1, 2)
+        reports = verify_recovery(LatticeSpec(PLAIN, (1, 2)), 2, CTX)
+        assert len(reports) == 2  # Gamma^(1..2)(1)
         assert all(r.passed for r in reports)
         with mp.workdps(CTX.working_digits):
-            assert close(reports[0].recovered, -mp.euler)
+            assert close(reports[0].value, -mp.euler)
 
     def test_shifted_starts_at_order_zero(self):
-        reports = verify_recovery(MINUS_HALF, 1, CTX, None)
-        assert [r.ell for r in reports] == [0, 1]
-        assert reports[0].spec.indices == (0, 1)
+        reports = verify_recovery(LatticeSpec(MINUS_HALF, (0, 1)), 1, CTX)
+        assert len(reports) == 2  # Gamma^(0..1)(1/2)
         assert close(reports[0].reference, gamma_at(Fraction(1, 2)))
+        assert close(reports[0].value, gamma_at(Fraction(1, 2)))
         assert all(r.passed for r in reports)
 
     def test_zero_tolerance_fails(self):
-        reports = verify_recovery(PLAIN, 2, CTX, "0")
+        spec = LatticeSpec(PLAIN, (1, 2))
+        reports = verify_recovery(spec, 2, PrecisionContext(60, "0"))
         assert not any(r.passed for r in reports)
 
-    @pytest.mark.parametrize("tolerance", ["-1", "nan", "inf", "abc"])
-    def test_bad_tolerance_rejected(self, tolerance):
-        with pytest.raises(ValueError):
-            verify_identity(PLAIN, 1, 1, ctx=CTX, tolerance=tolerance)
-        with pytest.raises(ValueError):
-            verify_recovery(PLAIN, 2, CTX, tolerance)
+    @pytest.mark.parametrize(
+        "tolerance, line",
+        [
+            ("-1", "tolerance '-1' must be finite and >= 0"),
+            ("nan", "tolerance 'nan' must be finite and >= 0"),
+            ("inf", "tolerance 'inf' must be finite and >= 0"),
+            ("abc", "bad tolerance 'abc'; want e.g. 1e-40"),
+        ],
+        ids=["-1", "nan", "inf", "abc"],
+    )
+    def test_bad_tolerance_rejected(self, tolerance, line):
+        # read once, when the context is built, before any value is computed
+        with pytest.raises(ValueError) as info:
+            PrecisionContext(60, tolerance)
+        assert str(info.value) == line
 
 
 class TestIdentityGrid:
@@ -282,3 +291,55 @@ class TestIdentityGrid:
             for m in range(family.min_index, 5):
                 report = verify_identity(family, n, m, CTX)
                 assert report.passed, (family, n, m)
+
+
+class TestSweepBudget:
+    THIRD = Fraction(1, 3)
+
+    @pytest.mark.parametrize(
+        "family, n_max, m_max, digits",
+        [
+            # the benchmark's sweeps
+            (PLAIN, 10, 12, 100),
+            (ArgumentFamily(FamilyKind.MINUS_SHIFT, THIRD), 8, 10, 60),
+            (ArgumentFamily(FamilyKind.PLUS_SHIFT, THIRD), 8, None, 150),
+            # `verify --n-max 20 --m-max 30 --digits 100` took 2 s; the
+            # acceptance sweep's shifted grid
+            (PLAIN, 20, 30, 100),
+            (ArgumentFamily(FamilyKind.MINUS_SHIFT, HALF), 6, 8, 60),
+            # the largest sweep at the digit cap that the CLI tests run
+            (PLAIN, 0, 3, 1000),
+            # empty sweeps cost nothing
+            (PLAIN, -1, 10**23, 30),
+            (PLAIN, 10**23, 0, 30),
+            (MINUS_HALF, 0, None, 30),
+        ],
+    )
+    def test_accepted(self, family, n_max, m_max, digits):
+        gammanum.check_sweep([family], n_max, m_max, PrecisionContext(digits))
+
+    @pytest.mark.parametrize(
+        "family, n_max, m_max",
+        [
+            # 18 s; 96 s
+            (PLAIN, 1, 1700),
+            (ArgumentFamily(FamilyKind.MINUS_SHIFT, THIRD), 30, None),
+            (PLAIN, 1, 10**23),
+            (PLAIN, 10**23, 1),
+            (PLAIN, 10**23, None),
+        ],
+    )
+    def test_refused_at_once(self, family, n_max, m_max):
+        with pytest.raises(
+            GuardExceededError, match="^the verify sweep is over the work budget 10000000$"
+        ):
+            gammanum.check_sweep([family], n_max, m_max, PrecisionContext(30))
+
+    def test_families_add_up(self, monkeypatch):
+        shifts = [ArgumentFamily(FamilyKind.PLUS_SHIFT, Fraction(k, 7)) for k in range(1, 7)]
+        one = sum(gammanum._sweep_cells(shifts[0], 4, 4, CTX))
+        monkeypatch.setattr(gammanum, "MAX_SWEEP_WORK", 6 * one)
+        gammanum.check_sweep(shifts, 4, 4, CTX)
+        monkeypatch.setattr(gammanum, "MAX_SWEEP_WORK", 6 * one - 1)
+        with pytest.raises(GuardExceededError):
+            gammanum.check_sweep(shifts, 4, 4, CTX)

@@ -14,6 +14,7 @@ from gammalattice import (
     SpecMismatchError,
     elementary_prefix,
     homogeneous_prefix,
+    sympoly,
 )
 
 from _oracles import elementary_bruteforce, homogeneous_bruteforce
@@ -170,6 +171,48 @@ class TestPrefixTables:
             elementary_prefix(PLAIN, -1, 2)
         with pytest.raises(ValueError):
             homogeneous_prefix(PLAIN, 2, -1)
+
+
+class TestTableBudget:
+    @pytest.mark.parametrize("kind", list(PolyKind))
+    @pytest.mark.parametrize("family", ALL_FAMILIES + [
+        ArgumentFamily(FamilyKind.PLUS_SHIFT, Fraction(999, 1000)),
+        ArgumentFamily(FamilyKind.MINUS_SHIFT, Fraction(1, 1000)),
+    ])
+    def test_entry_bits_bound_the_coefficients(self, family, kind):
+        # every entry times the family scale at its length, as a coefficient
+        # reads it, fits in the estimate the budget weighs
+        for length, degree in ((1, 0), (1, 3), (4, 2), (12, 5), (30, 12)):
+            table = kind.table(family, length, degree)
+            bound = kind.entry_bits(family, length, degree)
+            for j, row in enumerate(table.values):
+                scale = family.scale(family.min_index + j)
+                for value in row:
+                    exact = value * scale
+                    assert exact.numerator.bit_length() <= bound
+                    assert exact.denominator.bit_length() <= bound
+
+    def test_refused_before_any_row_is_filled(self, monkeypatch):
+        def no_row(*args):
+            raise AssertionError("a row was filled")
+
+        # degree 2 over 20,000 plain variables took 28 s
+        monkeypatch.setattr(ArgumentFamily, "x", no_row)
+        for build, length in ((elementary_prefix, 19999), (homogeneous_prefix, 10**23)):
+            with pytest.raises(GuardExceededError, match=(
+                rf"^the {build.__name__.split('_')[0]}\w* table of length {length} "
+                rf"and degree 2 is over the work budget 1000000$"
+            )):
+                build(PLAIN, length, 2)
+
+    def test_budget_is_the_estimated_work(self, monkeypatch):
+        # 5 x 3 cells of entries under 10^4 bits weigh one unit each
+        assert sympoly.exact_work(15, PolyKind.ELEMENTARY.entry_bits(PLAIN, 4, 2)) == 15
+        assert sympoly.exact_work(2, 3 * 10**4) == 2 * 10
+        monkeypatch.setattr(sympoly, "MAX_TABLE_WORK", 15)
+        assert elementary_prefix(PLAIN, 4, 2).max_len == 4
+        with pytest.raises(GuardExceededError):
+            elementary_prefix(PLAIN, 5, 2)
 
 
 class TestBruteForce:
