@@ -26,15 +26,15 @@ from typing import Iterable, Sequence
 
 from mpmath import mp
 
-from .gammanum import MAX_DIGITS
+from .budget import MAX_DIGITS
+from .errors import GuardExceededError
 
-# Cells in one grid.  At the cap a bivariate grid with the oracle printed as
-# JSON takes about 1.2 s and a 135 MB peak, and the prior bound at 50 digits
-# about 3.6 s and 145 MB (2-core x86-64, CPython 3.11); the cost is linear in
-# the cells, so 2:3000 x 1:3000 would take minutes and gigabytes.  A prior
-# cell weighs 1 + digits // PRIOR_DIGITS_PER_CELL: at 1000 digits its row took
-# about five times the time and memory of one at 50 (1:10000 took 1.8 s and
-# 64 MB).  The min-sum oracle counts every order up to the largest N at each M.
+# Cells in one grid, a memory cap: at the cap a bivariate grid with the oracle
+# in JSON peaks at 135 MB (1.2 s), and the prior bound at 50 digits at 145 MB
+# (3.6 s; 2-core x86-64, CPython 3.11).  A prior cell weighs 1 + digits //
+# PRIOR_DIGITS_PER_CELL: at 1000 digits its row took five times the time and
+# memory of one at 50.  The oracle counts every order up to the largest N at
+# each M.
 MAX_GRID_CELLS = 100_000
 PRIOR_DIGITS_PER_CELL = 250
 
@@ -194,7 +194,9 @@ def _count(values: Sequence[int]) -> int:
 def _check_cells(cells: int, weight: int = 1) -> None:
     if cells * weight > MAX_GRID_CELLS:
         each = f" of weight {weight}" if weight > 1 else ""
-        raise ValueError(f"{cells} grid cells{each} are over the budget {MAX_GRID_CELLS}")
+        raise GuardExceededError(
+            f"{cells} grid cells{each} are over the budget {MAX_GRID_CELLS}"
+        )
 
 
 @dataclass(frozen=True, slots=True)

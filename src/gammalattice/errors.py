@@ -23,7 +23,7 @@ class InvalidKappaError(SpecMismatchError):
 
 
 class GuardExceededError(GammaLatticeError):
-    """An enumeration would exceed its size guard."""
+    """A computation's estimated work, or a grid's cells, are over a cap."""
 
 
 class NotSquareError(GammaLatticeError):

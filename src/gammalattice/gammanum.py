@@ -17,14 +17,13 @@ valid at every non-pole point.  In particular the values at negative points
 are never produced by the rational-coefficient expansion they are used to
 verify.
 
-All computations run at decimal_digits + GUARD_DIGITS working precision.
-A `PrecisionContext` holds that precision and the tolerance of every
-comparison, by default 10^-(decimal_digits - GUARD_DIGITS); decimal_digits
-must lie in [30, MAX_DIGITS], so that default is <= 1e-10 and a sweep's cost
-stays bounded; psi and Gamma caches are bounded.  `verify_identity` (one
-expansion at a point of an `ArgumentFamily`) and `verify_recovery` (a square
-`LatticeSpec` solved for the basis) return `Residual` records by one rule:
-relative, or absolute where the reference is below 1.
+A `PrecisionContext` holds the working precision, decimal_digits in [30,
+MAX_DIGITS] plus GUARD_DIGITS, and the tolerance of every comparison, by
+default 10^-(decimal_digits - GUARD_DIGITS) <= 1e-10; psi and Gamma caches are
+bounded.  `verify_identity` (one expansion at a point of an `ArgumentFamily`)
+and `verify_recovery` (a square `LatticeSpec` solved for the basis) return
+`Residual` records by one rule: relative, or absolute where the reference is
+below 1.
 """
 
 from __future__ import annotations
@@ -36,15 +35,11 @@ from functools import lru_cache
 
 from mpmath import mp
 
+from .budget import MAX_DIGITS, charge, weight
 from .coeffs import LatticeSpec, build_system, coefficient
-from .errors import GuardExceededError, PoleArgumentError, SpecMismatchError
-from .linalg import inverse_exact
-from .sympoly import ArgumentFamily, exact_work
-
-#: Most decimal digits a `PrecisionContext` accepts: `verify --family plain
-#: --n-max 2 --m-max 2` takes about 3 s at 1000 digits and 19 s at 2000 (2-core
-#: x86-64, CPython 3.11, pure-python mpmath).
-MAX_DIGITS = 1000
+from .errors import PoleArgumentError, SpecMismatchError
+from .linalg import _elimination_work, inverse_exact
+from .sympoly import ArgumentFamily
 
 #: Digits carried beyond `decimal_digits`, and the digits a comparison gives
 #: up to rounding by default.
@@ -52,15 +47,6 @@ GUARD_DIGITS = 20
 
 #: Entries kept by each of the psi and Gamma caches.
 _CACHE_SIZE = 4096
-
-#: Most estimated work of one `verify` sweep, in the units of
-#: `sympoly.exact_work`, checked by `check_sweep` before any cell runs.  Twenty
-#: identity and recovery sweeps of all three families at 30 to 1000 digits ran
-#: 0.3-2.7 us per unit (2-core x86-64, CPython 3.11, pure-python mpmath), so a
-#: sweep under the budget finishes in about 30 s or less; `--n-max 1 --m-max
-#: 1700` (18 s, 3.9e7 units) and minus-1/3 recovery to order 30 (96 s, 4.5e7)
-#: are refused.
-MAX_SWEEP_WORK = 10**7
 
 
 @dataclass(frozen=True)
@@ -192,8 +178,7 @@ def verify_identity(
     when |reference| < 1.
     """
     ArgumentFamily.require(family)
-    if ctx is None:
-        ctx = PrecisionContext()
+    ctx = ctx or PrecisionContext()
     basis = gamma_derivatives(family.basis_point, n, ctx)
     lhs = gamma_derivatives(family.point(m), n, ctx)[n]
     terms = coefficient(family, n, m)
@@ -209,8 +194,7 @@ def recover_basis(spec: LatticeSpec, n: int, ctx: PrecisionContext | None = None
     the coefficient matrix.  Returns approximations of Gamma^(1..n)(1) for the
     plain family or Gamma^(0..n)(kappa) for the shifted ones.
     """
-    if ctx is None:
-        ctx = PrecisionContext()
+    ctx = ctx or PrecisionContext()
     system = build_system(spec, n)
     if not system.is_square:
         raise SpecMismatchError(
@@ -230,8 +214,7 @@ def verify_recovery(
     """`recover_basis(spec, n, ctx)`, each value checked against the direct
     evaluation of its basis derivative, Gamma^(min_index..n), by the residual
     rule of `verify_identity`."""
-    if ctx is None:
-        ctx = PrecisionContext()
+    ctx = ctx or PrecisionContext()
     recovered = recover_basis(spec, n, ctx)
     family = spec.family
     references = gamma_derivatives(family.basis_point, n, ctx)[family.min_index :]
@@ -239,48 +222,41 @@ def verify_recovery(
         return [_compare(value, ref, ctx) for value, ref in zip(recovered, references)]
 
 
-def _point_work(family: ArgumentFamily, n: int, m: int, ctx: PrecisionContext) -> int:
-    """Estimated work, beyond the prefix table, of Gamma^(0..n) at the lattice
-    point m after the orders below n are cached: a polygamma value and a Bell
-    row of n^2 products, and one recurrence step per unit the point lies below 0
-    (about 40 units each), all at the context's digits, weighing
-    1 + (digits/150)^2 (psi took 2 ms at 30 digits and 90 ms at 1000)."""
-    steps = max(0, -math.floor(family.point(m)))
-    digits = ctx.decimal_digits
-    return (2000 + n * n + 40 * steps) * (22500 + digits * digits) // 22500
-
-
 def _sweep_cells(family: ArgumentFamily, n_max: int, m_max, ctx: PrecisionContext):
-    """The estimated work of each cell of a `verify` sweep of one family."""
-    kind, low = family.poly_kind, family.min_index
+    """The estimated units of a `verify` sweep of one family.  An mpmath
+    operation weighs 4 fixed units and its operands, 3.322 bits a digit.  The
+    first values take 100 operations a digit (at 1000 digits, 2.5 s plain and
+    5.1 s at shift 1/3).  A cell adds its table and Gamma^(0..n) at its point
+    once lower orders are cached: a polygamma value (16 a digit), a Bell row
+    (3 n^2) and 40 per unit the point lies below 0.  A recovery order adds the
+    inverse of its k x k system, whose scaled rows measured about half of
+    `entry_bits`, and k points."""
+    kind, low, digits = family.poly_kind, family.min_index, ctx.working_digits
+    unit = 4 + weight(digits * 3322 // 1000)
+
+    def point(n: int, m: int) -> int:
+        steps = max(0, -math.floor(family.point(m)))
+        return (16 * digits + 3 * n * n + 40 * steps) * unit
+
+    yield 100 * digits * unit
     if m_max is None:
-        # recovery at order n: a k x k system whose inverse takes about k^3
-        # operations on entries k times the table's, and k derivative vectors
         for n in range(low + 1, n_max + 1):
             k = n + 1 - low
-            bits = kind.entry_bits(family, n - low, n)
-            yield exact_work(k**3, k * bits) + k * _point_work(family, n, n, ctx)
+            bits = kind.entry_bits(family, n - low, n) // 2
+            yield _elimination_work(k, bits, True) + k * point(n, n)
     elif m_max >= low:
         for n in range(n_max + 1):
             for m in range(low, m_max + 1):
-                length = m - low
-                bits = kind.entry_bits(family, length, n)
-                table = exact_work((length + 1) * (n + 1), bits)
-                yield table + _point_work(family, n, m, ctx)
+                yield kind.table_work(family, m - low, n) + point(n, m)
 
 
 def check_sweep(families, n_max: int, m_max, ctx: PrecisionContext) -> None:
-    """Refuse a `verify` sweep whose estimated work is over `MAX_SWEEP_WORK`
-    before any of it runs: for each family, the identity cells n <= n_max,
-    min_index <= m <= m_max, or with `m_max` None the recovery systems of
-    orders min_index + 1 .. n_max.  Every cell costs at least 2000 units, and
-    the sum stops at the first cell over the budget, so a huge sweep is
-    refused at once."""
+    """Charge a `verify` sweep's estimated work before any of it runs: per
+    family, the identity cells n <= n_max, min_index <= m <= m_max, or with
+    `m_max` None the recovery orders min_index + 1 .. n_max.  The sum is
+    charged per cell, each 4000 units or more: a huge sweep is refused at once."""
     total = 0
     for family in families:
         for work in _sweep_cells(family, n_max, m_max, ctx):
             total += work
-            if total > MAX_SWEEP_WORK:
-                raise GuardExceededError(
-                    f"the verify sweep is over the work budget {MAX_SWEEP_WORK}"
-                )
+            charge(total, "the verify sweep")

@@ -23,11 +23,8 @@ both of its sub-determinants, so positivity can be asserted term by term
 rather than only for the total; `certify_prefix_matrix` runs the whole chain
 and checks the expansion against the determinant of the matrix itself.
 
-Every elimination runs fraction-free on integer rows: each row is scaled once
-by the lcm of its denominators, the scales divide back out at the end, and
-intermediate growth stays polynomial.  Determinants use Bareiss elimination;
-the inverse is one fraction-free Gauss-Jordan pass divided once by the
-determinant that pass finds.
+Every elimination runs fraction-free on integer rows, each scaled once by the
+lcm of its denominators, and is charged its estimated work first.
 """
 
 from __future__ import annotations
@@ -38,23 +35,14 @@ from itertools import product
 from math import comb, lcm, prod
 from typing import Iterable, Sequence
 
+from .budget import charge, weight
 from .errors import (
     DimensionMismatchError,
-    GuardExceededError,
     NonIncreasingIndicesError,
     NotSquareError,
     SingularMatrixError,
 )
 from .sympoly import ArgumentFamily, PolyKind
-
-#: Most estimated small-integer operations `cauchy_binet` may spend (see
-#: `_walk_work`).  On the minus-1/3 and plain lattices (2-core x86-64, CPython
-#: 3.11, one process) the walk ran 0.4-2.7 us per estimated operation, so a
-#: walk under this guard finishes in about 30 s or less.
-WORK_GUARD = 10**7
-
-#: Estimated operations for one leaf's `Fraction` and term, beyond its row.
-_LEAF_OPS = 30
 
 
 @dataclass(frozen=True)
@@ -101,6 +89,55 @@ def _integer_row(row: Iterable[Fraction]) -> tuple[int, list[int]]:
     return mult, [x.numerator * (mult // x.denominator) for x in row]
 
 
+def _elimination_work(n: int, bits: int, inverse: bool) -> int:
+    """Estimated units of eliminating n x n integer rows of up to `bits` bits:
+    step k updates (n-1-k)^2 entries for a determinant, at 8 fixed units each,
+    or (n-1)(2n-1-k) augmented ones for an inverse, at 4, and its entries are
+    (k+1)-minors, measured about half their (k+1) * bits bound."""
+    work = 0
+    for k in range(n):
+        if inverse:
+            work += (n - 1) * (2 * n - 1 - k) * (4 + weight((k + 1) * bits // 2))
+        else:
+            work += (n - 1 - k) ** 2 * (8 + weight((k + 1) * bits // 2))
+    return work
+
+
+def _eliminate(rows: list[list[int]], inverse: bool) -> tuple[int, int]:
+    """Charge, then run, the elimination of the leading square of `rows`."""
+    n = len(rows)
+    bits = max(abs(x).bit_length() for row in rows for x in row[:n])
+    what = f"the {'inverse' if inverse else 'determinant'} of a {n}x{n} matrix"
+    charge(_elimination_work(n, bits, inverse), f"{what} of {bits}-bit rows")
+    return _fraction_free(rows, inverse)
+
+
+def _fraction_free(rows: list[list[int]], inverse: bool) -> tuple[int, int]:
+    """Eliminate in place below each pivot (Bareiss), or around it for an
+    inverse (Gauss-Jordan): the swaps' sign and the last pivot, 0 if singular."""
+    n = len(rows)
+    sign, prev = 1, 1
+    for k in range(n):
+        swap = next((r for r in range(k, n) if rows[r][k] != 0), None)
+        if swap is None:
+            return sign, 0
+        if swap != k:
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        rowk = rows[k]
+        pivot = rowk[k]
+        for i in range(0 if inverse else k + 1, n):
+            if i == k:
+                continue
+            rowi = rows[i]
+            aik = rowi[k]
+            for j in range(k + 1, len(rowi)):
+                rowi[j] = (rowi[j] * pivot - aik * rowk[j]) // prev
+            rowi[k] = 0
+        prev = pivot
+    return sign, prev
+
+
 def det_exact(m: RationalMatrix) -> Fraction:
     """Exact determinant via Bareiss fraction-free elimination.
 
@@ -109,35 +146,9 @@ def det_exact(m: RationalMatrix) -> Fraction:
     """
     if m.rows != m.cols:
         raise NotSquareError(f"determinant of a {m.rows}x{m.cols} matrix")
-    n = m.rows
-    scale = 1
-    a: list[list[int]] = []
-    for r in range(n):
-        mult, row = _integer_row(m.row(r))
-        scale *= mult
-        a.append(row)
-
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            rowi = a[i]
-            rowk = a[k]
-            for j in range(k + 1, n):
-                rowi[j] = (rowi[j] * pivot - aik * rowk[j]) // prev
-            rowi[k] = 0
-        prev = pivot
-    return Fraction(sign * a[n - 1][n - 1], scale)
+    scaled = [_integer_row(m.row(r)) for r in range(m.rows)]
+    sign, last = _eliminate([row for _, row in scaled], inverse=False)
+    return Fraction(sign * last, prod(mult for mult, _ in scaled))
 
 
 def inverse_exact(m: RationalMatrix) -> RationalMatrix:
@@ -155,26 +166,10 @@ def inverse_exact(m: RationalMatrix) -> RationalMatrix:
     for r in range(n):
         mult, row = _integer_row(m.row(r))
         aug.append(row + [mult if c == r else 0 for c in range(n)])
-
-    prev = 1
-    for k in range(n):
-        if aug[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if aug[r][k] != 0), None)
-            if swap is None:
-                raise SingularMatrixError("matrix is singular")
-            aug[k], aug[swap] = aug[swap], aug[k]
-        rowk = aug[k]
-        pivot = rowk[k]
-        for i in range(n):
-            if i == k:
-                continue
-            rowi = aug[i]
-            aik = rowi[k]
-            for j in range(k + 1, 2 * n):
-                rowi[j] = (rowi[j] * pivot - aik * rowk[j]) // prev
-            rowi[k] = 0
-        prev = pivot
-    entries = tuple(Fraction(x, prev) for row in aug for x in row[n:])
+    last = _eliminate(aug, inverse=True)[1]
+    if last == 0:
+        raise SingularMatrixError("matrix is singular")
+    entries = tuple(Fraction(x, last) for row in aug for x in row[n:])
     return RationalMatrix(n, n, entries)
 
 
@@ -285,17 +280,12 @@ def _walk_work(
     left: RationalMatrix,
     bands: list[list[int]],
     scaled: dict[int, tuple[int, list[int]]],
-) -> float:
-    """Estimated small-integer operations of the band walk.
-
-    A node at depth d reduces its row against the d pivots above it; the i-th
-    reduction takes p-1-i products of integers about as long as the rows on
-    the path so far together (Bareiss entries are minors), counting each band
-    at its longest scaled entry, and a product of s-bit integers costs
-    1 + (s/1000)^2 small ones.  Every leaf adds `_LEAF_OPS` for its term, and
-    t / 10^4 for adding it to the running total, whose denominator of t bits
-    divides the product of the left entries' and row scales' denominators.
-    """
+) -> int:
+    """Estimated units of the band walk.  At depth d a node's i-th reduction
+    takes p-1-i products, one fixed unit each, of integers as long as the rows
+    on its path (Bareiss entries are minors; a band counts at its longest
+    entry).  A leaf adds 30 for its term and t / 10^4 for the running total,
+    whose t-bit denominator divides the left and row-scale denominators'."""
     bits = [
         max((abs(x).bit_length() for j in band for x in scaled[j][1]), default=0)
         for band in bands
@@ -306,14 +296,14 @@ def _walk_work(
         for j in band
     )
     p = len(bands)
-    work, nodes = 0.0, 1
+    work, nodes = 0, 1
     for d, band in enumerate(bands):
         nodes *= len(band)
-        node = _LEAF_OPS + total_bits / 10**4 if d == p - 1 else 0
+        node = 30 + total_bits // 10**4 if d == p - 1 else 0
         above = 0
         for i in range(d):
             above += bits[i]
-            node += (p - 1 - i) * (1 + ((above + bits[d]) / 1000) ** 2)
+            node += (p - 1 - i) * (1 + weight(above + bits[d]))
         work += nodes * node
     return work
 
@@ -325,9 +315,7 @@ def cauchy_binet(left: RationalMatrix, right: RationalMatrix) -> CauchyBinetCert
     shared indices has a nonzero left minor only if it takes one column from
     each band, and then det_left is the product of the chosen entries.  The
     other C(q, p) - prod |band| subsets are pruned without being visited, and
-    `WORK_GUARD`, read at call time, bounds the walk's estimated operations
-    (`_walk_work`), which grow with the band product, the depth p and the
-    length of `right`'s entries.
+    the walk's estimated work (`_walk_work`) is charged before it starts.
 
     The walk takes band r at depth r, its columns in ascending order, so the
     terms come out in lexicographic order.  Each row of `right` is scaled to
@@ -346,12 +334,10 @@ def cauchy_binet(left: RationalMatrix, right: RationalMatrix) -> CauchyBinetCert
     bands = _bands(left)
     leaves = prod(len(band) for band in bands)
     scaled = {j: _integer_row(right.row(j)) for band in bands for j in band}
-    work = _walk_work(left, bands, scaled)
-    if work > WORK_GUARD:
-        raise GuardExceededError(
-            f"{leaves} band products at depth {p} need about {work:.2g} "
-            f"operations, over the guard {WORK_GUARD}"
-        )
+    charge(
+        _walk_work(left, bands, scaled),
+        f"the walk over {leaves} band products at depth {p}",
+    )
 
     surviving: list[CauchyBinetTerm] = []
     fallback = 0

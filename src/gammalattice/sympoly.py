@@ -30,29 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import prod
+from math import log2, prod
 
-from .errors import (
-    GuardExceededError,
-    InvalidKappaError,
-    MissingKappaError,
-    SpecMismatchError,
-)
-
-#: Most estimated work (`exact_work`) of one prefix table, checked before any
-#: row is filled.  Tables of all three families, lengths 500-4000 and degrees
-#: 2-50, filled at 0.4-9.3 us per unit (the slowest on the minus-999/1000
-#: lattice; 2-core x86-64, CPython 3.11), so a table under the budget takes
-#: about 10 s or less; plain degree 2 over 20000 variables (28 s) is refused.
-MAX_TABLE_WORK = 10**6
-
-
-def exact_work(operations: int, bits: int) -> int:
-    """Estimated cost of `operations` exact operations on numbers of up to
-    `bits` bits, in units of one operation on small numbers: each weighs
-    1 + (bits / 10^4)^2, as a `Fraction` sum, product or decimal print costs
-    about the same up to some 10^4 bits and grows quadratically beyond."""
-    return operations * (1 + bits * bits // 10**8)
+from .budget import charge, weight
+from .errors import InvalidKappaError, MissingKappaError, SpecMismatchError
 
 
 class FamilyKind(Enum):
@@ -77,14 +58,29 @@ class PolyKind(Enum):
 
     def entry_bits(self, family: ArgumentFamily, max_len: int, max_deg: int) -> int:
         """A bound on the bits of an entry of this kind's table (max_len >= 1)
-        times the family scale at its prefix length, as a coefficient reads
-        it.  Each of the max_len variables has a denominator of at most
-        bitlen(max_len * q) bits, for the basis denominator q; an entry's
-        denominator takes each once (e) or up to max_deg times (h), and the
+        times the family scale, as a coefficient reads it: an entry's
+        denominator takes each variable's, of at most bitlen(max_len * q) bits
+        for the basis denominator q, once (e) or max_deg times (h), and the
         scale once more."""
         per_variable = (max_len * family.basis_point.denominator).bit_length()
         repeats = max_deg if self is PolyKind.HOMOGENEOUS else 1
         return (repeats + 1) * max_len * per_variable
+
+    def table_work(self, family: ArgumentFamily, max_len: int, max_deg: int) -> int:
+        """Estimated units of filling this kind's table: a cell is two
+        `Fraction` operations, 40 units of fixed cost, on entries of about half
+        the last row's b bits.  The first L denominators average log2(L q) -
+        1.44 bits, for the basis denominator q, and their lcm grows about
+        log2(q) + 1.6 bits a variable.  An e_v entry's denominator divides
+        their product and the lcm's v-th power, an h_v one's either's v-th."""
+        q = family.basis_point.denominator
+        lcm_bits = log2(q) + 1.6
+        mean_bits = max(log2(max_len * q) - 1.44, 1) if max_len else 0
+        if self is PolyKind.ELEMENTARY:
+            bits = min(max_deg * lcm_bits, mean_bits) * max_len
+        else:
+            bits = max_deg * max_len * min(lcm_bits, mean_bits)
+        return (max_len + 1) * (max_deg + 1) * (40 + weight(int(bits) // 2))
 
 
 @dataclass(frozen=True)
@@ -200,12 +196,10 @@ def _fill(
         raise ValueError(f"max_len {max_len} must be >= 0")
     if max_deg < 0:
         raise ValueError(f"max_deg {max_deg} must be >= 0")
-    bits = kind.entry_bits(family, max_len, max_deg)
-    if exact_work((max_len + 1) * (max_deg + 1), bits) > MAX_TABLE_WORK:
-        raise GuardExceededError(
-            f"the {kind.value} table of length {max_len} and degree {max_deg} "
-            f"is over the work budget {MAX_TABLE_WORK}"
-        )
+    charge(
+        kind.table_work(family, max_len, max_deg),
+        f"the {kind.value} table of length {max_len} and degree {max_deg}",
+    )
     homogeneous = kind is PolyKind.HOMOGENEOUS
     rows = [(Fraction(1),) + (Fraction(0),) * max_deg]
     for j in range(1, max_len + 1):

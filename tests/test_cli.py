@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import reference_csv, reference_json
-from gammalattice import cli, density, sympoly
+from gammalattice import budget, cli, density, linalg, sympoly
 from gammalattice.cli import OutputEnvelope, main
 
 
@@ -244,7 +244,7 @@ class TestCoeffsCommand:
         assert (code, out) == (2, "")
         assert err == (
             f"error: the elementary table of length {int(BIG) - 1} and degree 1 "
-            f"is over the work budget {sympoly.MAX_TABLE_WORK}\n"
+            f"is over the work budget {budget.MAX_WORK}\n"
         )
 
     @pytest.mark.parametrize(
@@ -270,7 +270,7 @@ class TestCoeffsCommand:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: the ") and err.count("\n") == 1
-        assert err.endswith(f"is over the work budget {sympoly.MAX_TABLE_WORK}\n")
+        assert err.endswith(f"is over the work budget {budget.MAX_WORK}\n")
 
     def test_long_exact_values_print_in_full(self, capsys):
         # 1699! has 4,753 digits, past CPython's default int-to-str limit
@@ -391,11 +391,25 @@ class TestMatrixCommand:
             "matrix", "--family", "minus", "--n", str(n),
             "--indices", indices, "--kappa", "1/3", "--show", "cauchy-binet",
         )
-        assert code == 2
-        assert out == ""
-        assert err.startswith(f"error: {leaves} band products at depth {n} need about ")
-        assert err.endswith(" operations, over the guard 10000000\n")
-        assert err.count("\n") == 1
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: the walk over {leaves} band products at depth {n} "
+            f"is over the work budget {budget.MAX_WORK}\n"
+        )
+
+    def test_elimination_over_the_budget_is_usage_error(self, capsys, monkeypatch):
+        # the 41 x 41 minus-1/3 inverse ran past 120 s; the 31 x 31 one took 32 s
+        monkeypatch.setattr(linalg, "_fraction_free", _no_cell)
+        code, out, err = run(
+            capsys,
+            "matrix", "--family", "minus", "--n", "40", "--kappa", "1/3",
+            "--indices", ",".join(str(i) for i in range(41)), "--show", "inverse",
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: the inverse of a 41x41 matrix of 4815-bit rows "
+            f"is over the work budget {budget.MAX_WORK}\n"
+        )
 
     def test_cauchy_binet_needs_two_indices(self, capsys):
         code, _, err = run(
@@ -634,7 +648,7 @@ class TestVerifyCommand:
             capsys, "verify", "--family", "plain", *argv, "--digits", "30"
         )
         assert (code, out) == (2, "")
-        assert err == "error: the verify sweep is over the work budget 10000000\n"
+        assert err == f"error: the verify sweep is over the work budget {budget.MAX_WORK}\n"
 
     def test_bad_tolerance_is_reported_before_other_faults(self, capsys):
         # the context reads the tolerance first, before the shifts or the sweep
@@ -997,8 +1011,9 @@ def _argv(draw, command):
     return argv
 
 
-# A run that passes this is cut off: the budgets bound every accepted run to
-# well under it on a 2-core host.
+# A run that passes this is cut off.  The drawn values are near 0 or past
+# 2**63, so an accepted run stays well under it on a 2-core host, and a huge
+# one is refused by the work budget before it starts.
 _RUN_SECONDS = 10
 
 

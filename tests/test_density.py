@@ -8,6 +8,7 @@ from mpmath import mp
 
 from gammalattice import (
     BoundVariant,
+    GuardExceededError,
     bivariate_min_sum,
     density,
     density_grid,
@@ -272,14 +273,14 @@ class TestDensityGrid:
 
         monkeypatch.setattr(density, "window_bound", no_cell)
         monkeypatch.setattr(density, "prior_univariate_bound", no_cell)
-        with pytest.raises(ValueError, match=r"^13 grid cells are over the budget 12$"):
+        with pytest.raises(GuardExceededError, match=r"^13 grid cells are over the budget 12$"):
             density_grid(BIVARIATE_SHIFTED, range(1, 14), [0])
-        with pytest.raises(ValueError, match=r"^13 grid cells are over the budget 12$"):
+        with pytest.raises(GuardExceededError, match=r"^13 grid cells are over the budget 12$"):
             density_grid(BoundVariant.PRIOR, range(1, 14))
         # a range is sized, not built: a set of 10**6 values takes about 50 MB
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="over the budget"):
+            with pytest.raises(GuardExceededError, match="over the budget"):
                 density_grid(BIVARIATE, range(2, 10**6 + 2), range(1, 10**6 + 1))
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -291,15 +292,15 @@ class TestDensityGrid:
         monkeypatch.setattr(density, "bivariate_min_sum", _no_cell)
         # a prior cell weighs one more per 250 digits
         assert len(density_grid(BoundVariant.PRIOR, range(1, 7), digits=250)) == 6
-        with pytest.raises(ValueError, match=r"^7 grid cells of weight 2 are over"):
+        with pytest.raises(GuardExceededError, match=r"^7 grid cells of weight 2 are over"):
             density_grid(BoundVariant.PRIOR, range(1, 8), digits=250)
         # the oracle sums the orders 2..10 at each of 2 values of M
         assert len(density_grid(BIVARIATE, [10], [1, 2], include_oracle=False)) == 2
         monkeypatch.setattr(density, "window_bound", _no_cell)
-        with pytest.raises(ValueError, match=r"^18 grid cells are over the budget 12$"):
+        with pytest.raises(GuardExceededError, match=r"^18 grid cells are over the budget 12$"):
             density_grid(BIVARIATE, [10], [1, 2])
         # a range past sys.maxsize is sized, not listed
-        with pytest.raises(ValueError, match=rf"^{10**23} grid cells are over"):
+        with pytest.raises(GuardExceededError, match=rf"^{10**23} grid cells are over"):
             density_grid(BoundVariant.PRIOR, range(10**23))
 
     def test_oracle_can_be_skipped(self):

@@ -18,7 +18,7 @@ from gammalattice import (
     verify_recovery,
 )
 
-from gammalattice import gammanum
+from gammalattice import budget, gammanum
 
 from _oracles import machin_pi
 
@@ -331,15 +331,16 @@ class TestSweepBudget:
     )
     def test_refused_at_once(self, family, n_max, m_max):
         with pytest.raises(
-            GuardExceededError, match="^the verify sweep is over the work budget 10000000$"
+            GuardExceededError,
+            match=f"^the verify sweep is over the work budget {budget.MAX_WORK}$",
         ):
             gammanum.check_sweep([family], n_max, m_max, PrecisionContext(30))
 
     def test_families_add_up(self, monkeypatch):
         shifts = [ArgumentFamily(FamilyKind.PLUS_SHIFT, Fraction(k, 7)) for k in range(1, 7)]
         one = sum(gammanum._sweep_cells(shifts[0], 4, 4, CTX))
-        monkeypatch.setattr(gammanum, "MAX_SWEEP_WORK", 6 * one)
+        monkeypatch.setattr(budget, "MAX_WORK", 6 * one)
         gammanum.check_sweep(shifts, 4, 4, CTX)
-        monkeypatch.setattr(gammanum, "MAX_SWEEP_WORK", 6 * one - 1)
+        monkeypatch.setattr(budget, "MAX_WORK", 6 * one - 1)
         with pytest.raises(GuardExceededError):
             gammanum.check_sweep(shifts, 4, 4, CTX)

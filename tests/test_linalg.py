@@ -25,7 +25,7 @@ from gammalattice import (
     inverse_exact,
     prefix_matrix,
 )
-from gammalattice import linalg
+from gammalattice import budget, linalg
 from _oracles import (
     difference_minor,
     fraction_det,
@@ -163,6 +163,48 @@ class TestInverse:
             assert product(m, inverse_exact(m)) == identity(3)
 
 
+class TestEliminationBudget:
+    @staticmethod
+    def _system(family, k):
+        low = family.min_index
+        return build_system(LatticeSpec(family, range(low, low + k)), k - 1 + low).matrix
+
+    def test_refused_before_any_row_is_reduced(self, monkeypatch):
+        def no_step(*args):
+            raise AssertionError("a row was reduced")
+
+        # at 31 x 31 the minus-1/3 inverse took 32 s, and at 41 x 41 the
+        # determinant 18 s; at 36 x 36 the determinant took 6 s
+        accepted = self._system(MINUS_THIRD, 36)
+        refused = self._system(MINUS_THIRD, 41)
+        monkeypatch.setattr(linalg, "_fraction_free", no_step)
+        for call, matrix, what in (
+            (inverse_exact, self._system(MINUS_THIRD, 31), "inverse of a 31x31"),
+            (det_exact, refused, "determinant of a 41x41"),
+            (inverse_exact, accepted, "inverse of a 36x36"),
+        ):
+            with pytest.raises(GuardExceededError, match=f"^the {what} matrix of ") as info:
+                call(matrix)
+            assert str(info.value).endswith(f"is over the work budget {budget.MAX_WORK}")
+        with pytest.raises(AssertionError, match="a row was reduced"):
+            det_exact(accepted)
+
+    def test_budget_is_the_estimated_work(self, monkeypatch):
+        # the benchmark's 21 x 21 plus-shift system, far under the cap
+        matrix = self._system(ArgumentFamily(FamilyKind.PLUS_SHIFT, Fraction(1, 3)), 21)
+        for call, inverse in ((det_exact, False), (inverse_exact, True)):
+            rows = [linalg._integer_row(matrix.row(r))[1] for r in range(21)]
+            bits = max(abs(x).bit_length() for row in rows for x in row)
+            work = linalg._elimination_work(21, bits, inverse)
+            assert work < budget.MAX_WORK // 100
+            monkeypatch.setattr(budget, "MAX_WORK", work)
+            call(matrix)
+            monkeypatch.setattr(budget, "MAX_WORK", work - 1)
+            with pytest.raises(GuardExceededError):
+                call(matrix)
+            monkeypatch.undo()
+
+
 class TestPrefixMatrices:
     def test_order_one_is_trivial(self):
         for family in (PLAIN, MINUS_HALF, PLUS_QUARTER):
@@ -294,24 +336,24 @@ class TestCauchyBinet:
             cauchy_binet(a, a)
 
     def test_guard(self):
-        # two bands of 600 unit entries: 360,000 leaves at about 30 operations
-        # each estimate more work than the guard allows
-        width = 600
+        # two bands of 1300 unit entries: 1,690,000 leaves at about 30 units
+        # each estimate more work than the budget allows
+        width = 1300
         left = RationalMatrix.from_rows(
             [[1] * width + [0] * width, [0] * width + [1] * width]
         )
         right = RationalMatrix.from_rows([[1, 0]] * width + [[0, 1]] * width)
-        with pytest.raises(GuardExceededError, match="over the guard") as info:
+        with pytest.raises(GuardExceededError, match="over the work budget") as info:
             cauchy_binet(left, right)
-        assert str(info.value).startswith("360000 band products at depth 2 ")
+        assert str(info.value).startswith("the walk over 1690000 band products at depth 2 ")
         assert "\n" not in str(info.value)
 
     def test_guard_reads_the_module_constant(self, monkeypatch):
         banded, prefix = difference_factorization([0, 2, 5], PLAIN, PolyKind.ELEMENTARY)
-        monkeypatch.setattr(linalg, "WORK_GUARD", 10)
-        with pytest.raises(GuardExceededError, match="over the guard 10$"):
+        monkeypatch.setattr(budget, "MAX_WORK", 10)
+        with pytest.raises(GuardExceededError, match="over the work budget 10$"):
             cauchy_binet(banded, prefix)
-        monkeypatch.setattr(linalg, "WORK_GUARD", 10**3)
+        monkeypatch.setattr(budget, "MAX_WORK", 10**3)
         assert cauchy_binet(banded, prefix).surviving
 
     def test_guard_passes_a_shallow_wide_product(self):

@@ -1,12 +1,27 @@
-"""The README's python examples run against the current package."""
+"""The README's python examples run against the current package, and the
+constants it cites hold the values it gives."""
 
+import importlib
 import re
 from pathlib import Path
 
 import pytest
 
 README = Path(__file__).resolve().parent.parent / "README.md"
-BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+TEXT = README.read_text()
+BLOCKS = re.findall(r"^```python\n(.*?)^```", TEXT, re.M | re.S)
+# "`module.NAME` = value", the value as 1000, 100,000, 10^7 or 4 x 10^7
+CITED = re.findall(
+    r"`(\w+)\.([A-Z_]+)`\s*=\s*((?:[\d,]+ x )?10\^\d+|[\d,]+)", TEXT
+)
+
+
+def _value(text):
+    text = text.replace(",", "")
+    if "10^" not in text:
+        return int(text)
+    factor, power = text.split("10^")
+    return int(factor.rstrip(" x") or 1) * 10 ** int(power)
 
 
 def test_readme_has_python_examples():
@@ -18,3 +33,15 @@ def test_readme_has_python_examples():
 )
 def test_readme_python_block_runs(source):
     exec(compile(source, str(README), "exec"), {})
+
+
+def test_readme_cites_constants():
+    assert len(CITED) >= 4
+
+
+@pytest.mark.parametrize(
+    "module, name, text", CITED, ids=[f"{m}.{n}" for m, n, _ in CITED]
+)
+def test_cited_constant_holds(module, name, text):
+    value = getattr(importlib.import_module(f"gammalattice.{module}"), name)
+    assert value == _value(text)

@@ -12,9 +12,9 @@ from gammalattice import (
     MissingKappaError,
     PolyKind,
     SpecMismatchError,
+    budget,
     elementary_prefix,
     homogeneous_prefix,
-    sympoly,
 )
 
 from _oracles import elementary_bruteforce, homogeneous_bruteforce
@@ -201,15 +201,15 @@ class TestTableBudget:
         for build, length in ((elementary_prefix, 19999), (homogeneous_prefix, 10**23)):
             with pytest.raises(GuardExceededError, match=(
                 rf"^the {build.__name__.split('_')[0]}\w* table of length {length} "
-                rf"and degree 2 is over the work budget 1000000$"
+                rf"and degree 2 is over the work budget {budget.MAX_WORK}$"
             )):
                 build(PLAIN, length, 2)
 
     def test_budget_is_the_estimated_work(self, monkeypatch):
-        # 5 x 3 cells of entries under 10^4 bits weigh one unit each
-        assert sympoly.exact_work(15, PolyKind.ELEMENTARY.entry_bits(PLAIN, 4, 2)) == 15
-        assert sympoly.exact_work(2, 3 * 10**4) == 2 * 10
-        monkeypatch.setattr(sympoly, "MAX_TABLE_WORK", 15)
+        # 5 x 3 cells of short entries weigh 40 fixed units and one more
+        work = PolyKind.ELEMENTARY.table_work(PLAIN, 4, 2)
+        assert work == 15 * 41
+        monkeypatch.setattr(budget, "MAX_WORK", work)
         assert elementary_prefix(PLAIN, 4, 2).max_len == 4
         with pytest.raises(GuardExceededError):
             elementary_prefix(PLAIN, 5, 2)
