@@ -1,8 +1,8 @@
 """The one work budget: a prefix table (`PolyKind.table_work`), a `verify`
-sweep (`gammanum.check_sweep`), a band walk (`linalg._walk_work`) and an
+sweep (`gammanum.check_sweep`), a band walk (`linalg._walk_estimates`) and an
 elimination (`linalg._elimination_work`) each estimate their work before any
 of it runs, and `charge` refuses an estimate over `MAX_WORK`.  Each check is
-charged on its own.
+charged on its own.  `hold` refuses a grid or a walk's terms over `MAX_CELLS`.
 
 A unit is one product, sum or exact quotient of small integers.  An operation
 on b-bit operands weighs `weight(b)` units, and each estimator adds the fixed
@@ -19,6 +19,16 @@ from .errors import GuardExceededError
 #: Most decimal digits of a high-precision value: `verify --family plain
 #: --n-max 2 --m-max 2` takes about 3 s at 1000 digits and 19 s at 2000.
 MAX_DIGITS = 1000
+
+#: Most cells of one output, a memory cap: at the cap a bivariate grid with
+#: the oracle in JSON peaks at 135 MB (1.2 s), and the prior bound at 50
+#: digits at 145 MB (3.6 s; 2-core x86-64, CPython 3.11).
+MAX_CELLS = 100_000
+
+#: Digits per extra cell: a record of d digits weighs 1 + d // DIGITS_PER_CELL
+#: cells.  At 1000 digits a prior row took five times the time and memory of
+#: one at 50.
+DIGITS_PER_CELL = 250
 
 #: Most units one check may be estimated at.
 MAX_WORK = 4 * 10**7
@@ -37,3 +47,11 @@ def charge(estimate: int, what: str) -> None:
     """Refuse `what` when its estimate is over the cap, read at call time."""
     if estimate > MAX_WORK:
         raise GuardExceededError(f"{what} is over the work budget {MAX_WORK}")
+
+
+def hold(count: int, digits: int, what: str) -> None:
+    """Refuse `count` records of about `digits` digits each over the cell cap."""
+    weight = 1 + digits // DIGITS_PER_CELL
+    if count * weight > MAX_CELLS:
+        each = f" of weight {weight}" if weight > 1 else ""
+        raise GuardExceededError(f"{count} {what}{each} are over the budget {MAX_CELLS}")

@@ -219,8 +219,8 @@ def _cmd_matrix(args) -> OutputEnvelope:
     if args.show == "inverse":
         try:
             inverse = inverse_exact(system.matrix)
-        except SingularMatrixError as exc:
-            rows = [{"error": "singular coefficient matrix", "det": str(exc.det)}]
+        except SingularMatrixError:
+            rows = [{"error": "singular coefficient matrix", "det": "0"}]
             return OutputEnvelope(
                 "matrix", params, rows, warnings, exit_status=VERIFICATION_FAILURE
             )

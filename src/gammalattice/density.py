@@ -26,17 +26,7 @@ from typing import Iterable, Sequence
 
 from mpmath import mp
 
-from .budget import MAX_DIGITS
-from .errors import GuardExceededError
-
-# Cells in one grid, a memory cap: at the cap a bivariate grid with the oracle
-# in JSON peaks at 135 MB (1.2 s), and the prior bound at 50 digits at 145 MB
-# (3.6 s; 2-core x86-64, CPython 3.11).  A prior cell weighs 1 + digits //
-# PRIOR_DIGITS_PER_CELL: at 1000 digits its row took five times the time and
-# memory of one at 50.  The oracle counts every order up to the largest N at
-# each M.
-MAX_GRID_CELLS = 100_000
-PRIOR_DIGITS_PER_CELL = 250
+from .budget import MAX_DIGITS, hold
 
 
 class BoundVariant(Enum):
@@ -191,14 +181,6 @@ def _count(values: Sequence[int]) -> int:
     return len(values)
 
 
-def _check_cells(cells: int, weight: int = 1) -> None:
-    if cells * weight > MAX_GRID_CELLS:
-        each = f" of weight {weight}" if weight > 1 else ""
-        raise GuardExceededError(
-            f"{cells} grid cells{each} are over the budget {MAX_GRID_CELLS}"
-        )
-
-
 @dataclass(frozen=True, slots=True)
 class GridRow:
     bound: DensityBound
@@ -220,14 +202,14 @@ def density_grid(
     Bivariate rows carry the min-sum oracle value unless `include_oracle` is
     switched off; the oracle runs once per M, over every N at once.
     `digits` (>= 1) is the precision of inexact values.  A grid of more than
-    `MAX_GRID_CELLS` cells is refused before any cell is computed; a prior
+    `budget.MAX_CELLS` cells is refused before any cell is computed; a prior
     cell weighs more at more digits, and the oracle counts every order up to
     the largest N at each M.
     """
     _check_digits(digits)
     firsts = _ascending(first_range)
     if variant is BoundVariant.PRIOR:
-        _check_cells(_count(firsts), 1 + digits // PRIOR_DIGITS_PER_CELL)
+        hold(_count(firsts), digits, "grid cells")
         return [GridRow(prior_univariate_bound(N, digits=digits)) for N in firsts]
     seconds = _ascending(second_range or ())
     if not seconds and (firsts or second_range is None):
@@ -237,7 +219,7 @@ def density_grid(
     if include_oracle and variant.has_oracle and firsts:
         # the oracle sums the orders 1..N (shifted) or 2..N (plain) at each M
         span = firsts[-1] - (0 if variant.shifted else 1)
-    _check_cells(span * _count(seconds))
+    hold(span * _count(seconds), 0, "grid cells")
     bounds = [window_bound(variant, a, b) for a in firsts for b in seconds]
     if not (bounds and include_oracle and variant.has_oracle):
         return [GridRow(bound) for bound in bounds]

@@ -1,10 +1,5 @@
 """Exception types shared across the package."""
 
-from __future__ import annotations
-
-from fractions import Fraction
-
-
 class GammaLatticeError(Exception):
     """Base class for all errors raised by this package."""
 
@@ -32,10 +27,6 @@ class NotSquareError(GammaLatticeError):
 
 class SingularMatrixError(GammaLatticeError):
     """Inversion of a matrix whose determinant is zero."""
-
-    def __init__(self, message: str, det: Fraction = Fraction(0)):
-        super().__init__(message)
-        self.det = det
 
 
 class NonIncreasingIndicesError(SpecMismatchError):

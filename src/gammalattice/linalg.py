@@ -15,7 +15,8 @@ determinants are shown positive by an explicit chain:
        of the prefix factor on the path share one Bareiss elimination.
 
 Steps 1 and 2 are not run: `difference_factorization` builds the two factors
-of D directly, and tests/_oracles.py checks their product against the
+of D directly, the banded one as its bands, off the table that holds the
+matrix itself, and tests/_oracles.py checks their product against the
 row-differenced prefix matrix.
 
 `cauchy_binet` returns the full expansion, i.e. every surviving subset with
@@ -35,14 +36,14 @@ from itertools import product
 from math import comb, lcm, prod
 from typing import Iterable, Sequence
 
-from .budget import charge, weight
+from .budget import charge, hold, weight
 from .errors import (
     DimensionMismatchError,
     NonIncreasingIndicesError,
     NotSquareError,
     SingularMatrixError,
 )
-from .sympoly import ArgumentFamily, PolyKind
+from .sympoly import ArgumentFamily, PolyKind, PrefixTable
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,9 @@ class RationalMatrix:
         cols = len(data[0])
         if any(len(r) != cols for r in data):
             raise ValueError("ragged rows")
-        entries = tuple(Fraction(x) for row in data for x in row)
+        entries = tuple(
+            x if type(x) is Fraction else Fraction(x) for row in data for x in row
+        )
         return cls(len(data), cols, entries)
 
     def at(self, r: int, c: int) -> Fraction:
@@ -185,11 +188,15 @@ def increasing_indices(values: Iterable[int]) -> tuple[int, ...]:
     return indices
 
 
-def _checked_m_primes(m_primes: Sequence[int]) -> tuple[int, ...]:
+def _prefix_table(
+    m_primes: Sequence[int], family: ArgumentFamily, kind: PolyKind
+) -> tuple[tuple[int, ...], PrefixTable]:
+    """The checked indices and the table their prefix matrix and its factors
+    read: prefix lengths up to m'_k, degrees up to k-1."""
     mp_ = increasing_indices(m_primes)
     if mp_[0] < 0:
         raise NonIncreasingIndicesError(f"index {mp_[0]} is negative")
-    return mp_
+    return mp_, kind.table(family, mp_[-1], len(mp_) - 1)
 
 
 def prefix_matrix(
@@ -197,40 +204,56 @@ def prefix_matrix(
 ) -> RationalMatrix:
     """k x k matrix with entry (r, c) = e_c or h_c of the first m'_r family
     variables, for the k indices m'_1 < ... < m'_k."""
-    mp_ = _checked_m_primes(m_primes)
-    table = kind.table(family, mp_[-1], len(mp_) - 1)
+    mp_, table = _prefix_table(m_primes, family, kind)
     return RationalMatrix.from_rows(table.values[j] for j in mp_)
+
+
+@dataclass(frozen=True)
+class BandedFactor:
+    """A p x q matrix as its p bands, band r the nonzero entries of row r as
+    (0-based column, value) pairs.  The bands are disjoint, each wholly left
+    of the next, so the columns read band after band strictly increase."""
+
+    cols: int
+    bands: tuple[tuple[tuple[int, Fraction], ...], ...]
+
+    @property
+    def rows(self) -> int:
+        return len(self.bands)
+
+
+def _chain(
+    m_primes: Sequence[int], family: ArgumentFamily, kind: PolyKind
+) -> tuple[RationalMatrix, BandedFactor, RationalMatrix]:
+    """The prefix matrix and the two factors of its difference minor, all read
+    off one table."""
+    mp_, table = _prefix_table(m_primes, family, kind)
+    if len(mp_) < 2:
+        raise ValueError("a certificate needs at least two indices")
+    lag = 1 if kind is PolyKind.ELEMENTARY else 0
+    bands = tuple(
+        tuple((j - 1, family.x(j)) for j in range(lo + 1, hi + 1))
+        for lo, hi in zip(mp_, mp_[1:])
+    )
+    lengths = range(1 - lag, mp_[-1] + 1 - lag)
+    prefix = RationalMatrix.from_rows(table.values[j][: len(bands)] for j in lengths)
+    parent = RationalMatrix.from_rows(table.values[j] for j in mp_)
+    return parent, BandedFactor(mp_[-1], bands), prefix
 
 
 def difference_factorization(
     m_primes: Sequence[int], family: ArgumentFamily, kind: PolyKind
-) -> tuple[RationalMatrix, RationalMatrix]:
+) -> tuple[BandedFactor, RationalMatrix]:
     """Factor the difference minor of the order-k prefix matrix as banded @ prefix.
 
-    For m'_1 < ... < m'_k the banded factor is (k-1) x m'_k with x_j in row r
-    exactly on the band m'_r < j <= m'_{r+1}; the prefix factor is m'_k x (k-1)
-    with entry (j, c) equal to e_c of the first j-1 variables (elementary) or
-    h_c of the first j variables (homogeneous).  Their product equals the
-    difference minor of `prefix_matrix` (rows differenced, first row and
-    column dropped) entry by entry; tests/_oracles.py checks that step.
+    For m'_1 < ... < m'_k, k >= 2, the banded factor is (k-1) x m'_k with x_j
+    in row r exactly on the band m'_r < j <= m'_{r+1}; the prefix factor is
+    m'_k x (k-1) with entry (j, c) equal to e_c of the first j-1 variables
+    (elementary) or h_c of the first j variables (homogeneous).  Their product
+    equals the difference minor of `prefix_matrix` (rows differenced, first row
+    and column dropped) entry by entry; tests/_oracles.py checks that step.
     """
-    mp_ = _checked_m_primes(m_primes)
-    k = len(mp_)
-    if k < 2:
-        raise ValueError("need at least two indices to factor a difference minor")
-    width = mp_[-1]
-    lag = 1 if kind is PolyKind.ELEMENTARY else 0
-    # the table first: its budget refuses a huge width before a row is built
-    table = kind.table(family, width - lag, k - 2)
-    banded = [
-        [
-            family.x(j) if mp_[r] < j <= mp_[r + 1] else Fraction(0)
-            for j in range(1, width + 1)
-        ]
-        for r in range(k - 1)
-    ]
-    prefix = [table.values[j - lag] for j in range(1, width + 1)]
-    return RationalMatrix.from_rows(banded), RationalMatrix.from_rows(prefix)
+    return _chain(m_primes, family, kind)[1:]
 
 
 @dataclass(frozen=True)
@@ -258,42 +281,29 @@ class CauchyBinetCertificate:
     fallback_count: int = 0
 
 
-def _bands(left: RationalMatrix) -> list[list[int]]:
-    """The nonzero columns of each row of a banded matrix, in row order.
-
-    Banded means the bands are disjoint and each lies wholly left of the next,
-    so the nonzero columns read row after row strictly increase.
-    """
-    bands = [
-        [j for j in range(left.cols) if left.at(r, j) != 0] for r in range(left.rows)
-    ]
-    flat = [j for band in bands for j in band]
-    if any(b <= a for a, b in zip(flat, flat[1:])):
-        raise ValueError(
-            "left factor is not banded: its rows' nonzero columns must be "
-            "disjoint bands, each left of the next"
-        )
-    return bands
-
-
-def _walk_work(
-    left: RationalMatrix,
-    bands: list[list[int]],
-    scaled: dict[int, tuple[int, list[int]]],
-) -> int:
-    """Estimated units of the band walk.  At depth d a node's i-th reduction
-    takes p-1-i products, one fixed unit each, of integers as long as the rows
-    on its path (Bareiss entries are minors; a band counts at its longest
-    entry).  A leaf adds 30 for its term and t / 10^4 for the running total,
-    whose t-bit denominator divides the left and row-scale denominators'."""
+def _walk_estimates(bands, scaled: dict[int, tuple[int, list[int]]]) -> tuple[int, int]:
+    """Estimated units of the band walk, and digits of one kept term.  At
+    depth d a node's i-th reduction takes p-1-i products, one fixed unit each,
+    of integers as long as the rows on its path (Bareiss entries are minors; a
+    band counts at its longest entry).  A leaf adds 30 for its term and t /
+    10^4 for the running total, whose t-bit denominator divides the left and
+    row-scale denominators'.  A term takes one entry, row and row scale of
+    each band, and prints them twice, the second time in its product: 0.6
+    digits per bit of each band's longest (1.1-3.8 times the longest printed)."""
     bits = [
-        max((abs(x).bit_length() for j in band for x in scaled[j][1]), default=0)
+        max((abs(x).bit_length() for j, _ in band for x in scaled[j][1]), default=0)
         for band in bands
     ]
     total_bits = sum(
-        left.at(r, j).denominator.bit_length() + scaled[j][0].bit_length()
-        for r, band in enumerate(bands)
-        for j in band
+        x.denominator.bit_length() + scaled[j][0].bit_length()
+        for band in bands
+        for j, x in band
+    )
+    term_bits = sum(bits) + sum(
+        max(x.numerator.bit_length() + x.denominator.bit_length()
+            + scaled[j][0].bit_length() for j, x in band)
+        for band in bands
+        if band
     )
     p = len(bands)
     work, nodes = 0, 1
@@ -305,17 +315,18 @@ def _walk_work(
             above += bits[i]
             node += (p - 1 - i) * (1 + weight(above + bits[d]))
         work += nodes * node
-    return work
+    return work, term_bits * 3 // 5
 
 
-def cauchy_binet(left: RationalMatrix, right: RationalMatrix) -> CauchyBinetCertificate:
+def cauchy_binet(left: BandedFactor, right: RationalMatrix) -> CauchyBinetCertificate:
     """det(left @ right) as a sum over column subsets, with a term-wise record.
 
     For a banded p x q `left` and a q x p `right`, a size-p subset S of the q
     shared indices has a nonzero left minor only if it takes one column from
     each band, and then det_left is the product of the chosen entries.  The
-    other C(q, p) - prod |band| subsets are pruned without being visited, and
-    the walk's estimated work (`_walk_work`) is charged before it starts.
+    other C(q, p) - prod |band| subsets are pruned without being visited.
+    Before the walk starts its estimated work is charged, and then its terms,
+    weighed by their estimated digits, are held to the cell cap.
 
     The walk takes band r at depth r, its columns in ascending order, so the
     terms come out in lexicographic order.  Each row of `right` is scaled to
@@ -331,13 +342,12 @@ def cauchy_binet(left: RationalMatrix, right: RationalMatrix) -> CauchyBinetCert
         raise DimensionMismatchError(
             f"left is {p}x{q}, right is {right.rows}x{right.cols}; need {q}x{p}"
         )
-    bands = _bands(left)
+    bands = left.bands
     leaves = prod(len(band) for band in bands)
-    scaled = {j: _integer_row(right.row(j)) for band in bands for j in band}
-    charge(
-        _walk_work(left, bands, scaled),
-        f"the walk over {leaves} band products at depth {p}",
-    )
+    scaled = {j: _integer_row(right.row(j)) for band in bands for j, _ in band}
+    work, digits = _walk_estimates(bands, scaled)
+    charge(work, f"the walk over {leaves} band products at depth {p}")
+    hold(leaves, digits, "band products")
 
     surviving: list[CauchyBinetTerm] = []
     fallback = 0
@@ -352,7 +362,7 @@ def cauchy_binet(left: RationalMatrix, right: RationalMatrix) -> CauchyBinetCert
         # pivots[k] is the reduced row at depth k, from its pivot column on
         nonlocal fallback
         depth = len(path)
-        for j in bands[depth]:
+        for j, entry in bands[depth]:
             mult, row = scaled[j]
             prev = 1
             for pivot in pivots:
@@ -362,17 +372,17 @@ def cauchy_binet(left: RationalMatrix, right: RationalMatrix) -> CauchyBinetCert
                 ]
                 prev = lead
             here = [*path, j]
-            det_here = det_left * left.at(depth, j)
+            det_here = det_left * entry
             if depth == p - 1:
                 record(here, det_here, Fraction(row[0], scale * mult))
             elif row[0] != 0:
                 walk(here, [*pivots, row], scale * mult, det_here)
             else:
                 for rest in product(*bands[depth + 1 :]):
-                    subset = [*here, *rest]
+                    subset = [*here, *(c for c, _ in rest)]
                     fallback += 1
                     sub = RationalMatrix.from_rows(right.row(c) for c in subset)
-                    entries = (left.at(r, c) for r, c in enumerate(rest, depth + 1))
+                    entries = (y for _, y in rest)
                     record(subset, prod(entries, start=det_here), det_exact(sub))
 
     walk([], [], 1, Fraction(1))
@@ -405,11 +415,8 @@ def certify_prefix_matrix(
 ) -> PrefixCertificate:
     """The certificate chain for the k x k prefix matrix of e_0..e_{k-1} (or
     h_0..h_{k-1}) over m'_1 < ... < m'_k, k >= 2: `difference_factorization`,
-    then `cauchy_binet`, checked against the matrix's own determinant."""
-    mp_ = _checked_m_primes(m_primes)
-    if len(mp_) < 2:
-        raise ValueError("a certificate needs at least two indices")
-    banded, prefix = difference_factorization(mp_, family, kind)
+    then `cauchy_binet`, checked against the matrix's own determinant.  The
+    factors and the matrix read one prefix table."""
+    parent, banded, prefix = _chain(m_primes, family, kind)
     expansion = cauchy_binet(banded, prefix)
-    parent_det = det_exact(prefix_matrix(mp_, family, kind))
-    return PrefixCertificate(parent_det, expansion)
+    return PrefixCertificate(det_exact(parent), expansion)

@@ -5,9 +5,10 @@ the linear factors as an exact polynomial in the series variable (constant
 term first), invert the polynomial as a truncated power series where needed,
 and read the coefficient off directly.  Symmetric polynomials are summed by
 brute-force enumeration, pi by Machin's formula, and Cauchy-Binet expansions
-over every column subset with Fraction Gaussian elimination.  The certificate
-chain's first steps (row differencing, then dropping the first row and column)
-and the matrix product run on plain lists of rows.  The CLI envelope is
+over every column subset with Fraction Gaussian elimination, on the banded
+factor written out densely (`dense`).  The certificate chain's first steps
+(row differencing, then dropping the first row and column) and the matrix
+product run on plain lists of rows.  The CLI envelope is
 rendered by the standard library's own JSON and CSV writers.  Nothing below
 touches the package's prefix-table, Bareiss, polygamma or output code paths.
 """
@@ -183,6 +184,15 @@ def generic_cauchy_binet(left, right):
 
 # The row-difference steps of the certificate chain and the matrix product,
 # on lists of rows: no elimination, only entrywise Fraction arithmetic.
+
+
+def dense(banded):
+    """A banded factor's rows, zero off its bands."""
+    rows = [[Fraction(0)] * banded.cols for _ in banded.bands]
+    for row, band in zip(rows, banded.bands):
+        for j, x in band:
+            row[j] = x
+    return rows
 
 
 def matmul(a, b):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import reference_csv, reference_json
-from gammalattice import budget, cli, density, linalg, sympoly
+from gammalattice import SingularMatrixError, budget, cli, density, linalg, sympoly
 from gammalattice.cli import OutputEnvelope, main
 
 
@@ -347,6 +347,19 @@ class TestMatrixCommand:
         assert entries[(1, 0)] == "1"
         assert entries[(1, 1)] == "0"
 
+    def test_singular_inverse_is_a_failure_row(self, capsys, monkeypatch):
+        def singular(matrix):
+            raise SingularMatrixError("matrix is singular")
+
+        monkeypatch.setattr(cli, "inverse_exact", singular)
+        code, payload, _ = run_json(
+            capsys,
+            "matrix", "--family", "plain", "--n", "2", "--indices", "1,2",
+            "--show", "inverse",
+        )
+        assert code == 1
+        assert payload["rows"] == [{"error": "singular coefficient matrix", "det": "0"}]
+
     def test_cauchy_binet_certificate(self, capsys):
         code, payload, _ = run_json(
             capsys,
@@ -395,6 +408,20 @@ class TestMatrixCommand:
         assert err == (
             f"error: the walk over {leaves} band products at depth {n} "
             f"is over the work budget {budget.MAX_WORK}\n"
+        )
+
+    def test_cauchy_binet_over_the_cell_cap_is_usage_error(self, capsys):
+        # 316^2 = 99,856 terms, a walk well under the work budget, kept 375 MB
+        # and printed 90 MB with no cap; each weighs 7 cells by its digits
+        code, out, err = run(
+            capsys,
+            "matrix", "--family", "plain", "--n", "3", "--indices", "1,317,633",
+            "--show", "cauchy-binet",
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: 99856 band products of weight 7 "
+            f"are over the budget {budget.MAX_CELLS}\n"
         )
 
     def test_elimination_over_the_budget_is_usage_error(self, capsys, monkeypatch):
@@ -779,7 +806,7 @@ class TestDensityCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert err.endswith(f"grid cells are over the budget {density.MAX_GRID_CELLS}\n")
+        assert err.endswith(f"grid cells are over the budget {budget.MAX_CELLS}\n")
 
     @pytest.mark.parametrize(
         "argv",
@@ -801,7 +828,7 @@ class TestDensityCommand:
         code, out, err = run(capsys, "density", *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert err.endswith(f"are over the budget {density.MAX_GRID_CELLS}\n")
+        assert err.endswith(f"are over the budget {budget.MAX_CELLS}\n")
 
 
 class TestArgumentParsing:

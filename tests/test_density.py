@@ -10,6 +10,7 @@ from gammalattice import (
     BoundVariant,
     GuardExceededError,
     bivariate_min_sum,
+    budget,
     density,
     density_grid,
     prior_univariate_bound,
@@ -262,7 +263,7 @@ class TestDensityGrid:
         assert all(label is low or label is high for label in labels.values())
 
     def test_cell_budget(self, monkeypatch):
-        monkeypatch.setattr(density, "MAX_GRID_CELLS", 12)
+        monkeypatch.setattr(budget, "MAX_CELLS", 12)
         assert len(density_grid(BIVARIATE, range(2, 5), range(1, 5))) == 12
         assert len(density_grid(BoundVariant.PRIOR, range(1, 13))) == 12
         # duplicates count once, as they are computed once
@@ -288,7 +289,7 @@ class TestDensityGrid:
         assert peak < 10**5
 
     def test_weighted_cells(self, monkeypatch):
-        monkeypatch.setattr(density, "MAX_GRID_CELLS", 12)
+        monkeypatch.setattr(budget, "MAX_CELLS", 12)
         monkeypatch.setattr(density, "bivariate_min_sum", _no_cell)
         # a prior cell weighs one more per 250 digits
         assert len(density_grid(BoundVariant.PRIOR, range(1, 7), digits=250)) == 6

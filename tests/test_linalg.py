@@ -25,8 +25,10 @@ from gammalattice import (
     inverse_exact,
     prefix_matrix,
 )
-from gammalattice import budget, linalg
+from gammalattice import budget, linalg, sympoly
+from gammalattice.linalg import BandedFactor
 from _oracles import (
+    dense,
     difference_minor,
     fraction_det,
     generic_cauchy_binet,
@@ -62,8 +64,16 @@ def identity(n):
 
 
 def product(a, b):
-    """a @ b by the oracle's entrywise product."""
-    return RationalMatrix.from_rows(matmul(a.to_rows(), b.to_rows()))
+    """a @ b by the oracle's entrywise product; a banded `a` is written out."""
+    rows = dense(a) if isinstance(a, BandedFactor) else a.to_rows()
+    return RationalMatrix.from_rows(matmul(rows, b.to_rows()))
+
+
+def from_bands(cols, *bands):
+    """The banded factor with these bands of (column, value) pairs."""
+    return BandedFactor(cols, tuple(
+        tuple((j, Fraction(x)) for j, x in band) for band in bands
+    ))
 
 
 class TestRationalMatrix:
@@ -149,9 +159,8 @@ class TestInverse:
         assert inverse_exact(identity(4)) == identity(4)
 
     def test_singular(self):
-        with pytest.raises(SingularMatrixError) as info:
+        with pytest.raises(SingularMatrixError, match="^matrix is singular$"):
             inverse_exact(RationalMatrix.from_rows([[1, 2], [2, 4]]))
-        assert info.value.det == 0
 
     @given(m=square_matrices(3))
     @settings(max_examples=40, deadline=None)
@@ -260,29 +269,33 @@ class TestRowDifference:
 
 class TestDifferenceFactorization:
     def test_elementary_frozen(self):
-        banded, prefix = difference_factorization([0, 1], PLAIN, PolyKind.ELEMENTARY)
-        assert banded.to_rows() == [[1]]
+        left, prefix = difference_factorization([0, 1], PLAIN, PolyKind.ELEMENTARY)
+        assert left == BandedFactor(1, (((0, Fraction(1)),),))
         assert prefix.to_rows() == [[1]]
-        assert matmul(banded.to_rows(), prefix.to_rows()) == [[1]]
+        assert matmul(dense(left), prefix.to_rows()) == [[1]]
 
     def test_homogeneous_frozen(self):
-        banded, prefix = difference_factorization([0, 1], MINUS_HALF, PolyKind.HOMOGENEOUS)
-        assert banded.to_rows() == [[2]]
+        left, prefix = difference_factorization([0, 1], MINUS_HALF, PolyKind.HOMOGENEOUS)
+        assert dense(left) == [[2]]
         assert prefix.to_rows() == [[1]]
 
     def test_band_disjointness(self):
-        banded, _ = difference_factorization([0, 2, 5, 9], PLAIN, PolyKind.ELEMENTARY)
-        for c in range(banded.cols):
-            nonzero = [r for r in range(banded.rows) if banded.at(r, c) != 0]
-            assert len(nonzero) <= 1
+        m_primes = (0, 2, 5, 9)
+        left, _ = difference_factorization(m_primes, PLAIN, PolyKind.ELEMENTARY)
+        assert (left.rows, left.cols) == (3, 9)
+        # band r is the columns m'_r < j <= m'_{r+1}, 1-based, so the columns
+        # read band after band are 0, 1, ..., m'_k - 1
+        for r, band in enumerate(left.bands):
+            assert [j + 1 for j, _ in band] == list(range(m_primes[r] + 1, m_primes[r + 1] + 1))
+            assert all(x == PLAIN.x(j + 1) for j, x in band)
 
     @pytest.mark.parametrize("family", [PLAIN, PLUS_QUARTER, MINUS_HALF],
                              ids=lambda f: f.kind.value)
     @pytest.mark.parametrize("m_primes", [(0, 1), (0, 2, 5), (1, 3, 4, 7), (2, 5)])
     def test_product_equals_difference_minor(self, family, m_primes):
         for kind in PolyKind:
-            banded, prefix = difference_factorization(m_primes, family, kind)
-            assert matmul(banded.to_rows(), prefix.to_rows()) == difference_minor(
+            left, prefix = difference_factorization(m_primes, family, kind)
+            assert matmul(dense(left), prefix.to_rows()) == difference_minor(
                 prefix_matrix(m_primes, family, kind).to_rows()
             )
 
@@ -293,8 +306,7 @@ class TestDifferenceFactorization:
 
 class TestCauchyBinet:
     def test_trivial(self):
-        one = RationalMatrix.from_rows([[1]])
-        certificate = cauchy_binet(one, one)
+        certificate = cauchy_binet(from_bands(1, [(0, 1)]), RationalMatrix.from_rows([[1]]))
         assert certificate.total_det == 1
         assert len(certificate.surviving) == 1
         assert certificate.surviving[0].subset == (1,)
@@ -331,16 +343,20 @@ class TestCauchyBinet:
         assert certificate.pruned_count + len(certificate.surviving) <= 10
 
     def test_dimension_mismatch(self):
-        a = RationalMatrix.from_rows([[1, 2]])
+        left = from_bands(2, [(0, 1), (1, 2)])
         with pytest.raises(DimensionMismatchError):
-            cauchy_binet(a, a)
+            cauchy_binet(left, RationalMatrix.from_rows([[1, 2]]))
+        with pytest.raises(DimensionMismatchError):
+            cauchy_binet(left, RationalMatrix.from_rows([[1, 2], [3, 4]]))
 
     def test_guard(self):
         # two bands of 1300 unit entries: 1,690,000 leaves at about 30 units
         # each estimate more work than the budget allows
         width = 1300
-        left = RationalMatrix.from_rows(
-            [[1] * width + [0] * width, [0] * width + [1] * width]
+        left = from_bands(
+            2 * width,
+            [(j, 1) for j in range(width)],
+            [(j, 1) for j in range(width, 2 * width)],
         )
         right = RationalMatrix.from_rows([[1, 0]] * width + [[0, 1]] * width)
         with pytest.raises(GuardExceededError, match="over the work budget") as info:
@@ -374,28 +390,29 @@ class TestCauchyBinet:
         with pytest.raises(GuardExceededError, match="8192 band products at depth 16"):
             cauchy_binet(banded, prefix)
 
-    def test_not_banded(self):
-        # column 1 is nonzero in both rows
-        left = RationalMatrix.from_rows([[1, 2, 0, 1], [0, 1, 3, 2]])
-        right = RationalMatrix.from_rows([[1, 1], [2, 0], [0, 5], [1, 3]])
-        with pytest.raises(ValueError, match="not banded") as info:
-            cauchy_binet(left, right)
-        assert "\n" not in str(info.value)
-        # disjoint supports, but the bands interleave
-        left = RationalMatrix.from_rows([[1, 0, 1], [0, 1, 0]])
-        right = RationalMatrix.from_rows([[1, 0], [0, 1], [1, 1]])
-        with pytest.raises(ValueError, match="not banded"):
-            cauchy_binet(left, right)
+    def test_terms_are_held_to_the_cell_cap(self, monkeypatch):
+        # 10,201 terms estimated at 528 digits each weigh 3 cells apiece
+        left, prefix = difference_factorization([0, 101, 202], PLAIN, PolyKind.ELEMENTARY)
+        scaled = {j: linalg._integer_row(prefix.row(j)) for j in range(202)}
+        assert linalg._walk_estimates(left.bands, scaled)[1] == 528
+        monkeypatch.setattr(budget, "MAX_CELLS", 3 * 10201)
+        assert len(cauchy_binet(left, prefix).surviving) == 10201
+        monkeypatch.setattr(budget, "MAX_CELLS", 3 * 10201 - 1)
+        with pytest.raises(
+            GuardExceededError,
+            match=r"^10201 band products of weight 3 are over the budget 30602$",
+        ):
+            cauchy_binet(left, prefix)
 
     def test_zero_first_pivot_takes_the_fallback(self):
-        left = RationalMatrix.from_rows([[1, 2, 0], [0, 0, 3]])
+        left = from_bands(3, [(0, 1), (1, 2)], [(2, 3)])
         # row 0 of right has a zero first entry, so the path through column 1
         # cannot divide by its pivot
         right = RationalMatrix.from_rows([[0, 1], [1, 0], [Fraction(1, 2), 4]])
         certificate = cauchy_binet(left, right)
         assert certificate.fallback_count == 1
         assert _as_oracle(certificate) == generic_cauchy_binet(
-            left.to_rows(), right.to_rows()
+            dense(left), right.to_rows()
         )
         assert certificate.total_det == det_exact(product(left, right))
 
@@ -413,27 +430,23 @@ def _as_oracle(certificate):
 
 @st.composite
 def banded_products(draw):
-    """A banded left over ordered bands with zero columns before, between and
-    after them, and a right of small integers (zeros included, so some paths
-    meet a zero pivot)."""
+    """Ordered bands with zero columns before, between and after them, and a
+    right of small integers (zeros included, so some paths meet a zero
+    pivot)."""
     p = draw(st.integers(1, 4))
     gaps = draw(st.lists(st.integers(0, 2), min_size=p + 1, max_size=p + 1))
     widths = draw(st.lists(st.integers(1, 3), min_size=p, max_size=p))
     nonzero = small_fractions.filter(lambda x: x != 0)
-    left = []
+    bands = []
     col = gaps[0]
-    q = sum(gaps) + sum(widths)
-    for r, width in enumerate(widths):
-        row = [Fraction(0)] * q
-        for j in range(col, col + width):
-            row[j] = draw(nonzero)
-        left.append(row)
-        col += width + gaps[r + 1]
+    for width, gap in zip(widths, gaps[1:]):
+        bands.append(tuple((j, draw(nonzero)) for j in range(col, col + width)))
+        col += width + gap
     right = draw(st.lists(
         st.lists(st.integers(-2, 2).map(Fraction), min_size=p, max_size=p),
-        min_size=q, max_size=q,
+        min_size=col, max_size=col,
     ))
-    return RationalMatrix.from_rows(left), RationalMatrix.from_rows(right)
+    return BandedFactor(col, tuple(bands)), RationalMatrix.from_rows(right)
 
 
 class TestCauchyBinetAgainstOracle:
@@ -449,10 +462,10 @@ class TestCauchyBinetAgainstOracle:
     )
     @settings(max_examples=60, deadline=None)
     def test_prefix_factors(self, m_primes, family, kind):
-        banded, prefix = difference_factorization(m_primes, family, kind)
-        certificate = cauchy_binet(banded, prefix)
+        left, prefix = difference_factorization(m_primes, family, kind)
+        certificate = cauchy_binet(left, prefix)
         assert _as_oracle(certificate) == generic_cauchy_binet(
-            banded.to_rows(), prefix.to_rows()
+            dense(left), prefix.to_rows()
         )
         assert certificate.fallback_count == 0
 
@@ -462,7 +475,7 @@ class TestCauchyBinetAgainstOracle:
         left, right = pair
         certificate = cauchy_binet(left, right)
         assert _as_oracle(certificate) == generic_cauchy_binet(
-            left.to_rows(), right.to_rows()
+            dense(left), right.to_rows()
         )
         assert certificate.total_det == det_exact(product(left, right))
 
@@ -495,6 +508,20 @@ class TestCertifyPrefixMatrix:
     def test_needs_two_indices(self):
         with pytest.raises(ValueError):
             certify_prefix_matrix([3], PLAIN, PolyKind.ELEMENTARY)
+
+    def test_reads_one_prefix_table(self, monkeypatch):
+        # the factors and the matrix itself share the table of length m'_k
+        # and degree k - 1
+        fill, sizes = sympoly._fill, []
+
+        def counted(family, max_len, max_deg, kind):
+            sizes.append((max_len, max_deg))
+            return fill(family, max_len, max_deg, kind)
+
+        monkeypatch.setattr(sympoly, "_fill", counted)
+        for kind in PolyKind:
+            assert certify_prefix_matrix((0, 2, 5), MINUS_THIRD, kind).holds
+        assert sizes == [(5, 2), (5, 2)]
 
 
 class TestRandomizedPositivitySweep:
