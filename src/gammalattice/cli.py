@@ -35,7 +35,7 @@ from .coeffs import (
 )
 from .density import BoundVariant, density_grid
 from .errors import GammaLatticeError, NotSquareError, SingularMatrixError
-from .gammanum import PrecisionContext, check_sweep, verify_identity, verify_recovery
+from .gammanum import PrecisionContext, verify_sweep
 from .linalg import RationalMatrix, certify_prefix_matrix, det_exact, inverse_exact
 from .sympoly import ArgumentFamily, FamilyKind
 
@@ -146,14 +146,10 @@ def _shift_str(family: ArgumentFamily) -> str:
     return str(family.kappa) if family.kappa else ""
 
 
-def _at_least(flag: str, value: int, low: int, family: str) -> None:
-    """Reject a bound that would leave the sweep empty."""
-    if value < low:
-        raise ValueError(f"{flag} must be >= {low}; the {family} sweep is empty")
-
-
-def _real_str(value, digits: int) -> str:
-    return mp.nstr(value, digits)
+def _params(args, **derived) -> dict:
+    """The envelope's params: every parsed flag but --format, then `derived`."""
+    skip = ("command", "handler", "format")
+    return {**{k: v for k, v in vars(args).items() if k not in skip}, **derived}
 
 
 def _matrix_rows(matrix: RationalMatrix) -> list:
@@ -182,13 +178,7 @@ def _cmd_coeffs(args) -> OutputEnvelope:
         for m, values in zip(ms, table)
         for ell, value in enumerate(values)
     ]
-    params = {
-        "family": args.family,
-        "n": args.n,
-        "m": args.m,
-        "kappa": shift or None,
-    }
-    return OutputEnvelope("coeffs", params, rows, warnings)
+    return OutputEnvelope("coeffs", _params(args, kappa=shift or None), rows, warnings)
 
 
 def _cmd_matrix(args) -> OutputEnvelope:
@@ -196,15 +186,12 @@ def _cmd_matrix(args) -> OutputEnvelope:
     family = _resolve_family(args, warnings)
     spec = LatticeSpec(family, _parse_indices(args.indices))
     system = build_system(spec, args.n)
-    params = {
-        "family": args.family,
-        "n": args.n,
-        "indices": args.indices,
-        "kappa": _shift_str(family) or None,
-        "show": args.show,
-        "shape": f"{system.matrix.rows}x{system.matrix.cols}",
-        "unknowns": list(system.unknowns_label),
-    }
+    params = _params(
+        args,
+        kappa=_shift_str(family) or None,
+        shape=f"{system.matrix.rows}x{system.matrix.cols}",
+        unknowns=list(system.unknowns_label),
+    )
 
     if args.show is None:
         rows = _matrix_rows(system.matrix)
@@ -280,78 +267,49 @@ def _cmd_verify(args) -> OutputEnvelope:
     warnings: list = []
     ctx = PrecisionContext(args.digits, args.tolerance)
     families = _verify_families(FamilyKind(args.family), args.kappa_set, warnings)
-    digits = ctx.decimal_digits
-    params = {
-        "family": args.family,
-        "mode": args.mode,
-        "n_max": args.n_max,
-        "m_max": args.m_max,
-        "kappa_set": args.kappa_set,
-        "digits": args.digits,
-        "tolerance": args.tolerance,
-    }
     if args.mode == "identity" and args.m_max is None:
         raise ValueError("--m-max is required for identity mode")
     if args.mode == "recover" and args.m_max is not None:
         raise ValueError("--m-max does not apply to recover mode")
-    check_sweep(families, args.n_max, args.m_max, ctx)
     rows = []
-    for family in families:
-        head = {"family": args.family, "kappa": _shift_str(family)}
-        low = family.min_index
-        if args.mode == "identity":
-            _at_least("--n-max", args.n_max, 0, args.family)
-            _at_least("--m-max", args.m_max, low, args.family)
-            for n in range(args.n_max + 1):
-                for m in range(low, args.m_max + 1):
-                    check = verify_identity(family, n, m, ctx)
-                    rows.append(
-                        {
-                            **head,
-                            "n": n,
-                            "m": m,
-                            "lhs": _real_str(check.reference, digits),
-                            "rhs": _real_str(check.value, digits),
-                            "abs_residual": _real_str(check.abs_residual, digits),
-                            "rel_residual": _real_str(check.rel_residual, digits),
-                            "pass": check.passed,
-                        }
-                    )
-        else:
-            # from the smallest system that is more than one identity
-            _at_least("--n-max", args.n_max, low + 1, args.family)
-            for n in range(low + 1, args.n_max + 1):
-                spec = LatticeSpec(family, range(low, n + 1))
-                indices = " ".join(str(i) for i in spec.indices)
-                for ell, check in enumerate(verify_recovery(spec, n, ctx), low):
-                    rows.append(
-                        {
-                            **head,
-                            "n": n,
-                            "indices": indices,
-                            "ell": ell,
-                            "recovered": _real_str(check.value, digits),
-                            "reference": _real_str(check.reference, digits),
-                            "abs_error": _real_str(check.abs_residual, digits),
-                            "rel_error": _real_str(check.rel_residual, digits),
-                            "pass": check.passed,
-                        }
-                    )
+    for family, n, m, result in verify_sweep(families, args.n_max, args.m_max, ctx):
+        head = {"family": args.family, "kappa": _shift_str(family), "n": n}
+        if args.m_max is not None:
+            rows.append(
+                {
+                    **head,
+                    "m": m,
+                    "lhs": mp.nstr(result.reference, args.digits),
+                    "rhs": mp.nstr(result.value, args.digits),
+                    "abs_residual": mp.nstr(result.abs_residual, args.digits),
+                    "rel_residual": mp.nstr(result.rel_residual, args.digits),
+                    "pass": result.passed,
+                }
+            )
+            continue
+        indices = " ".join(str(i) for i in m)
+        for ell, check in enumerate(result, family.min_index):
+            rows.append(
+                {
+                    **head,
+                    "indices": indices,
+                    "ell": ell,
+                    "recovered": mp.nstr(check.value, args.digits),
+                    "reference": mp.nstr(check.reference, args.digits),
+                    "abs_error": mp.nstr(check.abs_residual, args.digits),
+                    "rel_error": mp.nstr(check.rel_residual, args.digits),
+                    "pass": check.passed,
+                }
+            )
 
     failed = not all(row["pass"] for row in rows)
     status = VERIFICATION_FAILURE if failed else 0
-    return OutputEnvelope("verify", params, rows, warnings, exit_status=status)
+    return OutputEnvelope("verify", _params(args), rows, warnings, exit_status=status)
 
 
 def _cmd_density(args) -> OutputEnvelope:
     variant = BoundVariant(args.variant)
     flags = {"N": args.N, "M": args.M, "n": args.n}
-    params = {
-        "variant": variant.value,
-        **flags,
-        "with_oracle": args.with_oracle,
-        "digits": args.digits,
-    }
     ranges = []
     for name in variant.ranges:
         text = flags.pop(name)
@@ -375,7 +333,7 @@ def _cmd_density(args) -> OutputEnvelope:
         row = {
             "variant": name,
             **bound.params,
-            "value": str(value) if bound.exact else _real_str(value, args.digits),
+            "value": str(value) if bound.exact else mp.nstr(value, args.digits),
             "branch": bound.branch,
             "exact": bound.exact,
         }
@@ -385,7 +343,7 @@ def _cmd_density(args) -> OutputEnvelope:
         rows.append(row)
     failed = not all(row.get("oracle_match", True) for row in rows)
     status = VERIFICATION_FAILURE if failed else 0
-    return OutputEnvelope("density", params, rows, exit_status=status)
+    return OutputEnvelope("density", _params(args), rows, exit_status=status)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -416,38 +374,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     kinds = [kind.value for kind in FamilyKind]
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=["csv", "json"], default="json")
+    lattice = argparse.ArgumentParser(add_help=False, parents=[output])
+    lattice.add_argument("--family", required=True, choices=kinds)
 
-    coeffs = sub.add_parser("coeffs", help="print coefficient tables")
-    coeffs.add_argument("--family", required=True, choices=kinds)
+    coeffs = sub.add_parser("coeffs", parents=[lattice], help="print coefficient tables")
     coeffs.add_argument("--n", type=int, required=True, help="derivative order")
     coeffs.add_argument("--m", required=True, help="lattice index, single or lo:hi")
     coeffs.add_argument("--kappa", default=None, help="shift, e.g. 1/2")
-    coeffs.add_argument("--format", choices=["csv", "json"], default="json")
     coeffs.set_defaults(handler=_cmd_coeffs)
 
-    matrix = sub.add_parser("matrix", help="print systems, dets, inverses, certificates")
-    matrix.add_argument("--family", required=True, choices=kinds)
+    matrix = sub.add_parser(
+        "matrix", parents=[lattice], help="print systems, dets, inverses, certificates"
+    )
     matrix.add_argument("--n", type=int, required=True)
     matrix.add_argument("--indices", required=True, help="comma list, e.g. 1,2,5")
     matrix.add_argument("--kappa", default=None)
     matrix.add_argument(
         "--show", choices=["det", "inverse", "cauchy-binet"], default=None
     )
-    matrix.add_argument("--format", choices=["csv", "json"], default="json")
     matrix.set_defaults(handler=_cmd_matrix)
 
-    verify = sub.add_parser("verify", help="identity / recovery verification sweeps")
-    verify.add_argument("--family", required=True, choices=kinds)
+    verify = sub.add_parser(
+        "verify", parents=[lattice], help="identity / recovery verification sweeps"
+    )
     verify.add_argument("--mode", choices=["identity", "recover"], default="identity")
     verify.add_argument("--n-max", type=int, required=True)
     verify.add_argument("--m-max", type=int, default=None)
     verify.add_argument("--kappa-set", default=None, help="comma list, e.g. 1/2,1/3")
     verify.add_argument("--digits", type=int, default=60)
     verify.add_argument("--tolerance", default=None, help="override, e.g. 1e-40")
-    verify.add_argument("--format", choices=["csv", "json"], default="json")
     verify.set_defaults(handler=_cmd_verify)
 
-    density = sub.add_parser("density", help="density lower-bound tables")
+    density = sub.add_parser("density", parents=[output], help="density lower-bound tables")
     density.add_argument(
         "--variant",
         required=True,
@@ -458,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     density.add_argument("--n", default=None, help="single or lo:hi (fixed-n variants)")
     density.add_argument("--with-oracle", action="store_true")
     density.add_argument("--digits", type=int, default=50)
-    density.add_argument("--format", choices=["csv", "json"], default="json")
     density.set_defaults(handler=_cmd_density)
 
     return parser

@@ -30,7 +30,8 @@ class SingularMatrixError(GammaLatticeError):
 
 
 class NonIncreasingIndicesError(SpecMismatchError):
-    """An index set is empty, not strictly increasing, or has a negative entry."""
+    """An index set is empty, not strictly increasing, or has a negative or a
+    non-integer entry."""
 
 
 class DimensionMismatchError(GammaLatticeError):

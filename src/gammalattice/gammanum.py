@@ -24,6 +24,9 @@ bounded.  `verify_identity` (one expansion at a point of an `ArgumentFamily`)
 and `verify_recovery` (a square `LatticeSpec` solved for the basis) return
 `Residual` records by one rule: relative, or absolute where the reference is
 below 1.
+
+`verify_sweep` runs the `verify` sweep off one list of cells (`_cells`): it is
+charged first (`check_sweep`), then refused if its bounds leave it empty.
 """
 
 from __future__ import annotations
@@ -222,7 +225,21 @@ def verify_recovery(
         return [_compare(value, ref, ctx) for value, ref in zip(recovered, references)]
 
 
-def _sweep_cells(family: ArgumentFamily, n_max: int, m_max, ctx: PrecisionContext):
+def _cells(family: ArgumentFamily, n_max: int, m_max):
+    """A `verify` sweep's cells (n, m), n <= n_max and min_index <= m <= m_max,
+    or with `m_max` None its recovery orders (n, (min_index, ..., n)) up to
+    n_max.  No n is walked when the m range is empty."""
+    low = family.min_index
+    if m_max is None:
+        for n in range(low + 1, n_max + 1):
+            yield n, tuple(range(low, n + 1))
+    elif m_max >= low:
+        for n in range(n_max + 1):
+            for m in range(low, m_max + 1):
+                yield n, m
+
+
+def _sweep_work(family: ArgumentFamily, n_max: int, m_max, ctx: PrecisionContext):
     """The estimated units of a `verify` sweep of one family.  An mpmath
     operation weighs 4 fixed units and its operands, 3.322 bits a digit.  The
     first values take 100 operations a digit (at 1000 digits, 2.5 s plain and
@@ -239,24 +256,44 @@ def _sweep_cells(family: ArgumentFamily, n_max: int, m_max, ctx: PrecisionContex
         return (16 * digits + 3 * n * n + 40 * steps) * unit
 
     yield 100 * digits * unit
-    if m_max is None:
-        for n in range(low + 1, n_max + 1):
-            k = n + 1 - low
+    for n, m in _cells(family, n_max, m_max):
+        if m_max is None:
+            k = len(m)
             bits = kind.entry_bits(family, n - low, n) // 2
             yield _elimination_work(k, bits, True) + k * point(n, n)
-    elif m_max >= low:
-        for n in range(n_max + 1):
-            for m in range(low, m_max + 1):
-                yield kind.table_work(family, m - low, n) + point(n, m)
+        else:
+            yield kind.table_work(family, m - low, n) + point(n, m)
 
 
 def check_sweep(families, n_max: int, m_max, ctx: PrecisionContext) -> None:
-    """Charge a `verify` sweep's estimated work before any of it runs: per
-    family, the identity cells n <= n_max, min_index <= m <= m_max, or with
-    `m_max` None the recovery orders min_index + 1 .. n_max.  The sum is
-    charged per cell, each 4000 units or more: a huge sweep is refused at once."""
+    """Charge a `verify` sweep's estimated work, over each family's `_cells`,
+    before any of it runs.  The sum is charged per cell, each 4000 units or
+    more: a huge sweep is refused at once."""
     total = 0
     for family in families:
-        for work in _sweep_cells(family, n_max, m_max, ctx):
+        for work in _sweep_work(family, n_max, m_max, ctx):
             total += work
             charge(total, "the verify sweep")
+
+
+def verify_sweep(families, n_max: int, m_max, ctx: PrecisionContext):
+    """The `verify` sweep of each family: yields (family, n, m, Residual) per
+    identity cell, or with `m_max` None (family, n, indices, [Residual]) per
+    recovery order.  At the first item the sweep is charged (`check_sweep`),
+    then refused if a bound leaves a family's sweep empty, before any check."""
+    check_sweep(families, n_max, m_max, ctx)
+    for family in families:
+        low = family.min_index
+        bounds = [("n_max", n_max, 0), ("m_max", m_max, low)]
+        if m_max is None:
+            bounds = [("n_max", n_max, low + 1)]
+        for name, value, least in bounds:
+            if value < least:
+                kind = family.kind.value
+                raise ValueError(f"{name} must be >= {least}; the {kind} sweep is empty")
+    for family in families:
+        for n, m in _cells(family, n_max, m_max):
+            if m_max is None:
+                yield family, n, m, verify_recovery(LatticeSpec(family, m), n, ctx)
+            else:
+                yield family, n, m, verify_identity(family, n, m, ctx)

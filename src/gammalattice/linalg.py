@@ -30,6 +30,7 @@ lcm of its denominators, and is charged its estimated work first.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -177,8 +178,13 @@ def inverse_exact(m: RationalMatrix) -> RationalMatrix:
 
 
 def increasing_indices(values: Iterable[int]) -> tuple[int, ...]:
-    """The values as a tuple of ints, checked nonempty and strictly increasing."""
-    indices = tuple(int(v) for v in values)
+    """The values as a tuple of ints, each read by `operator.index` (a float or a
+    `Fraction` is refused, not truncated), checked nonempty and strictly increasing."""
+    values = tuple(values)
+    try:
+        indices = tuple(map(operator.index, values))
+    except TypeError:
+        raise NonIncreasingIndicesError(f"indices {values} are not all integers") from None
     if not indices:
         raise NonIncreasingIndicesError("empty index set")
     if any(b <= a for a, b in zip(indices, indices[1:])):

@@ -11,8 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import reference_csv, reference_json
-from gammalattice import SingularMatrixError, budget, cli, density, linalg, sympoly
-from gammalattice.cli import OutputEnvelope, main
+from gammalattice import (
+    SingularMatrixError,
+    budget,
+    cli,
+    density,
+    gammanum,
+    linalg,
+    sympoly,
+)
+from gammalattice.cli import OutputEnvelope, build_parser, main
 
 
 def run(capsys, *argv):
@@ -669,8 +677,8 @@ class TestVerifyCommand:
     )
     def test_sweep_over_the_budget_is_usage_error(self, capsys, monkeypatch, argv):
         # refused before the first cell runs
-        monkeypatch.setattr(cli, "verify_identity", _no_cell)
-        monkeypatch.setattr(cli, "verify_recovery", _no_cell)
+        monkeypatch.setattr(gammanum, "verify_identity", _no_cell)
+        monkeypatch.setattr(gammanum, "verify_recovery", _no_cell)
         code, out, err = run(
             capsys, "verify", "--family", "plain", *argv, "--digits", "30"
         )
@@ -954,6 +962,29 @@ class TestEnvelopeContract:
     def test_help_exits_zero(self, capsys):
         code, _, _ = run(capsys, "--help")
         assert code == 0
+
+    @pytest.mark.parametrize("command", ["coeffs", "matrix", "verify", "density"])
+    def test_subcommand_help_lists_format(self, capsys, command):
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0
+        assert "--format" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [case[1] for case in GOLDEN_STDOUT if "csv" not in case[1]],
+        ids=[case[0] for case in GOLDEN_STDOUT if "csv" not in case[1]],
+    )
+    def test_params_echo_the_parsed_flags(self, capsys, argv):
+        # every flag but --format, plus what the command derives from them
+        argv = argv.split()
+        parsed = vars(build_parser().parse_args(argv))
+        keys = set(parsed) - {"command", "handler", "format"}
+        if argv[0] == "matrix":
+            keys |= {"shape", "unknowns"}
+        if "cauchy-binet" in argv:
+            keys |= {"total_det", "parent_det", "pruned", "all_terms_positive"}
+        _, payload, _ = run_json(capsys, *argv)
+        assert set(payload["params"]) == keys
 
 
 # The CLI contract over argv: exit 0, 1 or 2, never a traceback, one `error:`

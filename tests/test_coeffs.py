@@ -116,6 +116,8 @@ class TestLatticeSpec:
             LatticeSpec(ArgumentFamily(FamilyKind.PLAIN, HALF), (1, 2))
         with pytest.raises(SpecMismatchError):
             LatticeSpec(ArgumentFamily(FamilyKind.MINUS_SHIFT), (0, 1))
+        with pytest.raises(SpecMismatchError):
+            LatticeSpec(PLAIN, (1.5, 2.9))  # not truncated to (1, 2)
 
 
 class TestGammaRatio:

@@ -338,9 +338,64 @@ class TestSweepBudget:
 
     def test_families_add_up(self, monkeypatch):
         shifts = [ArgumentFamily(FamilyKind.PLUS_SHIFT, Fraction(k, 7)) for k in range(1, 7)]
-        one = sum(gammanum._sweep_cells(shifts[0], 4, 4, CTX))
+        one = sum(gammanum._sweep_work(shifts[0], 4, 4, CTX))
         monkeypatch.setattr(budget, "MAX_WORK", 6 * one)
         gammanum.check_sweep(shifts, 4, 4, CTX)
         monkeypatch.setattr(budget, "MAX_WORK", 6 * one - 1)
         with pytest.raises(GuardExceededError):
             gammanum.check_sweep(shifts, 4, 4, CTX)
+
+
+def _no_check(*args, **kwargs):
+    raise AssertionError("a check ran before the sweep was charged and bounded")
+
+
+class TestVerifySweep:
+    PLUS_THIRD = ArgumentFamily(FamilyKind.PLUS_SHIFT, Fraction(1, 3))
+
+    def test_identity_cells_are_verify_identity(self):
+        cells = list(gammanum.verify_sweep([PLAIN], 2, 3, CTX))
+        assert [(f, n, m) for f, n, m, _ in cells] == [
+            (PLAIN, n, m) for n in range(3) for m in range(1, 4)
+        ]
+        for family, n, m, residual in cells:
+            assert residual == verify_identity(family, n, m, CTX)
+
+    def test_recovery_orders_are_verify_recovery(self):
+        orders = list(gammanum.verify_sweep([self.PLUS_THIRD], 2, None, CTX))
+        assert [(f, n, indices) for f, n, indices, _ in orders] == [
+            (self.PLUS_THIRD, 1, (0, 1)),
+            (self.PLUS_THIRD, 2, (0, 1, 2)),
+        ]
+        for family, n, indices, residuals in orders:
+            assert residuals == verify_recovery(LatticeSpec(family, indices), n, CTX)
+
+    @pytest.mark.parametrize(
+        "n_max, m_max", [(1, 1700), (1, 10**23), (10**23, 1), (10**23, None)]
+    )
+    def test_over_the_budget_refused_before_any_check(self, monkeypatch, n_max, m_max):
+        monkeypatch.setattr(gammanum, "verify_identity", _no_check)
+        monkeypatch.setattr(gammanum, "verify_recovery", _no_check)
+        sweep = gammanum.verify_sweep([PLAIN], n_max, m_max, PrecisionContext(30))
+        with pytest.raises(
+            GuardExceededError,
+            match=f"^the verify sweep is over the work budget {budget.MAX_WORK}$",
+        ):
+            next(sweep)
+
+    @pytest.mark.parametrize(
+        "families, n_max, m_max, line",
+        [
+            ([PLAIN], 10**23, 0, "m_max must be >= 1; the plain sweep is empty"),
+            ([PLAIN], -1, 3, "n_max must be >= 0; the plain sweep is empty"),
+            ([PLAIN], 1, None, "n_max must be >= 2; the plain sweep is empty"),
+            ([PLUS_HALF], 0, None, "n_max must be >= 1; the plus sweep is empty"),
+            # every family is bounded before the first one runs
+            ([PLUS_HALF, PLAIN], 1, 0, "m_max must be >= 1; the plain sweep is empty"),
+        ],
+    )
+    def test_empty_sweep_refused_at_once(self, monkeypatch, families, n_max, m_max, line):
+        monkeypatch.setattr(gammanum, "verify_identity", _no_check)
+        monkeypatch.setattr(gammanum, "verify_recovery", _no_check)
+        with pytest.raises(ValueError, match=f"^{line}$"):
+            next(gammanum.verify_sweep(families, n_max, m_max, CTX))

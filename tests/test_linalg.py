@@ -241,6 +241,13 @@ class TestPrefixMatrices:
             prefix_matrix([-1, 0], PLAIN, PolyKind.ELEMENTARY)
         with pytest.raises(NonIncreasingIndicesError):
             prefix_matrix([], PLAIN, PolyKind.HOMOGENEOUS)
+        # refused, not truncated to the matrix of [0, 2]
+        with pytest.raises(
+            NonIncreasingIndicesError, match=r"^indices \(0.7, 2.2\) are not all integers$"
+        ):
+            prefix_matrix([0.7, 2.2], PLAIN, PolyKind.ELEMENTARY)
+        with pytest.raises(NonIncreasingIndicesError):
+            prefix_matrix([0, Fraction(2)], PLAIN, PolyKind.ELEMENTARY)
 
 
 class TestRowDifference:

@@ -1,15 +1,25 @@
-"""The README's python examples run against the current package, and the
-constants it cites hold the values it gives."""
+"""The README's python examples and CLI lines run against the current
+package, and the constants it cites hold the values it gives."""
 
 import importlib
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
+from gammalattice.cli import main
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 TEXT = README.read_text()
 BLOCKS = re.findall(r"^```python\n(.*?)^```", TEXT, re.M | re.S)
+# the argv of every `gammalattice ...` line of the `sh` blocks
+COMMANDS = [
+    shlex.split(line)[1:]
+    for block in re.findall(r"^```sh\n(.*?)^```", TEXT, re.M | re.S)
+    for line in block.splitlines()
+    if line.startswith("gammalattice ")
+]
 # "`module.NAME` = value", the value as 1000, 100,000, 10^7 or 4 x 10^7
 CITED = re.findall(
     r"`(\w+)\.([A-Z_]+)`\s*=\s*((?:[\d,]+ x )?10\^\d+|[\d,]+)", TEXT
@@ -33,6 +43,17 @@ def test_readme_has_python_examples():
 )
 def test_readme_python_block_runs(source):
     exec(compile(source, str(README), "exec"), {})
+
+
+def test_readme_has_cli_examples():
+    assert {argv[0] for argv in COMMANDS} == {"coeffs", "matrix", "verify", "density"}
+
+
+@pytest.mark.parametrize(
+    "argv", COMMANDS, ids=[f"cli{i}" for i in range(len(COMMANDS))]
+)
+def test_readme_cli_line_runs(capsys, argv):
+    assert main(argv) == 0
 
 
 def test_readme_cites_constants():
