@@ -7,7 +7,6 @@ from .coeffs import (
     CoeffSystem,
     LatticeSpec,
     build_system,
-    coefficient,
     coefficient_table,
 )
 from .density import (

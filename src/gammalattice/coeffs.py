@@ -9,10 +9,11 @@ with scale (m-1)! on the plain lattice and Gamma(point)/Gamma(kappa) on the
 shifted ones, and E = e (plain, plus) or h (minus).  These per-family facts
 live on `sympoly.ArgumentFamily`, the family argument of every entry point
 here; this module never asks which family it has.
-One prefix table over the longest prefix holds every coefficient of a sweep;
-`coefficient_table` reads a sweep off it, `coefficient` one index, and
-`build_system` stacks its rows into linear systems.  Everything here is exact
-rational arithmetic.
+One prefix table over the longest prefix holds every coefficient of a sweep,
+and `_row` reads one index's row off it by the rule above: `coefficient_table`
+reads a sweep, `build_system` stacks its rows into linear systems, and
+`gammanum.verify_grid` reads every order of a `verify` grid off one table.
+Everything here is exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Iterable
 
 from .errors import SpecMismatchError
 from .linalg import RationalMatrix, increasing_indices
-from .sympoly import ArgumentFamily
+from .sympoly import ArgumentFamily, PrefixTable
 
 #: Shift values whose Gamma value is known to be transcendental.
 KNOWN_TRANSCENDENTAL_SHIFTS = frozenset(
@@ -58,10 +59,16 @@ class LatticeSpec:
         return tuple(self.family.point(m) for m in self.indices)
 
 
-def coefficient(family: ArgumentFamily, n: int, m: int) -> tuple[Fraction, ...]:
+def _row(table: PrefixTable, n: int, length: int, scale: Fraction) -> tuple[Fraction, ...]:
     """The coefficients of Gamma^(0..n) at the basis point in the expansion of
-    Gamma^(n) at lattice index m: the one-index row of `coefficient_table`."""
-    return coefficient_table(family, n, (m,))[0]
+    Gamma^(n) at the index with prefix length `length` and family scale
+    `scale`: scale times n!/ell! times the entry of degree n - ell over that
+    prefix, read off `table`, which may be longer and of higher degree."""
+    top = factorial(n)
+    return tuple(
+        scale * (top // factorial(ell)) * table.value(length, n - ell)
+        for ell in range(n + 1)
+    )
 
 
 def coefficient_table(
@@ -69,10 +76,10 @@ def coefficient_table(
 ) -> tuple[tuple[Fraction, ...], ...]:
     """Every coefficient of a sweep over the indices `ms`.
 
-    Row i holds the coefficients of ell = 0..n at index ms[i]: the family's
-    scale at that index, (m-1)! or the exact gamma ratio, times n!/ell! times
-    the table entry of degree n - ell over its prefix.  One prefix table of
-    degree n over the longest prefix serves every row.
+    Row i holds the coefficients of ell = 0..n at index ms[i] (`_row`): the
+    family's scale at that index, (m-1)! or the exact gamma ratio, times
+    n!/ell! times the table entry of degree n - ell over its prefix.  One
+    prefix table of degree n over the longest prefix serves every row.
     """
     ArgumentFamily.require(family)
     if n < 0:
@@ -85,14 +92,7 @@ def coefficient_table(
     # listed, and the table's budget refuses it before any row is computed
     top = max(ms[0], ms[-1]) if isinstance(ms, range) else max(ms)
     table = family.poly_kind.table(family, family.prefix_length(top), n)
-    factors = [factorial(n) // factorial(ell) for ell in range(n + 1)]
-    rows = []
-    for m in ms:
-        length, scale = family.prefix_length(m), family.scale(m)
-        rows.append(
-            tuple(scale * f * table.value(length, n - i) for i, f in enumerate(factors))
-        )
-    return tuple(rows)
+    return tuple(_row(table, n, family.prefix_length(m), family.scale(m)) for m in ms)
 
 
 @dataclass(frozen=True)

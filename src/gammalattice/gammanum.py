@@ -6,7 +6,7 @@ different route, so agreement between the two is a real consistency check.
 
 mpmath supplies Gamma and psi^(k) on the positive half line.  Negative
 non-integer arguments are shifted up with exact rational recurrence steps
-before mpmath is called:
+from the cached value at the shifted point:
 
     psi^(k)(q) = psi^(k)(q + J) - sum_{i<J} (-1)^k k! (q+i)^(-(k+1))
     Gamma(q)   = Gamma(q + J) / prod_{i<J} (q + i)
@@ -20,13 +20,15 @@ verify.
 A `PrecisionContext` holds the working precision, decimal_digits in [30,
 MAX_DIGITS] plus GUARD_DIGITS, and the tolerance of every comparison, by
 default 10^-(decimal_digits - GUARD_DIGITS) <= 1e-10; psi and Gamma caches are
-bounded.  `verify_identity` (one expansion at a point of an `ArgumentFamily`)
-and `verify_recovery` (a square `LatticeSpec` solved for the basis) return
-`Residual` records by one rule: relative, or absolute where the reference is
-below 1.
+bounded.  `verify_grid` checks the expansion at every (n, m) of a family's
+grid off one derivative vector per point and one prefix table, and
+`verify_identity` is its one-cell case; `verify_recovery` solves a square
+`LatticeSpec` for the basis.  Both return `Residual` records by one rule:
+relative, or absolute where the reference is below 1.
 
-`verify_sweep` runs the `verify` sweep off one list of cells (`_cells`): it is
-charged first (`check_sweep`), then refused if its bounds leave it empty.
+`verify_sweep` runs the `verify` sweep, a grid per family or its recovery
+orders (`_orders`): it is charged first (`check_sweep`), then refused if its
+bounds leave it empty.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from functools import lru_cache
 from mpmath import mp
 
 from .budget import MAX_DIGITS, charge, weight
-from .coeffs import LatticeSpec, build_system, coefficient
+from .coeffs import LatticeSpec, _row, build_system
 from .errors import PoleArgumentError, SpecMismatchError
 from .linalg import _elimination_work, inverse_exact
 from .sympoly import ArgumentFamily
@@ -73,7 +75,7 @@ class PrecisionContext:
             else:
                 try:
                     tol = mp.mpf(given)
-                except (TypeError, ValueError):
+                except (TypeError, ValueError, ZeroDivisionError):
                     raise ValueError(f"bad tolerance {given!r}; want e.g. 1e-40") from None
                 if not mp.isfinite(tol) or tol < 0:
                     raise ValueError(f"tolerance {given!r} must be finite and >= 0")
@@ -106,7 +108,7 @@ def _psi_cached(k: int, q: Fraction, dps: int):
         if q > 0:
             return mp.psi(k, _to_mpf(q))
         shift = -math.floor(q)  # q + shift lands in (0, 1)
-        base = mp.psi(k, _to_mpf(q + shift))
+        base = _psi_cached(k, q + shift, dps)
         sign = -1 if k % 2 else 1
         fact = math.factorial(k)
         correction = mp.mpf(0)
@@ -124,7 +126,7 @@ def _gamma_cached(q: Fraction, dps: int):
         divisor = Fraction(1)
         for i in range(shift):
             divisor *= q + i
-        return mp.gamma(_to_mpf(q + shift)) / _to_mpf(divisor)
+        return _gamma_cached(q + shift, dps) / _to_mpf(divisor)
 
 
 def gamma_derivatives(q, n: int, ctx: PrecisionContext) -> tuple:
@@ -170,23 +172,40 @@ def _compare(value, reference, ctx: PrecisionContext) -> Residual:
     )
 
 
-def verify_identity(
-    family: ArgumentFamily, n: int, m: int, ctx: PrecisionContext | None = None
-) -> Residual:
-    """Compare Gamma^(n) at a lattice point against its rational expansion.
+def verify_grid(family: ArgumentFamily, n_max: int, ms, ctx: PrecisionContext):
+    """Yield (n, m, Residual) for 0 <= n <= n_max and each index m of `ms`,
+    n-major: Gamma^(n) at the lattice point against its rational expansion
+    over Gamma^(0..n) at the basis point.
 
-    The reference is evaluated directly at the lattice point; the value sums
-    the row coefficient(family, n, m) against Gamma^(0..n) at the basis point.
+    One vector Gamma^(0..n_max) per point and one prefix table of degree n_max
+    over the longest prefix serve every cell: a Bell value of order j does not
+    depend on the top order, and each exact row (`coeffs._row`) reads the same
+    entries off a larger table, so every cell is the one a lone check gives.
     The check uses the relative residual, falling back to the absolute one
     when |reference| < 1.
     """
     ArgumentFamily.require(family)
-    ctx = ctx or PrecisionContext()
-    basis = gamma_derivatives(family.basis_point, n, ctx)
-    lhs = gamma_derivatives(family.point(m), n, ctx)[n]
-    terms = coefficient(family, n, m)
-    with mp.workdps(ctx.working_digits):
-        return _compare(_dot(terms, basis), lhs, ctx)
+    ms = tuple(ms)
+    table = family.poly_kind.table(family, family.prefix_length(max(ms)), n_max)
+    basis = gamma_derivatives(family.basis_point, n_max, ctx)
+    points = []
+    for m in ms:
+        values = gamma_derivatives(family.point(m), n_max, ctx)
+        points.append((m, family.prefix_length(m), family.scale(m), values))
+    for n in range(n_max + 1):
+        for m, length, scale, values in points:
+            row = _row(table, n, length, scale)
+            with mp.workdps(ctx.working_digits):
+                yield n, m, _compare(_dot(row, basis), values[n], ctx)
+
+
+def verify_identity(
+    family: ArgumentFamily, n: int, m: int, ctx: PrecisionContext | None = None
+) -> Residual:
+    """Compare Gamma^(n) at a lattice point against its rational expansion:
+    the last cell of the one-index `verify_grid`."""
+    *_, (_, _, residual) = verify_grid(family, n, (m,), ctx or PrecisionContext())
+    return residual
 
 
 def recover_basis(spec: LatticeSpec, n: int, ctx: PrecisionContext | None = None) -> list:
@@ -225,50 +244,64 @@ def verify_recovery(
         return [_compare(value, ref, ctx) for value, ref in zip(recovered, references)]
 
 
-def _cells(family: ArgumentFamily, n_max: int, m_max):
-    """A `verify` sweep's cells (n, m), n <= n_max and min_index <= m <= m_max,
-    or with `m_max` None its recovery orders (n, (min_index, ..., n)) up to
-    n_max.  No n is walked when the m range is empty."""
+def _orders(family: ArgumentFamily, n_max: int):
+    """A recovery sweep's orders (n, (min_index, ..., n)) up to n_max."""
     low = family.min_index
-    if m_max is None:
-        for n in range(low + 1, n_max + 1):
-            yield n, tuple(range(low, n + 1))
-    elif m_max >= low:
-        for n in range(n_max + 1):
-            for m in range(low, m_max + 1):
-                yield n, m
+    for n in range(low + 1, n_max + 1):
+        yield n, tuple(range(low, n + 1))
 
 
 def _sweep_work(family: ArgumentFamily, n_max: int, m_max, ctx: PrecisionContext):
     """The estimated units of a `verify` sweep of one family.  An mpmath
     operation weighs 4 fixed units and its operands, 3.322 bits a digit.  The
     first values take 100 operations a digit (at 1000 digits, 2.5 s plain and
-    5.1 s at shift 1/3).  A cell adds its table and Gamma^(0..n) at its point
-    once lower orders are cached: a polygamma value (16 a digit), a Bell row
-    (3 n^2) and 40 per unit the point lies below 0.  A recovery order adds the
-    inverse of its k x k system, whose scaled rows measured about half of
-    `entry_bits`, and k points."""
+    5.1 s at shift 1/3).
+
+    An identity sweep adds one prefix table, one vector Gamma^(0..n_max) per
+    point and one dot product per cell.  A vector takes a Bell row (3 n_max^2)
+    and per order a polygamma value (16 operations a digit) at the basis point
+    or above it, or the point's correction steps below it (8 operations a
+    unit it lies below 0).  A point's scale takes j products of half the bits
+    of a row entry, for prefix length j.  A cell's row is n + 1 pairs of exact
+    products of `entry_bits` bits, at 40 fixed units each, and its dot product
+    3 operations a term.
+
+    A recovery order adds the inverse of its k x k system, whose scaled rows
+    measured about half of `entry_bits`, and k points, each a polygamma value,
+    a Bell row and 40 units per unit it lies below 0."""
     kind, low, digits = family.poly_kind, family.min_index, ctx.working_digits
     unit = 4 + weight(digits * 3322 // 1000)
 
-    def point(n: int, m: int) -> int:
-        steps = max(0, -math.floor(family.point(m)))
-        return (16 * digits + 3 * n * n + 40 * steps) * unit
-
     yield 100 * digits * unit
-    for n, m in _cells(family, n_max, m_max):
-        if m_max is None:
-            k = len(m)
+    if m_max is None:
+        for n, indices in _orders(family, n_max):
+            k = len(indices)
             bits = kind.entry_bits(family, n - low, n) // 2
-            yield _elimination_work(k, bits, True) + k * point(n, n)
-        else:
-            yield kind.table_work(family, m - low, n) + point(n, m)
+            steps = max(0, -math.floor(family.point(n)))
+            point = (16 * digits + 3 * n * n + 40 * steps) * unit
+            yield _elimination_work(k, bits, True) + k * point
+        return
+    if n_max < 0 or m_max < low:
+        return
+    bell = 3 * n_max * n_max
+    yield kind.table_work(family, m_max - low, n_max) + (16 * digits * n_max + bell) * unit
+    for m in range(low, m_max + 1):
+        j = m - low
+        steps = max(0, -math.floor(family.point(m)))
+        per_order = 8 * steps if steps else 16 * digits
+        scale = j * (40 + weight(kind.entry_bits(family, j, n_max) // 2))
+        cells = sum(
+            (n + 1) * (80 + 2 * weight(kind.entry_bits(family, j, n)) + 3 * unit)
+            for n in range(n_max + 1)
+        )
+        yield (n_max * per_order + bell) * unit + scale + cells
 
 
 def check_sweep(families, n_max: int, m_max, ctx: PrecisionContext) -> None:
-    """Charge a `verify` sweep's estimated work, over each family's `_cells`,
-    before any of it runs.  The sum is charged per cell, each 4000 units or
-    more: a huge sweep is refused at once."""
+    """Charge a `verify` sweep's estimated work before any of it runs.  The
+    sum is charged at each step of `_sweep_work`: a family's table and basis
+    vector come first and each point grows with its prefix, so a huge sweep
+    is refused at once."""
     total = 0
     for family in families:
         for work in _sweep_work(family, n_max, m_max, ctx):
@@ -292,8 +325,11 @@ def verify_sweep(families, n_max: int, m_max, ctx: PrecisionContext):
                 kind = family.kind.value
                 raise ValueError(f"{name} must be >= {least}; the {kind} sweep is empty")
     for family in families:
-        for n, m in _cells(family, n_max, m_max):
-            if m_max is None:
-                yield family, n, m, verify_recovery(LatticeSpec(family, m), n, ctx)
-            else:
-                yield family, n, m, verify_identity(family, n, m, ctx)
+        if m_max is None:
+            for n, indices in _orders(family, n_max):
+                spec = LatticeSpec(family, indices)
+                yield family, n, indices, verify_recovery(spec, n, ctx)
+        else:
+            ms = range(family.min_index, m_max + 1)
+            for n, m, residual in verify_grid(family, n_max, ms, ctx):
+                yield family, n, m, residual

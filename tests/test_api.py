@@ -13,7 +13,6 @@ from gammalattice import (
     FamilyKind,
     LatticeSpec,
     SpecMismatchError,
-    coefficient,
     coefficient_table,
     verify_identity,
     verify_recovery,
@@ -28,8 +27,8 @@ EXPORTS = [
     "NonIncreasingIndicesError", "NotSquareError", "PoleArgumentError", "PolyKind",
     "PrecisionContext", "PrefixCertificate", "PrefixTable", "RationalMatrix",
     "Residual", "SingularMatrixError", "SpecMismatchError", "bivariate_min_sum",
-    "build_system", "cauchy_binet", "certify_prefix_matrix", "coefficient",
-    "coefficient_table", "density_grid", "det_exact", "difference_factorization",
+    "build_system", "cauchy_binet", "certify_prefix_matrix", "coefficient_table",
+    "density_grid", "det_exact", "difference_factorization",
     "elementary_prefix",
     "gamma_derivatives", "homogeneous_prefix", "inverse_exact", "prefix_matrix",
     "prior_univariate_bound", "recover_basis", "verify_identity", "verify_recovery",
@@ -87,7 +86,7 @@ EXPORTED = list(_exported())
 
 def test_walk_sees_the_entry_points():
     names = {name for name, _ in EXPORTED}
-    entry_points = {"LatticeSpec", "coefficient", "verify_identity", "Residual"}
+    entry_points = {"LatticeSpec", "coefficient_table", "verify_identity", "Residual"}
     assert entry_points <= names
 
 
@@ -115,13 +114,11 @@ def test_guard_catches_a_loose_pair():
     "call",
     [
         lambda: LatticeSpec(FamilyKind.PLAIN, (1, 2)),
-        lambda: coefficient(FamilyKind.PLAIN, 1, 2),
         lambda: coefficient_table(FamilyKind.PLAIN, 1, [2]),
         lambda: verify_identity(FamilyKind.PLAIN, 1, 2),
         lambda: verify_recovery(LatticeSpec(FamilyKind.PLAIN, (1, 2)), 2),
     ],
-    ids=["LatticeSpec", "coefficient", "coefficient_table", "verify_identity",
-         "verify_recovery"],
+    ids=["LatticeSpec", "coefficient_table", "verify_identity", "verify_recovery"],
 )
 def test_bare_family_kind_is_a_spec_mismatch(call):
     with pytest.raises(SpecMismatchError, match="must be an ArgumentFamily") as info:

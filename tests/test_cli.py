@@ -45,8 +45,9 @@ def run_json(capsys, *argv):
 # det, inverse, cauchy-binet) and verify (identity, recover), and every density
 # variant in JSON and CSV.  The coeffs rows were recorded before the coefficient
 # sweep shared one table, the matrix and verify rows before the family facts
-# moved into the family object, and the density rows before the bounds shared
-# one window rule.
+# moved into the family object, the two deeper minus verify rows before the
+# verify grid shared one derivative vector per point, and the density rows
+# before the bounds shared one window rule.
 GOLDEN_STDOUT = [
     ("plain", "coeffs --family plain --n 6 --m 1:8",
      "661a78e42308a4225b08c45956aa4dd4677c67d61d438ccb96bf9fe4cb1c1ebf"),
@@ -101,6 +102,12 @@ GOLDEN_STDOUT = [
     ("verify-plus-recover",
      "verify --family plus --mode recover --n-max 2 --kappa-set 1/3 --digits 30",
      "b3e8f9acf5af7144e523ab51edd9304b7c0729e161f87108363f812c4388da9c"),
+    ("verify-minus-identity-deep",
+     "verify --family minus --n-max 6 --m-max 8 --kappa-set 1/3,2/3 --digits 60",
+     "66fb30f71a93a1a20f45835ef1973c73e5a3adba575e54ffd7fed226cbb74956"),
+    ("verify-minus-recover",
+     "verify --family minus --mode recover --n-max 5 --kappa-set 1/3 --digits 40",
+     "f9f9b943fa687a41f81a6f779af120be3a9c71d3c4a566a44ec1a4652e569a4b"),
     ("density-prior",
      "density --variant prior --N 1:30",
      "1c392e9e3d5fdcd088f6668d01228d66c179470309fe3f3229afcb77d8b85fc4"),
@@ -616,6 +623,15 @@ class TestVerifyCommand:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("tolerance", ["1/0", "0/0"])
+    def test_zero_denominator_tolerance_is_usage_error(self, capsys, tolerance):
+        code, out, err = run(
+            capsys, "verify", "--family", "plain", "--n-max", "1", "--m-max", "1",
+            "--digits", "30", "--tolerance", tolerance,
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: bad tolerance '{tolerance}'; want e.g. 1e-40\n"
+
     def test_zero_denominator_kappa_set_is_usage_error(self, capsys):
         code, out, err = run(
             capsys, "verify", "--family", "plus", "--n-max", "1", "--m-max", "1",
@@ -667,7 +683,7 @@ class TestVerifyCommand:
         [
             # ran until it was killed
             ("--n-max", "1", "--m-max", BIG),
-            # 18 s and 969 kB of output
+            # about 2 s and 969 kB of output; its scales price it over the cap
             ("--n-max", "1", "--m-max", "1700"),
             ("--n-max", BIG, "--m-max", "1"),
             ("--mode", "recover", "--n-max", BIG),
@@ -677,8 +693,7 @@ class TestVerifyCommand:
     )
     def test_sweep_over_the_budget_is_usage_error(self, capsys, monkeypatch, argv):
         # refused before the first cell runs
-        monkeypatch.setattr(gammanum, "verify_identity", _no_cell)
-        monkeypatch.setattr(gammanum, "verify_recovery", _no_cell)
+        monkeypatch.setattr(gammanum, "gamma_derivatives", _no_cell)
         code, out, err = run(
             capsys, "verify", "--family", "plain", *argv, "--digits", "30"
         )

@@ -12,6 +12,7 @@ from gammalattice import (
     PrecisionContext,
     SpecMismatchError,
     build_system,
+    coefficient_table,
     gamma_derivatives,
     recover_basis,
     verify_identity,
@@ -270,8 +271,10 @@ class TestVerifyRecovery:
             ("nan", "tolerance 'nan' must be finite and >= 0"),
             ("inf", "tolerance 'inf' must be finite and >= 0"),
             ("abc", "bad tolerance 'abc'; want e.g. 1e-40"),
+            ("1/0", "bad tolerance '1/0'; want e.g. 1e-40"),
+            ("0/0", "bad tolerance '0/0'; want e.g. 1e-40"),
         ],
-        ids=["-1", "nan", "inf", "abc"],
+        ids=["-1", "nan", "inf", "abc", "1/0", "0/0"],
     )
     def test_bad_tolerance_rejected(self, tolerance, line):
         # read once, when the context is built, before any value is computed
@@ -321,7 +324,7 @@ class TestSweepBudget:
     @pytest.mark.parametrize(
         "family, n_max, m_max",
         [
-            # 18 s; 96 s
+            # about 2 s, priced over the cap by its scales; 96 s
             (PLAIN, 1, 1700),
             (ArgumentFamily(FamilyKind.MINUS_SHIFT, THIRD), 30, None),
             (PLAIN, 1, 10**23),
@@ -350,16 +353,68 @@ def _no_check(*args, **kwargs):
     raise AssertionError("a check ran before the sweep was charged and bounded")
 
 
+def _lone_cell(family, n, m, ctx):
+    """One identity cell computed alone: Gamma^(0..n) at the basis point and
+    at the lattice point, and the row of a one-index coefficient table."""
+    basis = gamma_derivatives(family.basis_point, n, ctx)
+    reference = gamma_derivatives(family.point(m), n, ctx)[n]
+    row = coefficient_table(family, n, (m,))[0]
+    with mp.workdps(ctx.working_digits):
+        value = mp.mpf(0)
+        for c, b in zip(row, basis):
+            value += mp.mpf(c.numerator) / mp.mpf(c.denominator) * b
+        return gammanum._compare(value, reference, ctx)
+
+
 class TestVerifySweep:
     PLUS_THIRD = ArgumentFamily(FamilyKind.PLUS_SHIFT, Fraction(1, 3))
 
     def test_identity_cells_are_verify_identity(self):
-        cells = list(gammanum.verify_sweep([PLAIN], 2, 3, CTX))
+        # the sweep reads every cell off one vector per point and one table
+        # per family; each must equal the cell computed alone, bit for bit
+        families = [PLAIN] + [
+            ArgumentFamily(kind, Fraction(k, 3))
+            for kind in (FamilyKind.PLUS_SHIFT, FamilyKind.MINUS_SHIFT)
+            for k in (1, 2)
+        ]
+        cells = list(gammanum.verify_sweep(families, 4, 5, CTX))
         assert [(f, n, m) for f, n, m, _ in cells] == [
-            (PLAIN, n, m) for n in range(3) for m in range(1, 4)
+            (f, n, m)
+            for f in families
+            for n in range(5)
+            for m in range(f.min_index, 6)
         ]
         for family, n, m, residual in cells:
-            assert residual == verify_identity(family, n, m, CTX)
+            assert residual == _lone_cell(family, n, m, CTX), (family, n, m)
+            assert residual == verify_identity(family, n, m, CTX), (family, n, m)
+
+    def test_one_oracle_call_per_order_and_shift(self, monkeypatch):
+        # a point below the basis shifts up to the basis point itself, so a
+        # minus sweep evaluates psi^(k) and Gamma at each shift once
+        calls = []
+        for name in ("psi", "gamma"):
+            original = getattr(mp, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls.append((_name, *args))
+                return _original(*args)
+
+            monkeypatch.setattr(mp, name, counted)
+        gammanum._psi_cached.cache_clear()
+        gammanum._gamma_cached.cache_clear()
+        shifts = [Fraction(1, 3), Fraction(2, 3)]
+        families = [ArgumentFamily(FamilyKind.MINUS_SHIFT, kappa) for kappa in shifts]
+        assert all(r.passed for *_, r in gammanum.verify_sweep(families, 6, 8, CTX))
+        with mp.workdps(CTX.working_digits):
+            expected = sorted(
+                [("gamma", mp.mpf(kappa.numerator) / kappa.denominator) for kappa in shifts]
+                + [
+                    ("psi", k, mp.mpf(kappa.numerator) / kappa.denominator)
+                    for kappa in shifts
+                    for k in range(6)
+                ]
+            )
+        assert sorted(calls) == expected
 
     def test_recovery_orders_are_verify_recovery(self):
         orders = list(gammanum.verify_sweep([self.PLUS_THIRD], 2, None, CTX))
@@ -374,8 +429,7 @@ class TestVerifySweep:
         "n_max, m_max", [(1, 1700), (1, 10**23), (10**23, 1), (10**23, None)]
     )
     def test_over_the_budget_refused_before_any_check(self, monkeypatch, n_max, m_max):
-        monkeypatch.setattr(gammanum, "verify_identity", _no_check)
-        monkeypatch.setattr(gammanum, "verify_recovery", _no_check)
+        monkeypatch.setattr(gammanum, "gamma_derivatives", _no_check)
         sweep = gammanum.verify_sweep([PLAIN], n_max, m_max, PrecisionContext(30))
         with pytest.raises(
             GuardExceededError,
@@ -395,7 +449,6 @@ class TestVerifySweep:
         ],
     )
     def test_empty_sweep_refused_at_once(self, monkeypatch, families, n_max, m_max, line):
-        monkeypatch.setattr(gammanum, "verify_identity", _no_check)
-        monkeypatch.setattr(gammanum, "verify_recovery", _no_check)
+        monkeypatch.setattr(gammanum, "gamma_derivatives", _no_check)
         with pytest.raises(ValueError, match=f"^{line}$"):
             next(gammanum.verify_sweep(families, n_max, m_max, CTX))
