@@ -24,6 +24,8 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
+from math import gcd
 
 from mpmath import mp
 
@@ -46,9 +48,36 @@ USAGE_ERROR = 2
 # Rows are flat dicts of str, int, bool and None.  Encoded with the separators
 # of an `indent=2` dump at their depth, a row needs no indent logic, so the C
 # encoder writes it; `OutputEnvelope.to_json` puts its braces on lines of their
-# own and splices the rows into the dump of the rest of the envelope.
+# own and splices the rows into the dump of the rest of the envelope.  It
+# encodes up to `_ROWS_PER_CALL` rows at a time, as one list: a string never
+# holds a raw newline, so a brace, the separator and a brace mark the seam
+# between two rows, and the braces move onto lines of their own.  The batches
+# are bounded and joined once with the rest: one call over every row, or the
+# rows joined apart first, made a second full copy of the rows' text.
 _ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
 _ROWS_SLOT = '\n  "rows": [],'
+_ROWS_PER_CALL = 100
+_SEAM, _ROW_SEAM = "},\n      {", "\n    },\n    {\n      "
+
+
+def _row_pieces(rows: list):
+    """The rows in the layout of an `indent=2` dump two levels deep, as pieces
+    to join.  An empty row prints as {}, so runs of nonempty rows are encoded
+    apart."""
+    encode = _ROW_ENCODER.encode
+    for i, (full, run) in enumerate(groupby(rows, bool)):
+        if i:
+            yield ",\n    "
+        if not full:
+            yield ",\n    ".join("{}" for _ in run)
+            continue
+        run = list(run)
+        yield "{\n      "
+        for at in range(0, len(run), _ROWS_PER_CALL):
+            if at:
+                yield _ROW_SEAM
+            yield encode(run[at : at + _ROWS_PER_CALL])[2:-2].replace(_SEAM, _ROW_SEAM)
+        yield "\n    }"
 
 
 @dataclass
@@ -74,12 +103,9 @@ class OutputEnvelope:
         if not self.rows:
             return text
         head, _, tail = text.partition(_ROWS_SLOT)
-        encode = _ROW_ENCODER.encode
-        rows = ",\n    ".join(
-            "{\n      " + encode(row)[1:-1] + "\n    }" if row else "{}"
-            for row in self.rows
+        return "".join(
+            [head, '\n  "rows": [\n    ', *_row_pieces(self.rows), "\n  ],", tail]
         )
-        return f'{head}\n  "rows": [\n    {rows}\n  ],{tail}'
 
     def to_csv(self) -> str:
         """A header of the first row's keys, then every row in that order."""
@@ -150,6 +176,15 @@ def _params(args, **derived) -> dict:
     """The envelope's params: every parsed flag but --format, then `derived`."""
     skip = ("command", "handler", "format")
     return {**{k: v for k, v in vars(args).items() if k not in skip}, **derived}
+
+
+def _ratio(num: int, den: int) -> str:
+    """num/den in lowest terms as `str(Fraction(num, den))` prints it, for
+    den > 0: "p/q", or "p" when q = 1."""
+    g = gcd(num, den)
+    if g == den:
+        return str(num // g)
+    return f"{num // g}/{den // g}"
 
 
 def _matrix_rows(matrix: RationalMatrix) -> list:
@@ -326,20 +361,36 @@ def _cmd_density(args) -> OutputEnvelope:
         variant, *ranges, include_oracle=args.with_oracle, digits=args.digits
     )
     name = variant.value
+    if variant is BoundVariant.PRIOR:
+        rows = [
+            {
+                "variant": name,
+                **bound.params,
+                "value": str(bound.value)
+                if bound.exact
+                else mp.nstr(bound.value, args.digits),
+                "branch": bound.branch,
+                "exact": bound.exact,
+            }
+            for bound in grid
+        ]
+        return OutputEnvelope("density", _params(args), rows)
+    first = variant.ranges[0]
     rows = []
     for cell in grid:
-        bound = cell.bound
-        value = bound.value
         row = {
             "variant": name,
-            **bound.params,
-            "value": str(value) if bound.exact else mp.nstr(value, args.digits),
-            "branch": bound.branch,
-            "exact": bound.exact,
+            first: cell.first,
+            "M": cell.M,
+            "value": _ratio(cell.num, cell.den),
+            "branch": cell.branch,
+            "exact": True,
         }
         if args.with_oracle:
-            row["oracle"] = str(cell.oracle)
-            row["oracle_match"] = cell.oracle == value
+            onum, oden = cell.oracle_num, cell.oracle_den
+            row["oracle"] = _ratio(onum, oden)
+            # both denominators are positive, so cross products compare exactly
+            row["oracle_match"] = cell.num * oden == onum * cell.den
         rows.append(row)
     failed = not all(row.get("oracle_match", True) for row in rows)
     status = VERIFICATION_FAILURE if failed else 0

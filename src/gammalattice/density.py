@@ -11,6 +11,12 @@ exactly on every cell.  The oracle takes a whole column of N values at one M
 and sums the caps once, as a running sum over the orders, so a grid costs one
 pass per M rather than one per cell.
 
+Every windowed bound is a ratio of small integers, so a grid keeps each cell
+as its unreduced pair (num, den), and the oracle's as its own pair, in one
+light `GridRow`: no `Fraction` and no `DensityBound` per cell.  The public
+rules, `window_bound` and `bivariate_min_sum`, wrap the same pairs in
+`Fraction`s.  Prior rows are real numbers and stay `DensityBound`s.
+
 True densities of transcendental values are not computable (they hinge on open
 transcendence questions); only these lower-bound functions are provided.
 """
@@ -22,7 +28,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import accumulate, count, islice
 from math import isqrt
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from mpmath import mp
 
@@ -102,6 +108,29 @@ def prior_univariate_bound(N: int, digits: int = 50) -> DensityBound:
     )
 
 
+def _check_window(variant: BoundVariant, first: int, M: int) -> None:
+    """Refuse a window below the variant's first order or point."""
+    if variant is BoundVariant.PRIOR:
+        raise ValueError("the prior bound has no lattice window")
+    offset = 0 if variant.shifted else 1
+    if first < 1 + offset:
+        raise ValueError(f"{variant.ranges[0]}={first} must be >= {1 + offset}")
+    if M < offset:
+        raise ValueError(f"M={M} must be >= {offset}")
+
+
+def _window(variant: BoundVariant, first: int, M: int) -> tuple[int, int, str]:
+    """The bound of a checked window as an unreduced pair (num, den), and its
+    branch label: the closed forms of `window_bound`, in integers."""
+    offset = 0 if variant.shifted else 1
+    n, m = first - offset, M + 1 - offset
+    if not variant.has_oracle:  # fixed order
+        return m - min(n, m), m, variant.branches[m > n]
+    if m <= n:
+        return m - 1, 2 * n, variant.branches[0]
+    return 2 * m - n - 1, 2 * m, variant.branches[1]
+
+
 def window_bound(variant: BoundVariant, first: int, M: int) -> DensityBound:
     """The fixed-order or bivariate bound, computed in shifted coordinates.
 
@@ -114,23 +143,29 @@ def window_bound(variant: BoundVariant, first: int, M: int) -> DensityBound:
     1 - (n+1)/(2m).  `first` is n for the fixed-order variants, N for the
     bivariate ones; the prior variant has no window.
     """
-    if variant is BoundVariant.PRIOR:
-        raise ValueError("the prior bound has no lattice window")
-    name = variant.ranges[0]
-    offset = 0 if variant.shifted else 1
-    if first < 1 + offset:
-        raise ValueError(f"{name}={first} must be >= {1 + offset}")
-    if M < offset:
-        raise ValueError(f"M={M} must be >= {offset}")
-    n, m = first - offset, M + 1 - offset
-    if not variant.has_oracle:  # fixed order
-        value = Fraction(m - min(n, m), m)
-    elif m <= n:
-        value = Fraction(m - 1, 2 * n)
+    _check_window(variant, first, M)
+    num, den, branch = _window(variant, first, M)
+    params = {variant.ranges[0]: first, "M": M}
+    return DensityBound(variant, params, Fraction(num, den), branch)
+
+
+def _min_sum_pairs(
+    variant: BoundVariant, Ns: Sequence[int], M: int
+) -> list[tuple[int, int]]:
+    """The column of `bivariate_min_sum` as unreduced pairs (size - caps,
+    size), for checked, nonempty, strictly ascending `Ns`."""
+    if variant.shifted:
+        first, points = 1, M + 1
+        caps = (min(n, points) for n in count(first))
     else:
-        value = Fraction(2 * m - n - 1, 2 * m)
-    branch = variant.branches[m > n]
-    return DensityBound(variant, {name: first, "M": M}, value, branch)
+        first, points = 2, M
+        caps = (min(n - 1, M) for n in count(first))
+    running = list(accumulate(islice(caps, Ns[-1] - first + 1)))
+    pairs = []
+    for N in Ns:
+        size = (N - first + 1) * points  # orders in the window times its points
+        pairs.append((size - running[N - first], size))
+    return pairs
 
 
 def bivariate_min_sum(
@@ -145,12 +180,7 @@ def bivariate_min_sum(
     """
     if not isinstance(variant, BoundVariant) or not variant.has_oracle:
         raise ValueError(f"no min-sum oracle for variant {variant!r}")
-    if variant.shifted:
-        first, low_M, points = 1, 0, M + 1
-        caps = (min(n, M + 1) for n in count(first))
-    else:
-        first, low_M, points = 2, 1, M
-        caps = (min(n - 1, M) for n in count(first))
+    first, low_M = (1, 0) if variant.shifted else (2, 1)
     Ns = list(Ns)
     if any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise ValueError("N values must be strictly increasing")
@@ -158,12 +188,9 @@ def bivariate_min_sum(
         raise ValueError(f"N={Ns[0]} must be >= {first}")
     if M < low_M:
         raise ValueError(f"M={M} must be >= {low_M}")
-    running = list(accumulate(islice(caps, Ns[-1] - first + 1))) if Ns else []
-    column = []
-    for N in Ns:
-        size = (N - first + 1) * points  # orders in the window times its points
-        column.append(Fraction(size - running[N - first], size))
-    return column
+    if not Ns:
+        return []
+    return [Fraction(num, den) for num, den in _min_sum_pairs(variant, Ns, M)]
 
 
 def _ascending(values: Iterable[int]) -> Sequence[int]:
@@ -181,10 +208,18 @@ def _count(values: Sequence[int]) -> int:
     return len(values)
 
 
-@dataclass(frozen=True, slots=True)
-class GridRow:
-    bound: DensityBound
-    oracle: Fraction | None = None
+class GridRow(NamedTuple):
+    """One cell of a windowed grid: its coordinates (n or N, then M), its
+    bound as the unreduced pair num/den, its branch label and, with the
+    oracle, the oracle's own unreduced pair."""
+
+    first: int
+    M: int
+    num: int
+    den: int
+    branch: str
+    oracle_num: int | None = None
+    oracle_den: int | None = None
 
 
 def density_grid(
@@ -193,15 +228,17 @@ def density_grid(
     second_range=None,
     include_oracle: bool = True,
     digits: int = 50,
-) -> list[GridRow]:
+) -> list[GridRow] | list[DensityBound]:
     """Cartesian sweep of a bound over integer ranges, sorted by coordinates.
 
     The ranges are the variant's: N for the prior and bivariate variants and n
     for the fixed-order ones, then M (ignored by the prior variant, required
     by the others, and nonempty unless the first range is empty).
-    Bivariate rows carry the min-sum oracle value unless `include_oracle` is
-    switched off; the oracle runs once per M, over every N at once.
-    `digits` (>= 1) is the precision of inexact values.  A grid of more than
+    A prior grid is a list of `DensityBound`s; `digits` (>= 1) is the
+    precision of their inexact values.  A windowed grid is a list of
+    `GridRow`s, each bound an exact pair of integers; bivariate rows carry the
+    min-sum oracle's pair unless `include_oracle` is switched off, and the
+    oracle runs once per M, over every N at once.  A grid of more than
     `budget.MAX_CELLS` cells is refused before any cell is computed; a prior
     cell weighs more at more digits, and the oracle counts every order up to
     the largest N at each M.
@@ -210,20 +247,27 @@ def density_grid(
     firsts = _ascending(first_range)
     if variant is BoundVariant.PRIOR:
         hold(_count(firsts), digits, "grid cells")
-        return [GridRow(prior_univariate_bound(N, digits=digits)) for N in firsts]
+        return [prior_univariate_bound(N, digits=digits) for N in firsts]
     seconds = _ascending(second_range or ())
     if not seconds and (firsts or second_range is None):
         # no M values would silently drop every first value
         raise ValueError(f"variant {variant.value} needs a nonempty M range")
+    oracle = include_oracle and variant.has_oracle
     span = _count(firsts)
-    if include_oracle and variant.has_oracle and firsts:
+    if oracle and firsts:
         # the oracle sums the orders 1..N (shifted) or 2..N (plain) at each M
         span = firsts[-1] - (0 if variant.shifted else 1)
     hold(span * _count(seconds), 0, "grid cells")
-    bounds = [window_bound(variant, a, b) for a in firsts for b in seconds]
-    if not (bounds and include_oracle and variant.has_oracle):
-        return [GridRow(bound) for bound in bounds]
-    columns = [bivariate_min_sum(variant, firsts, b) for b in seconds]
+    if not firsts:
+        return []
+    # the least cell has the least coordinates, so it checks the whole grid
+    _check_window(variant, firsts[0], seconds[0])
+    if not oracle:
+        return [GridRow(a, b, *_window(variant, a, b)) for a in firsts for b in seconds]
+    columns = [_min_sum_pairs(variant, firsts, b) for b in seconds]
     # the columns run down N at fixed M; the rows run along M at fixed N
-    oracles = (value for row in zip(*columns) for value in row)
-    return [GridRow(bound, value) for bound, value in zip(bounds, oracles)]
+    return [
+        GridRow(a, b, *_window(variant, a, b), *pair)
+        for a, row in zip(firsts, zip(*columns))
+        for b, pair in zip(seconds, row)
+    ]

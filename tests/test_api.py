@@ -4,6 +4,7 @@ pinned list, so a new one is a deliberate edit."""
 
 import dataclasses
 import inspect
+from typing import NamedTuple
 
 import pytest
 
@@ -46,12 +47,18 @@ def test_exports_are_pinned():
     assert sorted(public) == EXPORTS
 
 
+def _is_record(obj) -> bool:
+    """A dataclass or a NamedTuple class: a record with typed fields."""
+    named_tuple = isinstance(obj, type) and issubclass(obj, tuple)
+    return dataclasses.is_dataclass(obj) or (named_tuple and hasattr(obj, "_fields"))
+
+
 def _exported():
     for name in sorted(dir(gammalattice)):
         obj = getattr(gammalattice, name)
         if name.startswith("_") or obj is ArgumentFamily:
             continue
-        if inspect.isfunction(obj) or dataclasses.is_dataclass(obj):
+        if inspect.isfunction(obj) or _is_record(obj):
             yield name, obj
 
 
@@ -61,11 +68,16 @@ def _loose_family(name, annotation) -> bool:
 
 def _violations(name, obj):
     found = []
-    if dataclasses.is_dataclass(obj):
+    if _is_record(obj):
+        fields = (
+            {f.name: f.type for f in dataclasses.fields(obj)}
+            if dataclasses.is_dataclass(obj)
+            else obj.__annotations__
+        )
         found += [
-            f"{name}.{f.name}"
-            for f in dataclasses.fields(obj)
-            if _loose_family(f.name, f.type)
+            f"{name}.{field}"
+            for field, annotation in fields.items()
+            if _loose_family(field, annotation)
         ]
         callables = [
             (f"{name}.{attr}", fn)
@@ -104,10 +116,15 @@ def test_guard_catches_a_loose_pair():
         family: "FamilyKind"
         kappa: object = None
 
+    class Row(NamedTuple):
+        family: "FamilyKind"
+        kappa: object = None
+
     assert _violations("coefficient", coefficient) == [
         "coefficient(family)", "coefficient(kappa)"
     ]
     assert _violations("Report", Report) == ["Report.family", "Report.kappa"]
+    assert _violations("Row", Row) == ["Row.family", "Row.kappa"]
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,7 @@
 """The benchmark's traced mode runs against the current package: one traced
-`perfbench/child.py` step on a certificate reports no problems, and the
-Cauchy-Binet counters its tracer reads off `cauchy_binet`'s arguments and
-result add up."""
+`perfbench/child.py` step on a certificate, and one on a density grid, report
+no problems, and the counters its tracer reads off `cauchy_binet`'s arguments
+and result, and off the length of `density_grid`'s result, add up."""
 
 import json
 import subprocess
@@ -11,22 +11,26 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_certificate_step():
+def _traced_step(label, argv):
     spec = {
         "mode": "op",
         "src": str(ROOT / "src"),
         "trace": True,
-        "label": "matrix-minus-cauchy-binet",
-        "argv": [
-            "matrix", "--family", "minus", "--n", "3", "--indices", "0,2,5,8",
-            "--kappa", "1/3", "--show", "cauchy-binet",
-        ],
+        "label": label,
+        "argv": argv,
     }
     done = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "child.py"), json.dumps(spec)],
         capture_output=True, text=True, timeout=120, check=True,
     )
-    result = json.loads(done.stdout)
+    return json.loads(done.stdout)
+
+
+def test_traced_certificate_step():
+    result = _traced_step("matrix-minus-cauchy-binet", [
+        "matrix", "--family", "minus", "--n", "3", "--indices", "0,2,5,8",
+        "--kappa", "1/3", "--show", "cauchy-binet",
+    ])
     assert result["problems"] == []
     counters = result["trace"]["counters"]
     enumerated, pruned, kept = (
@@ -36,3 +40,14 @@ def test_traced_certificate_step():
     assert enumerated == pruned + kept
     # C(8, 3) = 56 column subsets, 2 * 3 * 3 = 18 band products kept
     assert (enumerated, kept) == (56, 18)
+
+
+def test_traced_density_step():
+    # the tracer takes len() of the grid, so the grid must be sized
+    result = _traced_step("density-bivariate-json", [
+        "density", "--variant", "bivariate", "--N", "2:9", "--M", "1:9",
+        "--with-oracle",
+    ])
+    assert result["problems"] == []
+    # 8 values of N by 9 of M
+    assert result["trace"]["counters"]["density.density_grid.cells"] == 72

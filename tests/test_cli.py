@@ -46,8 +46,10 @@ def run_json(capsys, *argv):
 # variant in JSON and CSV.  The coeffs rows were recorded before the coefficient
 # sweep shared one table, the matrix and verify rows before the family facts
 # moved into the family object, the two deeper minus verify rows before the
-# verify grid shared one derivative vector per point, and the density rows
-# before the bounds shared one window rule.
+# verify grid shared one derivative vector per point, the density rows before
+# the bounds shared one window rule, and the two wide density rows, non-square
+# with both branches and reduced pairs of several digits, before the grid
+# held its cells as integer pairs.
 GOLDEN_STDOUT = [
     ("plain", "coeffs --family plain --n 6 --m 1:8",
      "661a78e42308a4225b08c45956aa4dd4677c67d61d438ccb96bf9fe4cb1c1ebf"),
@@ -141,6 +143,12 @@ GOLDEN_STDOUT = [
     ("density-bivariate-shifted-oracle-csv",
      "density --variant bivariate-shifted --N 1:8 --M 0:8 --with-oracle --format csv",
      "2c7ccf6b3bd7064047cc1b9c994d56395833bfa30fa58612ab1782589e8de382"),
+    ("density-bivariate-oracle-wide",
+     "density --variant bivariate --N 2:40 --M 1:60 --with-oracle",
+     "59eeaf5499334aac8c4b0ee565f724c012e3ad52d68f4772c48d15cbbc120487"),
+    ("density-fixed-n-shifted-wide-csv",
+     "density --variant fixed-n-shifted --n 1:30 --M 0:45 --format csv",
+     "4f9ca6446369d0319273ebb38a2e11f260e3b4f7065f2655aec661b23ee44d9a"),
 ]
 
 
@@ -820,11 +828,8 @@ class TestDensityCommand:
     )
     def test_grid_over_the_budget_is_usage_error(self, capsys, monkeypatch, argv):
         # 2:3000 x 1:3000 ran past 10 s with no cap; no cell may be computed
-        def no_cell(*args, **kwargs):
-            raise AssertionError("a cell was computed")
-
-        monkeypatch.setattr(density, "window_bound", no_cell)
-        monkeypatch.setattr(density, "prior_univariate_bound", no_cell)
+        for name in ("_window", "_min_sum_pairs", "prior_univariate_bound"):
+            monkeypatch.setattr(density, name, _no_cell)
         code, out, err = run(capsys, "density", *argv)
         assert code == 2
         assert out == ""
@@ -846,12 +851,72 @@ class TestDensityCommand:
     def test_weighted_grid_over_the_budget_is_usage_error(
         self, capsys, monkeypatch, argv
     ):
-        monkeypatch.setattr(density, "window_bound", _no_cell)
-        monkeypatch.setattr(density, "prior_univariate_bound", _no_cell)
+        for name in ("_window", "_min_sum_pairs", "prior_univariate_bound"):
+            monkeypatch.setattr(density, name, _no_cell)
         code, out, err = run(capsys, "density", *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert err.endswith(f"are over the budget {budget.MAX_CELLS}\n")
+
+    def test_oracle_disagreement_is_verification_failure(self, capsys, monkeypatch):
+        # the oracle's pair at N = 3, M = 2 is moved off the closed form's 1/4
+        pairs = density._min_sum_pairs
+
+        def skewed(variant, Ns, M):
+            column = pairs(variant, Ns, M)
+            if M == 2:
+                num, den = column[Ns.index(3)]
+                column[Ns.index(3)] = (num + 1, den)
+            return column
+
+        monkeypatch.setattr(density, "_min_sum_pairs", skewed)
+        code, payload, _ = run_json(
+            capsys, "density", "--variant", "bivariate", "--N", "2:4", "--M", "1:3",
+            "--with-oracle",
+        )
+        assert (code, payload["exitStatus"]) == (1, 1)
+        failing = [row for row in payload["rows"] if not row["oracle_match"]]
+        assert [(row["N"], row["M"]) for row in failing] == [(3, 2)]
+        # the oracle prints its own value, (1 + 1)/4 in lowest terms
+        assert (failing[0]["value"], failing[0]["oracle"]) == ("1/4", "1/2")
+        assert sum(row["oracle_match"] for row in payload["rows"]) == 8
+
+    @given(
+        variant=st.sampled_from([v for v in density.BoundVariant if v.ranges[1:]]),
+        first=st.tuples(st.integers(0, 30), st.integers(0, 12)),
+        second=st.tuples(st.integers(0, 30), st.integers(0, 12)),
+        oracle=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_printed_values_are_the_public_rules(self, variant, first, second, oracle):
+        # every cell prints str() of the public rule's Fraction and of the
+        # oracle's; the lowest M is 0 on the shifted lattices
+        offset = 0 if variant.shifted else 1
+        (a, da), (b, db) = first, second
+        a, b = a + 1 + offset, b + offset
+        argv = ["density", "--variant", variant.value,
+                f"--{variant.ranges[0]}", f"{a}:{a + da}", "--M", f"{b}:{b + db}"]
+        oracle = oracle and variant.has_oracle
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv + ["--with-oracle"] * oracle)
+        assert code == 0
+        rows = json.loads(out.getvalue())["rows"]
+        Ns = range(a, a + da + 1)
+        Ms = range(b, b + db + 1)
+        assert len(rows) == len(Ns) * len(Ms)
+        columns = {}
+        if oracle:
+            columns = {M: density.bivariate_min_sum(variant, Ns, M) for M in Ms}
+        for row in rows:
+            N, M = row[variant.ranges[0]], row["M"]
+            bound = density.window_bound(variant, N, M)
+            assert (row["value"], row["branch"]) == (str(bound.value), bound.branch)
+            if oracle:
+                assert row["oracle"] == str(columns[M][N - a])
+                assert row["oracle_match"] is True
+            else:
+                assert "oracle" not in row
 
 
 class TestArgumentParsing:

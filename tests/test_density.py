@@ -8,6 +8,7 @@ from mpmath import mp
 
 from gammalattice import (
     BoundVariant,
+    DensityBound,
     GuardExceededError,
     bivariate_min_sum,
     budget,
@@ -221,7 +222,10 @@ class TestDensityGrid:
         rows = density_grid(BoundVariant.BIVARIATE, range(4, 7), range(2, 5))
         assert len(rows) == 9
         for row in rows:
-            assert row.oracle == row.bound.value
+            bound = window_bound(BIVARIATE, row.first, row.M)
+            assert Fraction(row.num, row.den) == bound.value
+            assert row.branch == bound.branch
+            assert Fraction(row.oracle_num, row.oracle_den) == bound.value
 
     def test_empty_ranges(self):
         assert density_grid(BoundVariant.BIVARIATE, [], []) == []
@@ -241,14 +245,14 @@ class TestDensityGrid:
 
     def test_sorted_by_coordinates(self):
         rows = density_grid(BoundVariant.FIXED_N, [4, 2], [9, 1])
-        coords = [(r.bound.params["n"], r.bound.params["M"]) for r in rows]
+        coords = [(r.first, r.M) for r in rows]
         assert coords == [(2, 1), (2, 9), (4, 1), (4, 9)]
 
     def test_prior_rows(self):
         rows = density_grid(BoundVariant.PRIOR, [4, 25, 7])
-        assert [r.bound.params["N"] for r in rows] == [4, 7, 25]
-        assert rows[2].bound.value == Fraction(1, 10)
-        assert rows[0].oracle is None
+        assert [r.params["N"] for r in rows] == [4, 7, 25]
+        assert rows[2].value == Fraction(1, 10)
+        assert all(isinstance(r, DensityBound) for r in rows)
 
     @pytest.mark.parametrize(
         "variant",
@@ -257,7 +261,7 @@ class TestDensityGrid:
     )
     def test_two_label_objects_per_grid(self, variant):
         rows = density_grid(variant, range(2, 12), range(1, 12))
-        labels = {id(row.bound.branch): row.bound.branch for row in rows}
+        labels = {id(row.branch): row.branch for row in rows}
         assert len(labels) == 2
         low, high = variant.branches
         assert all(label is low or label is high for label in labels.values())
@@ -269,11 +273,9 @@ class TestDensityGrid:
         # duplicates count once, as they are computed once
         assert len(density_grid(FIXED, [2, 3, 3, 2], range(1, 7))) == 12
 
-        def no_cell(*args, **kwargs):
-            raise AssertionError("a cell was computed")
-
-        monkeypatch.setattr(density, "window_bound", no_cell)
-        monkeypatch.setattr(density, "prior_univariate_bound", no_cell)
+        # a cell runs the window rule, the oracle or the prior bound
+        for name in ("_window", "_min_sum_pairs", "prior_univariate_bound"):
+            monkeypatch.setattr(density, name, _no_cell)
         with pytest.raises(GuardExceededError, match=r"^13 grid cells are over the budget 12$"):
             density_grid(BIVARIATE_SHIFTED, range(1, 14), [0])
         with pytest.raises(GuardExceededError, match=r"^13 grid cells are over the budget 12$"):
@@ -290,14 +292,14 @@ class TestDensityGrid:
 
     def test_weighted_cells(self, monkeypatch):
         monkeypatch.setattr(budget, "MAX_CELLS", 12)
-        monkeypatch.setattr(density, "bivariate_min_sum", _no_cell)
+        monkeypatch.setattr(density, "_min_sum_pairs", _no_cell)
         # a prior cell weighs one more per 250 digits
         assert len(density_grid(BoundVariant.PRIOR, range(1, 7), digits=250)) == 6
         with pytest.raises(GuardExceededError, match=r"^7 grid cells of weight 2 are over"):
             density_grid(BoundVariant.PRIOR, range(1, 8), digits=250)
         # the oracle sums the orders 2..10 at each of 2 values of M
         assert len(density_grid(BIVARIATE, [10], [1, 2], include_oracle=False)) == 2
-        monkeypatch.setattr(density, "window_bound", _no_cell)
+        monkeypatch.setattr(density, "_window", _no_cell)
         with pytest.raises(GuardExceededError, match=r"^18 grid cells are over the budget 12$"):
             density_grid(BIVARIATE, [10], [1, 2])
         # a range past sys.maxsize is sized, not listed
@@ -308,4 +310,4 @@ class TestDensityGrid:
         rows = density_grid(
             BoundVariant.BIVARIATE_SHIFTED, [3], [1], include_oracle=False
         )
-        assert rows[0].oracle is None
+        assert (rows[0].oracle_num, rows[0].oracle_den) == (None, None)
