@@ -38,7 +38,7 @@ from .coeffs import (
 from .density import BoundVariant, density_grid
 from .errors import GammaLatticeError, NotSquareError, SingularMatrixError
 from .gammanum import PrecisionContext, verify_sweep
-from .linalg import RationalMatrix, certify_prefix_matrix, det_exact, inverse_exact
+from .linalg import RationalMatrix, certify_lattice, det_exact, inverse_exact
 from .sympoly import ArgumentFamily, FamilyKind
 
 VERIFICATION_FAILURE = 1
@@ -252,9 +252,7 @@ def _cmd_matrix(args) -> OutputEnvelope:
     if not system.is_square:
         shape = params["shape"]
         raise NotSquareError(f"cauchy-binet needs a square system, got {shape}")
-    certificate = certify_prefix_matrix(
-        [family.prefix_length(m) for m in spec.indices], family, family.poly_kind
-    )
+    certificate = certify_lattice(family, spec.indices)
     rows = [
         {
             # space-separated so CSV never needs quoting

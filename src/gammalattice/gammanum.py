@@ -17,6 +17,24 @@ valid at every non-pole point.  In particular the values at negative points
 are never produced by the rational-coefficient expansion they are used to
 verify.
 
+A sweep over the positive lattice points above the basis point (plain and
+plus) reads psi^(k), k >= 1, off a ladder (`_psi_ladder`): one mp.psi anchor
+per order at the highest point, LADDER_GUARD_BITS above the working
+precision, walked down by the Hurwitz recurrence
+
+    psi^(k)(q) = psi^(k)(q + 1) + (-1)^(k+1) k! q^-(k+1),
+
+whose steps all have the sign of psi^(k), so none cancels.  mp.psi itself is
+called at fl(q), q rounded to the working precision, so where fl(q) != q the
+ladder adds psi^(k+1)(q) (fl(q) - q), one more anchor order.  Each value is
+then rounded to the working precision: it is mp.psi(k, fl(q)) bit for bit,
+since mpmath rounds a result carried 20 bits beyond it.  A guarded value
+within 2^-MIDPOINT_BITS units in the last place of a rounding midpoint could
+round either way, so that (k, q) takes its own mp.psi.  psi^(0) and Gamma
+stay one mpmath call per point, and the basis point never reads the ladder:
+a check links two independent mpmath anchors, the basis and the top point.
+The ladder is a local table, dropped after its sweep.
+
 A `PrecisionContext` holds the working precision, decimal_digits in [30,
 MAX_DIGITS] plus GUARD_DIGITS, and the tolerance of every comparison, by
 default 10^-(decimal_digits - GUARD_DIGITS) <= 1e-10; psi and Gamma caches are
@@ -27,8 +45,8 @@ grid off one derivative vector per point and one prefix table, and
 relative, or absolute where the reference is below 1.
 
 `verify_sweep` runs the `verify` sweep, a grid per family or its recovery
-orders (`_orders`): it is charged first (`check_sweep`), then refused if its
-bounds leave it empty.
+orders (`_orders`) off one derivative vector per point: it is charged first
+(`check_sweep`), then refused if its bounds leave it empty.
 """
 
 from __future__ import annotations
@@ -39,6 +57,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from mpmath import mp
+from mpmath.libmp import dps_to_prec
 
 from .budget import MAX_DIGITS, charge, weight
 from .coeffs import LatticeSpec, _row, build_system
@@ -52,6 +71,13 @@ GUARD_DIGITS = 20
 
 #: Entries kept by each of the psi and Gamma caches.
 _CACHE_SIZE = 4096
+
+#: Bits the polygamma ladder carries beyond the working precision.
+LADDER_GUARD_BITS = 64
+
+#: A ladder value within 2^-MIDPOINT_BITS units in the last place of a
+#: rounding midpoint is left to mp.psi.
+MIDPOINT_BITS = 8
 
 
 @dataclass(frozen=True)
@@ -135,16 +161,91 @@ def gamma_derivatives(q, n: int, ctx: PrecisionContext) -> tuple:
         raise ValueError(f"derivative order {n} must be >= 0")
     point = _as_point(q)
     dps = ctx.working_digits
+    return _bell(point, [_psi_cached(k, point, dps) for k in range(n)], dps)
+
+
+def _bell(point: Fraction, log_derivs: list, dps: int) -> tuple:
+    """Gamma^(0..n)(point) from psi^(0..n-1)(point): Gamma times the complete
+    Bell values, Y_j = sum_{i<j} C(j-1, i) psi^(i) Y_{j-1-i}."""
     g = _gamma_cached(point, dps)
-    log_derivs = [_psi_cached(k, point, dps) for k in range(n)]
     with mp.workdps(dps):
         bell = [mp.mpf(1)]
-        for j in range(1, n + 1):
+        for j in range(1, len(log_derivs) + 1):
             acc = mp.mpf(0)
             for i in range(j):
                 acc += math.comb(j - 1, i) * log_derivs[i] * bell[j - 1 - i]
             bell.append(acc)
         return tuple(g * y for y in bell)
+
+
+def _rounded(value, prec: int):
+    """`value` rounded to nearest at `prec` bits, or None when it lies within
+    2^-MIDPOINT_BITS units in the last place of a rounding midpoint."""
+    _, man, _, bc = value._mpf_
+    drop = bc - prec
+    if drop > 0:
+        off_midpoint = abs((man & ((1 << drop) - 1)) - (1 << (drop - 1)))
+        if off_midpoint << MIDPOINT_BITS < 1 << drop:
+            return None
+    with mp.workprec(prec):
+        return mp.mpf(value)
+
+
+def _psi_ladder(family: ArgumentFamily, indices, orders: int, dps: int) -> dict:
+    """psi^(1..orders) at each lattice index of `indices`, all above the
+    family's basis index on a lattice that runs up, as mp.psi(k, fl(q)) gives
+    them at `dps` digits: m -> [psi^(1), ..., psi^(orders)] at point(m)."""
+    prec = dps_to_prec(dps)
+    with mp.workdps(dps):
+        args = {m: _to_mpf(family.point(m)) for m in indices}
+    low, top = min(indices), max(indices)
+    with mp.workprec(prec + LADDER_GUARD_BITS):
+        offsets = {m: args[m] - _to_mpf(family.point(m)) for m in indices}
+        anchored = orders + 1 if any(offsets.values()) else orders
+        values = [mp.psi(k, _to_mpf(family.point(top))) for k in range(1, anchored + 1)]
+        steps = [(-1) ** (k + 1) * math.factorial(k) for k in range(1, anchored + 1)]
+        ladder = {}
+        for m in range(top, low - 1, -1):
+            if m < top:
+                # from q + 1 down to q: add (-1)^(k+1) k! q^-(k+1) to psi^(k)
+                inverse = 1 / _to_mpf(family.point(m))
+                power = inverse
+                for k, step in enumerate(steps):
+                    power *= inverse
+                    values[k] += step * power
+            if m in offsets:
+                row = []
+                for k in range(1, orders + 1):
+                    # psi^(k)(fl(q)) = psi^(k)(q) + psi^(k+1)(q) (fl(q) - q)
+                    guarded = values[k - 1]
+                    if offsets[m]:
+                        guarded += values[k] * offsets[m]
+                    value = _rounded(guarded, prec)
+                    if value is None:
+                        value = _psi_cached(k, family.point(m), dps)
+                    row.append(value)
+                ladder[m] = row
+    return ladder
+
+
+def _lattice_derivatives(family: ArgumentFamily, indices, n: int, ctx: PrecisionContext):
+    """Gamma^(0..n) at point(m) for each m of `indices`, in their order, each
+    the vector `gamma_derivatives` gives.  Points above the basis point of a
+    lattice that runs up read psi^(1..n-1) off one ladder; the basis point
+    and the points below it take `gamma_derivatives` itself."""
+    dps = ctx.working_digits
+    rungs = [m for m in indices if m != family.min_index]
+    ladder = {}
+    if family.sign > 0 and rungs and n > 1:
+        ladder = _psi_ladder(family, rungs, n - 1, dps)
+    vectors = []
+    for m in indices:
+        point = family.point(m)
+        if m in ladder:
+            vectors.append(_bell(point, [_psi_cached(0, point, dps), *ladder[m]], dps))
+        else:
+            vectors.append(gamma_derivatives(point, n, ctx))
+    return vectors
 
 
 @dataclass(frozen=True)
@@ -188,10 +289,10 @@ def verify_grid(family: ArgumentFamily, n_max: int, ms, ctx: PrecisionContext):
     ms = tuple(ms)
     table = family.poly_kind.table(family, family.prefix_length(max(ms)), n_max)
     basis = gamma_derivatives(family.basis_point, n_max, ctx)
-    points = []
-    for m in ms:
-        values = gamma_derivatives(family.point(m), n_max, ctx)
-        points.append((m, family.prefix_length(m), family.scale(m), values))
+    points = [
+        (m, family.prefix_length(m), family.scale(m), values)
+        for m, values in zip(ms, _lattice_derivatives(family, ms, n_max, ctx))
+    ]
     for n in range(n_max + 1):
         for m, length, scale, values in points:
             row = _row(table, n, length, scale)
@@ -217,13 +318,18 @@ def recover_basis(spec: LatticeSpec, n: int, ctx: PrecisionContext | None = None
     plain family or Gamma^(0..n)(kappa) for the shifted ones.
     """
     ctx = ctx or PrecisionContext()
+    return _recover(spec, n, ctx, lambda q: gamma_derivatives(q, n, ctx))
+
+
+def _recover(spec: LatticeSpec, n: int, ctx: PrecisionContext, derivatives) -> list:
+    """`recover_basis`, with Gamma^(n) at a point q read as derivatives(q)[n]."""
     system = build_system(spec, n)
     if not system.is_square:
         raise SpecMismatchError(
             f"system is {system.matrix.rows}x{system.matrix.cols}; solving needs square"
         )
     inv = inverse_exact(system.matrix)
-    data = [gamma_derivatives(p, n, ctx)[n] for p in spec.points()]
+    data = [derivatives(p)[n] for p in spec.points()]
     with mp.workdps(ctx.working_digits):
         if system.constant_column:
             data = [d - _to_mpf(c) for d, c in zip(data, system.constant_column)]
@@ -237,9 +343,16 @@ def verify_recovery(
     evaluation of its basis derivative, Gamma^(min_index..n), by the residual
     rule of `verify_identity`."""
     ctx = ctx or PrecisionContext()
-    recovered = recover_basis(spec, n, ctx)
+    return _check_recovery(spec, n, ctx, lambda q: gamma_derivatives(q, n, ctx))
+
+
+def _check_recovery(spec: LatticeSpec, n: int, ctx: PrecisionContext, derivatives):
+    """`verify_recovery`, with the vector Gamma^(0..N) at a point q, N >= n,
+    read as derivatives(q).  A Bell value of order j does not depend on the
+    top order, so any N gives the same residuals."""
+    recovered = _recover(spec, n, ctx, derivatives)
     family = spec.family
-    references = gamma_derivatives(family.basis_point, n, ctx)[family.min_index :]
+    references = derivatives(family.basis_point)[family.min_index : n + 1]
     with mp.workdps(ctx.working_digits):
         return [_compare(value, ref, ctx) for value, ref in zip(recovered, references)]
 
@@ -251,50 +364,62 @@ def _orders(family: ArgumentFamily, n_max: int):
         yield n, tuple(range(low, n + 1))
 
 
+def _point_psi(family: ArgumentFamily, m: int, n: int, digits: int) -> int:
+    """The mpmath operations of psi^(0..n-1) at point(m): a polygamma value
+    (16 operations a digit) per order at the basis point; above it, for n > 1,
+    psi^(0) and a ladder step (4 operations) per order, and at the first point
+    above it one ladder anchor, a polygamma value, per order k >= 1; or 8
+    operations per order for each unit the point lies below 0."""
+    steps = max(0, -math.floor(family.point(m)))
+    if steps:
+        return 8 * steps * n
+    if family.sign > 0 and m > family.min_index and n > 1:
+        anchors = n - 1 if m == family.min_index + 1 else 0
+        return 16 * digits * (1 + anchors) + 4 * n
+    return 16 * digits * n
+
+
 def _sweep_work(family: ArgumentFamily, n_max: int, m_max, ctx: PrecisionContext):
     """The estimated units of a `verify` sweep of one family.  An mpmath
     operation weighs 4 fixed units and its operands, 3.322 bits a digit.  The
     first values take 100 operations a digit (at 1000 digits, 2.5 s plain and
     5.1 s at shift 1/3).
 
-    An identity sweep adds one prefix table, one vector Gamma^(0..n_max) per
-    point and one dot product per cell.  A vector takes a Bell row (3 n_max^2)
-    and per order a polygamma value (16 operations a digit) at the basis point
-    or above it, or the point's correction steps below it (8 operations a
-    unit it lies below 0).  A point's scale takes j products of half the bits
-    of a row entry, for prefix length j.  A cell's row is n + 1 pairs of exact
-    products of `entry_bits` bits, at 40 fixed units each, and its dot product
-    3 operations a term.
+    Either sweep builds one vector Gamma^(0..n_max) per point: a Bell row
+    (3 n_max^2 operations) and its polygamma values (`_point_psi`).
+
+    An identity sweep adds one prefix table and one dot product per cell.  A
+    point's scale takes j products of half the bits of a row entry, for prefix
+    length j.  A cell's row is n + 1 pairs of exact products of `entry_bits`
+    bits, at 40 fixed units each, and its dot product 3 operations a term.
 
     A recovery order adds the inverse of its k x k system, whose scaled rows
-    measured about half of `entry_bits`, and k points, each a polygamma value,
-    a Bell row and 40 units per unit it lies below 0."""
+    measured about half of `entry_bits`, and its k dot products of k terms."""
     kind, low, digits = family.poly_kind, family.min_index, ctx.working_digits
     unit = 4 + weight(digits * 3322 // 1000)
+    bell = 3 * n_max * n_max
 
     yield 100 * digits * unit
     if m_max is None:
+        yield (16 * digits * n_max + bell) * unit
+        for m in range(low, n_max + 1):
+            yield (_point_psi(family, m, n_max, digits) + bell) * unit
         for n, indices in _orders(family, n_max):
             k = len(indices)
             bits = kind.entry_bits(family, n - low, n) // 2
-            steps = max(0, -math.floor(family.point(n)))
-            point = (16 * digits + 3 * n * n + 40 * steps) * unit
-            yield _elimination_work(k, bits, True) + k * point
+            yield _elimination_work(k, bits, True) + 3 * k * k * unit
         return
     if n_max < 0 or m_max < low:
         return
-    bell = 3 * n_max * n_max
     yield kind.table_work(family, m_max - low, n_max) + (16 * digits * n_max + bell) * unit
     for m in range(low, m_max + 1):
         j = m - low
-        steps = max(0, -math.floor(family.point(m)))
-        per_order = 8 * steps if steps else 16 * digits
         scale = j * (40 + weight(kind.entry_bits(family, j, n_max) // 2))
         cells = sum(
             (n + 1) * (80 + 2 * weight(kind.entry_bits(family, j, n)) + 3 * unit)
             for n in range(n_max + 1)
         )
-        yield (n_max * per_order + bell) * unit + scale + cells
+        yield (_point_psi(family, m, n_max, digits) + bell) * unit + scale + cells
 
 
 def check_sweep(families, n_max: int, m_max, ctx: PrecisionContext) -> None:
@@ -326,9 +451,13 @@ def verify_sweep(families, n_max: int, m_max, ctx: PrecisionContext):
                 raise ValueError(f"{name} must be >= {least}; the {kind} sweep is empty")
     for family in families:
         if m_max is None:
+            # one vector per point at n_max serves every order
+            ms = range(family.min_index, n_max + 1)
+            points = [family.point(m) for m in ms]
+            vectors = dict(zip(points, _lattice_derivatives(family, ms, n_max, ctx)))
             for n, indices in _orders(family, n_max):
                 spec = LatticeSpec(family, indices)
-                yield family, n, indices, verify_recovery(spec, n, ctx)
+                yield family, n, indices, _check_recovery(spec, n, ctx, vectors.__getitem__)
         else:
             ms = range(family.min_index, m_max + 1)
             for n, m, residual in verify_grid(family, n_max, ms, ctx):

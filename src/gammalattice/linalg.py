@@ -22,7 +22,8 @@ row-differenced prefix matrix.
 `cauchy_binet` returns the full expansion, i.e. every surviving subset with
 both of its sub-determinants, so positivity can be asserted term by term
 rather than only for the total; `certify_prefix_matrix` runs the whole chain
-and checks the expansion against the determinant of the matrix itself.
+and checks the expansion against the determinant of the matrix itself, and
+`certify_lattice` runs it for a lattice system's indices.
 
 Every elimination runs fraction-free on integer rows, each scaled once by the
 lcm of its denominators, and is charged its estimated work first.
@@ -426,3 +427,10 @@ def certify_prefix_matrix(
     parent, banded, prefix = _chain(m_primes, family, kind)
     expansion = cauchy_binet(banded, prefix)
     return PrefixCertificate(det_exact(parent), expansion)
+
+
+def certify_lattice(family: ArgumentFamily, indices: Sequence[int]) -> PrefixCertificate:
+    """`certify_prefix_matrix` for the system over lattice `indices`: each
+    index read as its prefix length, in the family's own polynomial kind."""
+    lengths = [family.prefix_length(m) for m in indices]
+    return certify_prefix_matrix(lengths, family, family.poly_kind)

@@ -1,7 +1,11 @@
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
+from mpmath.libmp import dps_to_prec
 
 from gammalattice import (
     ArgumentFamily,
@@ -20,6 +24,7 @@ from gammalattice import (
 )
 
 from gammalattice import budget, gammanum
+from gammalattice.cli import main
 
 from _oracles import machin_pi
 
@@ -349,6 +354,26 @@ class TestSweepBudget:
             gammanum.check_sweep(shifts, 4, 4, CTX)
 
 
+def _mpf(q):
+    return mp.mpf(q.numerator) / q.denominator
+
+
+def _count_oracle_calls(monkeypatch) -> list:
+    """Record every mp.psi and mp.gamma call, with the caches cleared."""
+    calls = []
+    for name in ("psi", "gamma"):
+        original = getattr(mp, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls.append((_name, *args))
+            return _original(*args)
+
+        monkeypatch.setattr(mp, name, counted)
+    gammanum._psi_cached.cache_clear()
+    gammanum._gamma_cached.cache_clear()
+    return calls
+
+
 def _no_check(*args, **kwargs):
     raise AssertionError("a check ran before the sweep was charged and bounded")
 
@@ -388,33 +413,60 @@ class TestVerifySweep:
             assert residual == _lone_cell(family, n, m, CTX), (family, n, m)
             assert residual == verify_identity(family, n, m, CTX), (family, n, m)
 
+    THIRD = Fraction(1, 3)
+
     def test_one_oracle_call_per_order_and_shift(self, monkeypatch):
-        # a point below the basis shifts up to the basis point itself, so a
-        # minus sweep evaluates psi^(k) and Gamma at each shift once
-        calls = []
-        for name in ("psi", "gamma"):
-            original = getattr(mp, name)
+        # psi^(k) at the basis point for every order; psi^(0) and Gamma at
+        # each other point; above the basis, one ladder anchor per order at
+        # the top point, at the ladder's guarded precision.  No ladder value
+        # of these sweeps lies near a rounding midpoint (plain 6 x 8 has one,
+        # psi'(8), which takes its own mp.psi).
+        calls = _count_oracle_calls(monkeypatch)
+        dps = CTX.working_digits
+        shifts = [self.THIRD, 2 * self.THIRD]
+        minus = [ArgumentFamily(FamilyKind.MINUS_SHIFT, kappa) for kappa in shifts]
+        cases = [
+            # a point below the basis shifts up to the basis point itself, so
+            # a minus sweep evaluates psi^(k) and Gamma at each shift once
+            (minus, 6, 8, None),
+            # plain points are integers: anchors for psi^(1..5) at 7
+            ([PLAIN], 6, 7, 7),
+            # shifted points add the fl(q) term: anchors for psi^(1..6)
+            ([self.PLUS_THIRD], 6, 8, 8),
+            ([self.PLUS_THIRD], 6, None, 6),
+        ]
+        for families, n_max, m_max, top in cases:
+            calls.clear()
+            gammanum._psi_cached.cache_clear()
+            gammanum._gamma_cached.cache_clear()
+            for *_, result in gammanum.verify_sweep(families, n_max, m_max, CTX):
+                assert all(r.passed for r in (result if m_max is None else [result]))
+            expected = []
+            for family in families:
+                last = n_max if m_max is None else m_max
+                points = [family.point(m) for m in range(family.min_index, last + 1)]
+                if top is None:
+                    points = points[:1]
+                with mp.workdps(dps):
+                    expected += [("gamma", _mpf(q)) for q in points]
+                    expected += [("psi", k, _mpf(family.basis_point)) for k in range(n_max)]
+                    expected += [("psi", 0, _mpf(q)) for q in points[1:]]
+                if top is not None:
+                    orders = n_max if family.kind.shifted else n_max - 1
+                    with mp.workprec(dps_to_prec(dps) + gammanum.LADDER_GUARD_BITS):
+                        anchor = _mpf(family.point(top))
+                        expected += [("psi", k, anchor) for k in range(1, orders + 1)]
+            assert sorted(calls) == sorted(expected), (families, m_max)
 
-            def counted(*args, _name=name, _original=original):
-                calls.append((_name, *args))
-                return _original(*args)
-
-            monkeypatch.setattr(mp, name, counted)
-        gammanum._psi_cached.cache_clear()
-        gammanum._gamma_cached.cache_clear()
-        shifts = [Fraction(1, 3), Fraction(2, 3)]
-        families = [ArgumentFamily(FamilyKind.MINUS_SHIFT, kappa) for kappa in shifts]
-        assert all(r.passed for *_, r in gammanum.verify_sweep(families, 6, 8, CTX))
-        with mp.workdps(CTX.working_digits):
-            expected = sorted(
-                [("gamma", mp.mpf(kappa.numerator) / kappa.denominator) for kappa in shifts]
-                + [
-                    ("psi", k, mp.mpf(kappa.numerator) / kappa.denominator)
-                    for kappa in shifts
-                    for k in range(6)
-                ]
-            )
-        assert sorted(calls) == expected
+    def test_recovery_builds_one_vector_per_point(self, monkeypatch):
+        # every order reads the vectors Gamma^(0..n_max) of its points
+        built = []
+        bell = gammanum._bell
+        monkeypatch.setattr(
+            gammanum, "_bell", lambda point, *args: built.append(point) or bell(point, *args)
+        )
+        list(gammanum.verify_sweep([self.PLUS_THIRD], 8, None, PrecisionContext(30)))
+        assert sorted(built) == [self.THIRD + j for j in range(9)]
 
     def test_recovery_orders_are_verify_recovery(self):
         orders = list(gammanum.verify_sweep([self.PLUS_THIRD], 2, None, CTX))
@@ -452,3 +504,66 @@ class TestVerifySweep:
         monkeypatch.setattr(gammanum, "gamma_derivatives", _no_check)
         with pytest.raises(ValueError, match=f"^{line}$"):
             next(gammanum.verify_sweep(families, n_max, m_max, CTX))
+
+
+class TestPsiLadder:
+    """The ladder's psi^(k) are mp.psi(k, fl(q)) bit for bit."""
+
+    @given(
+        denominator=st.integers(1, 60),
+        data=st.data(),
+        rungs=st.integers(1, 6),
+        orders=st.integers(1, 6),
+        digits=st.integers(30, 200),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_bits_are_mp_psi(self, denominator, data, rungs, orders, digits):
+        if denominator == 1:
+            family = PLAIN
+        else:
+            numerator = data.draw(st.integers(1, denominator - 1), label="numerator")
+            family = ArgumentFamily(FamilyKind.PLUS_SHIFT, Fraction(numerator, denominator))
+        low = family.min_index + 1
+        dps = PrecisionContext(digits).working_digits
+        ladder = gammanum._psi_ladder(family, range(low, low + rungs), orders, dps)
+        assert sorted(ladder) == list(range(low, low + rungs))
+        with mp.workdps(dps):
+            for m, values in ladder.items():
+                q = family.point(m)
+                assert [v._mpf_ for v in values] == [
+                    mp.psi(k, _mpf(q))._mpf_ for k in range(1, orders + 1)
+                ], (family, m, digits)
+
+    def test_midpoint_fallback_takes_mp_psi(self, monkeypatch):
+        # a margin of a whole unit in the last place puts every ladder value
+        # near a midpoint, so each takes its own mp.psi, and the cells do not
+        # change
+        family = ArgumentFamily(FamilyKind.PLUS_SHIFT, Fraction(1, 3))
+        cells = list(gammanum.verify_sweep([family], 4, 5, CTX))
+        monkeypatch.setattr(gammanum, "MIDPOINT_BITS", 0)
+        calls = _count_oracle_calls(monkeypatch)
+        assert list(gammanum.verify_sweep([family], 4, 5, CTX)) == cells
+        with mp.workdps(CTX.working_digits):
+            fallbacks = [
+                ("psi", k, _mpf(family.point(m))) for k in (1, 2, 3) for m in range(1, 6)
+            ]
+        assert all(calls.count(call) == 1 for call in fallbacks)
+
+    def test_a_broken_ladder_step_fails_verify(self, monkeypatch, capsys):
+        # drop the step that takes psi'(3) to psi'(2) = psi'(3) + 1/4: the
+        # Gamma'' and Gamma''' cells at 2 no longer agree with the basis
+        ladder = gammanum._psi_ladder
+
+        def broken(family, indices, orders, dps):
+            values = ladder(family, indices, orders, dps)
+            with mp.workdps(dps):
+                values[2][0] -= mp.mpf(1) / 4
+            return values
+
+        argv = ["verify", "--family", "plain", "--n-max", "3", "--m-max", "4", "--digits", "30"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(gammanum, "_psi_ladder", broken)
+        assert main(argv) == 1
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert {(row["n"], row["m"]) for row in rows if not row["pass"]} == {(2, 2), (3, 2)}

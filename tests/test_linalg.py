@@ -507,6 +507,15 @@ class TestCertifyPrefixMatrix:
         assert certificate.all_terms_positive
         assert certificate.holds
 
+    @pytest.mark.parametrize("family, indices", [
+        (PLAIN, (1, 3, 6)), (PLUS_QUARTER, (0, 2, 5)), (MINUS_THIRD, (0, 2, 5)),
+    ], ids=["plain", "plus", "minus"])
+    def test_lattice_indices_are_prefix_lengths(self, family, indices):
+        # the certificate behind `matrix --show cauchy-binet`
+        lengths = [family.prefix_length(m) for m in indices]
+        expected = certify_prefix_matrix(lengths, family, family.poly_kind)
+        assert linalg.certify_lattice(family, indices) == expected
+
     def test_disagreeing_routes_do_not_hold(self):
         certificate = certify_prefix_matrix((0, 1), PLAIN, PolyKind.ELEMENTARY)
         wrong = PrefixCertificate(certificate.parent_det + 1, certificate.expansion)
