@@ -24,7 +24,6 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import groupby
 from math import gcd
 
 from mpmath import mp
@@ -61,23 +60,19 @@ _SEAM, _ROW_SEAM = "},\n      {", "\n    },\n    {\n      "
 
 
 def _row_pieces(rows: list):
-    """The rows in the layout of an `indent=2` dump two levels deep, as pieces
-    to join.  An empty row prints as {}, so runs of nonempty rows are encoded
-    apart."""
+    """The nonempty list `rows` in the layout of an `indent=2` dump two levels
+    deep, as pieces to join.  Every CLI table has one key set, so its rows are
+    all empty, each printed as {}, or all nonempty."""
+    if not rows[0]:
+        yield ",\n    ".join("{}" for _ in rows)
+        return
     encode = _ROW_ENCODER.encode
-    for i, (full, run) in enumerate(groupby(rows, bool)):
-        if i:
-            yield ",\n    "
-        if not full:
-            yield ",\n    ".join("{}" for _ in run)
-            continue
-        run = list(run)
-        yield "{\n      "
-        for at in range(0, len(run), _ROWS_PER_CALL):
-            if at:
-                yield _ROW_SEAM
-            yield encode(run[at : at + _ROWS_PER_CALL])[2:-2].replace(_SEAM, _ROW_SEAM)
-        yield "\n    }"
+    yield "{\n      "
+    for at in range(0, len(rows), _ROWS_PER_CALL):
+        if at:
+            yield _ROW_SEAM
+        yield encode(rows[at : at + _ROWS_PER_CALL])[2:-2].replace(_SEAM, _ROW_SEAM)
+    yield "\n    }"
 
 
 @dataclass
@@ -121,14 +116,14 @@ class OutputEnvelope:
 
 def _parse_int_range(text: str) -> range:
     """'7' -> range(7, 8); '2:5' -> range(2, 6), that is 2, 3, 4, 5."""
-    if ":" in text:
-        lo_text, hi_text = text.split(":", 1)
-        lo, hi = int(lo_text), int(hi_text)
-        if hi < lo:
-            raise ValueError(f"empty range {text!r}")
-        return range(lo, hi + 1)
-    value = int(text)
-    return range(value, value + 1)
+    lo_text, _, hi_text = text.partition(":")
+    try:
+        lo, hi = int(lo_text), int(hi_text if ":" in text else lo_text)
+    except ValueError:
+        raise ValueError(f"bad range {text!r}; want e.g. 7 or 2:5") from None
+    if hi < lo:
+        raise ValueError(f"empty range {text!r}")
+    return range(lo, hi + 1)
 
 
 def _parse_indices(text: str) -> tuple[int, ...]:

@@ -3,13 +3,14 @@
 Each bound is the complement of an averaged cap on how many derivative values
 in a finite window can be algebraic: at most n-1 plain lattice points per
 order n >= 2, at most n shifted points per order n >= 1 on each one-sided
-lattice.  A plain window is the shifted window one step in, so one rule
-computes the fixed-order and bivariate bounds of both lattices.  The bivariate
-closed forms have an independent brute-force counterpart (`bivariate_min_sum`)
-that performs the min-sum directly, with no case split; the two must agree
-exactly on every cell.  The oracle takes a whole column of N values at one M
-and sums the caps once, as a running sum over the orders, so a grid costs one
-pass per M rather than one per cell.
+lattice.  A plain window is the shifted window one step in
+(`BoundVariant.offset`), so one rule computes the fixed-order and bivariate
+bounds of both lattices.  The bivariate closed forms have an independent
+brute-force counterpart (`bivariate_min_sum`) that performs the min-sum
+directly, with no case split; the two must agree exactly on every cell.  The
+oracle takes a whole column of N values at one M and sums the caps once, as a
+running sum over the orders, so a grid costs one pass per M rather than one
+per cell.
 
 Every windowed bound is a ratio of small integers, so a grid keeps each cell
 as its unreduced pair (num, den), and the oracle's as its own pair, in one
@@ -37,9 +38,11 @@ from .budget import MAX_DIGITS, hold
 
 class BoundVariant(Enum):
     """A bound, with the integer ranges it sweeps (first, then M if any),
-    whether its lattice window is the shifted one, whether the min-sum oracle
-    applies (to the bivariate bounds, over N x M), and the branch labels of a
-    windowed bound (the window within the order cap, then beyond it)."""
+    whether its lattice window is the shifted one, the offset of its window
+    from the shifted one (0 shifted, 1 plain: a plain window is the shifted
+    one a step in), whether the min-sum oracle applies (to the bivariate
+    bounds, over N x M), and the branch labels of a windowed bound (the window
+    within the order cap, then beyond it)."""
 
     PRIOR = ("prior", ("N",), False)
     FIXED_N = ("fixed-n", ("n", "M"), False)
@@ -52,6 +55,7 @@ class BoundVariant(Enum):
         member._value_ = value
         member.ranges = ranges
         member.shifted = shifted
+        member.offset = 0 if shifted else 1
         member.has_oracle = ranges == ("N", "M")
         # the labels of a window within the order cap and of one beyond it,
         # built once, so that a grid shares two label objects
@@ -112,7 +116,7 @@ def _check_window(variant: BoundVariant, first: int, M: int) -> None:
     """Refuse a window below the variant's first order or point."""
     if variant is BoundVariant.PRIOR:
         raise ValueError("the prior bound has no lattice window")
-    offset = 0 if variant.shifted else 1
+    offset = variant.offset
     if first < 1 + offset:
         raise ValueError(f"{variant.ranges[0]}={first} must be >= {1 + offset}")
     if M < offset:
@@ -122,8 +126,7 @@ def _check_window(variant: BoundVariant, first: int, M: int) -> None:
 def _window(variant: BoundVariant, first: int, M: int) -> tuple[int, int, str]:
     """The bound of a checked window as an unreduced pair (num, den), and its
     branch label: the closed forms of `window_bound`, in integers."""
-    offset = 0 if variant.shifted else 1
-    n, m = first - offset, M + 1 - offset
+    n, m = first - variant.offset, M + 1 - variant.offset
     if not variant.has_oracle:  # fixed order
         return m - min(n, m), m, variant.branches[m > n]
     if m <= n:
@@ -180,14 +183,11 @@ def bivariate_min_sum(
     """
     if not isinstance(variant, BoundVariant) or not variant.has_oracle:
         raise ValueError(f"no min-sum oracle for variant {variant!r}")
-    first, low_M = (1, 0) if variant.shifted else (2, 1)
     Ns = list(Ns)
     if any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise ValueError("N values must be strictly increasing")
-    if Ns and Ns[0] < first:
-        raise ValueError(f"N={Ns[0]} must be >= {first}")
-    if M < low_M:
-        raise ValueError(f"M={M} must be >= {low_M}")
+    # an empty column has no first order, so only its M is checked
+    _check_window(variant, Ns[0] if Ns else 1 + variant.offset, M)
     if not Ns:
         return []
     return [Fraction(num, den) for num, den in _min_sum_pairs(variant, Ns, M)]
@@ -256,7 +256,7 @@ def density_grid(
     span = _count(firsts)
     if oracle and firsts:
         # the oracle sums the orders 1..N (shifted) or 2..N (plain) at each M
-        span = firsts[-1] - (0 if variant.shifted else 1)
+        span = firsts[-1] - variant.offset
     hold(span * _count(seconds), 0, "grid cells")
     if not firsts:
         return []

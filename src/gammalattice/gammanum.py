@@ -38,15 +38,18 @@ The ladder is a local table, dropped after its sweep.
 A `PrecisionContext` holds the working precision, decimal_digits in [30,
 MAX_DIGITS] plus GUARD_DIGITS, and the tolerance of every comparison, by
 default 10^-(decimal_digits - GUARD_DIGITS) <= 1e-10; psi and Gamma caches are
-bounded.  `verify_grid` checks the expansion at every (n, m) of a family's
-grid off one derivative vector per point and one prefix table, and
-`verify_identity` is its one-cell case; `verify_recovery` solves a square
-`LatticeSpec` for the basis.  Both return `Residual` records by one rule:
-relative, or absolute where the reference is below 1.
+bounded.  Every check reads its vectors off one map, index -> Gamma^(0..n)
+with the basis index included (`_lattice_derivatives`, the only builder of
+lattice vectors, whose route `_reads_ladder` decides).  `verify_grid` checks
+the expansion at every (n, m) of a family's grid off that map and one prefix
+table, and `verify_identity` is its one-cell case; `verify_recovery` solves a
+square `LatticeSpec` for the basis, and `recover_basis` returns the values it
+checks.  Both return `Residual` records by one rule: relative, or absolute
+where the reference is below 1.
 
 `verify_sweep` runs the `verify` sweep, a grid per family or its recovery
-orders (`_orders`) off one derivative vector per point: it is charged first
-(`check_sweep`), then refused if its bounds leave it empty.
+orders (`_orders`) off one map at n_max: it is charged first (`check_sweep`),
+then refused if its bounds leave it empty.
 """
 
 from __future__ import annotations
@@ -228,23 +231,28 @@ def _psi_ladder(family: ArgumentFamily, indices, orders: int, dps: int) -> dict:
     return ladder
 
 
+def _reads_ladder(family: ArgumentFamily, m: int, n: int) -> bool:
+    """Whether Gamma^(0..n) at point(m) reads psi^(1..n-1) off the ladder:
+    m lies above the basis index of a lattice that runs up, and n > 1."""
+    return family.sign > 0 and m > family.min_index and n > 1
+
+
 def _lattice_derivatives(family: ArgumentFamily, indices, n: int, ctx: PrecisionContext):
-    """Gamma^(0..n) at point(m) for each m of `indices`, in their order, each
-    the vector `gamma_derivatives` gives.  Points above the basis point of a
-    lattice that runs up read psi^(1..n-1) off one ladder; the basis point
-    and the points below it take `gamma_derivatives` itself."""
+    """m -> Gamma^(0..n) at point(m) for the basis index and each m of
+    `indices`, each the vector `gamma_derivatives` gives.  The points that
+    `_reads_ladder` admits share one ladder; the others take
+    `gamma_derivatives` itself."""
     dps = ctx.working_digits
-    rungs = [m for m in indices if m != family.min_index]
-    ladder = {}
-    if family.sign > 0 and rungs and n > 1:
-        ladder = _psi_ladder(family, rungs, n - 1, dps)
-    vectors = []
+    indices = dict.fromkeys((family.min_index, *indices))
+    rungs = [m for m in indices if _reads_ladder(family, m, n)]
+    ladder = _psi_ladder(family, rungs, n - 1, dps) if rungs else {}
+    vectors = {}
     for m in indices:
         point = family.point(m)
         if m in ladder:
-            vectors.append(_bell(point, [_psi_cached(0, point, dps), *ladder[m]], dps))
+            vectors[m] = _bell(point, [_psi_cached(0, point, dps), *ladder[m]], dps)
         else:
-            vectors.append(gamma_derivatives(point, n, ctx))
+            vectors[m] = gamma_derivatives(point, n, ctx)
     return vectors
 
 
@@ -288,11 +296,9 @@ def verify_grid(family: ArgumentFamily, n_max: int, ms, ctx: PrecisionContext):
     ArgumentFamily.require(family)
     ms = tuple(ms)
     table = family.poly_kind.table(family, family.prefix_length(max(ms)), n_max)
-    basis = gamma_derivatives(family.basis_point, n_max, ctx)
-    points = [
-        (m, family.prefix_length(m), family.scale(m), values)
-        for m, values in zip(ms, _lattice_derivatives(family, ms, n_max, ctx))
-    ]
+    vectors = _lattice_derivatives(family, ms, n_max, ctx)
+    basis = vectors[family.min_index]
+    points = [(m, family.prefix_length(m), family.scale(m), vectors[m]) for m in ms]
     for n in range(n_max + 1):
         for m, length, scale, values in points:
             row = _row(table, n, length, scale)
@@ -315,25 +321,10 @@ def recover_basis(spec: LatticeSpec, n: int, ctx: PrecisionContext | None = None
     Evaluates Gamma^(n) at each lattice point numerically, subtracts the
     constant column (plain family), and applies the exact rational inverse of
     the coefficient matrix.  Returns approximations of Gamma^(1..n)(1) for the
-    plain family or Gamma^(0..n)(kappa) for the shifted ones.
+    plain family or Gamma^(0..n)(kappa) for the shifted ones: the values that
+    `verify_recovery` checks.
     """
-    ctx = ctx or PrecisionContext()
-    return _recover(spec, n, ctx, lambda q: gamma_derivatives(q, n, ctx))
-
-
-def _recover(spec: LatticeSpec, n: int, ctx: PrecisionContext, derivatives) -> list:
-    """`recover_basis`, with Gamma^(n) at a point q read as derivatives(q)[n]."""
-    system = build_system(spec, n)
-    if not system.is_square:
-        raise SpecMismatchError(
-            f"system is {system.matrix.rows}x{system.matrix.cols}; solving needs square"
-        )
-    inv = inverse_exact(system.matrix)
-    data = [derivatives(p)[n] for p in spec.points()]
-    with mp.workdps(ctx.working_digits):
-        if system.constant_column:
-            data = [d - _to_mpf(c) for d, c in zip(data, system.constant_column)]
-        return [_dot(inv.row(r), data) for r in range(inv.rows)]
+    return [residual.value for residual in verify_recovery(spec, n, ctx)]
 
 
 def verify_recovery(
@@ -343,17 +334,27 @@ def verify_recovery(
     evaluation of its basis derivative, Gamma^(min_index..n), by the residual
     rule of `verify_identity`."""
     ctx = ctx or PrecisionContext()
-    return _check_recovery(spec, n, ctx, lambda q: gamma_derivatives(q, n, ctx))
+    system = build_system(spec, n)
+    if not system.is_square:
+        raise SpecMismatchError(
+            f"system is {system.matrix.rows}x{system.matrix.cols}; solving needs square"
+        )
+    vectors = _lattice_derivatives(spec.family, spec.indices, n, ctx)
+    return _check_recovery(system, n, ctx, vectors)
 
 
-def _check_recovery(spec: LatticeSpec, n: int, ctx: PrecisionContext, derivatives):
-    """`verify_recovery`, with the vector Gamma^(0..N) at a point q, N >= n,
-    read as derivatives(q).  A Bell value of order j does not depend on the
-    top order, so any N gives the same residuals."""
-    recovered = _recover(spec, n, ctx, derivatives)
-    family = spec.family
-    references = derivatives(family.basis_point)[family.min_index : n + 1]
+def _check_recovery(system, n: int, ctx: PrecisionContext, vectors) -> list[Residual]:
+    """`verify_recovery` of a square `system` of order n, with Gamma^(0..N) at
+    index m, N >= n, read as vectors[m].  A Bell value of order j does not
+    depend on the top order, so any N gives the same residuals."""
+    inv = inverse_exact(system.matrix)
+    family = system.spec.family
+    data = [vectors[m][n] for m in system.spec.indices]
+    references = vectors[family.min_index][family.min_index : n + 1]
     with mp.workdps(ctx.working_digits):
+        if system.constant_column:
+            data = [d - _to_mpf(c) for d, c in zip(data, system.constant_column)]
+        recovered = [_dot(inv.row(r), data) for r in range(inv.rows)]
         return [_compare(value, ref, ctx) for value, ref in zip(recovered, references)]
 
 
@@ -373,7 +374,7 @@ def _point_psi(family: ArgumentFamily, m: int, n: int, digits: int) -> int:
     steps = max(0, -math.floor(family.point(m)))
     if steps:
         return 8 * steps * n
-    if family.sign > 0 and m > family.min_index and n > 1:
+    if _reads_ladder(family, m, n):
         anchors = n - 1 if m == family.min_index + 1 else 0
         return 16 * digits * (1 + anchors) + 4 * n
     return 16 * digits * n
@@ -385,8 +386,9 @@ def _sweep_work(family: ArgumentFamily, n_max: int, m_max, ctx: PrecisionContext
     first values take 100 operations a digit (at 1000 digits, 2.5 s plain and
     5.1 s at shift 1/3).
 
-    Either sweep builds one vector Gamma^(0..n_max) per point: a Bell row
-    (3 n_max^2 operations) and its polygamma values (`_point_psi`).
+    Either sweep builds one vector Gamma^(0..n_max) per point, the basis point
+    once: a Bell row (3 n_max^2 operations) and its polygamma values
+    (`_point_psi`).
 
     An identity sweep adds one prefix table and one dot product per cell.  A
     point's scale takes j products of half the bits of a row entry, for prefix
@@ -401,7 +403,6 @@ def _sweep_work(family: ArgumentFamily, n_max: int, m_max, ctx: PrecisionContext
 
     yield 100 * digits * unit
     if m_max is None:
-        yield (16 * digits * n_max + bell) * unit
         for m in range(low, n_max + 1):
             yield (_point_psi(family, m, n_max, digits) + bell) * unit
         for n, indices in _orders(family, n_max):
@@ -411,7 +412,7 @@ def _sweep_work(family: ArgumentFamily, n_max: int, m_max, ctx: PrecisionContext
         return
     if n_max < 0 or m_max < low:
         return
-    yield kind.table_work(family, m_max - low, n_max) + (16 * digits * n_max + bell) * unit
+    yield kind.table_work(family, m_max - low, n_max)
     for m in range(low, m_max + 1):
         j = m - low
         scale = j * (40 + weight(kind.entry_bits(family, j, n_max) // 2))
@@ -453,11 +454,10 @@ def verify_sweep(families, n_max: int, m_max, ctx: PrecisionContext):
         if m_max is None:
             # one vector per point at n_max serves every order
             ms = range(family.min_index, n_max + 1)
-            points = [family.point(m) for m in ms]
-            vectors = dict(zip(points, _lattice_derivatives(family, ms, n_max, ctx)))
+            vectors = _lattice_derivatives(family, ms, n_max, ctx)
             for n, indices in _orders(family, n_max):
-                spec = LatticeSpec(family, indices)
-                yield family, n, indices, _check_recovery(spec, n, ctx, vectors.__getitem__)
+                system = build_system(LatticeSpec(family, indices), n)
+                yield family, n, indices, _check_recovery(system, n, ctx, vectors)
         else:
             ms = range(family.min_index, m_max + 1)
             for n, m, residual in verify_grid(family, n_max, ms, ctx):

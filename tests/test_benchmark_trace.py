@@ -1,7 +1,8 @@
-"""The benchmark's traced mode runs against the current package: one traced
-`perfbench/child.py` step on a certificate, and one on a density grid, report
-no problems, and the counters its tracer reads off `cauchy_binet`'s arguments
-and result, and off the length of `density_grid`'s result, add up."""
+"""The benchmark's traced mode runs against the current package: traced
+`perfbench/child.py` steps on a certificate, a density grid and `verify`
+sweeps report no problems, the counters its tracer reads off `cauchy_binet`'s
+arguments and result, and off the length of `density_grid`'s result, add up,
+and the mpmath cache counters it reads off `gammanum` are there."""
 
 import json
 import subprocess
@@ -51,3 +52,17 @@ def test_traced_density_step():
     assert result["problems"] == []
     # 8 values of N by 9 of M
     assert result["trace"]["counters"]["density.density_grid.cells"] == 72
+
+
+def test_traced_verify_steps():
+    plain = _traced_step("verify-plain-identity", [
+        "verify", "--family", "plain", "--n-max", "4", "--m-max", "5", "--digits", "30",
+    ])
+    recover = _traced_step("verify-plus-recover", [
+        "verify", "--family", "plus", "--mode", "recover", "--n-max", "3",
+        "--digits", "40", "--kappa-set", "1/3",
+    ])
+    assert plain["problems"] == recover["problems"] == []
+    # each point's psi values are computed once, the basis point's included
+    assert plain["caches"]["psi_hits"] == 0
+    assert plain["caches"]["psi_misses"] > 0

@@ -940,6 +940,23 @@ class TestArgumentParsing:
             assert run(capsys, *form) == (2, "", line)
 
     @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["coeffs", "--family", "plain", "--n", "2", "--m", "1:x"], "1:x"),
+            (["density", "--variant", "bivariate", "--N", "2:x", "--M", "1"], "2:x"),
+            (["density", "--variant", "fixed-n", "--n", "3:", "--M", "1"], "3:"),
+            (["density", "--variant", "prior", "--N", "y"], "y"),
+        ],
+        ids=["m", "N", "n", "single"],
+    )
+    def test_bad_range_names_its_text(self, capsys, argv, text):
+        # int()'s "invalid literal for int() with base 10" named neither the
+        # flag's text nor the form a range takes
+        assert run(capsys, *argv) == (
+            2, "", f"error: bad range {text!r}; want e.g. 7 or 2:5\n"
+        )
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["coeffs", "--family", "plain", "--n=--", "--m", "1"],

@@ -425,22 +425,33 @@ class TestVerifySweep:
         dps = CTX.working_digits
         shifts = [self.THIRD, 2 * self.THIRD]
         minus = [ArgumentFamily(FamilyKind.MINUS_SHIFT, kappa) for kappa in shifts]
+
+        def sweep(families, n_max, m_max):
+            for *_, result in gammanum.verify_sweep(families, n_max, m_max, CTX):
+                yield from result if m_max is None else [result]
+
+        def public_recovery(families, n_max, m_max):
+            # the public solve of the top order builds the sweep's vectors
+            (family,) = families
+            spec = LatticeSpec(family, range(family.min_index, n_max + 1))
+            return verify_recovery(spec, n_max, CTX)
+
         cases = [
             # a point below the basis shifts up to the basis point itself, so
             # a minus sweep evaluates psi^(k) and Gamma at each shift once
-            (minus, 6, 8, None),
+            (sweep, minus, 6, 8, None),
             # plain points are integers: anchors for psi^(1..5) at 7
-            ([PLAIN], 6, 7, 7),
+            (sweep, [PLAIN], 6, 7, 7),
             # shifted points add the fl(q) term: anchors for psi^(1..6)
-            ([self.PLUS_THIRD], 6, 8, 8),
-            ([self.PLUS_THIRD], 6, None, 6),
+            (sweep, [self.PLUS_THIRD], 6, 8, 8),
+            (sweep, [self.PLUS_THIRD], 6, None, 6),
+            (public_recovery, [self.PLUS_THIRD], 6, None, 6),
         ]
-        for families, n_max, m_max, top in cases:
+        for run, families, n_max, m_max, top in cases:
             calls.clear()
             gammanum._psi_cached.cache_clear()
             gammanum._gamma_cached.cache_clear()
-            for *_, result in gammanum.verify_sweep(families, n_max, m_max, CTX):
-                assert all(r.passed for r in (result if m_max is None else [result]))
+            assert all(r.passed for r in run(families, n_max, m_max))
             expected = []
             for family in families:
                 last = n_max if m_max is None else m_max
@@ -456,7 +467,7 @@ class TestVerifySweep:
                     with mp.workprec(dps_to_prec(dps) + gammanum.LADDER_GUARD_BITS):
                         anchor = _mpf(family.point(top))
                         expected += [("psi", k, anchor) for k in range(1, orders + 1)]
-            assert sorted(calls) == sorted(expected), (families, m_max)
+            assert sorted(calls) == sorted(expected), (run.__name__, families, m_max)
 
     def test_recovery_builds_one_vector_per_point(self, monkeypatch):
         # every order reads the vectors Gamma^(0..n_max) of its points
@@ -467,6 +478,22 @@ class TestVerifySweep:
         )
         list(gammanum.verify_sweep([self.PLUS_THIRD], 8, None, PrecisionContext(30)))
         assert sorted(built) == [self.THIRD + j for j in range(9)]
+
+    def test_identity_grid_builds_one_vector_per_point(self, monkeypatch):
+        # the basis vector is read off the same map as every other point's,
+        # so the basis point is built once, also when the grid leaves it out
+        built = []
+        bell = gammanum._bell
+        monkeypatch.setattr(
+            gammanum, "_bell", lambda point, *args: built.append(point) or bell(point, *args)
+        )
+        ctx = PrecisionContext(30)
+        list(gammanum.verify_sweep([PLAIN, self.PLUS_THIRD], 4, 5, ctx))
+        plain = [Fraction(m) for m in range(1, 6)]
+        assert sorted(built) == sorted(plain + [self.THIRD + j for j in range(6)])
+        built.clear()
+        verify_identity(self.PLUS_THIRD, 4, 3, ctx)
+        assert sorted(built) == [self.THIRD, self.THIRD + 3]
 
     def test_recovery_orders_are_verify_recovery(self):
         orders = list(gammanum.verify_sweep([self.PLUS_THIRD], 2, None, CTX))
