@@ -20,6 +20,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass, field
@@ -485,9 +486,17 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     finally:
         sys.set_int_max_str_digits(limit)
-    sys.stdout.write(output)
-    if output and not output.endswith("\n"):
-        sys.stdout.write("\n")
+    try:
+        sys.stdout.write(output)
+        if output and not output.endswith("\n"):
+            sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left: what is still buffered goes to os.devnull, so the
+        # interpreter's last flush cannot fail, and the run keeps its status
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     for warning in envelope.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     return envelope.exit_status

@@ -18,22 +18,15 @@ are never produced by the rational-coefficient expansion they are used to
 verify.
 
 A sweep over the positive lattice points above the basis point (plain and
-plus) reads psi^(k), k >= 1, off a ladder (`_psi_ladder`): one mp.psi anchor
-per order at the highest point, LADDER_GUARD_BITS above the working
-precision, walked down by the Hurwitz recurrence
-
-    psi^(k)(q) = psi^(k)(q + 1) + (-1)^(k+1) k! q^-(k+1),
-
-whose steps all have the sign of psi^(k), so none cancels.  mp.psi itself is
-called at fl(q), q rounded to the working precision, so where fl(q) != q the
-ladder adds psi^(k+1)(q) (fl(q) - q), one more anchor order.  Each value is
-then rounded to the working precision: it is mp.psi(k, fl(q)) bit for bit,
-since mpmath rounds a result carried 20 bits beyond it.  A guarded value
-within 2^-MIDPOINT_BITS units in the last place of a rounding midpoint could
-round either way, so that (k, q) takes its own mp.psi.  psi^(0) and Gamma
-stay one mpmath call per point, and the basis point never reads the ladder:
-a check links two independent mpmath anchors, the basis and the top point.
-The ladder is a local table, dropped after its sweep.
+plus) reads psi^(k)(q) = (-1)^(k+1) k! zeta(k+1, q), k >= 1, off a local ladder
+(`_psi_ladder`): one fixed-point walk (`_zeta_walk`) for every order, from an
+Euler-Maclaurin tail at a far point down zeta(s, q) = zeta(s, q + 1) + q^-s,
+its error bounded LADDER_GUARD_BITS below the working precision.  It adds
+psi^(k+1)(q) (fl(q) - q) for q rounded to fl(q) and rounds to the bits of
+mp.psi(k, fl(q)), which mpmath rounds from 20 bits beyond, or within
+2^-MIDPOINT_BITS ulp of a rounding midpoint calls mp.psi.  psi^(0) and Gamma
+stay one mpmath call per point, and the basis never reads the ladder: a check
+links mpmath at the basis to the Euler-Maclaurin sum.
 
 A `PrecisionContext` holds the working precision, decimal_digits in [30,
 MAX_DIGITS] plus GUARD_DIGITS, and the tolerance of every comparison, by
@@ -60,7 +53,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from mpmath import mp
-from mpmath.libmp import dps_to_prec
+from mpmath.libmp import dps_to_prec, from_man_exp, mpf_bernoulli, to_fixed
 
 from .budget import MAX_DIGITS, charge, weight
 from .coeffs import LatticeSpec, _row, build_system
@@ -194,40 +187,86 @@ def _rounded(value, prec: int):
         return mp.mpf(value)
 
 
+def _zeta_walk(family: ArgumentFamily, indices, orders: int, far: int, scale: int) -> dict:
+    """m -> [2^scale zeta(k+1, point(m)) for k = 1..orders] at each index m of
+    `indices`, each within (far + 17)(orders + 2) units, from T far steps above
+    the lowest point, which is above 1.  One list of c_j = B_2j/(2j)! serves
+    every order's Euler-Maclaurin tail at T, zeta(s, T) = T^(1-s)/(s-1) +
+    T^-s/2 + sum_j c_j (s)_(2j-1) T^(1-s-2j), whose remainder is below its first
+    omitted term: summed by Horner's rule, it stops at a term below a unit and
+    raises if a term ratio (s+2j-1)(s+2j)/T^2 passes 1/2 first.  Each point p/b
+    below T adds (b/p)^(k+1) to order k, the last power times b // p, at most
+    orders + 1 units short."""
+    low, indices = min(indices), set(indices)
+    b, a = family.point(low).denominator, family.point(low).numerator
+    whole = a + far * b  # T = whole / b
+    coefficients, sums = [], []
+    for s in range(2, orders + 2):
+        first = term = (s * b ** (s + 1) << scale) // whole ** (s + 1)  # s T^-(s+1)
+        ratios = []
+        while True:
+            j = len(ratios)
+            if j == len(coefficients):
+                bernoulli = to_fixed(mpf_bernoulli(2 * j + 2, scale), scale)
+                coefficients.append(bernoulli // math.factorial(2 * j + 2))
+            if coefficients[j].bit_length() + term.bit_length() <= scale:
+                break
+            ratios.append((s + 2 * j + 1) * (s + 2 * j + 2) * b * b)
+            if 2 * ratios[-1] > whole * whole:
+                raise ArithmeticError(f"far point {Fraction(whole, b)} too close")
+            term = term * ratios[-1] // (whole * whole)
+        tail = 0
+        for c, ratio in zip(reversed(coefficients[: len(ratios)]), reversed(ratios)):
+            tail = c + tail * ratio // (whole * whole)
+        head = (b ** (s - 1) << scale) // ((s - 1) * whole ** (s - 1))
+        sums.append(head + (b**s << scale) // (2 * whole**s) + (first * tail >> scale))
+    rows = {}
+    for i in range(far - 1, -1, -1):
+        power = (b << scale) // (a + i * b)
+        for k in range(orders):
+            power = power * b // (a + i * b)
+            sums[k] += power
+        if low + i in indices:
+            rows[low + i] = sums[:]
+    return rows
+
+
+def _walk_bounds(prec: int, orders: int, family: ArgumentFamily, indices) -> tuple:
+    """(far, scale) of a `_zeta_walk` over `indices`: at that scale zeta(orders
+    + 1, q) >= q^-orders / orders at the top point q is 2^(prec +
+    LADDER_GUARD_BITS) times the walk's error bound, and T lies half as many
+    steps above q as the scale has bits before that bound."""
+    top = math.ceil(family.point(max(indices)))
+    bits = prec + LADDER_GUARD_BITS + orders * (top.bit_length() + 1)
+    far = max(indices) - min(indices) + bits // 2
+    return far, bits + ((far + 17) * (orders + 2)).bit_length()
+
+
 def _psi_ladder(family: ArgumentFamily, indices, orders: int, dps: int) -> dict:
     """psi^(1..orders) at each lattice index of `indices`, all above the
     family's basis index on a lattice that runs up, as mp.psi(k, fl(q)) gives
-    them at `dps` digits: m -> [psi^(1), ..., psi^(orders)] at point(m)."""
+    them at `dps` digits: m -> [psi^(1), ..., psi^(orders)] at point(m), each
+    (-1)^(k+1) k! zeta(k+1, q) off one `_zeta_walk`."""
     prec = dps_to_prec(dps)
     with mp.workdps(dps):
         args = {m: _to_mpf(family.point(m)) for m in indices}
-    low, top = min(indices), max(indices)
     with mp.workprec(prec + LADDER_GUARD_BITS):
         offsets = {m: args[m] - _to_mpf(family.point(m)) for m in indices}
         anchored = orders + 1 if any(offsets.values()) else orders
-        values = [mp.psi(k, _to_mpf(family.point(top))) for k in range(1, anchored + 1)]
+        far, scale = _walk_bounds(prec, anchored, family, indices)
+        walk = _zeta_walk(family, indices, anchored, far, scale)
         steps = [(-1) ** (k + 1) * math.factorial(k) for k in range(1, anchored + 1)]
         ladder = {}
-        for m in range(top, low - 1, -1):
-            if m < top:
-                # from q + 1 down to q: add (-1)^(k+1) k! q^-(k+1) to psi^(k)
-                inverse = 1 / _to_mpf(family.point(m))
-                power = inverse
-                for k, step in enumerate(steps):
-                    power *= inverse
-                    values[k] += step * power
-            if m in offsets:
-                row = []
-                for k in range(1, orders + 1):
-                    # psi^(k)(fl(q)) = psi^(k)(q) + psi^(k+1)(q) (fl(q) - q)
-                    guarded = values[k - 1]
-                    if offsets[m]:
-                        guarded += values[k] * offsets[m]
-                    value = _rounded(guarded, prec)
-                    if value is None:
-                        value = _psi_cached(k, family.point(m), dps)
-                    row.append(value)
-                ladder[m] = row
+        for m in indices:
+            psi = [mp.make_mpf(from_man_exp(c * z, -scale)) for c, z in zip(steps, walk[m])]
+            ladder[m] = []
+            for k in range(1, orders + 1):
+                # psi^(k)(fl(q)) = psi^(k)(q) + psi^(k+1)(q) (fl(q) - q)
+                guarded = psi[k - 1] + psi[k] * offsets[m] if offsets[m] else psi[k - 1]
+                value = _rounded(guarded, prec)
+                if value is None:
+                    value = _psi_cached(k, family.point(m), dps)
+                ladder[m].append(value)
     return ladder
 
 
@@ -365,18 +404,19 @@ def _orders(family: ArgumentFamily, n_max: int):
         yield n, tuple(range(low, n + 1))
 
 
-def _point_psi(family: ArgumentFamily, m: int, n: int, digits: int) -> int:
-    """The mpmath operations of psi^(0..n-1) at point(m): a polygamma value
-    (16 operations a digit) per order at the basis point; above it, for n > 1,
-    psi^(0) and a ladder step (4 operations) per order, and at the first point
-    above it one ladder anchor, a polygamma value, per order k >= 1; or 8
-    operations per order for each unit the point lies below 0."""
+def _point_psi(family: ArgumentFamily, m: int, n: int, digits: int, top: int) -> int:
+    """The mpmath operations of psi^(0..n-1) at point(m) of a sweep up to
+    index `top`: a polygamma value (16 operations a digit) per order at the
+    basis point; above it, for n > 1, psi^(0) and a rounded ladder value (4
+    operations) per order, and at the top the walk's short quotients, one per
+    order at each point it passes and two per tail term (under a fifth as
+    many); or 8 operations per order for each unit the point lies below 0."""
     steps = max(0, -math.floor(family.point(m)))
     if steps:
         return 8 * steps * n
     if _reads_ladder(family, m, n):
-        anchors = n - 1 if m == family.min_index + 1 else 0
-        return 16 * digits * (1 + anchors) + 4 * n
+        far, _ = _walk_bounds(dps_to_prec(digits), n, family, (family.min_index + 1, top))
+        return 16 * digits + 4 * n + (far + far // 2) * n * (m == top)
     return 16 * digits * n
 
 
@@ -404,7 +444,7 @@ def _sweep_work(family: ArgumentFamily, n_max: int, m_max, ctx: PrecisionContext
     yield 100 * digits * unit
     if m_max is None:
         for m in range(low, n_max + 1):
-            yield (_point_psi(family, m, n_max, digits) + bell) * unit
+            yield (_point_psi(family, m, n_max, digits, n_max) + bell) * unit
         for n, indices in _orders(family, n_max):
             k = len(indices)
             bits = kind.entry_bits(family, n - low, n) // 2
@@ -420,7 +460,7 @@ def _sweep_work(family: ArgumentFamily, n_max: int, m_max, ctx: PrecisionContext
             (n + 1) * (80 + 2 * weight(kind.entry_bits(family, j, n)) + 3 * unit)
             for n in range(n_max + 1)
         )
-        yield (_point_psi(family, m, n_max, digits) + bell) * unit + scale + cells
+        yield (_point_psi(family, m, n_max, digits, m_max) + bell) * unit + scale + cells
 
 
 def check_sweep(families, n_max: int, m_max, ctx: PrecisionContext) -> None:

@@ -3,8 +3,12 @@ import hashlib
 import io
 import json
 import math
+import os
 import signal
+import subprocess
+import sys
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -1177,6 +1181,24 @@ def _timed_out(signum, frame):
 
 
 class TestCliContract:
+    @pytest.mark.parametrize("extra, status", [((), 0), (("--tolerance", "1e-300"), 1)])
+    def test_a_closed_stdout_pipe_keeps_the_run_status(self, extra, status):
+        # the reader leaves before the first write: no traceback, and the
+        # exit code is the run's own, not 1 for an uncaught BrokenPipeError
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, PYTHONPATH=path)
+        argv = ["verify", "--family", "plain", "--n-max", "3", "--m-max", "3", *extra]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gammalattice.cli", *argv, "--digits", "30"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()
+        with proc:
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == status
+        assert err == b""
+
     @pytest.mark.parametrize("command", ["coeffs", "matrix", "verify", "density"])
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
-from mpmath.libmp import dps_to_prec
+from mpmath.libmp import mpf_shift
 
 from gammalattice import (
     ArgumentFamily,
@@ -417,10 +417,9 @@ class TestVerifySweep:
 
     def test_one_oracle_call_per_order_and_shift(self, monkeypatch):
         # psi^(k) at the basis point for every order; psi^(0) and Gamma at
-        # each other point; above the basis, one ladder anchor per order at
-        # the top point, at the ladder's guarded precision.  No ladder value
-        # of these sweeps lies near a rounding midpoint (plain 6 x 8 has one,
-        # psi'(8), which takes its own mp.psi).
+        # each other point.  Above the basis the ladder reads psi^(k), k >= 1,
+        # off its own Hurwitz walk, so mp.psi of an order k >= 1 runs only at
+        # a value near a rounding midpoint: plain 6 x 8 has one, psi'(8).
         calls = _count_oracle_calls(monkeypatch)
         dps = CTX.working_digits
         shifts = [self.THIRD, 2 * self.THIRD]
@@ -439,15 +438,14 @@ class TestVerifySweep:
         cases = [
             # a point below the basis shifts up to the basis point itself, so
             # a minus sweep evaluates psi^(k) and Gamma at each shift once
-            (sweep, minus, 6, 8, None),
-            # plain points are integers: anchors for psi^(1..5) at 7
-            (sweep, [PLAIN], 6, 7, 7),
-            # shifted points add the fl(q) term: anchors for psi^(1..6)
-            (sweep, [self.PLUS_THIRD], 6, 8, 8),
-            (sweep, [self.PLUS_THIRD], 6, None, 6),
-            (public_recovery, [self.PLUS_THIRD], 6, None, 6),
+            (sweep, minus, 6, 8, True, []),
+            (sweep, [PLAIN], 6, 7, False, []),
+            (sweep, [PLAIN], 6, 8, False, [(1, 8)]),
+            (sweep, [self.PLUS_THIRD], 6, 8, False, []),
+            (sweep, [self.PLUS_THIRD], 6, None, False, []),
+            (public_recovery, [self.PLUS_THIRD], 6, None, False, []),
         ]
-        for run, families, n_max, m_max, top in cases:
+        for run, families, n_max, m_max, basis_only, fallbacks in cases:
             calls.clear()
             gammanum._psi_cached.cache_clear()
             gammanum._gamma_cached.cache_clear()
@@ -456,17 +454,13 @@ class TestVerifySweep:
             for family in families:
                 last = n_max if m_max is None else m_max
                 points = [family.point(m) for m in range(family.min_index, last + 1)]
-                if top is None:
+                if basis_only:
                     points = points[:1]
                 with mp.workdps(dps):
                     expected += [("gamma", _mpf(q)) for q in points]
                     expected += [("psi", k, _mpf(family.basis_point)) for k in range(n_max)]
                     expected += [("psi", 0, _mpf(q)) for q in points[1:]]
-                if top is not None:
-                    orders = n_max if family.kind.shifted else n_max - 1
-                    with mp.workprec(dps_to_prec(dps) + gammanum.LADDER_GUARD_BITS):
-                        anchor = _mpf(family.point(top))
-                        expected += [("psi", k, anchor) for k in range(1, orders + 1)]
+                    expected += [("psi", k, _mpf(family.point(m))) for k, m in fallbacks]
             assert sorted(calls) == sorted(expected), (run.__name__, families, m_max)
 
     def test_recovery_builds_one_vector_per_point(self, monkeypatch):
@@ -540,7 +534,7 @@ class TestPsiLadder:
         denominator=st.integers(1, 60),
         data=st.data(),
         rungs=st.integers(1, 6),
-        orders=st.integers(1, 6),
+        orders=st.integers(1, 20),
         digits=st.integers(30, 200),
     )
     @settings(max_examples=30, deadline=None)
@@ -551,15 +545,39 @@ class TestPsiLadder:
             numerator = data.draw(st.integers(1, denominator - 1), label="numerator")
             family = ArgumentFamily(FamilyKind.PLUS_SHIFT, Fraction(numerator, denominator))
         low = family.min_index + 1
+        self._assert_bits(family, range(low, low + rungs), orders, digits)
+
+    @pytest.mark.parametrize(
+        "kappa, digits, orders, rungs",
+        [
+            # at the digit cap the walk runs about 1800 points and 320 tail terms;
+            # each rung costs its reference 1-3 s of mp.psi
+            (None, budget.MAX_DIGITS, 20, (2, 22)),
+            (Fraction(1, 3), budget.MAX_DIGITS, 20, (1,)),
+            (Fraction(5, 7), 300, 40, (1, 41)),
+        ],
+    )
+    def test_bits_are_mp_psi_at_the_edges(self, kappa, digits, orders, rungs):
+        family = PLAIN if kappa is None else ArgumentFamily(FamilyKind.PLUS_SHIFT, kappa)
+        self._assert_bits(family, rungs, orders, digits)
+
+    @staticmethod
+    def _assert_bits(family, indices, orders, digits):
         dps = PrecisionContext(digits).working_digits
-        ladder = gammanum._psi_ladder(family, range(low, low + rungs), orders, dps)
-        assert sorted(ladder) == list(range(low, low + rungs))
+        ladder = gammanum._psi_ladder(family, indices, orders, dps)
+        assert sorted(ladder) == sorted(indices)
         with mp.workdps(dps):
             for m, values in ladder.items():
                 q = family.point(m)
                 assert [v._mpf_ for v in values] == [
                     mp.psi(k, _mpf(q))._mpf_ for k in range(1, orders + 1)
                 ], (family, m, digits)
+
+    def test_a_far_point_too_close_raises(self):
+        # at T = 2 + 2 a term ratio of zeta(2, T)'s tail passes 1/2 while its
+        # terms are still far above a unit of 2^-200: no sum is returned
+        with pytest.raises(ArithmeticError, match="^far point 4 too close$"):
+            gammanum._zeta_walk(PLAIN, [2], 3, 2, 200)
 
     def test_midpoint_fallback_takes_mp_psi(self, monkeypatch):
         # a margin of a whole unit in the last place puts every ladder value
@@ -575,6 +593,28 @@ class TestPsiLadder:
                 ("psi", k, _mpf(family.point(m))) for k in (1, 2, 3) for m in range(1, 6)
             ]
         assert all(calls.count(call) == 1 for call in fallbacks)
+
+    def test_a_broken_tail_fails_verify(self, monkeypatch, capsys):
+        # twice B_2 in the walk's tail moves every ladder value by its first
+        # tail term, while mp.psi at the basis point reads mpmath's own
+        # Bernoulli numbers: the check links two independent sums
+        bernoulli = gammanum.mpf_bernoulli
+
+        def broken(n, prec):
+            value = bernoulli(n, prec)
+            return mpf_shift(value, 1) if n == 2 else value
+
+        common = ["verify", "--n-max", "3", "--digits", "30"]
+        sweeps = [
+            [*common, "--family", "plain", "--m-max", "4"],
+            [*common, "--family", "plus", "--mode", "recover", "--kappa-set", "1/3"],
+        ]
+        for argv in sweeps:
+            assert main(argv) == 0
+        monkeypatch.setattr(gammanum, "mpf_bernoulli", broken)
+        for argv in sweeps:
+            assert main(argv) == 1, argv
+        capsys.readouterr()
 
     def test_a_broken_ladder_step_fails_verify(self, monkeypatch, capsys):
         # drop the step that takes psi'(3) to psi'(2) = psi'(3) + 1/4: the
