@@ -2,7 +2,8 @@
 sweep (`gammanum.check_sweep`), a band walk (`linalg._walk_estimates`) and an
 elimination (`linalg._elimination_work`) each estimate their work before any
 of it runs, and `charge` refuses an estimate over `MAX_WORK`.  Each check is
-charged on its own.  `hold` refuses a grid or a walk's terms over `MAX_CELLS`.
+charged on its own.  `hold` refuses a grid, a coefficient sweep's rows or a
+walk's terms over `MAX_CELLS`.
 
 A unit is one product, sum or exact quotient of small integers.  An operation
 on b-bit operands weighs `weight(b)` units, and each estimator adds the fixed

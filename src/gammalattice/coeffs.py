@@ -23,6 +23,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterable
 
+from .budget import hold
 from .errors import SpecMismatchError
 from .linalg import RationalMatrix, increasing_indices
 from .sympoly import ArgumentFamily, PrefixTable
@@ -79,7 +80,9 @@ def coefficient_table(
     Row i holds the coefficients of ell = 0..n at index ms[i] (`_row`): the
     family's scale at that index, (m-1)! or the exact gamma ratio, times
     n!/ell! times the table entry of degree n - ell over its prefix.  One
-    prefix table of degree n over the longest prefix serves every row.
+    prefix table of degree n over the longest prefix serves every row, and
+    the rows, weighed by the digits of the longest, are held to the cell cap
+    (`budget.hold`) before any but the top one is built.
     """
     ArgumentFamily.require(family)
     if n < 0:
@@ -89,9 +92,13 @@ def coefficient_table(
     if not ms:
         raise ValueError("no lattice indices")
     # a range's largest index is at one end, so a huge range is sized, not
-    # listed, and the table's budget refuses it before any row is computed
+    # listed, and the table's budget refuses it before any row is computed;
+    # the top index's row is the longest, and its digits weigh every row
     top = max(ms[0], ms[-1]) if isinstance(ms, range) else max(ms)
     table = family.poly_kind.table(family, family.prefix_length(top), n)
+    last = _row(table, n, family.prefix_length(top), family.scale(top))
+    bits = max(x.numerator.bit_length() + x.denominator.bit_length() for x in last)
+    hold(len(ms) * (n + 1), bits * 3 // 10, "coefficients")
     return tuple(_row(table, n, family.prefix_length(m), family.scale(m)) for m in ms)
 
 

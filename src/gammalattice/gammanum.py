@@ -22,11 +22,10 @@ plus) reads psi^(k)(q) = (-1)^(k+1) k! zeta(k+1, q), k >= 1, off a local ladder
 (`_psi_ladder`): one fixed-point walk (`_zeta_walk`) for every order, from an
 Euler-Maclaurin tail at a far point down zeta(s, q) = zeta(s, q + 1) + q^-s,
 its error bounded LADDER_GUARD_BITS below the working precision.  It adds
-psi^(k+1)(q) (fl(q) - q) for q rounded to fl(q) and rounds to the bits of
-mp.psi(k, fl(q)), which mpmath rounds from 20 bits beyond, or within
-2^-MIDPOINT_BITS ulp of a rounding midpoint calls mp.psi.  psi^(0) and Gamma
-stay one mpmath call per point, and the basis never reads the ladder: a check
-links mpmath at the basis to the Euler-Maclaurin sum.
+psi^(k+1)(q) (fl(q) - q) for q rounded to fl(q), the argument mp.psi would
+take, and rounds to nearest at the working precision.  psi^(0) and Gamma stay
+one mpmath call per point, and the basis never reads the ladder: a check links
+mpmath at the basis to the Euler-Maclaurin sum.
 
 A `PrecisionContext` holds the working precision, decimal_digits in [30,
 MAX_DIGITS] plus GUARD_DIGITS, and the tolerance of every comparison, by
@@ -41,8 +40,8 @@ checks.  Both return `Residual` records by one rule: relative, or absolute
 where the reference is below 1.
 
 `verify_sweep` runs the `verify` sweep, a grid per family or its recovery
-orders (`_orders`) off one map at n_max: it is charged first (`check_sweep`),
-then refused if its bounds leave it empty.
+orders off one map at n_max: it is charged first (`check_sweep`), then refused
+if its bounds leave it empty.
 """
 
 from __future__ import annotations
@@ -70,10 +69,6 @@ _CACHE_SIZE = 4096
 
 #: Bits the polygamma ladder carries beyond the working precision.
 LADDER_GUARD_BITS = 64
-
-#: A ladder value within 2^-MIDPOINT_BITS units in the last place of a
-#: rounding midpoint is left to mp.psi.
-MIDPOINT_BITS = 8
 
 
 @dataclass(frozen=True)
@@ -174,19 +169,6 @@ def _bell(point: Fraction, log_derivs: list, dps: int) -> tuple:
         return tuple(g * y for y in bell)
 
 
-def _rounded(value, prec: int):
-    """`value` rounded to nearest at `prec` bits, or None when it lies within
-    2^-MIDPOINT_BITS units in the last place of a rounding midpoint."""
-    _, man, _, bc = value._mpf_
-    drop = bc - prec
-    if drop > 0:
-        off_midpoint = abs((man & ((1 << drop) - 1)) - (1 << (drop - 1)))
-        if off_midpoint << MIDPOINT_BITS < 1 << drop:
-            return None
-    with mp.workprec(prec):
-        return mp.mpf(value)
-
-
 def _zeta_walk(family: ArgumentFamily, indices, orders: int, far: int, scale: int) -> dict:
     """m -> [2^scale zeta(k+1, point(m)) for k = 1..orders] at each index m of
     `indices`, each within (far + 17)(orders + 2) units, from T far steps above
@@ -244,9 +226,10 @@ def _walk_bounds(prec: int, orders: int, family: ArgumentFamily, indices) -> tup
 
 def _psi_ladder(family: ArgumentFamily, indices, orders: int, dps: int) -> dict:
     """psi^(1..orders) at each lattice index of `indices`, all above the
-    family's basis index on a lattice that runs up, as mp.psi(k, fl(q)) gives
-    them at `dps` digits: m -> [psi^(1), ..., psi^(orders)] at point(m), each
-    (-1)^(k+1) k! zeta(k+1, q) off one `_zeta_walk`."""
+    family's basis index on a lattice that runs up: m -> [psi^(1), ...,
+    psi^(orders)] at point(m), each (-1)^(k+1) k! zeta(k+1, q) off one
+    `_zeta_walk`, taken at fl(q), the argument mp.psi gets at `dps` digits, and
+    rounded to nearest there from about 62 bits beyond."""
     prec = dps_to_prec(dps)
     with mp.workdps(dps):
         args = {m: _to_mpf(family.point(m)) for m in indices}
@@ -259,15 +242,12 @@ def _psi_ladder(family: ArgumentFamily, indices, orders: int, dps: int) -> dict:
         ladder = {}
         for m in indices:
             psi = [mp.make_mpf(from_man_exp(c * z, -scale)) for c, z in zip(steps, walk[m])]
-            ladder[m] = []
-            for k in range(1, orders + 1):
+            if offsets[m]:
                 # psi^(k)(fl(q)) = psi^(k)(q) + psi^(k+1)(q) (fl(q) - q)
-                guarded = psi[k - 1] + psi[k] * offsets[m] if offsets[m] else psi[k - 1]
-                value = _rounded(guarded, prec)
-                if value is None:
-                    value = _psi_cached(k, family.point(m), dps)
-                ladder[m].append(value)
-    return ladder
+                psi = [psi[k - 1] + psi[k] * offsets[m] for k in range(1, orders + 1)]
+            ladder[m] = psi[:orders]
+    with mp.workprec(prec):
+        return {m: [mp.mpf(value) for value in values] for m, values in ladder.items()}
 
 
 def _reads_ladder(family: ArgumentFamily, m: int, n: int) -> bool:
@@ -397,26 +377,16 @@ def _check_recovery(system, n: int, ctx: PrecisionContext, vectors) -> list[Resi
         return [_compare(value, ref, ctx) for value, ref in zip(recovered, references)]
 
 
-def _orders(family: ArgumentFamily, n_max: int):
-    """A recovery sweep's orders (n, (min_index, ..., n)) up to n_max."""
-    low = family.min_index
-    for n in range(low + 1, n_max + 1):
-        yield n, tuple(range(low, n + 1))
-
-
-def _point_psi(family: ArgumentFamily, m: int, n: int, digits: int, top: int) -> int:
-    """The mpmath operations of psi^(0..n-1) at point(m) of a sweep up to
-    index `top`: a polygamma value (16 operations a digit) per order at the
-    basis point; above it, for n > 1, psi^(0) and a rounded ladder value (4
-    operations) per order, and at the top the walk's short quotients, one per
-    order at each point it passes and two per tail term (under a fifth as
-    many); or 8 operations per order for each unit the point lies below 0."""
+def _point_psi(family: ArgumentFamily, m: int, n: int, digits: int) -> int:
+    """The mpmath operations of psi^(0..n-1) at point(m): a polygamma value (16
+    operations a digit) per order at the basis point; above it, for n > 1,
+    psi^(0) and a rounded ladder value (4 operations) per order; or 8
+    operations per order for each unit the point lies below 0."""
     steps = max(0, -math.floor(family.point(m)))
     if steps:
         return 8 * steps * n
     if _reads_ladder(family, m, n):
-        far, _ = _walk_bounds(dps_to_prec(digits), n, family, (family.min_index + 1, top))
-        return 16 * digits + 4 * n + (far + far // 2) * n * (m == top)
+        return 16 * digits + 4 * n
     return 16 * digits * n
 
 
@@ -426,9 +396,11 @@ def _sweep_work(family: ArgumentFamily, n_max: int, m_max, ctx: PrecisionContext
     first values take 100 operations a digit (at 1000 digits, 2.5 s plain and
     5.1 s at shift 1/3).
 
-    Either sweep builds one vector Gamma^(0..n_max) per point, the basis point
-    once: a Bell row (3 n_max^2 operations) and its polygamma values
-    (`_point_psi`).
+    Either sweep builds one vector Gamma^(0..n_max) per point up to its top
+    index, the basis point once: a Bell row (3 n_max^2 operations) and its
+    polygamma values (`_point_psi`).  The points that read the ladder share
+    one walk: its short quotients, one per order at each point it passes and
+    two per tail term (under a fifth as many).
 
     An identity sweep adds one prefix table and one dot product per cell.  A
     point's scale takes j products of half the bits of a row entry, for prefix
@@ -440,27 +412,30 @@ def _sweep_work(family: ArgumentFamily, n_max: int, m_max, ctx: PrecisionContext
     kind, low, digits = family.poly_kind, family.min_index, ctx.working_digits
     unit = 4 + weight(digits * 3322 // 1000)
     bell = 3 * n_max * n_max
+    top = n_max if m_max is None else m_max
 
     yield 100 * digits * unit
+    if m_max is not None:
+        if n_max < 0 or m_max < low:
+            return
+        yield kind.table_work(family, m_max - low, n_max)
+    if _reads_ladder(family, top, n_max):
+        far, _ = _walk_bounds(dps_to_prec(digits), n_max, family, (low + 1, top))
+        yield (far + far // 2) * n_max * unit
+    for m in range(low, top + 1):
+        work = (_point_psi(family, m, n_max, digits) + bell) * unit
+        if m_max is not None:
+            j = m - low
+            work += j * (40 + weight(kind.entry_bits(family, j, n_max) // 2)) + sum(
+                (n + 1) * (80 + 2 * weight(kind.entry_bits(family, j, n)) + 3 * unit)
+                for n in range(n_max + 1)
+            )
+        yield work
     if m_max is None:
-        for m in range(low, n_max + 1):
-            yield (_point_psi(family, m, n_max, digits, n_max) + bell) * unit
-        for n, indices in _orders(family, n_max):
-            k = len(indices)
+        for n in range(low + 1, n_max + 1):
+            k = n - low + 1
             bits = kind.entry_bits(family, n - low, n) // 2
             yield _elimination_work(k, bits, True) + 3 * k * k * unit
-        return
-    if n_max < 0 or m_max < low:
-        return
-    yield kind.table_work(family, m_max - low, n_max)
-    for m in range(low, m_max + 1):
-        j = m - low
-        scale = j * (40 + weight(kind.entry_bits(family, j, n_max) // 2))
-        cells = sum(
-            (n + 1) * (80 + 2 * weight(kind.entry_bits(family, j, n)) + 3 * unit)
-            for n in range(n_max + 1)
-        )
-        yield (_point_psi(family, m, n_max, digits, m_max) + bell) * unit + scale + cells
 
 
 def check_sweep(families, n_max: int, m_max, ctx: PrecisionContext) -> None:
@@ -491,14 +466,14 @@ def verify_sweep(families, n_max: int, m_max, ctx: PrecisionContext):
                 kind = family.kind.value
                 raise ValueError(f"{name} must be >= {least}; the {kind} sweep is empty")
     for family in families:
+        low = family.min_index
         if m_max is None:
             # one vector per point at n_max serves every order
-            ms = range(family.min_index, n_max + 1)
-            vectors = _lattice_derivatives(family, ms, n_max, ctx)
-            for n, indices in _orders(family, n_max):
+            vectors = _lattice_derivatives(family, range(low, n_max + 1), n_max, ctx)
+            for n in range(low + 1, n_max + 1):
+                indices = tuple(range(low, n + 1))
                 system = build_system(LatticeSpec(family, indices), n)
                 yield family, n, indices, _check_recovery(system, n, ctx, vectors)
         else:
-            ms = range(family.min_index, m_max + 1)
-            for n, m, residual in verify_grid(family, n_max, ms, ctx):
+            for n, m, residual in verify_grid(family, n_max, range(low, m_max + 1), ctx):
                 yield family, n, m, residual

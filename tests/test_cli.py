@@ -299,6 +299,26 @@ class TestCoeffsCommand:
         assert err.startswith("error: the ") and err.count("\n") == 1
         assert err.endswith(f"is over the work budget {budget.MAX_WORK}\n")
 
+    def test_rows_over_the_cell_cap_are_usage_error(self, capsys, monkeypatch):
+        # 1:8000 ran 75 s, peaked at 375 MB and printed 105 MB: each of its
+        # rows weighs 111 cells by the 27,749 digits of 7999!, the top row,
+        # which is the only one built before the rows are held
+        scale = sympoly.ArgumentFamily.scale
+        built = []
+
+        def top_only(family, m):
+            if built:
+                raise AssertionError("a row was built before the rows were held")
+            built.append(m)
+            return scale(family, m)
+
+        monkeypatch.setattr(sympoly.ArgumentFamily, "scale", top_only)
+        assert run(capsys, "coeffs", "--family", "plain", "--n", "0", "--m", "1:8000") == (
+            2, "", f"error: 8000 coefficients of weight 111 are over the budget "
+            f"{budget.MAX_CELLS}\n",
+        )
+        assert built == [8000]
+
     def test_long_exact_values_print_in_full(self, capsys):
         # 1699! has 4,753 digits, past CPython's default int-to-str limit
         code, payload, _ = run_json(
@@ -788,6 +808,11 @@ class TestDensityCommand:
             capsys, "density", "--variant", "prior", "--N", "25", "--with-oracle"
         )
         assert code == 2
+
+    def test_range_flag_off_the_variant_is_usage_error(self, capsys):
+        assert run(
+            capsys, "density", "--variant", "fixed-n", "--n", "3", "--M", "5", "--N", "4"
+        ) == (2, "", "error: --N does not apply to variant fixed-n\n")
 
     @pytest.mark.parametrize("digits", ["0", "-3"])
     def test_digits_below_one_is_usage_error(self, capsys, digits):

@@ -80,6 +80,8 @@ class TestRationalMatrix:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             RationalMatrix(2, 2, (Fraction(1),) * 3)
+        with pytest.raises(ValueError, match="^matrix dimensions must be positive$"):
+            RationalMatrix(0, 1, ())
         with pytest.raises(ValueError):
             RationalMatrix.from_rows([[1, 2], [3]])
         with pytest.raises(ValueError):
