@@ -1,6 +1,12 @@
 """Exact coefficient systems, nonsingularity certificates, numeric
 verification, and density lower bounds for Gamma-function derivatives at plain
-and rationally shifted lattice points."""
+and rationally shifted lattice points.
+
+The exact layers load with the package.  The numeric oracle, `gammanum`, and
+with it mpmath, loads on the first use of one of its names (`_NUMERIC`): a
+module `__getattr__` (PEP 562) reads the name off `gammanum` at each access,
+so a wrapper set there is what the package returns, and `__dir__` lists it.
+"""
 
 from .coeffs import (
     KNOWN_TRANSCENDENTAL_SHIFTS,
@@ -30,14 +36,6 @@ from .errors import (
     SingularMatrixError,
     SpecMismatchError,
 )
-from .gammanum import (
-    PrecisionContext,
-    Residual,
-    gamma_derivatives,
-    recover_basis,
-    verify_identity,
-    verify_recovery,
-)
 from .linalg import (
     CauchyBinetCertificate,
     PrefixCertificate,
@@ -59,3 +57,27 @@ from .sympoly import (
 )
 
 __version__ = "0.1.0"
+
+#: The exports that live in `gammanum`, the numeric oracle.
+_NUMERIC = frozenset(
+    {
+        "PrecisionContext",
+        "Residual",
+        "gamma_derivatives",
+        "recover_basis",
+        "verify_identity",
+        "verify_recovery",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name in _NUMERIC:
+        from . import gammanum
+
+        return getattr(gammanum, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_NUMERIC})

@@ -12,6 +12,10 @@ or CSV (header plus rows).  Rationals are serialized as "num/den" strings,
 never floats; reals carry an explicit digit count.  Exit codes: 0 success,
 1 verification failure, 2 usage error.  Warnings go to stderr and never change
 the exit code.
+
+Only `verify` and the prior bound print real numbers, so only their handlers
+import mpmath, and only `verify` imports the numeric oracle, `gammanum`; the
+other subcommands load neither.
 """
 
 from __future__ import annotations
@@ -27,8 +31,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from mpmath import mp
-
 from .coeffs import (
     KNOWN_TRANSCENDENTAL_SHIFTS,
     LatticeSpec,
@@ -37,7 +39,6 @@ from .coeffs import (
 )
 from .density import BoundVariant, density_grid
 from .errors import GammaLatticeError, NotSquareError, SingularMatrixError
-from .gammanum import PrecisionContext, verify_sweep
 from .linalg import RationalMatrix, certify_lattice, det_exact, inverse_exact
 from .sympoly import ArgumentFamily, FamilyKind
 
@@ -293,6 +294,10 @@ def _verify_families(kind: FamilyKind, kappa_set: str | None, warnings: list):
 
 
 def _cmd_verify(args) -> OutputEnvelope:
+    from mpmath import mp
+
+    from .gammanum import PrecisionContext, verify_sweep
+
     warnings: list = []
     ctx = PrecisionContext(args.digits, args.tolerance)
     families = _verify_families(FamilyKind(args.family), args.kappa_set, warnings)
@@ -356,6 +361,8 @@ def _cmd_density(args) -> OutputEnvelope:
     )
     name = variant.value
     if variant is BoundVariant.PRIOR:
+        from mpmath import mp
+
         rows = [
             {
                 "variant": name,

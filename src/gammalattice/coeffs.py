@@ -72,6 +72,24 @@ def _row(table: PrefixTable, n: int, length: int, scale: Fraction) -> tuple[Frac
     )
 
 
+def _scales(family: ArgumentFamily, ms: Iterable[int]) -> dict[int, Fraction]:
+    """index -> `family.scale(index)` for each index of `ms`, by one running
+    product over the ascending distinct indices: a factor per prefix step,
+    where each `scale` call rebuilds its whole product."""
+    p, q = family.basis_point.numerator, family.basis_point.denominator
+    up = family.sign > 0
+    scales = {}
+    j, product, power = 0, 1, 1
+    for m in sorted(set(ms)):
+        length = family.prefix_length(m)
+        for u in range(j, length):
+            product *= u * q + p if up else p - (u + 1) * q
+            power *= q
+        j = length
+        scales[m] = Fraction(product, power) if up else Fraction(power, product)
+    return scales
+
+
 def coefficient_table(
     family: ArgumentFamily, n: int, ms: Iterable[int]
 ) -> tuple[tuple[Fraction, ...], ...]:
@@ -82,7 +100,8 @@ def coefficient_table(
     n!/ell! times the table entry of degree n - ell over its prefix.  One
     prefix table of degree n over the longest prefix serves every row, and
     the rows, weighed by the digits of the longest, are held to the cell cap
-    (`budget.hold`) before any but the top one is built.
+    (`budget.hold`) before any but the top one is built; their scales then
+    come from one running product (`_scales`).
     """
     ArgumentFamily.require(family)
     if n < 0:
@@ -91,15 +110,18 @@ def coefficient_table(
         ms = tuple(ms)
     if not ms:
         raise ValueError("no lattice indices")
-    # a range's largest index is at one end, so a huge range is sized, not
-    # listed, and the table's budget refuses it before any row is computed;
+    # a range's least and largest indices are at its ends, so a huge range is
+    # sized, not listed: an index below the lattice, or the table's budget,
+    # refuses it before any row is computed (and before len() could overflow);
     # the top index's row is the longest, and its digits weigh every row
-    top = max(ms[0], ms[-1]) if isinstance(ms, range) else max(ms)
+    low, top = sorted((ms[0], ms[-1])) if isinstance(ms, range) else (min(ms), max(ms))
+    family.prefix_length(low)
     table = family.poly_kind.table(family, family.prefix_length(top), n)
     last = _row(table, n, family.prefix_length(top), family.scale(top))
     bits = max(x.numerator.bit_length() + x.denominator.bit_length() for x in last)
     hold(len(ms) * (n + 1), bits * 3 // 10, "coefficients")
-    return tuple(_row(table, n, family.prefix_length(m), family.scale(m)) for m in ms)
+    scales = _scales(family, ms)
+    return tuple(_row(table, n, family.prefix_length(m), scales[m]) for m in ms)
 
 
 @dataclass(frozen=True)

@@ -31,8 +31,6 @@ from itertools import accumulate, count, islice
 from math import isqrt
 from typing import Iterable, NamedTuple, Sequence
 
-from mpmath import mp
-
 from .budget import MAX_DIGITS, hold
 
 
@@ -105,6 +103,8 @@ def prior_univariate_bound(N: int, digits: int = 50) -> DensityBound:
     if root * root == N:
         value = (Fraction(root) - Fraction(5, 2)) / N
         return DensityBound(BoundVariant.PRIOR, params, value, "square-root-exact")
+    from mpmath import mp  # the one inexact branch; exact bounds never load it
+
     with mp.workdps(digits):
         value = (mp.sqrt(N) - mp.mpf(5) / 2) / N
     return DensityBound(

@@ -55,7 +55,7 @@ from mpmath import mp
 from mpmath.libmp import dps_to_prec, from_man_exp, mpf_bernoulli, to_fixed
 
 from .budget import MAX_DIGITS, charge, weight
-from .coeffs import LatticeSpec, _row, build_system
+from .coeffs import LatticeSpec, _row, _scales, build_system
 from .errors import PoleArgumentError, SpecMismatchError
 from .linalg import _elimination_work, inverse_exact
 from .sympoly import ArgumentFamily
@@ -317,7 +317,8 @@ def verify_grid(family: ArgumentFamily, n_max: int, ms, ctx: PrecisionContext):
     table = family.poly_kind.table(family, family.prefix_length(max(ms)), n_max)
     vectors = _lattice_derivatives(family, ms, n_max, ctx)
     basis = vectors[family.min_index]
-    points = [(m, family.prefix_length(m), family.scale(m), vectors[m]) for m in ms]
+    scales = _scales(family, ms)
+    points = [(m, family.prefix_length(m), scales[m], vectors[m]) for m in ms]
     for n in range(n_max + 1):
         for m, length, scale, values in points:
             row = _row(table, n, length, scale)

@@ -274,6 +274,14 @@ class TestCoeffsCommand:
             f"is over the work budget {budget.MAX_WORK}\n"
         )
 
+    def test_range_start_past_int64_is_usage_error(self, capsys, monkeypatch):
+        # it raised OverflowError (a traceback) from len(range) when sizing
+        # the rows, though every index below 1 is off the lattice
+        monkeypatch.setattr(sympoly.ArgumentFamily, "x", _no_cell)
+        assert run(
+            capsys, "coeffs", "--family", "plain", "--n", "0", "--m", f"-{BIG}:8"
+        ) == (2, "", f"error: plain lattice index -{BIG} must be >= 1\n")
+
     @pytest.mark.parametrize(
         "argv",
         [

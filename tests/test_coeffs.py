@@ -2,6 +2,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gammalattice import (
     KNOWN_TRANSCENDENTAL_SHIFTS,
@@ -16,6 +18,7 @@ from gammalattice import (
     verify_identity,
 )
 from gammalattice import sympoly as sympoly_module
+from gammalattice.coeffs import _row
 
 from _oracles import (
     minus_coefficient_oracle,
@@ -243,6 +246,25 @@ class TestCoefficientTable:
         ms = range(low, low + 5)
         table = coefficient_table(family, 0, ms)
         assert table == tuple((oracle(0, 0, m),) for m in ms)
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_rows_read_the_per_index_scale(self, data):
+        # the sweep's running product of scales, over indices unordered,
+        # repeated or single, gives the rows of one `scale` call per index
+        kind = data.draw(st.sampled_from(list(FamilyKind)))
+        kappa = None
+        if kind.shifted:
+            q = data.draw(st.integers(2, 12))
+            kappa = Fraction(data.draw(st.integers(1, q - 1)), q)
+        family = ArgumentFamily(kind, kappa)
+        low = family.min_index
+        ms = data.draw(st.lists(st.integers(low, low + 30), min_size=1, max_size=8))
+        n = data.draw(st.integers(0, 4))
+        table = family.poly_kind.table(family, family.prefix_length(max(ms)), n)
+        assert coefficient_table(family, n, ms) == tuple(
+            _row(table, n, family.prefix_length(m), family.scale(m)) for m in ms
+        )
 
     @pytest.mark.parametrize("family", [f[0] for f in FAMILIES], ids=FAMILY_IDS)
     def test_empty_prefix_row(self, family):

@@ -1,0 +1,95 @@
+"""The numeric layer loads only where it runs.  mpmath and `gammanum` stay out
+of a process that imports the package or the CLI, or that runs an exact
+subcommand; `verify` and the inexact prior bound load them.  The package's
+numeric exports resolve lazily, each to the `gammanum` object itself."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import gammalattice
+from gammalattice import gammanum
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+
+NUMERIC = [
+    "PrecisionContext", "Residual", "gamma_derivatives", "recover_basis",
+    "verify_identity", "verify_recovery",
+]
+
+# Run in a fresh interpreter: after each step, whether mpmath and gammanum are
+# loaded.  A step is an import or a `cli.main` argv, with stdout discarded.
+_PROBE = """
+import contextlib, io, json, sys
+
+def loaded():
+    return ["mpmath" in sys.modules, "gammalattice.gammanum" in sys.modules]
+
+states = []
+for step in json.loads(sys.argv[1]):
+    if isinstance(step, str):
+        __import__(step)
+    else:
+        import gammalattice.cli as cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(step)
+    states.append(loaded())
+print(json.dumps(states))
+"""
+
+
+def _loaded_after(steps):
+    done = subprocess.run(
+        [sys.executable, "-c", _PROBE, json.dumps(steps)],
+        capture_output=True, text=True, timeout=120, check=True, env=ENV,
+    )
+    return json.loads(done.stdout)
+
+
+def test_numeric_layer_loads_only_where_it_runs():
+    exact = [
+        "gammalattice",
+        "gammalattice.cli",
+        ["coeffs", "--family", "plain", "--n", "3", "--m", "1:4"],
+        ["matrix", "--family", "plain", "--n", "3", "--indices", "1,2,3",
+         "--show", "det"],
+        ["density", "--variant", "bivariate", "--N", "2:5", "--M", "1:4",
+         "--with-oracle"],
+    ]
+    assert _loaded_after(exact) == [[False, False]] * len(exact)
+    verify = ["verify", "--family", "plain", "--n-max", "2", "--m-max", "3",
+              "--digits", "30"]
+    assert _loaded_after([verify]) == [[True, True]]
+    # sqrt(7) is inexact: the prior bound needs mpmath but not the oracle
+    prior = ["density", "--variant", "prior", "--N", "7"]
+    assert _loaded_after([prior]) == [[True, False]]
+
+
+def test_numeric_exports_are_the_gammanum_objects(monkeypatch):
+    for name in NUMERIC:
+        assert getattr(gammalattice, name) is getattr(gammanum, name)
+        assert name in dir(gammalattice)
+    # resolved at each access, never cached: a wrapper set on gammanum shows
+    def wrapped(*args, **kwargs):
+        pass
+
+    monkeypatch.setattr(gammanum, "verify_identity", wrapped)
+    assert gammalattice.verify_identity is wrapped
+    assert "verify_identity" not in vars(gammalattice)
+
+    assert not hasattr(gammalattice, "no_such_name")
+    with pytest.raises(AttributeError, match="'gammalattice' has no attribute"):
+        gammalattice.no_such_name
+
+    argv = ["coeffs", "--family", "plain", "--n", "2", "--m", "1:3"]
+    done = subprocess.run(
+        [sys.executable, "-m", "gammalattice.cli", *argv],
+        capture_output=True, text=True, timeout=120, env=ENV,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["command"] == "coeffs"
