@@ -9,8 +9,8 @@ Three lattices of Gamma arguments appear throughout the package:
 
 for s = 1, 2, ... and a rational shift kappa in (0, 1).  The plain lattice is
 the plus-shift lattice at kappa = 1 counted from m = 1, so `ArgumentFamily`
-derives every per-family fact from the basis point, the direction and the
-first index.
+derives its lattice facts from the basis point, the direction and the first
+index.
 
 A prefix table holds e_v (or h_v) of the first j variables for every
 0 <= j <= max_len and 0 <= v <= max_deg, filled one variable at a time by
@@ -20,7 +20,15 @@ A prefix table holds e_v (or h_v) of the first j variables for every
 
 seeded with the empty-prefix conventions e_0 = h_0 = 1 and e_v = h_v = 0 for
 v > 0.  Note the second term of the h recurrence reads from the *current*
-prefix, so each row is filled degree by degree.
+prefix, so each row is filled degree by degree.  Beside each row the table
+keeps the Gamma ratio at its point, Gamma(point) / Gamma(basis point), from
+the same x_j by Gamma(z + 1) = z Gamma(z):
+
+    ratio_j = ratio_{j-1} / x_j     (points above the basis)
+    ratio_j = -x_j * ratio_{j-1}    (points below it)
+
+so at lattice index m it is (m-1)! on the plain lattice, of sign (-1)^m below
+kappa.
 
 All arithmetic is exact `fractions.Fraction`.
 """
@@ -30,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import log2, prod
+from math import log2
 
 from .budget import charge, weight
 from .errors import InvalidKappaError, MissingKappaError, SpecMismatchError
@@ -58,10 +66,10 @@ class PolyKind(Enum):
 
     def entry_bits(self, family: ArgumentFamily, max_len: int, max_deg: int) -> int:
         """A bound on the bits of an entry of this kind's table (max_len >= 1)
-        times the family scale, as a coefficient reads it: an entry's
-        denominator takes each variable's, of at most bitlen(max_len * q) bits
-        for the basis denominator q, once (e) or max_deg times (h), and the
-        scale once more."""
+        times the Gamma ratio of its row, as a coefficient reads it: an
+        entry's denominator takes each variable's, of at most
+        bitlen(max_len * q) bits for the basis denominator q, once (e) or
+        max_deg times (h), and the ratio once more."""
         per_variable = (max_len * family.basis_point.denominator).bit_length()
         repeats = max_deg if self is PolyKind.HOMOGENEOUS else 1
         return (repeats + 1) * max_len * per_variable
@@ -158,28 +166,20 @@ class ArgumentFamily:
         """The lattice point of index m: m, m + kappa or -m + kappa."""
         return self.basis_point + self.sign * self.prefix_length(m)
 
-    def scale(self, m: int) -> Fraction:
-        """Gamma(point(m)) / Gamma(basis_point), exactly, by Gamma(z+1) = z Gamma(z):
-        prod_{u<j} (u + b) going up, 1 / prod_{u=1}^{j} (b - u) going down, for
-        the prefix length j.  (m-1)! on the plain lattice; sign (-1)^m below."""
-        j = self.prefix_length(m)
-        p, q = self.basis_point.numerator, self.basis_point.denominator
-        if self.sign > 0:
-            return Fraction(prod(u * q + p for u in range(j)), q**j)
-        return Fraction(q**j, prod(p - u * q for u in range(1, j + 1)))
-
-
 @dataclass(frozen=True)
 class PrefixTable:
-    """Dense table of symmetric polynomial values indexed (prefix length, degree).
+    """Dense table of symmetric polynomial values indexed (prefix length, degree),
+    and the Gamma ratio at each prefix length's point.
 
     Row 0 is the empty prefix, materialized explicitly: value(0, 0) = 1 and
-    value(0, v) = 0 for v > 0.
+    value(0, v) = 0 for v > 0.  ratios[j] is Gamma(point) / Gamma(basis point)
+    at prefix length j, exactly; ratios[0] = 1.
     """
 
     max_len: int
     max_deg: int
     values: tuple[tuple[Fraction, ...], ...]
+    ratios: tuple[Fraction, ...]
 
     def value(self, length: int, degree: int) -> Fraction:
         if not 0 <= length <= self.max_len:
@@ -201,9 +201,12 @@ def _fill(
         f"the {kind.value} table of length {max_len} and degree {max_deg}",
     )
     homogeneous = kind is PolyKind.HOMOGENEOUS
+    up = family.sign > 0
     rows = [(Fraction(1),) + (Fraction(0),) * max_deg]
+    ratios = [Fraction(1)]
     for j in range(1, max_len + 1):
         xj = family.x(j)
+        ratios.append(ratios[j - 1] / xj if up else -xj * ratios[j - 1])
         prev = rows[j - 1]
         row = [Fraction(1)]
         # e_{v-1} comes from the previous prefix, h_{v-1} from the entry of
@@ -212,7 +215,7 @@ def _fill(
         for v in range(1, max_deg + 1):
             row.append(prev[v] + xj * source[v - 1])
         rows.append(tuple(row))
-    return PrefixTable(max_len, max_deg, tuple(rows))
+    return PrefixTable(max_len, max_deg, tuple(rows), tuple(ratios))
 
 
 def elementary_prefix(family: ArgumentFamily, max_len: int, max_deg: int) -> PrefixTable:

@@ -44,6 +44,19 @@ def linear_product(offsets, truncate=None):
     return out
 
 
+def gamma_ratio_oracle(basis, point):
+    """Gamma(point) / Gamma(basis) for an integer point - basis, by
+    Gamma(z + 1) = z Gamma(z): the product of the linear factors z between
+    them, as the constant term of `linear_product`, inverted below the basis."""
+    basis, point = Fraction(basis), Fraction(point)
+    steps = point - basis
+    if steps.denominator != 1:
+        raise ValueError(f"{point} is not an integer step from {basis}")
+    if steps >= 0:
+        return linear_product([basis + u for u in range(int(steps))], truncate=0)[0]
+    return 1 / linear_product([point + u for u in range(int(-steps))], truncate=0)[0]
+
+
 def series_inverse(p, order):
     """1/p(t) as a power series through degree `order`; requires p[0] != 0."""
     inv = [1 / p[0]]

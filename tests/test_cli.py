@@ -19,6 +19,7 @@ from gammalattice import (
     SingularMatrixError,
     budget,
     cli,
+    coeffs,
     density,
     gammanum,
     linalg,
@@ -311,21 +312,21 @@ class TestCoeffsCommand:
         # 1:8000 ran 75 s, peaked at 375 MB and printed 105 MB: each of its
         # rows weighs 111 cells by the 27,749 digits of 7999!, the top row,
         # which is the only one built before the rows are held
-        scale = sympoly.ArgumentFamily.scale
+        row = coeffs._row
         built = []
 
-        def top_only(family, m):
+        def top_only(table, n, length):
             if built:
                 raise AssertionError("a row was built before the rows were held")
-            built.append(m)
-            return scale(family, m)
+            built.append(length)
+            return row(table, n, length)
 
-        monkeypatch.setattr(sympoly.ArgumentFamily, "scale", top_only)
+        monkeypatch.setattr(coeffs, "_row", top_only)
         assert run(capsys, "coeffs", "--family", "plain", "--n", "0", "--m", "1:8000") == (
             2, "", f"error: 8000 coefficients of weight 111 are over the budget "
             f"{budget.MAX_CELLS}\n",
         )
-        assert built == [8000]
+        assert built == [7999]
 
     def test_long_exact_values_print_in_full(self, capsys):
         # 1699! has 4,753 digits, past CPython's default int-to-str limit
@@ -723,7 +724,8 @@ class TestVerifyCommand:
         [
             # ran until it was killed
             ("--n-max", "1", "--m-max", BIG),
-            # about 2 s and 969 kB of output; its scales price it over the cap
+            # about 2 s and 969 kB of output; priced over the cap by the j
+            # products each point of prefix length j is charged
             ("--n-max", "1", "--m-max", "1700"),
             ("--n-max", BIG, "--m-max", "1"),
             ("--mode", "recover", "--n-max", BIG),

@@ -11,6 +11,7 @@ from gammalattice import (
     FamilyKind,
     InvalidKappaError,
     LatticeSpec,
+    PolyKind,
     PrecisionContext,
     SpecMismatchError,
     build_system,
@@ -21,6 +22,7 @@ from gammalattice import sympoly as sympoly_module
 from gammalattice.coeffs import _row
 
 from _oracles import (
+    gamma_ratio_oracle,
     minus_coefficient_oracle,
     plain_coefficient_oracle,
     plus_coefficient_oracle,
@@ -122,34 +124,48 @@ class TestLatticeSpec:
             LatticeSpec(PLAIN, (1.5, 2.9))  # not truncated to (1, 2)
 
 
+def table_ratio(family, m):
+    """The Gamma ratio at index m off the family's table reaching it."""
+    length = family.prefix_length(m)
+    return family.poly_kind.table(family, length, 0).ratios[length]
+
+
 class TestGammaRatio:
-    """ArgumentFamily.scale: Gamma(point(m)) / Gamma(basis point), exactly."""
+    """PrefixTable.ratios: Gamma(point(m)) / Gamma(basis point), exactly, the
+    same as the oracle's product of linear factors."""
+
+    def check(self, family, m, value):
+        assert table_ratio(family, m) == value
+        assert gamma_ratio_oracle(family.basis_point, family.point(m)) == value
 
     def test_examples(self):
-        assert plus(HALF).scale(1) == Fraction(1, 2)
-        assert plus(HALF).scale(0) == 1
-        assert minus(HALF).scale(0) == 1
-        assert minus(HALF).scale(1) == -2
+        self.check(plus(HALF), 1, Fraction(1, 2))
+        self.check(plus(HALF), 0, 1)
+        self.check(minus(HALF), 0, 1)
+        self.check(minus(HALF), 1, -2)
 
     def test_rising_product(self):
         # (1/4)(5/4)(9/4)
-        assert plus(QUARTER).scale(3) == Fraction(45, 64)
+        self.check(plus(QUARTER), 3, Fraction(45, 64))
 
     def test_minus_sign_alternates(self):
         # the literal signed product gives sign (-1)^m
-        for m in range(7):
-            value = minus(HALF).scale(m)
+        table = minus(HALF).poly_kind.table(minus(HALF), 6, 0)
+        for m, value in enumerate(table.ratios):
+            assert value == gamma_ratio_oracle(HALF, minus(HALF).point(m))
             assert (value > 0) == (m % 2 == 0)
 
     def test_plain_rejected(self):
-        # the plain family takes no shift; its scale is (m-1)!
+        # the plain family takes no shift; its ratio is (m-1)!
         with pytest.raises(SpecMismatchError):
             ArgumentFamily(FamilyKind.PLAIN, HALF)
-        assert PLAIN.scale(4) == 6
+        self.check(PLAIN, 4, 6)
 
     def test_negative_m_rejected(self):
         with pytest.raises(ValueError):
-            plus(HALF).scale(-1)
+            table_ratio(plus(HALF), -1)
+        with pytest.raises(IndexError):
+            _row(plus(HALF).poly_kind.table(plus(HALF), 3, 0), 0, -1)
 
 
 class TestCoefficients:
@@ -249,21 +265,32 @@ class TestCoefficientTable:
 
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
-    def test_rows_read_the_per_index_scale(self, data):
-        # the sweep's running product of scales, over indices unordered,
-        # repeated or single, gives the rows of one `scale` call per index
+    def test_ratios_and_rows_match_the_oracles(self, data):
+        # every table's Gamma ratios are the oracle's products, and the rows
+        # read off them, over indices unordered, repeated or single, are the
+        # oracle's coefficients
         kind = data.draw(st.sampled_from(list(FamilyKind)))
         kappa = None
         if kind.shifted:
             q = data.draw(st.integers(2, 12))
             kappa = Fraction(data.draw(st.integers(1, q - 1)), q)
         family = ArgumentFamily(kind, kappa)
+        poly = data.draw(st.sampled_from(list(PolyKind)))
+        table = poly.table(family, data.draw(st.integers(0, 40)), data.draw(st.integers(0, 3)))
         low = family.min_index
+        assert table.ratios == tuple(
+            gamma_ratio_oracle(family.basis_point, family.point(low + j))
+            for j in range(table.max_len + 1)
+        )
+        oracle = {
+            FamilyKind.PLAIN: plain_coefficient_oracle,
+            FamilyKind.PLUS_SHIFT: lambda n, ell, m: plus_coefficient_oracle(n, ell, m, kappa),
+            FamilyKind.MINUS_SHIFT: lambda n, ell, m: minus_coefficient_oracle(n, ell, m, kappa),
+        }[kind]
         ms = data.draw(st.lists(st.integers(low, low + 30), min_size=1, max_size=8))
         n = data.draw(st.integers(0, 4))
-        table = family.poly_kind.table(family, family.prefix_length(max(ms)), n)
         assert coefficient_table(family, n, ms) == tuple(
-            _row(table, n, family.prefix_length(m), family.scale(m)) for m in ms
+            tuple(oracle(n, ell, m) for ell in range(n + 1)) for m in ms
         )
 
     @pytest.mark.parametrize("family", [f[0] for f in FAMILIES], ids=FAMILY_IDS)

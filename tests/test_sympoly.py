@@ -17,7 +17,7 @@ from gammalattice import (
     homogeneous_prefix,
 )
 
-from _oracles import elementary_bruteforce, homogeneous_bruteforce
+from _oracles import elementary_bruteforce, gamma_ratio_oracle, homogeneous_bruteforce
 
 PLAIN = ArgumentFamily(FamilyKind.PLAIN)
 PLUS_THIRD = ArgumentFamily(FamilyKind.PLUS_SHIFT, Fraction(1, 3))
@@ -101,11 +101,15 @@ class TestArgumentFamily:
         with pytest.raises(ValueError):
             family.prefix_length(first - 1)
 
-    def test_scale_is_gamma_ratio(self):
-        assert [PLAIN.scale(m) for m in range(1, 6)] == [1, 1, 2, 6, 24]
+    def test_table_ratios_are_gamma_ratios(self):
+        assert PLAIN.poly_kind.table(PLAIN, 4, 0).ratios == (1, 1, 2, 6, 24)
         # Gamma(7/3)/Gamma(1/3) and Gamma(-3/2)/Gamma(1/2)
-        assert PLUS_THIRD.scale(2) == Fraction(1, 3) * Fraction(4, 3)
-        assert MINUS_HALF.scale(2) == 1 / (Fraction(-1, 2) * Fraction(-3, 2))
+        plus = PLUS_THIRD.poly_kind.table(PLUS_THIRD, 2, 0).ratios[2]
+        minus = MINUS_HALF.poly_kind.table(MINUS_HALF, 2, 0).ratios[2]
+        assert plus == gamma_ratio_oracle(Fraction(1, 3), Fraction(7, 3))
+        assert plus == Fraction(1, 3) * Fraction(4, 3)
+        assert minus == gamma_ratio_oracle(Fraction(1, 2), Fraction(-3, 2))
+        assert minus == 1 / (Fraction(-1, 2) * Fraction(-3, 2))
 
 
 class TestPrefixTables:
@@ -180,15 +184,16 @@ class TestTableBudget:
         ArgumentFamily(FamilyKind.MINUS_SHIFT, Fraction(1, 1000)),
     ])
     def test_entry_bits_bound_the_coefficients(self, family, kind):
-        # every entry times the family scale at its length, as a coefficient
+        # every entry times the Gamma ratio at its length, as a coefficient
         # reads it, fits in the estimate the budget weighs
         for length, degree in ((1, 0), (1, 3), (4, 2), (12, 5), (30, 12)):
             table = kind.table(family, length, degree)
             bound = kind.entry_bits(family, length, degree)
-            for j, row in enumerate(table.values):
-                scale = family.scale(family.min_index + j)
+            for j, (row, ratio) in enumerate(zip(table.values, table.ratios)):
+                point = family.point(family.min_index + j)
+                assert ratio == gamma_ratio_oracle(family.basis_point, point)
                 for value in row:
-                    exact = value * scale
+                    exact = value * ratio
                     assert exact.numerator.bit_length() <= bound
                     assert exact.denominator.bit_length() <= bound
 
