@@ -6,10 +6,10 @@ family's basis point; the coefficient of the ell-th one is
     [Gamma(point)/Gamma(basis)] * (n!/ell!) * E_{n-ell}(x_1, ..., x_j),
 
 for j the prefix length of m, the ratio (m-1)! on the plain lattice, and
-E = e (plain, plus) or h (minus).  These per-family facts live on
+E = e (plain, plus) or h (minus).  The per-family facts live on
 `sympoly.ArgumentFamily`, the family argument of every entry point here, and
-on its prefix table, which carries the Gamma ratio of each prefix; this
-module never asks which family it has.
+`_ratios` builds the Gamma ratios from them; this module never asks which
+family it has.
 One prefix table over the longest prefix holds every coefficient of a sweep,
 and `_row` reads one index's row off it by the rule above: `coefficient_table`
 reads a sweep, `build_system` stacks its rows into linear systems, and
@@ -61,16 +61,36 @@ class LatticeSpec:
         return tuple(self.family.point(m) for m in self.indices)
 
 
-def _row(table: PrefixTable, n: int, length: int) -> tuple[Fraction, ...]:
+def _row(table: PrefixTable, n: int, length: int, ratio: Fraction) -> tuple[Fraction, ...]:
     """The coefficients of Gamma^(0..n) at the basis point in the expansion of
-    Gamma^(n) at the index with prefix length `length`: the Gamma ratio there
-    times n!/ell! times the entry of degree n - ell over that prefix, read off
-    `table`, which may be longer and of higher degree."""
-    top, ratio = factorial(n), table.ratios[length]
+    Gamma^(n) at the index with prefix length `length` and Gamma ratio
+    `ratio`: the ratio times n!/ell! times the entry of degree n - ell over
+    that prefix, read off `table`, which may be longer and of higher degree."""
+    top = factorial(n)
     return tuple(
         ratio * (top // factorial(ell)) * table.value(length, n - ell)
         for ell in range(n + 1)
     )
+
+
+def _ratios(family: ArgumentFamily, ms: Iterable[int]) -> dict[int, Fraction]:
+    """index -> Gamma(point) / Gamma(basis point), exactly, for each index of
+    `ms`, by Gamma(z + 1) = z Gamma(z): prod_{u<j} (b + u) going up and
+    1 / prod_{u=1}^{j} (b - u) going down, for the prefix length j and basis
+    point b = p/q.  One running product over the ascending distinct indices
+    serves them all; (m-1)! on the plain lattice, sign (-1)^m below kappa."""
+    p, q = family.basis_point.numerator, family.basis_point.denominator
+    up = family.sign > 0
+    ratios = {}
+    j, product, power = 0, 1, 1
+    for m in sorted(set(ms)):
+        length = family.prefix_length(m)
+        for u in range(j, length):
+            product *= u * q + p if up else p - (u + 1) * q
+            power *= q
+        j = length
+        ratios[m] = Fraction(product, power) if up else Fraction(power, product)
+    return ratios
 
 
 def coefficient_table(
@@ -79,11 +99,11 @@ def coefficient_table(
     """Every coefficient of a sweep over the indices `ms`.
 
     Row i holds the coefficients of ell = 0..n at index ms[i] (`_row`): the
-    table's Gamma ratio at that index, (m-1)! on the plain lattice, times
+    Gamma ratio at that index (`_ratios`), (m-1)! on the plain lattice, times
     n!/ell! times the table entry of degree n - ell over its prefix.  One
     prefix table of degree n over the longest prefix serves every row, and
     the rows, weighed by the digits of the longest, are held to the cell cap
-    (`budget.hold`) before any but the top one is built.
+    (`budget.hold`) before any but the top one, or its ratio, is built.
     """
     ArgumentFamily.require(family)
     if n < 0:
@@ -99,10 +119,11 @@ def coefficient_table(
     low, top = sorted((ms[0], ms[-1])) if isinstance(ms, range) else (min(ms), max(ms))
     family.prefix_length(low)
     table = family.poly_kind.table(family, family.prefix_length(top), n)
-    last = _row(table, n, family.prefix_length(top))
+    last = _row(table, n, family.prefix_length(top), _ratios(family, (top,))[top])
     bits = max(x.numerator.bit_length() + x.denominator.bit_length() for x in last)
     hold(len(ms) * (n + 1), bits * 3 // 10, "coefficients")
-    return tuple(_row(table, n, family.prefix_length(m)) for m in ms)
+    ratios = _ratios(family, ms)
+    return tuple(_row(table, n, family.prefix_length(m), ratios[m]) for m in ms)
 
 
 @dataclass(frozen=True)

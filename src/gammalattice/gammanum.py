@@ -55,7 +55,7 @@ from mpmath import mp
 from mpmath.libmp import dps_to_prec, from_man_exp, mpf_bernoulli, to_fixed
 
 from .budget import MAX_DIGITS, charge, weight
-from .coeffs import LatticeSpec, _row, build_system
+from .coeffs import LatticeSpec, _ratios, _row, build_system
 from .errors import PoleArgumentError, SpecMismatchError
 from .linalg import _elimination_work, inverse_exact
 from .sympoly import ArgumentFamily
@@ -317,10 +317,11 @@ def verify_grid(family: ArgumentFamily, n_max: int, ms, ctx: PrecisionContext):
     table = family.poly_kind.table(family, family.prefix_length(max(ms)), n_max)
     vectors = _lattice_derivatives(family, ms, n_max, ctx)
     basis = vectors[family.min_index]
-    points = [(m, family.prefix_length(m), vectors[m]) for m in ms]
+    ratios = _ratios(family, ms)
+    points = [(m, family.prefix_length(m), ratios[m], vectors[m]) for m in ms]
     for n in range(n_max + 1):
-        for m, length, values in points:
-            row = _row(table, n, length)
+        for m, length, ratio, values in points:
+            row = _row(table, n, length, ratio)
             with mp.workdps(ctx.working_digits):
                 yield n, m, _compare(_dot(row, basis), values[n], ctx)
 
@@ -403,12 +404,13 @@ def _sweep_work(family: ArgumentFamily, n_max: int, m_max, ctx: PrecisionContext
     two per tail term (under a fifth as many).
 
     An identity sweep adds one prefix table and one dot product per cell.  A
-    point of prefix length j adds j products of half the bits of a row entry:
-    below 0 the j-step `Fraction` divisor of its Gamma value, which
-    `_point_psi` leaves unpriced at n_max = 0; above the basis it overstates
-    the one Gamma ratio product a table row takes.  A cell's row is n + 1
-    pairs of exact products of `entry_bits` bits, at 40 fixed units each, and
-    its dot product 3 operations a term.
+    point of prefix length j adds j products of half the bits of a row entry.
+    Below 0 that prices the j-step `Fraction` divisor of its Gamma value,
+    which `_point_psi` leaves unpriced at n_max = 0; everywhere it overstates
+    the point's share of the one running Gamma ratio product
+    (`coeffs._ratios`).  A cell's row is n + 1 pairs of exact products of
+    `entry_bits` bits, at 40 fixed units each, and its dot product 3
+    operations a term.
 
     A recovery order adds the inverse of its k x k system, whose scaled rows
     measured about half of `entry_bits`, and its k dot products of k terms."""

@@ -20,15 +20,7 @@ A prefix table holds e_v (or h_v) of the first j variables for every
 
 seeded with the empty-prefix conventions e_0 = h_0 = 1 and e_v = h_v = 0 for
 v > 0.  Note the second term of the h recurrence reads from the *current*
-prefix, so each row is filled degree by degree.  Beside each row the table
-keeps the Gamma ratio at its point, Gamma(point) / Gamma(basis point), from
-the same x_j by Gamma(z + 1) = z Gamma(z):
-
-    ratio_j = ratio_{j-1} / x_j     (points above the basis)
-    ratio_j = -x_j * ratio_{j-1}    (points below it)
-
-so at lattice index m it is (m-1)! on the plain lattice, of sign (-1)^m below
-kappa.
+prefix, so each row is filled degree by degree.
 
 All arithmetic is exact `fractions.Fraction`.
 """
@@ -166,20 +158,18 @@ class ArgumentFamily:
         """The lattice point of index m: m, m + kappa or -m + kappa."""
         return self.basis_point + self.sign * self.prefix_length(m)
 
+
 @dataclass(frozen=True)
 class PrefixTable:
-    """Dense table of symmetric polynomial values indexed (prefix length, degree),
-    and the Gamma ratio at each prefix length's point.
+    """Dense table of symmetric polynomial values indexed (prefix length, degree).
 
     Row 0 is the empty prefix, materialized explicitly: value(0, 0) = 1 and
-    value(0, v) = 0 for v > 0.  ratios[j] is Gamma(point) / Gamma(basis point)
-    at prefix length j, exactly; ratios[0] = 1.
+    value(0, v) = 0 for v > 0.
     """
 
     max_len: int
     max_deg: int
     values: tuple[tuple[Fraction, ...], ...]
-    ratios: tuple[Fraction, ...]
 
     def value(self, length: int, degree: int) -> Fraction:
         if not 0 <= length <= self.max_len:
@@ -201,12 +191,9 @@ def _fill(
         f"the {kind.value} table of length {max_len} and degree {max_deg}",
     )
     homogeneous = kind is PolyKind.HOMOGENEOUS
-    up = family.sign > 0
     rows = [(Fraction(1),) + (Fraction(0),) * max_deg]
-    ratios = [Fraction(1)]
     for j in range(1, max_len + 1):
         xj = family.x(j)
-        ratios.append(ratios[j - 1] / xj if up else -xj * ratios[j - 1])
         prev = rows[j - 1]
         row = [Fraction(1)]
         # e_{v-1} comes from the previous prefix, h_{v-1} from the entry of
@@ -215,7 +202,7 @@ def _fill(
         for v in range(1, max_deg + 1):
             row.append(prev[v] + xj * source[v - 1])
         rows.append(tuple(row))
-    return PrefixTable(max_len, max_deg, tuple(rows), tuple(ratios))
+    return PrefixTable(max_len, max_deg, tuple(rows))
 
 
 def elementary_prefix(family: ArgumentFamily, max_len: int, max_deg: int) -> PrefixTable:

@@ -311,22 +311,30 @@ class TestCoeffsCommand:
     def test_rows_over_the_cell_cap_are_usage_error(self, capsys, monkeypatch):
         # 1:8000 ran 75 s, peaked at 375 MB and printed 105 MB: each of its
         # rows weighs 111 cells by the 27,749 digits of 7999!, the top row,
-        # which is the only one built before the rows are held
-        row = coeffs._row
+        # which is the only one built, with its one Gamma ratio, before the
+        # rows are held
+        row, ratios = coeffs._row, coeffs._ratios
         built = []
 
-        def top_only(table, n, length):
-            if built:
+        def top_row_only(table, n, length, ratio):
+            if built != [("ratios", (8000,))]:
                 raise AssertionError("a row was built before the rows were held")
-            built.append(length)
-            return row(table, n, length)
+            built.append(("row", length))
+            return row(table, n, length, ratio)
 
-        monkeypatch.setattr(coeffs, "_row", top_only)
+        def top_ratio_only(family, ms):
+            if built:
+                raise AssertionError("a ratio was built before the rows were held")
+            built.append(("ratios", tuple(ms)))
+            return ratios(family, ms)
+
+        monkeypatch.setattr(coeffs, "_row", top_row_only)
+        monkeypatch.setattr(coeffs, "_ratios", top_ratio_only)
         assert run(capsys, "coeffs", "--family", "plain", "--n", "0", "--m", "1:8000") == (
             2, "", f"error: 8000 coefficients of weight 111 are over the budget "
             f"{budget.MAX_CELLS}\n",
         )
-        assert built == [7999]
+        assert built == [("ratios", (8000,)), ("row", 7999)]
 
     def test_long_exact_values_print_in_full(self, capsys):
         # 1699! has 4,753 digits, past CPython's default int-to-str limit

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -11,7 +12,6 @@ from gammalattice import (
     FamilyKind,
     InvalidKappaError,
     LatticeSpec,
-    PolyKind,
     PrecisionContext,
     SpecMismatchError,
     build_system,
@@ -19,7 +19,7 @@ from gammalattice import (
     verify_identity,
 )
 from gammalattice import sympoly as sympoly_module
-from gammalattice.coeffs import _row
+from gammalattice.coeffs import _ratios
 
 from _oracles import (
     gamma_ratio_oracle,
@@ -124,18 +124,12 @@ class TestLatticeSpec:
             LatticeSpec(PLAIN, (1.5, 2.9))  # not truncated to (1, 2)
 
 
-def table_ratio(family, m):
-    """The Gamma ratio at index m off the family's table reaching it."""
-    length = family.prefix_length(m)
-    return family.poly_kind.table(family, length, 0).ratios[length]
-
-
 class TestGammaRatio:
-    """PrefixTable.ratios: Gamma(point(m)) / Gamma(basis point), exactly, the
-    same as the oracle's product of linear factors."""
+    """coeffs._ratios: Gamma(point(m)) / Gamma(basis point), exactly, the same
+    as the oracle's product of linear factors."""
 
     def check(self, family, m, value):
-        assert table_ratio(family, m) == value
+        assert _ratios(family, (m,)) == {m: value}
         assert gamma_ratio_oracle(family.basis_point, family.point(m)) == value
 
     def test_examples(self):
@@ -148,10 +142,15 @@ class TestGammaRatio:
         # (1/4)(5/4)(9/4)
         self.check(plus(QUARTER), 3, Fraction(45, 64))
 
+    def test_factorials_and_two_step_ratios(self):
+        assert list(_ratios(PLAIN, range(1, 6)).values()) == [1, 1, 2, 6, 24]
+        # Gamma(7/3)/Gamma(1/3) and Gamma(-3/2)/Gamma(1/2)
+        self.check(plus(THIRD), 2, THIRD * Fraction(4, 3))
+        self.check(minus(HALF), 2, 1 / (Fraction(-1, 2) * Fraction(-3, 2)))
+
     def test_minus_sign_alternates(self):
         # the literal signed product gives sign (-1)^m
-        table = minus(HALF).poly_kind.table(minus(HALF), 6, 0)
-        for m, value in enumerate(table.ratios):
+        for m, value in _ratios(minus(HALF), range(7)).items():
             assert value == gamma_ratio_oracle(HALF, minus(HALF).point(m))
             assert (value > 0) == (m % 2 == 0)
 
@@ -163,9 +162,7 @@ class TestGammaRatio:
 
     def test_negative_m_rejected(self):
         with pytest.raises(ValueError):
-            table_ratio(plus(HALF), -1)
-        with pytest.raises(IndexError):
-            _row(plus(HALF).poly_kind.table(plus(HALF), 3, 0), 0, -1)
+            _ratios(plus(HALF), (-1,))
 
 
 class TestCoefficients:
@@ -266,8 +263,8 @@ class TestCoefficientTable:
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_ratios_and_rows_match_the_oracles(self, data):
-        # every table's Gamma ratios are the oracle's products, and the rows
-        # read off them, over indices unordered, repeated or single, are the
+        # the Gamma ratios at every prefix length are the oracle's products,
+        # and the rows over indices unordered, repeated or single are the
         # oracle's coefficients
         kind = data.draw(st.sampled_from(list(FamilyKind)))
         kappa = None
@@ -275,13 +272,11 @@ class TestCoefficientTable:
             q = data.draw(st.integers(2, 12))
             kappa = Fraction(data.draw(st.integers(1, q - 1)), q)
         family = ArgumentFamily(kind, kappa)
-        poly = data.draw(st.sampled_from(list(PolyKind)))
-        table = poly.table(family, data.draw(st.integers(0, 40)), data.draw(st.integers(0, 3)))
         low = family.min_index
-        assert table.ratios == tuple(
-            gamma_ratio_oracle(family.basis_point, family.point(low + j))
-            for j in range(table.max_len + 1)
-        )
+        ms = range(low, low + data.draw(st.integers(0, 40)) + 1)
+        assert _ratios(family, ms) == {
+            m: gamma_ratio_oracle(family.basis_point, family.point(m)) for m in ms
+        }
         oracle = {
             FamilyKind.PLAIN: plain_coefficient_oracle,
             FamilyKind.PLUS_SHIFT: lambda n, ell, m: plus_coefficient_oracle(n, ell, m, kappa),
@@ -299,6 +294,19 @@ class TestCoefficientTable:
         for n in range(6):
             (row,) = coefficient_table(family, n, [family.min_index])
             assert row == tuple(Fraction(int(ell == n)) for ell in range(n + 1))
+
+    def test_single_long_order_zero_row_holds_one_ratio(self):
+        # one row at a deep index keeps one Gamma ratio, not the ratio of
+        # every shorter prefix: at --m 4000, 5 kB of 3999! against the 11 MB
+        # that 0!..3999! would hold, and 9 GB of them at --m 100000
+        tracemalloc.start()
+        try:
+            ((ratio,),) = coefficient_table(PLAIN, 0, [4000])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ratio == factorial(3999)
+        assert peak < 2_000_000
 
     @pytest.mark.parametrize("family", [f[0] for f in FAMILIES], ids=FAMILY_IDS)
     def test_one_table_per_sweep(self, family, monkeypatch):
