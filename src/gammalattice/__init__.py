@@ -64,8 +64,7 @@ _NUMERIC = frozenset(
         "PrecisionContext",
         "Residual",
         "gamma_derivatives",
-        "recover_basis",
-        "verify_identity",
+        "verify_grid",
         "verify_recovery",
     }
 )

@@ -1,5 +1,6 @@
-"""The one work budget: a prefix table (`PolyKind.table_work`), a `verify`
-sweep (`gammanum.check_sweep`), a band walk (`linalg._walk_estimates`) and an
+"""The one work budget: a prefix table (`PolyKind.table_work`), the Gamma
+ratio of a coefficient sweep (`coeffs._ratio_work`), a `verify` sweep
+(`gammanum.check_sweep`), a band walk (`linalg._walk_estimates`) and an
 elimination (`linalg._elimination_work`) each estimate their work before any
 of it runs, and `charge` refuses an estimate over `MAX_WORK`.  Each check is
 charged on its own.  `hold` refuses a grid, a coefficient sweep's rows or a

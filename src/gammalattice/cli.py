@@ -400,13 +400,13 @@ def _cmd_density(args) -> OutputEnvelope:
 
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as one `error:` line, without the usage block,
-    reads a word such as `-1:2`, `-1,2` or `-1/3` as a value, not a flag (no
-    option of this CLI starts with a dash and a digit), and refuses `--n=--`
-    as it refuses `--n --`."""
+    reads a word such as `-1:2`, `-3:-1`, `-1,2` or `-1/3` as a value, not a
+    flag (no option of this CLI starts with a dash and a digit), and refuses
+    `--n=--` as it refuses `--n --`."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d[\d:,/]*$")
+        self._negative_number_matcher = re.compile(r"^-\d[-\d:,/]*$")
 
     def error(self, message):
         self.exit(USAGE_ERROR, f"error: {message}\n")

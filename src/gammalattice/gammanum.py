@@ -34,10 +34,9 @@ bounded.  Every check reads its vectors off one map, index -> Gamma^(0..n)
 with the basis index included (`_lattice_derivatives`, the only builder of
 lattice vectors, whose route `_reads_ladder` decides).  `verify_grid` checks
 the expansion at every (n, m) of a family's grid off that map and one prefix
-table, and `verify_identity` is its one-cell case; `verify_recovery` solves a
-square `LatticeSpec` for the basis, and `recover_basis` returns the values it
-checks.  Both return `Residual` records by one rule: relative, or absolute
-where the reference is below 1.
+table; `verify_recovery` solves a square `LatticeSpec` for the basis and
+checks each value it recovers.  Both return `Residual` records by one rule:
+relative, or absolute where the reference is below 1.
 
 `verify_sweep` runs the `verify` sweep, a grid per family or its recovery
 orders off one map at n_max: it is charged first (`check_sweep`), then refused
@@ -140,9 +139,10 @@ def _gamma_cached(q: Fraction, dps: int):
         if q > 0:
             return mp.gamma(_to_mpf(q))
         shift = -math.floor(q)
-        divisor = Fraction(1)
-        for i in range(shift):
-            divisor *= q + i
+        # prod_{i<shift} (q + i) = prod (a + i b) / b^shift, in lowest terms
+        # already: each factor a + i b is prime to b
+        a, b = q.numerator, q.denominator
+        divisor = Fraction(math.prod(a + i * b for i in range(shift)), b**shift)
         return _gamma_cached(q + shift, dps) / _to_mpf(divisor)
 
 
@@ -308,7 +308,7 @@ def verify_grid(family: ArgumentFamily, n_max: int, ms, ctx: PrecisionContext):
     One vector Gamma^(0..n_max) per point and one prefix table of degree n_max
     over the longest prefix serve every cell: a Bell value of order j does not
     depend on the top order, and each exact row (`coeffs._row`) reads the same
-    entries off a larger table, so every cell is the one a lone check gives.
+    entries off a larger table, so each cell is the one-index grid's.
     The check uses the relative residual, falling back to the absolute one
     when |reference| < 1.
     """
@@ -326,33 +326,15 @@ def verify_grid(family: ArgumentFamily, n_max: int, ms, ctx: PrecisionContext):
                 yield n, m, _compare(_dot(row, basis), values[n], ctx)
 
 
-def verify_identity(
-    family: ArgumentFamily, n: int, m: int, ctx: PrecisionContext | None = None
-) -> Residual:
-    """Compare Gamma^(n) at a lattice point against its rational expansion:
-    the last cell of the one-index `verify_grid`."""
-    *_, (_, _, residual) = verify_grid(family, n, (m,), ctx or PrecisionContext())
-    return residual
-
-
-def recover_basis(spec: LatticeSpec, n: int, ctx: PrecisionContext | None = None) -> list:
-    """Solve a square lattice system for the basis derivative column.
-
-    Evaluates Gamma^(n) at each lattice point numerically, subtracts the
-    constant column (plain family), and applies the exact rational inverse of
-    the coefficient matrix.  Returns approximations of Gamma^(1..n)(1) for the
-    plain family or Gamma^(0..n)(kappa) for the shifted ones: the values that
-    `verify_recovery` checks.
-    """
-    return [residual.value for residual in verify_recovery(spec, n, ctx)]
-
-
 def verify_recovery(
     spec: LatticeSpec, n: int, ctx: PrecisionContext | None = None
 ) -> list[Residual]:
-    """`recover_basis(spec, n, ctx)`, each value checked against the direct
-    evaluation of its basis derivative, Gamma^(min_index..n), by the residual
-    rule of `verify_identity`."""
+    """Solve a square lattice system for the basis derivative column: Gamma^(n)
+    at each lattice point, less the constant column (plain family), times the
+    exact rational inverse of the coefficient matrix.  Each recovered value,
+    of Gamma^(1..n)(1) (plain) or Gamma^(0..n)(kappa) (shifted), is the
+    `value` of a `Residual` against the direct evaluation of its basis
+    derivative, by the residual rule of `verify_grid`."""
     ctx = ctx or PrecisionContext()
     system = build_system(spec, n)
     if not system.is_square:
@@ -405,9 +387,9 @@ def _sweep_work(family: ArgumentFamily, n_max: int, m_max, ctx: PrecisionContext
 
     An identity sweep adds one prefix table and one dot product per cell.  A
     point of prefix length j adds j products of half the bits of a row entry.
-    Below 0 that prices the j-step `Fraction` divisor of its Gamma value,
-    which `_point_psi` leaves unpriced at n_max = 0; everywhere it overstates
-    the point's share of the one running Gamma ratio product
+    Below 0 that prices the integer product of j factors that divides its
+    Gamma value, which `_point_psi` leaves unpriced at n_max = 0; everywhere
+    it overstates the point's share of the one running Gamma ratio product
     (`coeffs._ratios`).  A cell's row is n + 1 pairs of exact products of
     `entry_bits` bits, at 40 fixed units each, and its dot product 3
     operations a term.

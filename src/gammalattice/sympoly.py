@@ -193,7 +193,7 @@ def _fill(
     homogeneous = kind is PolyKind.HOMOGENEOUS
     rows = [(Fraction(1),) + (Fraction(0),) * max_deg]
     for j in range(1, max_len + 1):
-        xj = family.x(j)
+        xj = family.x(j) if max_deg else None  # a degree-0 row reads no variable
         prev = rows[j - 1]
         row = [Fraction(1)]
         # e_{v-1} comes from the previous prefix, h_{v-1} from the entry of

@@ -27,8 +27,8 @@ from gammalattice import (
     homogeneous_prefix,
     inverse_exact,
     prefix_matrix,
-    recover_basis,
-    verify_identity,
+    verify_grid,
+    verify_recovery,
     window_bound,
 )
 
@@ -69,21 +69,17 @@ def test_criterion_1_identity_sweep():
     checked = 0
     with mp.workdps(CTX60.working_digits):
         tol = mp.mpf(10) ** -40
-    for n in range(9):
-        for m in range(1, 13):
-            report = verify_identity(SWEEP_FAMILIES[0], n, m, CTX60)
+    # one grid per family over its whole (n, m) range, as `verify` runs it
+    grids = [(SWEEP_FAMILIES[0], 8, range(1, 13))] + [
+        (ArgumentFamily(kind, kappa), 6, range(9))
+        for kind in (FamilyKind.PLUS_SHIFT, FamilyKind.MINUS_SHIFT)
+        for kappa in ALL_KAPPAS
+    ]
+    for family, n_max, ms in grids:
+        for n, m, report in verify_grid(family, n_max, ms, CTX60):
             checked += 1
             if not (report.passed and report.rel_residual < tol):
-                failures.append(("plain", n, m))
-    for kind in (FamilyKind.PLUS_SHIFT, FamilyKind.MINUS_SHIFT):
-        for kappa in ALL_KAPPAS:
-            family = ArgumentFamily(kind, kappa)
-            for n in range(7):
-                for m in range(9):
-                    report = verify_identity(family, n, m, CTX60)
-                    checked += 1
-                    if not (report.passed and report.rel_residual < tol):
-                        failures.append((kind.value, kappa, n, m))
+                failures.append((family.kind.value, family.kappa, n, m))
     elapsed = time.time() - started
     ok = not failures and elapsed < 120
     _report(1, "identity sweep", ok, f"{checked} identities, {elapsed:.1f}s")
@@ -171,7 +167,8 @@ def test_criterion_4_basis_recovery():
     }
     for n, index_sets in plain_index_sets.items():
         for indices in index_sets:
-            recovered = recover_basis(LatticeSpec(SWEEP_FAMILIES[0], indices), n, CTX60)
+            spec = LatticeSpec(SWEEP_FAMILIES[0], indices)
+            recovered = [r.value for r in verify_recovery(spec, n, CTX60)]
             with mp.workdps(CTX60.working_digits):
                 if abs(recovered[0] - euler_reference) >= tol:
                     failures.append(("plain", n, indices))
@@ -181,7 +178,7 @@ def test_criterion_4_basis_recovery():
             family = ArgumentFamily(kind, kappa)
             for n in (1, 2, 3):
                 spec = LatticeSpec(family, tuple(range(n + 1)))
-                recovered = recover_basis(spec, n, CTX60)
+                recovered = [r.value for r in verify_recovery(spec, n, CTX60)]
                 reference = gamma_derivatives(kappa, 0, CTX60)[0]
                 with mp.workdps(CTX60.working_digits):
                     if abs(recovered[0] - reference) >= tol:

@@ -13,9 +13,10 @@ from gammalattice import (
     ArgumentFamily,
     FamilyKind,
     LatticeSpec,
+    PrecisionContext,
     SpecMismatchError,
     coefficient_table,
-    verify_identity,
+    verify_grid,
     verify_recovery,
 )
 
@@ -32,8 +33,7 @@ EXPORTS = [
     "density_grid", "det_exact", "difference_factorization",
     "elementary_prefix",
     "gamma_derivatives", "homogeneous_prefix", "inverse_exact", "prefix_matrix",
-    "prior_univariate_bound", "recover_basis", "verify_identity", "verify_recovery",
-    "window_bound",
+    "prior_univariate_bound", "verify_grid", "verify_recovery", "window_bound",
 ]
 
 
@@ -98,7 +98,7 @@ EXPORTED = list(_exported())
 
 def test_walk_sees_the_entry_points():
     names = {name for name, _ in EXPORTED}
-    entry_points = {"LatticeSpec", "coefficient_table", "verify_identity", "Residual"}
+    entry_points = {"LatticeSpec", "coefficient_table", "verify_grid", "Residual"}
     assert entry_points <= names
 
 
@@ -132,10 +132,10 @@ def test_guard_catches_a_loose_pair():
     [
         lambda: LatticeSpec(FamilyKind.PLAIN, (1, 2)),
         lambda: coefficient_table(FamilyKind.PLAIN, 1, [2]),
-        lambda: verify_identity(FamilyKind.PLAIN, 1, 2),
+        lambda: next(verify_grid(FamilyKind.PLAIN, 1, (2,), PrecisionContext())),
         lambda: verify_recovery(LatticeSpec(FamilyKind.PLAIN, (1, 2)), 2),
     ],
-    ids=["LatticeSpec", "coefficient_table", "verify_identity", "verify_recovery"],
+    ids=["LatticeSpec", "coefficient_table", "verify_grid", "verify_recovery"],
 )
 def test_bare_family_kind_is_a_spec_mismatch(call):
     with pytest.raises(SpecMismatchError, match="must be an ArgumentFamily") as info:

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -335,6 +336,39 @@ class TestCoeffsCommand:
             f"{budget.MAX_CELLS}\n",
         )
         assert built == [("ratios", (8000,)), ("row", 7999)]
+
+    @pytest.mark.parametrize("m, admitted", [(100000, True), (200000, False)])
+    def test_one_long_ratio_is_charged_before_it_is_walked(
+        self, capsys, monkeypatch, m, admitted
+    ):
+        # 200000 ran 42 s: its running product of 199,999 steps, walked for
+        # the top row and again for the rows, was in no charge, and its row
+        # weighed about 3,900 of the 100,000 cells.  100000 runs about 11 s.
+        walks = []
+
+        class RowsWalked(Exception):
+            pass
+
+        def factorial_ratio(family, ms):
+            # the plain Gamma ratio (m-1)!, off math.factorial
+            walks.append(tuple(ms))
+            if len(walks) > 1:
+                raise RowsWalked
+            return {k: math.factorial(k - 1) for k in ms}
+
+        monkeypatch.setattr(coeffs, "_ratios", factorial_ratio)
+        argv = ["coeffs", "--family", "plain", "--n", "0", "--m", str(m)]
+        if admitted:
+            # every budget check passes: the rows' walk starts
+            with pytest.raises(RowsWalked):
+                main(argv)
+            assert walks == [(m,), (m,)]
+        else:
+            assert run(capsys, *argv) == (
+                2, "", f"error: the Gamma ratio at index {m} is over the work budget "
+                f"{budget.MAX_WORK}\n",
+            )
+            assert walks == []
 
     def test_long_exact_values_print_in_full(self, capsys):
         # 1699! has 4,753 digits, past CPython's default int-to-str limit
@@ -976,12 +1010,23 @@ class TestArgumentParsing:
              "error: M=-1 must be >= 1\n"),
             (["matrix", "--family", "plain", "--n", "2", "--indices", "-1,2"],
              "error: plain lattice indices must be >= 1\n"),
+            # a second dash inside the value: read as a flag until it too matched
+            (["coeffs", "--family", "minus", "--n", "1", "--m", "-3:-1", "--kappa", "1/3"],
+             "error: minus lattice index -3 must be >= 0\n"),
+            (["matrix", "--family", "plain", "--n", "2", "--indices", "-2,-1"],
+             "error: plain lattice indices must be >= 1\n"),
+            (["verify", "--family", "minus", "--n-max", "1", "--m-max", "1",
+              "--kappa-set", "-1/3,-2/3"],
+             "error: shift -1/3 outside (0, 1)\n"),
+            (["density", "--variant", "bivariate", "--N", "3", "--M", "-3:-1"],
+             "error: M=-3 must be >= 1\n"),
         ],
-        ids=["m", "M", "indices"],
+        ids=["m", "M", "indices", "m-two-dashes", "indices-two-dashes",
+             "kappa-set-two-dashes", "M-two-dashes"],
     )
     def test_value_starting_with_a_dash_is_a_value(self, capsys, argv, line):
         # `--m -1:2` used to read -1:2 as a flag: "expected one argument"
-        at = next(i for i, word in enumerate(argv) if word.startswith("-1"))
+        at = next(i for i, word in enumerate(argv) if re.match(r"-\d", word))
         joined = [*argv[: at - 1], f"{argv[at - 1]}={argv[at]}", *argv[at + 1 :]]
         for form in (argv, joined):
             assert run(capsys, *form) == (2, "", line)

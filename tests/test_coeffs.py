@@ -16,7 +16,7 @@ from gammalattice import (
     SpecMismatchError,
     build_system,
     coefficient_table,
-    verify_identity,
+    verify_grid,
 )
 from gammalattice import sympoly as sympoly_module
 from gammalattice.coeffs import _ratios
@@ -320,7 +320,8 @@ class TestCoefficientTable:
         # one identity cell reads its whole row off one table: degree n, over
         # the cell's own prefix
         built = count_tables(monkeypatch)
-        assert verify_identity(family, 6, 5, PrecisionContext(30)).passed
+        cells = list(verify_grid(family, 6, (5,), PrecisionContext(30)))
+        assert len(cells) == 7 and all(r.passed for *_, r in cells)
         length = 4 if family == PLAIN else 5
         assert built == [(length, 6)]
 

@@ -18,8 +18,7 @@ from gammalattice import (
     build_system,
     coefficient_table,
     gamma_derivatives,
-    recover_basis,
-    verify_identity,
+    verify_grid,
     verify_recovery,
 )
 
@@ -135,6 +134,24 @@ class TestGammaValue:
         with pytest.raises(PoleArgumentError):
             gamma_derivatives(-2, 0, CTX)
 
+    @pytest.mark.parametrize(
+        "kappa", [Fraction(1, 3), Fraction(2, 3), Fraction(6, 7)], ids=["1/3", "2/3", "6/7"]
+    )
+    def test_below_zero_divides_by_the_fraction_product(self, kappa):
+        # Gamma(kappa - j) = Gamma(kappa) / prod_{i<j} (kappa - j + i): the
+        # divisor built as one integer product gives the bits that a product
+        # of j Fractions gives
+        dps = CTX.working_digits
+        with mp.workdps(dps):
+            base = mp.gamma(mp.mpf(kappa.numerator) / kappa.denominator)
+        for j in range(1, 201):
+            q, divisor = kappa - j, Fraction(1)
+            for i in range(j):
+                divisor *= kappa - j + i
+            with mp.workdps(dps):
+                expected = base / (mp.mpf(divisor.numerator) / mp.mpf(divisor.denominator))
+            assert gammanum._gamma_cached(q, dps)._mpf_ == expected._mpf_, (kappa, j)
+
 
 class TestCaches:
     def test_psi_and_gamma_caches_are_bounded(self):
@@ -176,23 +193,27 @@ class TestGammaDerivatives:
 
 
 class TestVerifyIdentity:
+    # each check runs a one-index grid, as `verify` does, and reads its last
+    # cell, Gamma^(n) at the point, after asserting every cell it yields
+
     def test_order_zero_is_factorial(self):
-        report = verify_identity(PLAIN, 0, 5, ctx=CTX)
-        assert report.passed
+        ((n, m, report),) = verify_grid(PLAIN, 0, (5,), CTX)
+        assert (n, m) == (0, 5) and report.passed
         assert close(report.reference, 24)
         assert close(report.value, 24)
 
     def test_plain_second_derivative(self):
-        report = verify_identity(PLAIN, 2, 3, ctx=CTX)
+        cells = list(verify_grid(PLAIN, 2, (3,), CTX))
+        assert [(n, m) for n, m, _ in cells] == [(0, 3), (1, 3), (2, 3)]
+        assert all(r.passed for *_, r in cells)
+        report = cells[-1][2]
         with mp.workdps(CTX.working_digits):
             expected = 2 - 6 * mp.euler + 2 * (mp.euler**2 + mp.pi**2 / 6)
             assert close(report.reference, expected)
-        assert report.passed
-        with mp.workdps(CTX.working_digits):
             assert report.rel_residual < mp.mpf(10) ** -40
 
     def test_minus_shift_reflection_point(self):
-        report = verify_identity(MINUS_HALF, 0, 1, CTX)
+        ((_, _, report),) = verify_grid(MINUS_HALF, 0, (1,), CTX)
         assert report.passed
         with mp.workdps(CTX.working_digits):
             assert close(report.reference, -2 * mp.sqrt(mp.pi))
@@ -200,38 +221,40 @@ class TestVerifyIdentity:
     def test_family_kappa_consistency(self):
         # the family carries its shift, so a mismatch fails before any sum
         with pytest.raises(SpecMismatchError):
-            verify_identity(ArgumentFamily(FamilyKind.PLAIN, HALF), 1, 2, CTX)
+            list(verify_grid(ArgumentFamily(FamilyKind.PLAIN, HALF), 1, (2,), CTX))
         with pytest.raises(SpecMismatchError):
-            verify_identity(ArgumentFamily(FamilyKind.PLUS_SHIFT), 1, 2, CTX)
+            list(verify_grid(ArgumentFamily(FamilyKind.PLUS_SHIFT), 1, (2,), CTX))
 
     def test_tolerance_override_can_fail(self):
         # residuals can round to exactly zero, so only a zero tolerance is a
         # guaranteed forcing knob under the strict comparison
-        report = verify_identity(PLAIN, 2, 3, ctx=PrecisionContext(60, "0"))
-        assert not report.passed
+        cells = list(verify_grid(PLAIN, 2, (3,), PrecisionContext(60, "0")))
+        assert len(cells) == 3
+        assert not any(r.passed for *_, r in cells)
 
 
 class TestRecoverBasis:
     def test_plain_recovers_euler(self):
         spec = LatticeSpec(PLAIN, (1, 2))
-        recovered = recover_basis(spec, 2, CTX)
+        recovered = [r.value for r in verify_recovery(spec, 2, CTX)]
         with mp.workdps(CTX.working_digits):
             assert close(recovered[0], -mp.euler)
 
     def test_plain_index_set_independence(self):
         for indices in ((1, 2), (2, 5), (1, 7)):
-            recovered = recover_basis(LatticeSpec(PLAIN, indices), 2, CTX)
+            spec = LatticeSpec(PLAIN, indices)
+            recovered = [r.value for r in verify_recovery(spec, 2, CTX)]
             with mp.workdps(CTX.working_digits):
                 assert close(recovered[0], -mp.euler)
 
     def test_plus_recovers_gamma_at_half(self):
         spec = LatticeSpec(PLUS_HALF, (0, 1))
-        recovered = recover_basis(spec, 1, CTX)
+        recovered = [r.value for r in verify_recovery(spec, 1, CTX)]
         assert close(recovered[0], gamma_at(Fraction(1, 2)))
 
     def test_round_trip_through_system(self):
         spec = LatticeSpec(MINUS_HALF, (0, 2, 3))
-        recovered = recover_basis(spec, 2, CTX)
+        recovered = [r.value for r in verify_recovery(spec, 2, CTX)]
         system = build_system(spec, 2)
         with mp.workdps(CTX.working_digits):
             for r, point in enumerate(spec.points()):
@@ -246,7 +269,7 @@ class TestRecoverBasis:
 
     def test_rectangular_rejected(self):
         with pytest.raises(SpecMismatchError):
-            recover_basis(LatticeSpec(PLAIN, (1, 2, 3)), 2, CTX)
+            verify_recovery(LatticeSpec(PLAIN, (1, 2, 3)), 2, CTX)
 
 
 class TestVerifyRecovery:
@@ -295,10 +318,10 @@ class TestIdentityGrid:
         ArgumentFamily(FamilyKind.MINUS_SHIFT, Fraction(2, 3)),
     ], ids=["plain", "plus", "minus"])
     def test_small_grid_passes(self, family):
-        for n in range(4):
-            for m in range(family.min_index, 5):
-                report = verify_identity(family, n, m, CTX)
-                assert report.passed, (family, n, m)
+        cells = list(verify_grid(family, 3, range(family.min_index, 5), CTX))
+        assert len(cells) == 4 * (5 - family.min_index)
+        for n, m, report in cells:
+            assert report.passed, (family, n, m)
 
 
 class TestSweepBudget:
@@ -336,9 +359,10 @@ class TestSweepBudget:
             (PLAIN, 1, 10**23),
             (PLAIN, 10**23, 1),
             (PLAIN, 10**23, None),
-            # 115 s CPU with the cap lifted (2-core x86-64): those j products
-            # are the only price of the j-step divisor of Gamma at a point
-            # below 0 when n_max = 0, and without them it would be admitted
+            # 23 s CPU with the cap lifted (2-core x86-64), 13 s of it in the
+            # integer products of j factors that divide Gamma at the points
+            # below 0: the estimate's j products per point are their only
+            # price when n_max = 0, and without them it would be admitted
             (ArgumentFamily(FamilyKind.MINUS_SHIFT, THIRD), 0, 4347),
         ],
     )
@@ -457,9 +481,12 @@ class TestVerifySweep:
             for n in range(5)
             for m in range(f.min_index, 6)
         ]
+        swept = {(f, n, m): residual for f, n, m, residual in cells}
         for family, n, m, residual in cells:
             assert residual == _lone_cell(family, n, m, CTX), (family, n, m)
-            assert residual == verify_identity(family, n, m, CTX), (family, n, m)
+            # the one-index grid up to order n yields the sweep's cells at m
+            for k, _, alone in verify_grid(family, n, (m,), CTX):
+                assert alone == swept[family, k, m], (family, k, m)
 
     THIRD = Fraction(1, 3)
 
@@ -533,7 +560,7 @@ class TestVerifySweep:
         plain = [Fraction(m) for m in range(1, 6)]
         assert sorted(built) == sorted(plain + [self.THIRD + j for j in range(6)])
         built.clear()
-        verify_identity(self.PLUS_THIRD, 4, 3, ctx)
+        list(verify_grid(self.PLUS_THIRD, 4, (3,), ctx))
         assert sorted(built) == [self.THIRD, self.THIRD + 3]
 
     def test_recovery_orders_are_verify_recovery(self):

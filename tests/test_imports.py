@@ -18,8 +18,8 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
 
 NUMERIC = [
-    "PrecisionContext", "Residual", "gamma_derivatives", "recover_basis",
-    "verify_identity", "verify_recovery",
+    "PrecisionContext", "Residual", "gamma_derivatives", "verify_grid",
+    "verify_recovery",
 ]
 
 # Run in a fresh interpreter: after each step, whether mpmath and gammanum are
@@ -78,9 +78,9 @@ def test_numeric_exports_are_the_gammanum_objects(monkeypatch):
     def wrapped(*args, **kwargs):
         pass
 
-    monkeypatch.setattr(gammanum, "verify_identity", wrapped)
-    assert gammalattice.verify_identity is wrapped
-    assert "verify_identity" not in vars(gammalattice)
+    monkeypatch.setattr(gammanum, "verify_grid", wrapped)
+    assert gammalattice.verify_grid is wrapped
+    assert "verify_grid" not in vars(gammalattice)
 
     assert not hasattr(gammalattice, "no_such_name")
     with pytest.raises(AttributeError, match="'gammalattice' has no attribute"):
@@ -93,3 +93,13 @@ def test_numeric_exports_are_the_gammanum_objects(monkeypatch):
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["command"] == "coeffs"
+
+
+@pytest.mark.parametrize("name", ["verify_identity", "recover_basis"])
+def test_deleted_wrappers_are_no_exports(name):
+    # one cell of verify_grid, and the values of verify_recovery: callers read
+    # those two routes, which the CLI runs, directly
+    message = f"^module 'gammalattice' has no attribute '{name}'$"
+    with pytest.raises(AttributeError, match=message):
+        getattr(gammalattice, name)
+    assert not hasattr(gammanum, name)
