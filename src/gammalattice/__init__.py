@@ -15,15 +15,7 @@ from .coeffs import (
     build_system,
     coefficient_table,
 )
-from .density import (
-    BoundVariant,
-    DensityBound,
-    GridRow,
-    bivariate_min_sum,
-    density_grid,
-    prior_univariate_bound,
-    window_bound,
-)
+from .density import BoundVariant, DensityBound, GridRow, density_grid
 from .errors import (
     DimensionMismatchError,
     GammaLatticeError,

@@ -4,19 +4,17 @@ Each bound is the complement of an averaged cap on how many derivative values
 in a finite window can be algebraic: at most n-1 plain lattice points per
 order n >= 2, at most n shifted points per order n >= 1 on each one-sided
 lattice.  A plain window is the shifted window one step in
-(`BoundVariant.offset`), so one rule computes the fixed-order and bivariate
-bounds of both lattices.  The bivariate closed forms have an independent
-brute-force counterpart (`bivariate_min_sum`) that performs the min-sum
-directly, with no case split; the two must agree exactly on every cell.  The
-oracle takes a whole column of N values at one M and sums the caps once, as a
-running sum over the orders, so a grid costs one pass per M rather than one
-per cell.
+(`BoundVariant.offset`), so one rule, `_window`, computes the fixed-order and
+bivariate bounds of both lattices.  The bivariate closed forms have a
+brute-force counterpart, `_min_sum_pairs`, that performs the min-sum directly,
+with no case split; the two must agree exactly on every cell.  The oracle
+takes a whole column of N values at one M and sums the caps once, as a running
+sum over the orders, so a grid costs one pass per M rather than one per cell.
 
-Every windowed bound is a ratio of small integers, so a grid keeps each cell
-as its unreduced pair (num, den), and the oracle's as its own pair, in one
-light `GridRow`: no `Fraction` and no `DensityBound` per cell.  The public
-rules, `window_bound` and `bivariate_min_sum`, wrap the same pairs in
-`Fraction`s.  Prior rows are real numbers and stay `DensityBound`s.
+`density_grid` is the one entry point.  Every windowed bound is a ratio of
+small integers, so a grid keeps each cell as its unreduced pair (num, den),
+and the oracle's as its own pair, in one light `GridRow`: no `Fraction` per
+cell.  Prior rows are real numbers and are `DensityBound`s.
 
 True densities of transcendental values are not computable (they hinge on open
 transcendence questions); only these lower-bound functions are provided.
@@ -24,6 +22,7 @@ transcendence questions); only these lower-bound functions are provided.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -66,12 +65,9 @@ class BoundVariant(Enum):
 
 @dataclass(frozen=True, slots=True)
 class DensityBound:
-    """A computed lower bound: value in [0, 1] plus the branch that produced it.
-
-    `value` is an exact Fraction except for the prior bound at non-square N,
-    where the square root forces a high-precision real; `exact` makes the
-    difference explicit.
-    """
+    """One row of a prior grid: the bound in [0, 1] and its branch.  `value`
+    is an exact Fraction except at non-square N, where the square root forces
+    a high-precision real; `exact` makes the difference explicit."""
 
     variant: BoundVariant
     params: dict
@@ -80,22 +76,12 @@ class DensityBound:
     exact: bool = True
 
 
-def _check_digits(digits: int) -> None:
-    if digits < 1:
-        raise ValueError(f"digits={digits} must be >= 1")
-    if digits > MAX_DIGITS:
-        raise ValueError(f"digits={digits} must be <= {MAX_DIGITS}")
-
-
-def prior_univariate_bound(N: int, digits: int = 50) -> DensityBound:
-    """max{0, sqrt(N) - 5/2} / N over derivative orders 1..N at one point.
-
-    Exact when the bound clamps to zero (N <= 6) or N is a perfect square;
-    otherwise a high-precision real computed at `digits` (>= 1) digits.
-    """
+def _prior_bound(N: int, digits: int) -> DensityBound:
+    """max{0, sqrt(N) - 5/2} / N over derivative orders 1..N at one point:
+    exact when the bound clamps to zero (N <= 6) or N is a perfect square,
+    otherwise a high-precision real computed at `digits` digits."""
     if N < 1:
         raise ValueError(f"N={N} must be >= 1")
-    _check_digits(digits)
     params = {"N": N}
     if N <= 6:
         return DensityBound(BoundVariant.PRIOR, params, Fraction(0), "clamped-zero")
@@ -114,8 +100,6 @@ def prior_univariate_bound(N: int, digits: int = 50) -> DensityBound:
 
 def _check_window(variant: BoundVariant, first: int, M: int) -> None:
     """Refuse a window below the variant's first order or point."""
-    if variant is BoundVariant.PRIOR:
-        raise ValueError("the prior bound has no lattice window")
     offset = variant.offset
     if first < 1 + offset:
         raise ValueError(f"{variant.ranges[0]}={first} must be >= {1 + offset}")
@@ -124,18 +108,8 @@ def _check_window(variant: BoundVariant, first: int, M: int) -> None:
 
 
 def _window(variant: BoundVariant, first: int, M: int) -> tuple[int, int, str]:
-    """The bound of a checked window as an unreduced pair (num, den), and its
-    branch label: the closed forms of `window_bound`, in integers."""
-    n, m = first - variant.offset, M + 1 - variant.offset
-    if not variant.has_oracle:  # fixed order
-        return m - min(n, m), m, variant.branches[m > n]
-    if m <= n:
-        return m - 1, 2 * n, variant.branches[0]
-    return 2 * m - n - 1, 2 * m, variant.branches[1]
-
-
-def window_bound(variant: BoundVariant, first: int, M: int) -> DensityBound:
-    """The fixed-order or bivariate bound, computed in shifted coordinates.
+    """The fixed-order or bivariate bound of a checked window as an unreduced
+    pair (num, den), and its branch label, computed in shifted coordinates.
 
     Gamma(1) = 1 is known, so a plain window is the shifted one a step in:
     order n (orders 2..N) over points 1..M is order n-1 (orders 1..N-1) over
@@ -144,19 +118,27 @@ def window_bound(variant: BoundVariant, first: int, M: int) -> DensityBound:
     at most k algebraic values in it.  So the bound is 1 - min{n, m}/m at fixed
     order, and over orders 1..n it averages to (m-1)/(2n) if m <= n, else
     1 - (n+1)/(2m).  `first` is n for the fixed-order variants, N for the
-    bivariate ones; the prior variant has no window.
+    bivariate ones.
     """
-    _check_window(variant, first, M)
-    num, den, branch = _window(variant, first, M)
-    params = {variant.ranges[0]: first, "M": M}
-    return DensityBound(variant, params, Fraction(num, den), branch)
+    n, m = first - variant.offset, M + 1 - variant.offset
+    if not variant.has_oracle:  # fixed order
+        return m - min(n, m), m, variant.branches[m > n]
+    if m <= n:
+        return m - 1, 2 * n, variant.branches[0]
+    return 2 * m - n - 1, 2 * m, variant.branches[1]
 
 
 def _min_sum_pairs(
     variant: BoundVariant, Ns: Sequence[int], M: int
 ) -> list[tuple[int, int]]:
-    """The column of `bivariate_min_sum` as unreduced pairs (size - caps,
-    size), for checked, nonempty, strictly ascending `Ns`."""
+    """The bivariate bound at each N of the checked, nonempty, strictly
+    ascending `Ns`, at one M, as unreduced pairs (size - caps, size).
+
+    A direct min-summation with no branch arithmetic: the algebraic caps
+    min(n-1, M) (plain, orders n >= 2) or min(n, M+1) (shifted, n >= 1) are
+    summed once, as one running sum over n up to the largest N, and the
+    column reads its cells off that sum.
+    """
     if variant.shifted:
         first, points = 1, M + 1
         caps = (min(n, points) for n in count(first))
@@ -171,34 +153,13 @@ def _min_sum_pairs(
     return pairs
 
 
-def bivariate_min_sum(
-    variant: BoundVariant, Ns: Iterable[int], M: int
-) -> list[Fraction]:
-    """The bivariate bound at each N of the strictly ascending `Ns`, one M.
-
-    A direct min-summation with no branch arithmetic: the algebraic caps
-    min(n-1, M) (plain, orders n >= 2) or min(n, M+1) (shifted, n >= 1) are
-    summed once, as one running sum over n up to the largest N, and the
-    column reads its cells off that sum.
-    """
-    if not isinstance(variant, BoundVariant) or not variant.has_oracle:
-        raise ValueError(f"no min-sum oracle for variant {variant!r}")
-    Ns = list(Ns)
-    if any(b <= a for a, b in zip(Ns, Ns[1:])):
-        raise ValueError("N values must be strictly increasing")
-    # an empty column has no first order, so only its M is checked
-    _check_window(variant, Ns[0] if Ns else 1 + variant.offset, M)
-    if not Ns:
-        return []
-    return [Fraction(num, den) for num, den in _min_sum_pairs(variant, Ns, M)]
-
-
 def _ascending(values: Iterable[int]) -> Sequence[int]:
-    """The distinct values in ascending order.  A range with a positive step
-    already is that, and is kept, so sizing a huge one allocates nothing."""
+    """The distinct values in ascending order, each read by `operator.index`
+    (a float or a `Fraction` is refused).  A range with a positive step is
+    kept, so sizing a huge one allocates nothing."""
     if isinstance(values, range) and values.step > 0:
         return values
-    return sorted(set(values))
+    return sorted(set(map(operator.index, values)))
 
 
 def _count(values: Sequence[int]) -> int:
@@ -233,21 +194,25 @@ def density_grid(
 
     The ranges are the variant's: N for the prior and bivariate variants and n
     for the fixed-order ones, then M (ignored by the prior variant, required
-    by the others, and nonempty unless the first range is empty).
-    A prior grid is a list of `DensityBound`s; `digits` (>= 1) is the
-    precision of their inexact values.  A windowed grid is a list of
-    `GridRow`s, each bound an exact pair of integers; bivariate rows carry the
-    min-sum oracle's pair unless `include_oracle` is switched off, and the
-    oracle runs once per M, over every N at once.  A grid of more than
-    `budget.MAX_CELLS` cells is refused before any cell is computed; a prior
-    cell weighs more at more digits, and the oracle counts every order up to
-    the largest N at each M.
+    by the others, and nonempty unless the first range is empty); they and
+    `digits` are read by `operator.index`.  A prior grid is a list of
+    `DensityBound`s; `digits` (>= 1) is the precision of their inexact values.
+    A windowed grid is a list of `GridRow`s, each bound an exact pair of
+    integers; bivariate rows carry the min-sum oracle's pair unless
+    `include_oracle` is switched off, and the oracle runs once per M, over
+    every N at once.  A grid of more than `budget.MAX_CELLS` cells is refused
+    before any cell is computed; a prior cell weighs more at more digits, and
+    the oracle counts every order up to the largest N at each M.
     """
-    _check_digits(digits)
+    digits = operator.index(digits)
+    if digits < 1:
+        raise ValueError(f"digits={digits} must be >= 1")
+    if digits > MAX_DIGITS:
+        raise ValueError(f"digits={digits} must be <= {MAX_DIGITS}")
     firsts = _ascending(first_range)
     if variant is BoundVariant.PRIOR:
         hold(_count(firsts), digits, "grid cells")
-        return [prior_univariate_bound(N, digits=digits) for N in firsts]
+        return [_prior_bound(N, digits) for N in firsts]
     seconds = _ascending(second_range or ())
     if not seconds and (firsts or second_range is None):
         # no M values would silently drop every first value

@@ -8,9 +8,10 @@ brute-force enumeration, pi by Machin's formula, and Cauchy-Binet expansions
 over every column subset with Fraction Gaussian elimination, on the banded
 factor written out densely (`dense`).  The certificate chain's first steps
 (row differencing, then dropping the first row and column) and the matrix
-product run on plain lists of rows.  The CLI envelope is
-rendered by the standard library's own JSON and CSV writers.  Nothing below
-touches the package's prefix-table, Bareiss, polygamma or output code paths.
+product run on plain lists of rows.  Density bounds sum the abstract's caps
+one order at a time.  The CLI envelope is rendered by the standard library's
+own JSON and CSV writers.  Nothing below touches the package's prefix-table,
+Bareiss, polygamma, density or output code paths.
 """
 
 import csv
@@ -23,7 +24,7 @@ from typing import Sequence
 
 from mpmath import mp
 
-from gammalattice import GuardExceededError, PrecisionContext
+from gammalattice import BoundVariant, GuardExceededError, PrecisionContext
 
 
 def poly_mul(a, b, truncate=None):
@@ -242,6 +243,22 @@ def difference_minor(rows):
     if [row[0] for row in diff] != [1] + [0] * (len(diff) - 1):
         raise ValueError("first column is not constant 1; minor would change det")
     return [row[1:] for row in diff[1:]]
+
+
+def density_oracle(variant, first, M) -> Fraction:
+    """A windowed density bound from the abstract's caps, one order at a time:
+    at most min(n-1, M) algebraic values at plain order n >= 2 over the M
+    points 1..M, at most min(n, M+1) at shifted order n >= 1 over the M+1
+    points 0..M.  A fixed-order bound counts the order `first` alone, a
+    bivariate one every order up to N = `first`."""
+    shifted = variant in (BoundVariant.FIXED_N_SHIFTED, BoundVariant.BIVARIATE_SHIFTED)
+    bivariate = variant in (BoundVariant.BIVARIATE, BoundVariant.BIVARIATE_SHIFTED)
+    lowest, points = (1, M + 1) if shifted else (2, M)
+    orders = range(lowest, first + 1) if bivariate else [first]
+    algebraic = 0
+    for n in orders:
+        algebraic += min(n if shifted else n - 1, points)
+    return 1 - Fraction(algebraic, len(orders) * points)
 
 
 # The CLI envelope as the standard library writes it: the whole payload through

@@ -18,9 +18,9 @@ from gammalattice import (
     PolyKind,
     BoundVariant,
     PrecisionContext,
-    bivariate_min_sum,
     build_system,
     certify_prefix_matrix,
+    density_grid,
     det_exact,
     elementary_prefix,
     gamma_derivatives,
@@ -29,7 +29,6 @@ from gammalattice import (
     prefix_matrix,
     verify_grid,
     verify_recovery,
-    window_bound,
 )
 
 from _oracles import (
@@ -199,36 +198,41 @@ def test_criterion_4_basis_recovery():
 def test_criterion_5_density_closed_forms():
     started = time.time()
     failures = []
-    for N in range(2, 201):
-        for M in range(1, 201):
-            if window_bound(PLAIN_2D, N, M).value != bivariate_min_sum(
-                PLAIN_2D, [N], M
-            )[0]:
-                failures.append(("plain", N, M))
-    for N in range(1, 201):
-        for M in range(201):
-            if window_bound(SHIFTED_2D, N, M).value != bivariate_min_sum(
-                SHIFTED_2D, [N], M
-            )[0]:
-                failures.append(("shifted", N, M))
+    # one grid per lattice, as `density --with-oracle` runs it: 39,800 plain
+    # and 40,200 shifted cells, each closed form against the min-sum oracle
+    grids = {
+        "plain": density_grid(PLAIN_2D, range(2, 201), range(1, 201)),
+        "shifted": density_grid(SHIFTED_2D, range(1, 201), range(201)),
+    }
+    count = sum(map(len, grids.values()))
+    # the cells on the boundary M = N - 1 and on the diagonal M = N
+    cells = {}
+    for name, rows in grids.items():
+        for row in rows:
+            # both denominators are positive, so cross products compare exactly
+            if row.num * row.oracle_den != row.oracle_num * row.den:
+                failures.append((name, row.first, row.M))
+            if row.M in (row.first - 1, row.first):
+                cells[name, row.first, row.M] = Fraction(row.num, row.den)
     for N in range(2, 201):
         M = N - 1
-        if M >= 1 and window_bound(PLAIN_2D, N, M).value != 1 - Fraction(N, 2 * M):
+        if M >= 1 and cells["plain", N, M] != 1 - Fraction(N, 2 * M):
             failures.append(("plain-boundary", N))
     for N in range(1, 201):
         M = N - 1
-        if window_bound(SHIFTED_2D, N, M).value != 1 - Fraction(N + 1, 2 * (M + 1)):
+        if cells["shifted", N, M] != 1 - Fraction(N + 1, 2 * (M + 1)):
             failures.append(("shifted-boundary", N))
     for N in (10, 100, 200):
-        value = window_bound(PLAIN_2D, N, N).value
+        value = cells["plain", N, N]
         if abs(value - Fraction(1, 2)) > Fraction(1, 2 * (N - 1)):
             failures.append(("diagonal", N))
         if N == 10 and value != Fraction(1, 2):
             failures.append(("diagonal-exact", N))
     elapsed = time.time() - started
-    ok = not failures and elapsed < 10
-    _report(5, "density closed forms", ok, f"{elapsed:.1f}s")
+    ok = not failures and count == 80_000 and elapsed < 10
+    _report(5, "density closed forms", ok, f"{count} cells, {elapsed:.1f}s")
     assert not failures, failures[:10]
+    assert count == 80_000
     assert elapsed < 10
 
 

@@ -28,12 +28,12 @@ EXPORTS = [
     "KNOWN_TRANSCENDENTAL_SHIFTS", "LatticeSpec", "MissingKappaError",
     "NonIncreasingIndicesError", "NotSquareError", "PoleArgumentError", "PolyKind",
     "PrecisionContext", "PrefixCertificate", "PrefixTable", "RationalMatrix",
-    "Residual", "SingularMatrixError", "SpecMismatchError", "bivariate_min_sum",
+    "Residual", "SingularMatrixError", "SpecMismatchError",
     "build_system", "cauchy_binet", "certify_prefix_matrix", "coefficient_table",
     "density_grid", "det_exact", "difference_factorization",
     "elementary_prefix",
     "gamma_derivatives", "homogeneous_prefix", "inverse_exact", "prefix_matrix",
-    "prior_univariate_bound", "verify_grid", "verify_recovery", "window_bound",
+    "verify_grid", "verify_recovery",
 ]
 
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import reference_csv, reference_json
+from _oracles import density_oracle, reference_csv, reference_json
 from gammalattice import (
     SingularMatrixError,
     budget,
@@ -909,7 +909,7 @@ class TestDensityCommand:
     )
     def test_grid_over_the_budget_is_usage_error(self, capsys, monkeypatch, argv):
         # 2:3000 x 1:3000 ran past 10 s with no cap; no cell may be computed
-        for name in ("_window", "_min_sum_pairs", "prior_univariate_bound"):
+        for name in ("_window", "_min_sum_pairs", "_prior_bound"):
             monkeypatch.setattr(density, name, _no_cell)
         code, out, err = run(capsys, "density", *argv)
         assert code == 2
@@ -932,7 +932,7 @@ class TestDensityCommand:
     def test_weighted_grid_over_the_budget_is_usage_error(
         self, capsys, monkeypatch, argv
     ):
-        for name in ("_window", "_min_sum_pairs", "prior_univariate_bound"):
+        for name in ("_window", "_min_sum_pairs", "_prior_bound"):
             monkeypatch.setattr(density, name, _no_cell)
         code, out, err = run(capsys, "density", *argv)
         assert (code, out) == (2, "")
@@ -969,9 +969,9 @@ class TestDensityCommand:
         oracle=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_printed_values_are_the_public_rules(self, variant, first, second, oracle):
-        # every cell prints str() of the public rule's Fraction and of the
-        # oracle's; the lowest M is 0 on the shifted lattices
+    def test_printed_values_are_the_density_oracle(self, variant, first, second, oracle):
+        # every cell prints the test-side oracle's Fraction, as the value and
+        # as the oracle's; the lowest M is 0 on the shifted lattices
         offset = 0 if variant.shifted else 1
         (a, da), (b, db) = first, second
         a, b = a + 1 + offset, b + offset
@@ -983,19 +983,21 @@ class TestDensityCommand:
             code = main(argv + ["--with-oracle"] * oracle)
         assert code == 0
         rows = json.loads(out.getvalue())["rows"]
-        Ns = range(a, a + da + 1)
-        Ms = range(b, b + db + 1)
-        assert len(rows) == len(Ns) * len(Ms)
-        columns = {}
-        if oracle:
-            columns = {M: density.bivariate_min_sum(variant, Ns, M) for M in Ms}
+        assert len(rows) == (da + 1) * (db + 1)
+        # the window within the order cap, then beyond it: on both lattices
+        # the window is beyond the cap where M >= n (or N)
+        labels = {
+            "fixed-n": ("M<=n-1", "M>n-1"),
+            "fixed-n-shifted": ("M+1<=n", "M+1>n"),
+            "bivariate": ("M<=N-1", "M>N-1"),
+            "bivariate-shifted": ("M+1<=N", "M+1>N"),
+        }[variant.value]
         for row in rows:
-            N, M = row[variant.ranges[0]], row["M"]
-            bound = density.window_bound(variant, N, M)
-            assert (row["value"], row["branch"]) == (str(bound.value), bound.branch)
+            order, M = row[variant.ranges[0]], row["M"]
+            value = str(density_oracle(variant, order, M))
+            assert (row["value"], row["branch"]) == (value, labels[M >= order])
             if oracle:
-                assert row["oracle"] == str(columns[M][N - a])
-                assert row["oracle_match"] is True
+                assert (row["oracle"], row["oracle_match"]) == (value, True)
             else:
                 assert "oracle" not in row
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import gammalattice
-from gammalattice import gammanum
+from gammalattice import density, gammanum
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
@@ -95,11 +95,22 @@ def test_numeric_exports_are_the_gammanum_objects(monkeypatch):
     assert json.loads(done.stdout)["command"] == "coeffs"
 
 
-@pytest.mark.parametrize("name", ["verify_identity", "recover_basis"])
+# Each deleted wrapper and the module it lived in.  Callers read the routes
+# the CLI runs directly: one cell of verify_grid and the values of
+# verify_recovery; one cell of density_grid, a grid's oracle pairs and one
+# prior cell.
+DELETED = {
+    "verify_identity": gammanum,
+    "recover_basis": gammanum,
+    "window_bound": density,
+    "bivariate_min_sum": density,
+    "prior_univariate_bound": density,
+}
+
+
+@pytest.mark.parametrize("name", DELETED)
 def test_deleted_wrappers_are_no_exports(name):
-    # one cell of verify_grid, and the values of verify_recovery: callers read
-    # those two routes, which the CLI runs, directly
     message = f"^module 'gammalattice' has no attribute '{name}'$"
     with pytest.raises(AttributeError, match=message):
         getattr(gammalattice, name)
-    assert not hasattr(gammanum, name)
+    assert not hasattr(DELETED[name], name)
