@@ -314,6 +314,8 @@ def verify_grid(family: ArgumentFamily, n_max: int, ms, ctx: PrecisionContext):
     """
     ArgumentFamily.require(family)
     ms = tuple(ms)
+    if not ms:
+        raise ValueError("no lattice indices")
     table = family.poly_kind.table(family, family.prefix_length(max(ms)), n_max)
     vectors = _lattice_derivatives(family, ms, n_max, ctx)
     basis = vectors[family.min_index]

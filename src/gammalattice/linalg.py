@@ -26,7 +26,8 @@ and checks the expansion against the determinant of the matrix itself, and
 `certify_lattice` runs it for a lattice system's indices.
 
 Every elimination runs fraction-free on integer rows, each scaled once by the
-lcm of its denominators, and is charged its estimated work first.
+lcm of its denominators, and is charged its estimated work first; `_reduce`
+is its one Bareiss step, for the determinant, the inverse and the walk alike.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import comb, lcm, prod
 from typing import Iterable, Sequence
@@ -87,9 +89,8 @@ class RationalMatrix:
         return [list(self.row(r)) for r in range(self.rows)]
 
 
-def _integer_row(row: Iterable[Fraction]) -> tuple[int, list[int]]:
+def _integer_row(row: Sequence[Fraction]) -> tuple[int, list[int]]:
     """The row's scale, the lcm of its denominators, and the row times it."""
-    row = tuple(row)
     mult = lcm(*(x.denominator for x in row))
     return mult, [x.numerator * (mult // x.denominator) for x in row]
 
@@ -108,39 +109,47 @@ def _elimination_work(n: int, bits: int, inverse: bool) -> int:
     return work
 
 
-def _eliminate(rows: list[list[int]], inverse: bool) -> tuple[int, int]:
-    """Charge, then run, the elimination of the leading square of `rows`."""
+def _reduce(row: list[int], pivots: Iterable[list[int]], prev: int = 1) -> list[int]:
+    """The row reduced by each pivot row in turn, all read from the pivot column
+    on: a Bareiss step each, exact over the pivot before it (`prev` first)."""
+    for pivot in pivots:
+        pairs = zip(row, pivot)
+        head, lead = next(pairs)
+        row = [(x * lead - head * y) // prev for x, y in pairs]
+        prev = lead
+    return row
+
+
+def _fraction_free(rows: list[list[int]], inverse: bool) -> tuple[int, int]:
+    """Charge, then run, the elimination of the leading square of `rows` below
+    each pivot (Bareiss), or around it for an inverse (Gauss-Jordan).  Rows are
+    held from the pivot column on, so they end as what lies right of the square.
+    Returns the swaps' sign and the last pivot, 0 if singular."""
     n = len(rows)
     bits = max(abs(x).bit_length() for row in rows for x in row[:n])
     what = f"the {'inverse' if inverse else 'determinant'} of a {n}x{n} matrix"
     charge(_elimination_work(n, bits, inverse), f"{what} of {bits}-bit rows")
-    return _fraction_free(rows, inverse)
-
-
-def _fraction_free(rows: list[list[int]], inverse: bool) -> tuple[int, int]:
-    """Eliminate in place below each pivot (Bareiss), or around it for an
-    inverse (Gauss-Jordan): the swaps' sign and the last pivot, 0 if singular."""
-    n = len(rows)
     sign, prev = 1, 1
     for k in range(n):
-        swap = next((r for r in range(k, n) if rows[r][k] != 0), None)
+        swap = next((r for r in range(k, n) if rows[r][0] != 0), None)
         if swap is None:
             return sign, 0
         if swap != k:
             rows[k], rows[swap] = rows[swap], rows[k]
             sign = -sign
-        rowk = rows[k]
-        pivot = rowk[k]
+        pivot = rows[k]
+        rows[k] = pivot[1:]
         for i in range(0 if inverse else k + 1, n):
-            if i == k:
-                continue
-            rowi = rows[i]
-            aik = rowi[k]
-            for j in range(k + 1, len(rowi)):
-                rowi[j] = (rowi[j] * pivot - aik * rowk[j]) // prev
-            rowi[k] = 0
-        prev = pivot
+            if i != k:
+                rows[i] = _reduce(rows[i], (pivot,), prev)
+        prev = pivot[0]
     return sign, prev
+
+
+def _det(scaled: Sequence[tuple[int, list[int]]]) -> Fraction:
+    """The determinant of (scale, integer row) pairs: last pivot / scales."""
+    sign, last = _fraction_free([row for _, row in scaled], inverse=False)
+    return Fraction(sign * last, prod(mult for mult, _ in scaled))
 
 
 def det_exact(m: RationalMatrix) -> Fraction:
@@ -151,9 +160,7 @@ def det_exact(m: RationalMatrix) -> Fraction:
     """
     if m.rows != m.cols:
         raise NotSquareError(f"determinant of a {m.rows}x{m.cols} matrix")
-    scaled = [_integer_row(m.row(r)) for r in range(m.rows)]
-    sign, last = _eliminate([row for _, row in scaled], inverse=False)
-    return Fraction(sign * last, prod(mult for mult, _ in scaled))
+    return _det([_integer_row(m.row(r)) for r in range(m.rows)])
 
 
 def inverse_exact(m: RationalMatrix) -> RationalMatrix:
@@ -171,10 +178,10 @@ def inverse_exact(m: RationalMatrix) -> RationalMatrix:
     for r in range(n):
         mult, row = _integer_row(m.row(r))
         aug.append(row + [mult if c == r else 0 for c in range(n)])
-    last = _eliminate(aug, inverse=True)[1]
+    last = _fraction_free(aug, inverse=True)[1]
     if last == 0:
         raise SingularMatrixError("matrix is singular")
-    entries = tuple(Fraction(x, last) for row in aug for x in row[n:])
+    entries = tuple(Fraction(x, last) for row in aug for x in row)
     return RationalMatrix(n, n, entries)
 
 
@@ -271,7 +278,7 @@ class CauchyBinetTerm:
     det_left: Fraction
     det_right: Fraction
 
-    @property
+    @cached_property
     def product(self) -> Fraction:
         return self.det_left * self.det_right
 
@@ -340,9 +347,9 @@ def cauchy_binet(left: BandedFactor, right: RationalMatrix) -> CauchyBinetCertif
     integers once; a node reduces its new row against the Bareiss pivots of
     the rows above it on its path, and at a leaf the last pivot over the
     product of the row scales is det_right.  Below a zero pivot the shared
-    elimination cannot divide, so each leaf there is finished by `det_exact`
-    and counted in `fallback_count`.  Terms with a nonzero product are
-    recorded with both factors; their sum is det(left @ right).
+    elimination cannot divide, so each leaf there eliminates its own scaled
+    rows, charged as `det_exact` is, and counts in `fallback_count`.  Terms
+    with a nonzero product are kept with both factors; they sum to det(left @ right).
     """
     p, q = left.rows, left.cols
     if right.rows != q or right.cols != p:
@@ -361,9 +368,7 @@ def cauchy_binet(left: BandedFactor, right: RationalMatrix) -> CauchyBinetCertif
 
     def record(path: list[int], det_left: Fraction, det_right: Fraction) -> None:
         if det_right != 0:
-            surviving.append(
-                CauchyBinetTerm(tuple(j + 1 for j in path), det_left, det_right)
-            )
+            surviving.append(CauchyBinetTerm(tuple(j + 1 for j in path), det_left, det_right))
 
     def walk(path: list[int], pivots: list[list[int]], scale: int, det_left: Fraction):
         # pivots[k] is the reduced row at depth k, from its pivot column on
@@ -371,13 +376,7 @@ def cauchy_binet(left: BandedFactor, right: RationalMatrix) -> CauchyBinetCertif
         depth = len(path)
         for j, entry in bands[depth]:
             mult, row = scaled[j]
-            prev = 1
-            for pivot in pivots:
-                lead, head = pivot[0], row[0]
-                row = [
-                    (x * lead - head * y) // prev for x, y in zip(row[1:], pivot[1:])
-                ]
-                prev = lead
+            row = _reduce(row, pivots)
             here = [*path, j]
             det_here = det_left * entry
             if depth == p - 1:
@@ -388,9 +387,9 @@ def cauchy_binet(left: BandedFactor, right: RationalMatrix) -> CauchyBinetCertif
                 for rest in product(*bands[depth + 1 :]):
                     subset = [*here, *(c for c, _ in rest)]
                     fallback += 1
-                    sub = RationalMatrix.from_rows(right.row(c) for c in subset)
                     entries = (y for _, y in rest)
-                    record(subset, prod(entries, start=det_here), det_exact(sub))
+                    rows = [scaled[c] for c in subset]
+                    record(subset, prod(entries, start=det_here), _det(rows))
 
     walk([], [], 1, Fraction(1))
     total = sum((term.product for term in surviving), start=Fraction(0))
@@ -406,7 +405,7 @@ class PrefixCertificate:
     parent_det: Fraction
     expansion: CauchyBinetCertificate
 
-    @property
+    @cached_property
     def all_terms_positive(self) -> bool:
         return all(t.det_left > 0 and t.det_right > 0 for t in self.expansion.surviving)
 

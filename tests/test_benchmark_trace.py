@@ -1,15 +1,44 @@
-"""The benchmark's traced mode runs against the current package: traced
-`perfbench/child.py` steps on a certificate, a density grid and `verify`
-sweeps report no problems, the counters its tracer reads off `cauchy_binet`'s
-arguments and result, and off the length of `density_grid`'s result, add up,
-and the mpmath cache counters it reads off `gammanum` are there."""
+"""The benchmark runs against the current package.  Its default-seed
+operations print the bytes `perfbench/golden.json` records.  Its traced mode
+works: traced `perfbench/child.py` steps on a certificate, a density grid and
+`verify` sweeps report no problems, the counters its tracer reads off
+`cauchy_binet`'s arguments and result, and off the length of `density_grid`'s
+result, add up, and the mpmath cache counters it reads off `gammanum` are
+there."""
 
+import contextlib
+import hashlib
+import importlib.util
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from gammalattice import cli
+
 ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+)
+workloads = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
+GOLDEN = json.loads((ROOT / "perfbench" / "golden.json").read_text())
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_default_seed_stdout_is_the_golden_bytes(workload):
+    # the benchmark hashes each operation's stdout against golden.json and
+    # counts a mismatch as a wrong output, at sizes no GOLDEN_STDOUT argv runs
+    assert GOLDEN["seed"] == workloads.DEFAULT_SEED
+    for op in workloads.operations(workload, workloads.DEFAULT_SEED):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert cli.main(list(op.argv)) == 0, op.label
+        digest = hashlib.sha256(stdout.getvalue().encode("utf-8")).hexdigest()
+        assert digest == GOLDEN["sha256"][op.label], op.label
 
 
 def _traced_step(label, argv):

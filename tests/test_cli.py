@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from _oracles import density_oracle, reference_csv, reference_json
 from gammalattice import (
@@ -524,7 +525,7 @@ class TestMatrixCommand:
 
     def test_elimination_over_the_budget_is_usage_error(self, capsys, monkeypatch):
         # the 41 x 41 minus-1/3 inverse ran past 120 s; the 31 x 31 one took 32 s
-        monkeypatch.setattr(linalg, "_fraction_free", _no_cell)
+        monkeypatch.setattr(linalg, "_reduce", _no_cell)
         code, out, err = run(
             capsys,
             "matrix", "--family", "minus", "--n", "40", "--kappa", "1/3",
@@ -602,7 +603,32 @@ class TestMatrixCommand:
         assert err.startswith("error:") and err.count("\n") == 1
 
 
+# The printed rows of the `verify` argv of GOLDEN_STDOUT, recorded as values.
+# A change that moves printed digits within each run's tolerance re-records
+# them (and the GOLDEN_STDOUT digests): the tolerance check still holds it to
+# the rows recorded before.
+VERIFY_ROWS = Path(__file__).parent / "fixtures" / "verify_rows.json"
+VERIFY_GOLDEN = [case for case in GOLDEN_STDOUT if case[1].startswith("verify")]
+
+
 class TestVerifyCommand:
+    @pytest.mark.parametrize(
+        "argv", [case[1] for case in VERIFY_GOLDEN], ids=[case[0] for case in VERIFY_GOLDEN]
+    )
+    def test_rows_are_the_recorded_values(self, capsys, argv):
+        code, payload, _ = run_json(capsys, *argv.split())
+        recorded = json.loads(VERIFY_ROWS.read_text())[argv]
+        assert code == 0 and len(payload["rows"]) == len(recorded)
+        params = payload["params"]
+        ctx = gammanum.PrecisionContext(params["digits"], params["tolerance"])
+        with mp.workdps(ctx.working_digits):
+            for row, old in zip(payload["rows"], recorded):
+                for key in ("lhs", "rhs", "recovered", "reference"):
+                    if key in old:
+                        value, before = mp.mpf(row[key]), mp.mpf(old[key])
+                        assert abs(value - before) <= ctx.tolerance * max(1, abs(before))
+        assert payload["rows"] == recorded
+
     def test_identity_sweep_passes(self, capsys):
         code, payload, _ = run_json(
             capsys,

@@ -10,10 +10,12 @@ from gammalattice import (
     KNOWN_TRANSCENDENTAL_SHIFTS,
     ArgumentFamily,
     FamilyKind,
+    GuardExceededError,
     InvalidKappaError,
     LatticeSpec,
     PrecisionContext,
     SpecMismatchError,
+    budget,
     build_system,
     coefficient_table,
     verify_grid,
@@ -324,6 +326,18 @@ class TestCoefficientTable:
         assert len(cells) == 7 and all(r.passed for *_, r in cells)
         length = 4 if family == PLAIN else 5
         assert built == [(length, 6)]
+
+    def test_rows_held_by_the_top_rows_digits(self, monkeypatch):
+        # 41 rows of 21 minus-1/3 coefficients, held by the top row's longest
+        # numerator and denominator: 1488 digits, so 6 cells a coefficient
+        monkeypatch.setattr(budget, "MAX_CELLS", 861 * 6)
+        assert len(coefficient_table(minus(THIRD), 20, range(41))) == 41
+        monkeypatch.setattr(budget, "MAX_CELLS", 861 * 6 - 1)
+        with pytest.raises(
+            GuardExceededError,
+            match=r"^861 coefficients of weight 6 are over the budget 5165$",
+        ):
+            coefficient_table(minus(THIRD), 20, range(41))
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -68,6 +68,8 @@ class TestPriorBound:
             density_grid(PRIOR, [30], digits=0)
         with pytest.raises(ValueError, match="must be >= 1"):
             density_grid(PRIOR, [30], digits=-3)
+        # the least precision is admitted
+        assert [bound.params["N"] for bound in density_grid(PRIOR, [7], digits=1)] == [7]
 
     def test_maximum_digits(self):
         # the cap `verify` uses: a million digits ran for seconds and printed 1 MB
@@ -332,6 +334,17 @@ class TestDensityGrid:
         # a range past sys.maxsize is sized, not listed
         with pytest.raises(GuardExceededError, match=rf"^{10**23} grid cells are over"):
             density_grid(PRIOR, range(10**23))
+
+    def test_long_range_is_counted(self, monkeypatch):
+        # a range past sys.maxsize, where len() overflows, not starting at 0
+        # and of step 3: 7, 10, ..., 10**23 - 3
+        for name in ("_window", "_min_sum_pairs", "_prior_bound"):
+            monkeypatch.setattr(density, name, _no_cell)
+        count = 33333333333333333333331
+        with pytest.raises(GuardExceededError, match=rf"^{count} grid cells are over"):
+            density_grid(PRIOR, range(7, 10**23, 3))
+        with pytest.raises(GuardExceededError, match=rf"^{2 * count} grid cells are over"):
+            density_grid(FIXED, range(7, 10**23, 3), [1, 2])
 
     def test_oracle_can_be_skipped(self):
         rows = density_grid(

@@ -13,6 +13,7 @@ from gammalattice import (
     GuardExceededError,
     LatticeSpec,
     PoleArgumentError,
+    PolyKind,
     PrecisionContext,
     SpecMismatchError,
     build_system,
@@ -224,6 +225,16 @@ class TestVerifyIdentity:
             list(verify_grid(ArgumentFamily(FamilyKind.PLAIN, HALF), 1, (2,), CTX))
         with pytest.raises(SpecMismatchError):
             list(verify_grid(ArgumentFamily(FamilyKind.PLUS_SHIFT), 1, (2,), CTX))
+
+    def test_no_indices_refused(self, monkeypatch):
+        # refused as coefficient_table refuses them, before any table or vector
+        def no_work(*args):
+            raise AssertionError("a table or vector was built")
+
+        monkeypatch.setattr(gammanum, "_lattice_derivatives", no_work)
+        monkeypatch.setattr(PolyKind, "table", no_work)
+        with pytest.raises(ValueError, match="^no lattice indices$"):
+            list(verify_grid(PLAIN, 2, [], CTX))
 
     def test_tolerance_override_can_fail(self):
         # residuals can round to exactly zero, so only a zero tolerance is a

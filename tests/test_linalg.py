@@ -80,8 +80,9 @@ class TestRationalMatrix:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             RationalMatrix(2, 2, (Fraction(1),) * 3)
-        with pytest.raises(ValueError, match="^matrix dimensions must be positive$"):
-            RationalMatrix(0, 1, ())
+        for rows, cols in ((0, 1), (0, 3), (3, 0)):
+            with pytest.raises(ValueError, match="^matrix dimensions must be positive$"):
+                RationalMatrix(rows, cols, ())
         with pytest.raises(ValueError):
             RationalMatrix.from_rows([[1, 2], [3]])
         with pytest.raises(ValueError):
@@ -188,7 +189,7 @@ class TestEliminationBudget:
         # determinant 18 s; at 36 x 36 the determinant took 6 s
         accepted = self._system(MINUS_THIRD, 36)
         refused = self._system(MINUS_THIRD, 41)
-        monkeypatch.setattr(linalg, "_fraction_free", no_step)
+        monkeypatch.setattr(linalg, "_reduce", no_step)
         for call, matrix, what in (
             (inverse_exact, self._system(MINUS_THIRD, 31), "inverse of a 31x31"),
             (det_exact, refused, "determinant of a 41x41"),
@@ -214,6 +215,17 @@ class TestEliminationBudget:
             with pytest.raises(GuardExceededError):
                 call(matrix)
             monkeypatch.undo()
+
+    def test_benchmark_estimates_are_pinned(self):
+        # the 21 x 21 plus-1/3 system of the benchmark's `matrix --show det`
+        # and `--show inverse`; a repricing shows up as an edit of these
+        family = ArgumentFamily(FamilyKind.PLUS_SHIFT, Fraction(1, 3))
+        indices = (*range(6), *range(7, 20), 22, 24)
+        matrix = build_system(LatticeSpec(family, indices), 20).matrix
+        rows = [linalg._integer_row(matrix.row(r))[1] for r in range(21)]
+        assert max(abs(x).bit_length() for row in rows for x in row) == 147
+        assert linalg._elimination_work(21, 147, inverse=False) == 27770
+        assert linalg._elimination_work(21, 147, inverse=True) == 95500
 
 
 class TestPrefixMatrices:
@@ -413,12 +425,33 @@ class TestCauchyBinet:
         ):
             cauchy_binet(left, prefix)
 
-    def test_zero_first_pivot_takes_the_fallback(self):
+    @pytest.mark.parametrize("family, indices, estimates", [
+        (MINUS_THIRD, (0, 3, 6, 9, 11, 14, 18), (48204, 1056)),
+        (PLAIN, (1, 4, 7, 9, 12, 16), (12096, 108)),
+    ], ids=["minus", "plain"])
+    def test_benchmark_walk_estimates_are_pinned(self, family, indices, estimates):
+        # the benchmark's two `matrix --show cauchy-binet` certificates; a
+        # repricing shows up as an edit of these
+        lengths = [family.prefix_length(m) for m in indices]
+        left, prefix = difference_factorization(lengths, family, family.poly_kind)
+        scaled = {j: linalg._integer_row(prefix.row(j)) for b in left.bands for j, _ in b}
+        assert linalg._walk_estimates(left.bands, scaled) == estimates
+
+    def test_zero_first_pivot_takes_the_fallback(self, monkeypatch):
         left = from_bands(3, [(0, 1), (1, 2)], [(2, 3)])
         # row 0 of right has a zero first entry, so the path through column 1
         # cannot divide by its pivot
         right = RationalMatrix.from_rows([[0, 1], [1, 0], [Fraction(1, 2), 4]])
+        charged = []
+        monkeypatch.setattr(linalg, "charge", lambda *estimate: charged.append(estimate))
         certificate = cauchy_binet(left, right)
+        assert [what for _, what in charged] == [
+            "the walk over 2 band products at depth 2",
+            "the determinant of a 2x2 matrix of 4-bit rows",
+        ]
+        # the fallback leaf is charged what det_exact charges for its two rows
+        det_exact(RationalMatrix.from_rows([right.row(0), right.row(2)]))
+        assert charged[2] == charged[1]
         assert certificate.fallback_count == 1
         assert _as_oracle(certificate) == generic_cauchy_binet(
             dense(left), right.to_rows()
@@ -517,6 +550,14 @@ class TestCertifyPrefixMatrix:
         lengths = [family.prefix_length(m) for m in indices]
         expected = certify_prefix_matrix(lengths, family, family.poly_kind)
         assert linalg.certify_lattice(family, indices) == expected
+
+    def test_values_are_computed_once(self):
+        certificate = certify_prefix_matrix((0, 2, 5), MINUS_THIRD, PolyKind.HOMOGENEOUS)
+        term = certificate.expansion.surviving[0]
+        assert term.product is term.product
+        assert "all_terms_positive" not in vars(certificate)
+        assert certificate.holds
+        assert "all_terms_positive" in vars(certificate)
 
     def test_disagreeing_routes_do_not_hold(self):
         certificate = certify_prefix_matrix((0, 1), PLAIN, PolyKind.ELEMENTARY)

@@ -209,6 +209,19 @@ class TestTableBudget:
         with pytest.raises(GuardExceededError):
             elementary_prefix(PLAIN, 5, 2)
 
+    def test_mean_bits_floor(self, monkeypatch):
+        # one variable of denominator 3 averages log2(3) - 1.44 < 1 bit, so
+        # the 1-bit floor sizes its powers: the table of `coeffs --family
+        # minus --n 2000 --m 1 --kappa 1/3`, entries weighing 4 units each
+        family = ArgumentFamily(FamilyKind.MINUS_SHIFT, Fraction(1, 3))
+        work = PolyKind.HOMOGENEOUS.table_work(family, 1, 2000)
+        assert work == 2 * 2001 * (40 + 4)
+        monkeypatch.setattr(budget, "MAX_WORK", work)
+        assert homogeneous_prefix(family, 1, 2000).max_len == 1
+        monkeypatch.setattr(budget, "MAX_WORK", work - 1)
+        with pytest.raises(GuardExceededError):
+            homogeneous_prefix(family, 1, 2000)
+
 
 class TestBruteForce:
     def test_elementary_examples(self):
