@@ -293,6 +293,13 @@ def _verify_families(kind: FamilyKind, kappa_set: str | None, warnings: list):
     return [ArgumentFamily(kind, kappa) for kappa in values]
 
 
+#: (key, `Residual` attribute) of a verify row's reals, in the CSV header's order.
+_IDENTITY_KEYS = (("lhs", "reference"), ("rhs", "value"),
+                  ("abs_residual", "abs_residual"), ("rel_residual", "rel_residual"))
+_RECOVERY_KEYS = (("recovered", "value"), ("reference", "reference"),
+                  ("abs_error", "abs_residual"), ("rel_error", "rel_residual"))
+
+
 def _cmd_verify(args) -> OutputEnvelope:
     from mpmath import mp
 
@@ -308,33 +315,17 @@ def _cmd_verify(args) -> OutputEnvelope:
     rows = []
     for family, n, m, result in verify_sweep(families, args.n_max, args.m_max, ctx):
         head = {"family": args.family, "kappa": _shift_str(family), "n": n}
-        if args.m_max is not None:
-            rows.append(
-                {
-                    **head,
-                    "m": m,
-                    "lhs": mp.nstr(result.reference, args.digits),
-                    "rhs": mp.nstr(result.value, args.digits),
-                    "abs_residual": mp.nstr(result.abs_residual, args.digits),
-                    "rel_residual": mp.nstr(result.rel_residual, args.digits),
-                    "pass": result.passed,
-                }
-            )
-            continue
-        indices = " ".join(str(i) for i in m)
-        for ell, check in enumerate(result, family.min_index):
-            rows.append(
-                {
-                    **head,
-                    "indices": indices,
-                    "ell": ell,
-                    "recovered": mp.nstr(check.value, args.digits),
-                    "reference": mp.nstr(check.reference, args.digits),
-                    "abs_error": mp.nstr(check.abs_residual, args.digits),
-                    "rel_error": mp.nstr(check.rel_residual, args.digits),
-                    "pass": check.passed,
-                }
-            )
+        if args.m_max is None:
+            indices = " ".join(str(i) for i in m)
+            cells = [
+                ({"indices": indices, "ell": ell}, _RECOVERY_KEYS, check)
+                for ell, check in enumerate(result, family.min_index)
+            ]
+        else:
+            cells = [({"m": m}, _IDENTITY_KEYS, result)]
+        for where, keys, check in cells:
+            reals = {key: mp.nstr(getattr(check, name), args.digits) for key, name in keys}
+            rows.append({**head, **where, **reals, "pass": check.passed})
 
     failed = not all(row["pass"] for row in rows)
     status = VERIFICATION_FAILURE if failed else 0

@@ -10,10 +10,11 @@ E = e (plain, plus) or h (minus).  The per-family facts live on
 `sympoly.ArgumentFamily`, the family argument of every entry point here, and
 `_ratios` builds the Gamma ratios from them; this module never asks which
 family it has.
-One prefix table over the longest prefix holds every coefficient of a sweep,
-and `_row` reads one index's row off it by the rule above: `coefficient_table`
-reads a sweep, `build_system` stacks its rows into linear systems, and
-`gammanum.verify_grid` reads every order of a `verify` grid off one table.
+A sweep starts with one setup (`_sweep`): `coefficient_table` reads a sweep,
+`build_system` stacks its rows into systems, and `gammanum.verify_grid` reads
+every order of a `verify` grid off one table.  One prefix table over the
+longest prefix holds every coefficient of a sweep, `_row` reads a row off it
+by the rule above, and `_ratios` charges its own walk.
 Everything here is exact rational arithmetic.
 """
 
@@ -78,12 +79,16 @@ def _ratios(family: ArgumentFamily, ms: Iterable[int]) -> dict[int, Fraction]:
     `ms`, by Gamma(z + 1) = z Gamma(z): prod_{u<j} (b + u) going up and
     1 / prod_{u=1}^{j} (b - u) going down, for the prefix length j and basis
     point b = p/q.  One running product over the ascending distinct indices
-    serves them all; (m-1)! on the plain lattice, sign (-1)^m below kappa."""
+    serves them all, charged before its first step (`_ratio_work`); (m-1)! on
+    the plain lattice, sign (-1)^m below kappa."""
+    ms = sorted(set(ms))
+    if ms:
+        charge(_ratio_work(family, ms[-1]), f"the Gamma ratio at index {ms[-1]}")
     p, q = family.basis_point.numerator, family.basis_point.denominator
     up = family.sign > 0
     ratios = {}
     j, product, power = 0, 1, 1
-    for m in sorted(set(ms)):
+    for m in ms:
         length = family.prefix_length(m)
         for u in range(j, length):
             product *= u * q + p if up else p - (u + 1) * q
@@ -105,6 +110,21 @@ def _ratio_work(family: ArgumentFamily, m: int) -> int:
     return j * (1 + int(bits + 2 * j * log2(q)) // 16384)
 
 
+def _sweep(family: ArgumentFamily, n: int, ms: Iterable[int]) -> tuple:
+    """The indices `ms` of a sweep to order n, as a tuple, and the largest, once
+    the family, the order and the least index are checked.  A range is kept and
+    sized by its ends, so a caller's table charge refuses a huge one unlisted."""
+    ArgumentFamily.require(family)
+    if n < 0:
+        raise ValueError(f"derivative order {n} must be >= 0")
+    ms = ms if isinstance(ms, range) else tuple(ms)
+    if not ms:
+        raise ValueError("no lattice indices")
+    low, top = sorted((ms[0], ms[-1])) if isinstance(ms, range) else (min(ms), max(ms))
+    family.prefix_length(low)
+    return ms, top
+
+
 def coefficient_table(
     family: ArgumentFamily, n: int, ms: Iterable[int]
 ) -> tuple[tuple[Fraction, ...], ...]:
@@ -113,24 +133,13 @@ def coefficient_table(
     Row i holds the coefficients of ell = 0..n at index ms[i] (`_row`): the
     Gamma ratio at that index (`_ratios`), (m-1)! on the plain lattice, times
     n!/ell! times the table entry of degree n - ell over its prefix.  One
-    prefix table of degree n over the longest prefix serves every row, and
-    the rows, weighed by the digits of the longest, are held to the cell cap
-    (`budget.hold`) before any but the top one, or its ratio, is built; that
-    ratio's running product is charged first (`_ratio_work`).
+    prefix table of degree n over the longest prefix, after the sweep's one
+    setup (`_sweep`), serves every row.  Both walks of the top ratio are
+    charged at once (`_ratio_work`), and the rows, weighed by the digits of
+    the longest, are held to the cell cap (`budget.hold`) before any but the
+    top one, or its ratio, is built.
     """
-    ArgumentFamily.require(family)
-    if n < 0:
-        raise ValueError(f"derivative order {n} must be >= 0")
-    if not isinstance(ms, range):
-        ms = tuple(ms)
-    if not ms:
-        raise ValueError("no lattice indices")
-    # a range's least and largest indices are at its ends, so a huge range is
-    # sized, not listed: an index below the lattice, or the table's budget,
-    # refuses it before any row is computed (and before len() could overflow);
-    # the top index's row is the longest, and its digits weigh every row
-    low, top = sorted((ms[0], ms[-1])) if isinstance(ms, range) else (min(ms), max(ms))
-    family.prefix_length(low)
+    ms, top = _sweep(family, n, ms)
     table = family.poly_kind.table(family, family.prefix_length(top), n)
     # the top index's ratio is walked twice: for the top row, then the rows
     charge(2 * _ratio_work(family, top), f"the Gamma ratio at index {top}")

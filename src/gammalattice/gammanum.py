@@ -32,8 +32,9 @@ MAX_DIGITS] plus GUARD_DIGITS, and the tolerance of every comparison, by
 default 10^-(decimal_digits - GUARD_DIGITS) <= 1e-10; psi and Gamma caches are
 bounded.  Every check reads its vectors off one map, index -> Gamma^(0..n)
 with the basis index included (`_lattice_derivatives`, the only builder of
-lattice vectors, whose route `_reads_ladder` decides).  `verify_grid` checks
-the expansion at every (n, m) of a family's grid off that map and one prefix
+lattice vectors, whose route `_reads_ladder` decides).  `verify_grid` starts
+with the coefficient sweep's one setup (`coeffs._sweep`) and checks the
+expansion at every (n, m) of a family's grid off that map and one prefix
 table; `verify_recovery` solves a square `LatticeSpec` for the basis and
 checks each value it recovers.  Both return `Residual` records by one rule:
 relative, or absolute where the reference is below 1.
@@ -54,7 +55,7 @@ from mpmath import mp
 from mpmath.libmp import dps_to_prec, from_man_exp, mpf_bernoulli, to_fixed
 
 from .budget import MAX_DIGITS, charge, weight
-from .coeffs import LatticeSpec, _ratios, _row, build_system
+from .coeffs import LatticeSpec, _ratios, _row, _sweep, build_system
 from .errors import PoleArgumentError, SpecMismatchError
 from .linalg import _elimination_work, inverse_exact
 from .sympoly import ArgumentFamily
@@ -308,18 +309,16 @@ def verify_grid(family: ArgumentFamily, n_max: int, ms, ctx: PrecisionContext):
     One vector Gamma^(0..n_max) per point and one prefix table of degree n_max
     over the longest prefix serve every cell: a Bell value of order j does not
     depend on the top order, and each exact row (`coeffs._row`) reads the same
-    entries off a larger table, so each cell is the one-index grid's.
-    The check uses the relative residual, falling back to the absolute one
-    when |reference| < 1.
+    entries off a larger table, so each cell is the one-index grid's.  The
+    grid starts with the sweep's one setup (`coeffs._sweep`), and its table
+    and Gamma ratios are each charged before any vector is built.  The check
+    uses the relative residual, or the absolute one when |reference| < 1.
     """
-    ArgumentFamily.require(family)
-    ms = tuple(ms)
-    if not ms:
-        raise ValueError("no lattice indices")
-    table = family.poly_kind.table(family, family.prefix_length(max(ms)), n_max)
+    ms, top = _sweep(family, n_max, ms)
+    table = family.poly_kind.table(family, family.prefix_length(top), n_max)
+    ratios = _ratios(family, ms)
     vectors = _lattice_derivatives(family, ms, n_max, ctx)
     basis = vectors[family.min_index]
-    ratios = _ratios(family, ms)
     points = [(m, family.prefix_length(m), ratios[m], vectors[m]) for m in ms]
     for n in range(n_max + 1):
         for m, length, ratio, values in points:

@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from gammalattice import (
     verify_recovery,
 )
 
-from gammalattice import budget, gammanum
+from gammalattice import budget, coeffs, gammanum
 from gammalattice.cli import main
 
 from _oracles import machin_pi
@@ -236,6 +237,37 @@ class TestVerifyIdentity:
         with pytest.raises(ValueError, match="^no lattice indices$"):
             list(verify_grid(PLAIN, 2, [], CTX))
 
+    @pytest.fixture
+    def no_vectors(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("a vector was built")
+
+        monkeypatch.setattr(gammanum, "_lattice_derivatives", no_work)
+
+    def test_long_ratio_charged_before_any_vector(self, monkeypatch, no_vectors):
+        # the cap lies between the degree-0 table's 4,100,000 units and the
+        # ratio walk's 9,299,907: the walk's own charge refuses the grid
+        monkeypatch.setattr(budget, "MAX_WORK", 5_000_000)
+        with pytest.raises(
+            GuardExceededError,
+            match="^the Gamma ratio at index 100000 is over the work budget 5000000$",
+        ):
+            list(verify_grid(PLAIN, 0, [100000], PrecisionContext(30)))
+
+    def test_huge_range_sized_not_listed(self, no_vectors):
+        # a range is sized by its ends, so the table's charge refuses it
+        # before its indices could be listed
+        with pytest.raises(
+            GuardExceededError,
+            match=f"^the elementary table of length {10**30 - 2} and degree 0 "
+            f"is over the work budget {budget.MAX_WORK}$",
+        ):
+            list(verify_grid(PLAIN, 0, range(1, 10**30), PrecisionContext(30)))
+
+    def test_negative_order_refused(self, no_vectors):
+        with pytest.raises(ValueError, match="^derivative order -1 must be >= 0$"):
+            list(verify_grid(PLAIN, -1, [2], CTX))
+
     def test_tolerance_override_can_fail(self):
         # residuals can round to exactly zero, so only a zero tolerance is a
         # guaranteed forcing knob under the strict comparison
@@ -387,45 +419,80 @@ class TestSweepBudget:
     PLUS_THIRD = ArgumentFamily(FamilyKind.PLUS_SHIFT, THIRD)
     MINUS_THIRD = ArgumentFamily(FamilyKind.MINUS_SHIFT, THIRD)
 
-    @pytest.mark.parametrize(
-        "family, n_max, m_max, digits, units",
-        [
-            # the benchmark's sweeps
-            (PLAIN, 10, 12, 100, 386842),
-            (MINUS_THIRD, 8, 10, 60, 173689),
-            (PLUS_THIRD, 8, None, 150, 417258),
-            # the finite accepted and refused sweeps above
-            (PLAIN, 20, 30, 100, 1485975),
-            (MINUS_HALF, 6, 8, 60, 120403),
-            (PLAIN, 0, 3, 1000, 4896924),
-            (PLAIN, -1, 10**23, 30, 25000),
-            (PLAIN, 10**23, 0, 30, 25000),
-            (MINUS_HALF, 0, None, 30, 25000),
-            (PLAIN, 1, 1700, 30, 1022704426),
-            (MINUS_THIRD, 30, None, 30, 435553905),
-            # both modes of each shifted family, and plain recovery, by digits
-            (PLUS_THIRD, 6, 8, 30, 121533),
-            (PLUS_THIRD, 6, None, 30, 90105),
-            (MINUS_THIRD, 6, 8, 30, 91003),
-            (MINUS_THIRD, 6, None, 30, 64455),
-            (PLAIN, 6, None, 30, 82580),
-            (PLUS_THIRD, 6, 8, 100, 240183),
-            (PLUS_THIRD, 6, None, 100, 197585),
-            (MINUS_THIRD, 6, 8, 100, 159603),
-            (MINUS_THIRD, 6, None, 100, 133055),
-            (PLAIN, 6, None, 100, 184430),
-            (PLUS_THIRD, 6, 8, 1000, 16735923),
-            (PLUS_THIRD, 6, None, 1000, 15117782),
-            (MINUS_THIRD, 6, 8, 1000, 9786771),
-            (MINUS_THIRD, 6, None, 1000, 9705398),
-            (PLAIN, 6, None, 1000, 14318642),
-        ],
-    )
+    ESTIMATES = [
+        # the benchmark's sweeps
+        (PLAIN, 10, 12, 100, 386842),
+        (MINUS_THIRD, 8, 10, 60, 173689),
+        (PLUS_THIRD, 8, None, 150, 417258),
+        # the finite accepted and refused sweeps above
+        (PLAIN, 20, 30, 100, 1485975),
+        (MINUS_HALF, 6, 8, 60, 120403),
+        (PLAIN, 0, 3, 1000, 4896924),
+        (PLAIN, -1, 10**23, 30, 25000),
+        (PLAIN, 10**23, 0, 30, 25000),
+        (MINUS_HALF, 0, None, 30, 25000),
+        (PLAIN, 1, 1700, 30, 1022704426),
+        (MINUS_THIRD, 30, None, 30, 435553905),
+        # both modes of each shifted family, and plain recovery, by digits
+        (PLUS_THIRD, 6, 8, 30, 121533),
+        (PLUS_THIRD, 6, None, 30, 90105),
+        (MINUS_THIRD, 6, 8, 30, 91003),
+        (MINUS_THIRD, 6, None, 30, 64455),
+        (PLAIN, 6, None, 30, 82580),
+        (PLUS_THIRD, 6, 8, 100, 240183),
+        (PLUS_THIRD, 6, None, 100, 197585),
+        (MINUS_THIRD, 6, 8, 100, 159603),
+        (MINUS_THIRD, 6, None, 100, 133055),
+        (PLAIN, 6, None, 100, 184430),
+        (PLUS_THIRD, 6, 8, 1000, 16735923),
+        (PLUS_THIRD, 6, None, 1000, 15117782),
+        (MINUS_THIRD, 6, 8, 1000, 9786771),
+        (MINUS_THIRD, 6, None, 1000, 9705398),
+        (PLAIN, 6, None, 1000, 14318642),
+    ]
+
+    @pytest.mark.parametrize("family, n_max, m_max, digits, units", ESTIMATES)
     def test_estimates_are_pinned(self, family, n_max, m_max, digits, units):
         # recorded before the Hurwitz walk was priced once per family; a
         # repricing shows up as an edit of this table
         ctx = PrecisionContext(digits)
         assert sum(gammanum._sweep_work(family, n_max, m_max, ctx)) == units
+
+    @pytest.mark.parametrize(
+        "family, m_max, units",
+        [
+            (family, m_max, units)
+            for family, n_max, m_max, _, units in ESTIMATES
+            # an empty sweep is refused as empty before any ratio is walked
+            if m_max is not None and n_max >= 0 and m_max >= family.min_index
+        ],
+    )
+    def test_ratio_charge_never_refuses_first(self, family, m_max, units):
+        # the Gamma ratio walk charges itself what the sweep's estimate
+        # already holds, so a sweep `check_sweep` admits is not refused by it
+        assert coeffs._ratio_work(family, m_max) <= units
+
+    @settings(deadline=None)
+    @given(
+        family=st.one_of(
+            st.just(PLAIN),
+            st.builds(
+                lambda kind, q, p: ArgumentFamily(kind, Fraction(p % (q - 1) + 1, q)),
+                st.sampled_from([FamilyKind.PLUS_SHIFT, FamilyKind.MINUS_SHIFT]),
+                st.integers(2, 12),
+                st.integers(0, 10),
+            ),
+        ),
+        n_max=st.integers(0, 30),
+        m_max=st.integers(1, 2000),
+        digits=st.integers(30, 1000),
+    )
+    def test_ratio_charge_never_refuses_first_anywhere(self, family, n_max, m_max, digits):
+        # the estimate's terms are >= 0, so its running sum may stop once it
+        # passes the walk's charge
+        ratio = coeffs._ratio_work(family, m_max)
+        work = gammanum._sweep_work(family, n_max, m_max, PrecisionContext(digits))
+        assert any(total >= ratio for total in itertools.accumulate(work))
 
     def test_families_add_up(self, monkeypatch):
         shifts = [ArgumentFamily(FamilyKind.PLUS_SHIFT, Fraction(k, 7)) for k in range(1, 7)]
