@@ -1,10 +1,10 @@
 """The one work budget: a prefix table (`PolyKind.table_work`), the Gamma
-ratio walk (`coeffs._ratio_work`, charged by `coeffs._ratios` itself), a
-`verify` sweep (`gammanum.check_sweep`), a band walk (`linalg._walk_estimates`)
-and an elimination (`linalg._elimination_work`) each estimate their work before
-any of it runs, and `charge` refuses an estimate over `MAX_WORK`.  Each check
-is charged on its own.  `hold` refuses a grid, a coefficient sweep's rows or a
-walk's terms over `MAX_CELLS`.
+ratio walks of a coefficient sweep (`coeffs._ratio_work`), a `verify` sweep
+(`gammanum.check_sweep`), a band walk (`linalg._walk_estimates`) and an
+elimination (`linalg._elimination_work`) each estimate their work before any
+of it runs, and `charge` refuses an estimate over `MAX_WORK`.  Each check is
+charged on its own.  `hold` refuses a density grid, a walk's terms or the rows
+of the one coefficient sweep (`coeffs._sweep_rows`) over `MAX_CELLS`.
 
 A unit is one product, sum or exact quotient of small integers.  An operation
 on b-bit operands weighs `weight(b)` units, and each estimator adds the fixed

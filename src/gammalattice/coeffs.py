@@ -10,16 +10,17 @@ E = e (plain, plus) or h (minus).  The per-family facts live on
 `sympoly.ArgumentFamily`, the family argument of every entry point here, and
 `_ratios` builds the Gamma ratios from them; this module never asks which
 family it has.
-A sweep starts with one setup (`_sweep`): `coefficient_table` reads a sweep,
-`build_system` stacks its rows into systems, and `gammanum.verify_grid` reads
-every order of a `verify` grid off one table.  One prefix table over the
-longest prefix holds every coefficient of a sweep, `_row` reads a row off it
-by the rule above, and `_ratios` charges its own walk.
+Every row comes off one guarded sweep (`_sweep_rows`): one prefix table over
+the longest prefix, the Gamma ratio walk charged and the rows held to the cell
+cap, each row read off the table by the rule above (`_row`).  `coefficient_table`
+returns them, `build_system` stacks them into a system (`_system`), and
+`gammanum` reads every order of a `verify` sweep off one sweep per family.
 Everything here is exact rational arithmetic.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lgamma, log, log2
@@ -79,16 +80,12 @@ def _ratios(family: ArgumentFamily, ms: Iterable[int]) -> dict[int, Fraction]:
     `ms`, by Gamma(z + 1) = z Gamma(z): prod_{u<j} (b + u) going up and
     1 / prod_{u=1}^{j} (b - u) going down, for the prefix length j and basis
     point b = p/q.  One running product over the ascending distinct indices
-    serves them all, charged before its first step (`_ratio_work`); (m-1)! on
-    the plain lattice, sign (-1)^m below kappa."""
-    ms = sorted(set(ms))
-    if ms:
-        charge(_ratio_work(family, ms[-1]), f"the Gamma ratio at index {ms[-1]}")
+    serves them all, (m-1)! on the plain lattice, sign (-1)^m below kappa;
+    `_sweep_rows` charges it (`_ratio_work`) before it runs."""
     p, q = family.basis_point.numerator, family.basis_point.denominator
     up = family.sign > 0
-    ratios = {}
-    j, product, power = 0, 1, 1
-    for m in ms:
+    ratios, j, product, power = {}, 0, 1, 1
+    for m in sorted(set(ms)):
         length = family.prefix_length(m)
         for u in range(j, length):
             product *= u * q + p if up else p - (u + 1) * q
@@ -110,36 +107,22 @@ def _ratio_work(family: ArgumentFamily, m: int) -> int:
     return j * (1 + int(bits + 2 * j * log2(q)) // 16384)
 
 
-def _sweep(family: ArgumentFamily, n: int, ms: Iterable[int]) -> tuple:
-    """The indices `ms` of a sweep to order n, as a tuple, and the largest, once
-    the family, the order and the least index are checked.  A range is kept and
-    sized by its ends, so a caller's table charge refuses a huge one unlisted."""
+def _sweep_rows(family: ArgumentFamily, n: int, ms: Iterable[int]) -> tuple:
+    """The indices `ms` of a sweep to order n, and `rows(k)`, which yields the
+    rows of order k <= n (`_row`) at each of them in turn.  The family, the
+    order and the indices, each read by `operator.index` (a range is sized by
+    its ends), are checked; one table of degree n over the longest prefix is
+    built; both walks of the top ratio are charged (`_ratio_work`); and the
+    order-n rows, weighed by the top row's digits, are held to the cell cap
+    (`budget.hold`) before any other row or ratio is built."""
     ArgumentFamily.require(family)
-    if n < 0:
+    if operator.index(n) < 0:
         raise ValueError(f"derivative order {n} must be >= 0")
-    ms = ms if isinstance(ms, range) else tuple(ms)
+    ms = ms if isinstance(ms, range) else tuple(map(operator.index, ms))
     if not ms:
         raise ValueError("no lattice indices")
     low, top = sorted((ms[0], ms[-1])) if isinstance(ms, range) else (min(ms), max(ms))
     family.prefix_length(low)
-    return ms, top
-
-
-def coefficient_table(
-    family: ArgumentFamily, n: int, ms: Iterable[int]
-) -> tuple[tuple[Fraction, ...], ...]:
-    """Every coefficient of a sweep over the indices `ms`.
-
-    Row i holds the coefficients of ell = 0..n at index ms[i] (`_row`): the
-    Gamma ratio at that index (`_ratios`), (m-1)! on the plain lattice, times
-    n!/ell! times the table entry of degree n - ell over its prefix.  One
-    prefix table of degree n over the longest prefix, after the sweep's one
-    setup (`_sweep`), serves every row.  Both walks of the top ratio are
-    charged at once (`_ratio_work`), and the rows, weighed by the digits of
-    the longest, are held to the cell cap (`budget.hold`) before any but the
-    top one, or its ratio, is built.
-    """
-    ms, top = _sweep(family, n, ms)
     table = family.poly_kind.table(family, family.prefix_length(top), n)
     # the top index's ratio is walked twice: for the top row, then the rows
     charge(2 * _ratio_work(family, top), f"the Gamma ratio at index {top}")
@@ -147,7 +130,18 @@ def coefficient_table(
     bits = max(x.numerator.bit_length() + x.denominator.bit_length() for x in last)
     hold(len(ms) * (n + 1), bits * 3 // 10, "coefficients")
     ratios = _ratios(family, ms)
-    return tuple(_row(table, n, family.prefix_length(m), ratios[m]) for m in ms)
+    points = [(family.prefix_length(m), ratios[m]) for m in ms]
+    return ms, lambda k: (_row(table, k, length, ratio) for length, ratio in points)
+
+
+def coefficient_table(
+    family: ArgumentFamily, n: int, ms: Iterable[int]
+) -> tuple[tuple[Fraction, ...], ...]:
+    """Every coefficient of a sweep over the indices `ms`: row i holds those of
+    ell = 0..n at index ms[i], read off the sweep's one guarded table
+    (`_sweep_rows`) by the rule of `_row`."""
+    _, rows = _sweep_rows(family, n, ms)
+    return tuple(rows(n))
 
 
 @dataclass(frozen=True)
@@ -175,15 +169,19 @@ def build_system(spec: LatticeSpec, n: int) -> CoeffSystem:
     """Assemble the coefficient matrix (and constant column) for `spec`."""
     if n < 0:
         raise ValueError(f"derivative order {n} must be >= 0")
-    family = spec.family
-    first = family.min_index
+    family, first = spec.family, spec.family.min_index
     if n < first:
         raise SpecMismatchError(
             f"{family.kind.value} system needs n >= {first} (no unknown columns)"
         )
-    rows = coefficient_table(family, n, spec.indices)
-    # Known basis orders move to the constant column: Gamma(1) = 1 makes the
-    # plain ell = 0 terms constants.
+    return _system(spec, n, coefficient_table(family, n, spec.indices))
+
+
+def _system(spec: LatticeSpec, n: int, rows) -> CoeffSystem:
+    """The system of `spec` at order n over its coefficient rows, one per index.
+    Known basis orders move to the constant column: Gamma(1) = 1 makes the
+    plain ell = 0 terms constants."""
+    family, first = spec.family, spec.family.min_index
     consts = tuple(row[0] for row in rows) if first else ()
     matrix = RationalMatrix.from_rows(row[first:] for row in rows)
     labels = tuple(

@@ -32,21 +32,22 @@ MAX_DIGITS] plus GUARD_DIGITS, and the tolerance of every comparison, by
 default 10^-(decimal_digits - GUARD_DIGITS) <= 1e-10; psi and Gamma caches are
 bounded.  Every check reads its vectors off one map, index -> Gamma^(0..n)
 with the basis index included (`_lattice_derivatives`, the only builder of
-lattice vectors, whose route `_reads_ladder` decides).  `verify_grid` starts
-with the coefficient sweep's one setup (`coeffs._sweep`) and checks the
-expansion at every (n, m) of a family's grid off that map and one prefix
-table; `verify_recovery` solves a square `LatticeSpec` for the basis and
-checks each value it recovers.  Both return `Residual` records by one rule:
-relative, or absolute where the reference is below 1.
+lattice vectors, whose route `_reads_ladder` decides).  `verify_grid` checks
+the expansion at every (n, m) of a family's grid off that map and the rows of
+one guarded coefficient sweep (`coeffs._sweep_rows`); `verify_recovery` solves
+a square `LatticeSpec` for the basis and checks each value it recovers.  Both
+return `Residual` records by one rule: relative, or absolute where the
+reference is below 1.
 
 `verify_sweep` runs the `verify` sweep, a grid per family or its recovery
-orders off one map at n_max: it is charged first (`check_sweep`), then refused
-if its bounds leave it empty.
+orders off one map and one coefficient sweep at n_max: it is charged first
+(`check_sweep`), then refused if its bounds leave it empty.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -55,7 +56,7 @@ from mpmath import mp
 from mpmath.libmp import dps_to_prec, from_man_exp, mpf_bernoulli, to_fixed
 
 from .budget import MAX_DIGITS, charge, weight
-from .coeffs import LatticeSpec, _ratios, _row, _sweep, build_system
+from .coeffs import LatticeSpec, _sweep_rows, _system, build_system
 from .errors import PoleArgumentError, SpecMismatchError
 from .linalg import _elimination_work, inverse_exact
 from .sympoly import ArgumentFamily
@@ -81,7 +82,7 @@ class PrecisionContext:
     tolerance: object = None
 
     def __post_init__(self):
-        if self.decimal_digits < 30:
+        if operator.index(self.decimal_digits) < 30:
             raise ValueError("decimal_digits must be >= 30")
         if self.decimal_digits > MAX_DIGITS:
             raise ValueError(f"decimal_digits must be <= {MAX_DIGITS}")
@@ -149,7 +150,7 @@ def _gamma_cached(q: Fraction, dps: int):
 
 def gamma_derivatives(q, n: int, ctx: PrecisionContext) -> tuple:
     """The tuple Gamma^(0)(q), ..., Gamma^(n)(q), by Bell composition."""
-    if n < 0:
+    if operator.index(n) < 0:
         raise ValueError(f"derivative order {n} must be >= 0")
     point = _as_point(q)
     dps = ctx.working_digits
@@ -306,23 +307,19 @@ def verify_grid(family: ArgumentFamily, n_max: int, ms, ctx: PrecisionContext):
     n-major: Gamma^(n) at the lattice point against its rational expansion
     over Gamma^(0..n) at the basis point.
 
-    One vector Gamma^(0..n_max) per point and one prefix table of degree n_max
-    over the longest prefix serve every cell: a Bell value of order j does not
-    depend on the top order, and each exact row (`coeffs._row`) reads the same
-    entries off a larger table, so each cell is the one-index grid's.  The
-    grid starts with the sweep's one setup (`coeffs._sweep`), and its table
-    and Gamma ratios are each charged before any vector is built.  The check
-    uses the relative residual, or the absolute one when |reference| < 1.
+    One vector Gamma^(0..n_max) per point and one coefficient sweep of order
+    n_max (`coeffs._sweep_rows`, refused as `coefficient_table` refuses it,
+    before any vector) serve every cell: a Bell value of order j does not
+    depend on the top order, nor a row of order n on the table's degree, so
+    each cell is the one-index grid's.  The check uses the relative residual,
+    or the absolute one when |reference| < 1.
     """
-    ms, top = _sweep(family, n_max, ms)
-    table = family.poly_kind.table(family, family.prefix_length(top), n_max)
-    ratios = _ratios(family, ms)
+    ms, rows = _sweep_rows(family, n_max, ms)
     vectors = _lattice_derivatives(family, ms, n_max, ctx)
     basis = vectors[family.min_index]
-    points = [(m, family.prefix_length(m), ratios[m], vectors[m]) for m in ms]
+    points = [(m, vectors[m]) for m in ms]
     for n in range(n_max + 1):
-        for m, length, ratio, values in points:
-            row = _row(table, n, length, ratio)
+        for (m, values), row in zip(points, rows(n)):
             with mp.workdps(ctx.working_digits):
                 yield n, m, _compare(_dot(row, basis), values[n], ctx)
 
@@ -456,12 +453,13 @@ def verify_sweep(families, n_max: int, m_max, ctx: PrecisionContext):
     for family in families:
         low = family.min_index
         if m_max is None:
-            # one vector per point at n_max serves every order
-            vectors = _lattice_derivatives(family, range(low, n_max + 1), n_max, ctx)
+            # one coefficient sweep and one vector per point at n_max serve every order
+            ms, rows = _sweep_rows(family, n_max, range(low, n_max + 1))
+            vectors = _lattice_derivatives(family, ms, n_max, ctx)
             for n in range(low + 1, n_max + 1):
-                indices = tuple(range(low, n + 1))
-                system = build_system(LatticeSpec(family, indices), n)
-                yield family, n, indices, _check_recovery(system, n, ctx, vectors)
+                spec = LatticeSpec(family, ms[: n - low + 1])
+                system = _system(spec, n, [row for _, row in zip(spec.indices, rows(n))])
+                yield family, n, spec.indices, _check_recovery(system, n, ctx, vectors)
         else:
             for n, m, residual in verify_grid(family, n_max, range(low, m_max + 1), ctx):
                 yield family, n, m, residual

@@ -46,6 +46,7 @@ from .errors import (
     NonIncreasingIndicesError,
     NotSquareError,
     SingularMatrixError,
+    SpecMismatchError,
 )
 from .sympoly import ArgumentFamily, PolyKind, PrefixTable
 
@@ -207,6 +208,9 @@ def _prefix_table(
 ) -> tuple[tuple[int, ...], PrefixTable]:
     """The checked indices and the table their prefix matrix and its factors
     read: prefix lengths up to m'_k, degrees up to k-1."""
+    ArgumentFamily.require(family)
+    if not isinstance(kind, PolyKind):
+        raise SpecMismatchError(f"kind must be a PolyKind, got {kind!r}")
     mp_ = increasing_indices(m_primes)
     if mp_[0] < 0:
         raise NonIncreasingIndicesError(f"index {mp_[0]} is negative")

@@ -27,6 +27,7 @@ All arithmetic is exact `fractions.Fraction`.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -182,10 +183,9 @@ class PrefixTable:
 def _fill(
     family: ArgumentFamily, max_len: int, max_deg: int, kind: PolyKind
 ) -> PrefixTable:
-    if max_len < 0:
-        raise ValueError(f"max_len {max_len} must be >= 0")
-    if max_deg < 0:
-        raise ValueError(f"max_deg {max_deg} must be >= 0")
+    for name, value in (("max_len", max_len), ("max_deg", max_deg)):
+        if operator.index(value) < 0:
+            raise ValueError(f"{name} {value} must be >= 0")
     charge(
         kind.table_work(family, max_len, max_deg),
         f"the {kind.value} table of length {max_len} and degree {max_deg}",

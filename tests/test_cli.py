@@ -56,7 +56,8 @@ def run_json(capsys, *argv):
 # verify grid shared one derivative vector per point, the density rows before
 # the bounds shared one window rule, and the two wide density rows, non-square
 # with both branches and reduced pairs of several digits, before the grid
-# held its cells as integer pairs.
+# held its cells as integer pairs.  The order-8 minus recovery row was
+# recorded before every recovery order read its rows off one sweep at n_max.
 GOLDEN_STDOUT = [
     ("plain", "coeffs --family plain --n 6 --m 1:8",
      "661a78e42308a4225b08c45956aa4dd4677c67d61d438ccb96bf9fe4cb1c1ebf"),
@@ -117,6 +118,9 @@ GOLDEN_STDOUT = [
     ("verify-minus-recover",
      "verify --family minus --mode recover --n-max 5 --kappa-set 1/3 --digits 40",
      "f9f9b943fa687a41f81a6f779af120be3a9c71d3c4a566a44ec1a4652e569a4b"),
+    ("verify-minus-recover-deep",
+     "verify --family minus --mode recover --n-max 8 --kappa-set 1/3 --digits 30",
+     "e899c5ff1111b74122ccd3751f7358b528500014f8844eee714c10f393c85ad5"),
     ("density-prior",
      "density --variant prior --N 1:30",
      "1c392e9e3d5fdcd088f6668d01228d66c179470309fe3f3229afcb77d8b85fc4"),

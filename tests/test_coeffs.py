@@ -20,6 +20,7 @@ from gammalattice import (
     coefficient_table,
     verify_grid,
 )
+from gammalattice import gammanum
 from gammalattice import sympoly as sympoly_module
 from gammalattice.coeffs import _ratios
 
@@ -316,6 +317,35 @@ class TestCoefficientTable:
         coefficient_table(family, 5, (3, 4, 8))
         length = 7 if family == PLAIN else 8
         assert built == [(length, 5)]
+
+    def test_one_table_per_verify_sweep(self, monkeypatch):
+        # every recovery order reads its rows off the one sweep at n_max, and
+        # an identity grid reads every order off one sweep
+        built = count_tables(monkeypatch)
+        ctx = PrecisionContext(30)
+        list(gammanum.verify_sweep([plus(THIRD)], 8, None, ctx))
+        assert built == [(8, 8)]
+        built.clear()
+        list(gammanum.verify_sweep([plus(THIRD)], 4, 6, ctx))
+        assert built == [(6, 4)]
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: coefficient_table(PLAIN, 1, [2.5]),
+            lambda: coefficient_table(PLAIN, 1, [Fraction(3)]),
+            lambda: coefficient_table(PLAIN, 1, ["3"]),
+            lambda: coefficient_table(PLAIN, 1.0, [3]),
+            lambda: build_system(LatticeSpec(PLAIN, (1, 2)), 2.0),
+        ],
+        ids=["float-index", "fraction-index", "str-index", "float-order", "system-order"],
+    )
+    def test_non_integer_order_or_index_refused(self, monkeypatch, call):
+        # refused at the sweep's setup, before any table is built
+        built = count_tables(monkeypatch)
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            call()
+        assert built == []
 
     @pytest.mark.parametrize("family", [f[0] for f in FAMILIES], ids=FAMILY_IDS)
     def test_single_cell_table_stays_small(self, family, monkeypatch):

@@ -70,6 +70,10 @@ class TestPrecisionContext:
             with pytest.raises(ValueError, match="decimal_digits must be <= 1000"):
                 PrecisionContext(digits)
 
+    def test_digits_are_integers(self):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            PrecisionContext(30.5)
+
     def test_default_tolerance_is_guard_budget(self):
         ctx = PrecisionContext(60)
         with mp.workdps(ctx.working_digits):
@@ -177,6 +181,10 @@ class TestGammaDerivatives:
     def test_positive_value_at_positive_point(self):
         assert gamma_derivatives(Fraction(7, 3), 4, CTX)[0] > 0
 
+    def test_non_integer_order_rejected(self):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            gamma_derivatives(HALF, 2.0, CTX)
+
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             gamma_derivatives(1, -1, CTX)
@@ -246,7 +254,8 @@ class TestVerifyIdentity:
 
     def test_long_ratio_charged_before_any_vector(self, monkeypatch, no_vectors):
         # the cap lies between the degree-0 table's 4,100,000 units and the
-        # ratio walk's 9,299,907: the walk's own charge refuses the grid
+        # ratio walk's 9,299,907: the sweep's charge of both walks refuses
+        # the grid
         monkeypatch.setattr(budget, "MAX_WORK", 5_000_000)
         with pytest.raises(
             GuardExceededError,
@@ -267,6 +276,24 @@ class TestVerifyIdentity:
     def test_negative_order_refused(self, no_vectors):
         with pytest.raises(ValueError, match="^derivative order -1 must be >= 0$"):
             list(verify_grid(PLAIN, -1, [2], CTX))
+
+    def test_long_grid_held_before_any_vector(self, no_vectors):
+        # its own table and ratios once reached 345 MB after 3 s of CPU before
+        # the first cell; the coefficient sweep's hold refuses its rows first
+        with pytest.raises(
+            GuardExceededError,
+            match=f"^20000 coefficients of weight 309 are over the budget {budget.MAX_CELLS}$",
+        ):
+            next(verify_grid(PLAIN, 0, range(1, 20001), PrecisionContext(30)))
+
+    @pytest.mark.parametrize("n, ms", [(1.0, [2]), (1, [2.0]), (1, [Fraction(2)])])
+    def test_non_integer_order_or_index_refused(self, monkeypatch, no_vectors, n, ms):
+        def no_table(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(PolyKind, "table", no_table)
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            next(verify_grid(PLAIN, n, ms, CTX))
 
     def test_tolerance_override_can_fail(self):
         # residuals can round to exactly zero, so only a zero tolerance is a
@@ -316,6 +343,15 @@ class TestRecoverBasis:
 
 
 class TestVerifyRecovery:
+    def test_non_integer_order_refused(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("a table or vector was built")
+
+        monkeypatch.setattr(gammanum, "_lattice_derivatives", no_work)
+        monkeypatch.setattr(PolyKind, "table", no_work)
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            verify_recovery(LatticeSpec(PLAIN, (1, 2)), 2.0, CTX)
+
     def test_plain_recovers_euler(self):
         reports = verify_recovery(LatticeSpec(PLAIN, (1, 2)), 2, CTX)
         assert len(reports) == 2  # Gamma^(1..2)(1)
@@ -468,9 +504,10 @@ class TestSweepBudget:
         ],
     )
     def test_ratio_charge_never_refuses_first(self, family, m_max, units):
-        # the Gamma ratio walk charges itself what the sweep's estimate
-        # already holds, so a sweep `check_sweep` admits is not refused by it
-        assert coeffs._ratio_work(family, m_max) <= units
+        # the coefficient sweep charges both walks of the top Gamma ratio,
+        # which the sweep's estimate already holds, so a sweep `check_sweep`
+        # admits is not refused by it
+        assert 2 * coeffs._ratio_work(family, m_max) <= units
 
     @settings(deadline=None)
     @given(
@@ -490,9 +527,39 @@ class TestSweepBudget:
     def test_ratio_charge_never_refuses_first_anywhere(self, family, n_max, m_max, digits):
         # the estimate's terms are >= 0, so its running sum may stop once it
         # passes the walk's charge
-        ratio = coeffs._ratio_work(family, m_max)
+        ratio = 2 * coeffs._ratio_work(family, m_max)
         work = gammanum._sweep_work(family, n_max, m_max, PrecisionContext(digits))
         assert any(total >= ratio for total in itertools.accumulate(work))
+
+    @staticmethod
+    def _admitted(family, n_max, m_max, ctx):
+        try:
+            gammanum.check_sweep([family], n_max, m_max, ctx)
+        except GuardExceededError:
+            return False
+        return True
+
+    @pytest.mark.parametrize("digits", [30, 1000])
+    @pytest.mark.parametrize("n_max", [0, 12, 30])
+    @pytest.mark.parametrize(
+        "family",
+        [PLAIN, PLUS_THIRD, ArgumentFamily(FamilyKind.MINUS_SHIFT, Fraction(5, 7))],
+        ids=["plain", "plus", "minus"],
+    )
+    def test_coefficient_sweep_admits_the_largest_grid(self, family, n_max, digits):
+        # at the largest m_max that `check_sweep` admits, found by bisection,
+        # the identity grid's coefficient sweep is neither charged nor held
+        # over its cap (every such m_max is below 1024)
+        ctx, low, high = PrecisionContext(digits), family.min_index, 1024
+        assert self._admitted(family, n_max, low, ctx)
+        assert not self._admitted(family, n_max, high, ctx)
+        while high - low > 1:
+            middle = (low + high) // 2
+            if self._admitted(family, n_max, middle, ctx):
+                low = middle
+            else:
+                high = middle
+        coeffs._sweep_rows(family, n_max, range(family.min_index, low + 1))
 
     def test_families_add_up(self, monkeypatch):
         shifts = [ArgumentFamily(FamilyKind.PLUS_SHIFT, Fraction(k, 7)) for k in range(1, 7)]
@@ -640,6 +707,24 @@ class TestVerifySweep:
         built.clear()
         list(verify_grid(self.PLUS_THIRD, 4, (3,), ctx))
         assert sorted(built) == [self.THIRD, self.THIRD + 3]
+
+    @pytest.mark.parametrize(
+        "family",
+        [PLAIN, PLUS_THIRD, ArgumentFamily(FamilyKind.MINUS_SHIFT, Fraction(1, 3))],
+        ids=["plain", "plus", "minus"],
+    )
+    def test_recovery_systems_are_build_system(self, monkeypatch, family):
+        # each order stacks its rows off the family's one sweep at n_max
+        systems = []
+        monkeypatch.setattr(
+            gammanum, "_check_recovery", lambda system, *args: systems.append(system) or []
+        )
+        list(gammanum.verify_sweep([family], 8, None, PrecisionContext(30)))
+        low = family.min_index
+        assert systems == [
+            build_system(LatticeSpec(family, range(low, n + 1)), n)
+            for n in range(low + 1, 9)
+        ]
 
     def test_recovery_orders_are_verify_recovery(self):
         orders = list(gammanum.verify_sweep([self.PLUS_THIRD], 2, None, CTX))

@@ -17,6 +17,7 @@ from gammalattice import (
     PrefixCertificate,
     RationalMatrix,
     SingularMatrixError,
+    SpecMismatchError,
     build_system,
     cauchy_binet,
     certify_prefix_matrix,
@@ -262,6 +263,17 @@ class TestPrefixMatrices:
             prefix_matrix([0.7, 2.2], PLAIN, PolyKind.ELEMENTARY)
         with pytest.raises(NonIncreasingIndicesError):
             prefix_matrix([0, Fraction(2)], PLAIN, PolyKind.ELEMENTARY)
+
+    @pytest.mark.parametrize(
+        "build", [prefix_matrix, difference_factorization, certify_prefix_matrix]
+    )
+    def test_family_and_kind_checked(self, build):
+        with pytest.raises(SpecMismatchError, match="^kind must be a PolyKind, got 'e'$"):
+            build([0, 1], PLAIN, "e")
+        with pytest.raises(SpecMismatchError, match="^family must be an ArgumentFamily"):
+            build([0, 1], None, PolyKind.ELEMENTARY)
+        with pytest.raises(SpecMismatchError, match="^family must be an ArgumentFamily"):
+            build([0, 1], FamilyKind.PLAIN, PolyKind.ELEMENTARY)
 
 
 class TestRowDifference:

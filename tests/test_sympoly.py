@@ -166,6 +166,12 @@ class TestPrefixTables:
         with pytest.raises(ValueError):
             homogeneous_prefix(PLAIN, 2, -1)
 
+    @pytest.mark.parametrize("max_len, max_deg", [(2.0, 1), (2, 1.0), (Fraction(2), 1)])
+    def test_non_integer_dimensions_rejected(self, max_len, max_deg):
+        for build in (elementary_prefix, homogeneous_prefix):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                build(PLAIN, max_len, max_deg)
+
 
 class TestTableBudget:
     @pytest.mark.parametrize("kind", list(PolyKind))
