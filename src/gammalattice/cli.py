@@ -27,9 +27,9 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .coeffs import (
     KNOWN_TRANSCENDENTAL_SHIFTS,
@@ -77,12 +77,11 @@ def _row_pieces(rows: list):
     yield "\n    }"
 
 
-@dataclass
-class OutputEnvelope:
+class OutputEnvelope(NamedTuple):
     command: str
     params: dict
     rows: list
-    warnings: list = field(default_factory=list)
+    warnings: list | tuple = ()
     exit_status: int = 0
 
     def to_payload(self) -> dict:

@@ -21,10 +21,9 @@ Everything here is exact rational arithmetic.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lgamma, log, log2
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .budget import charge, hold
 from .errors import SpecMismatchError
@@ -38,25 +37,30 @@ KNOWN_TRANSCENDENTAL_SHIFTS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class LatticeSpec:
-    """A lattice family plus a strictly increasing set of its indices.
-
-    Plain indices are the points themselves (m >= 1); shifted indices m >= 0
-    select the points m + kappa or -m + kappa.
-    """
-
+class _Spec(NamedTuple):
     family: ArgumentFamily
     indices: tuple[int, ...]
 
-    def __post_init__(self):
-        ArgumentFamily.require(self.family)
-        object.__setattr__(self, "indices", increasing_indices(self.indices))
-        low = self.family.min_index
-        if self.indices[0] < low:
+
+class LatticeSpec(_Spec):
+    """A lattice family plus a strictly increasing set of its indices.
+
+    Plain indices are the points themselves (m >= 1); shifted indices m >= 0
+    select the points m + kappa or -m + kappa.  Building one checks both, also
+    through `_make` and `_replace`, and keeps the indices as a tuple of ints.
+    """
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, family: ArgumentFamily, indices: Iterable[int]):
+        ArgumentFamily.require(family)
+        indices = increasing_indices(indices)
+        if indices[0] < family.min_index:
             raise SpecMismatchError(
-                f"{self.family.kind.value} lattice indices must be >= {low}"
+                f"{family.kind.value} lattice indices must be >= {family.min_index}"
             )
+        return super().__new__(cls, family, indices)
 
     def points(self) -> tuple[Fraction, ...]:
         """The actual lattice points: m, m + kappa, or -m + kappa."""
@@ -144,8 +148,7 @@ def coefficient_table(
     return tuple(rows(n))
 
 
-@dataclass(frozen=True)
-class CoeffSystem:
+class CoeffSystem(NamedTuple):
     """The assembled linear system for one lattice spec and derivative order.
 
     Plain: matrix is k x n over unknowns Gamma^(1..n)(1), with the ell = 0

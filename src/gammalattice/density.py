@@ -23,7 +23,6 @@ transcendence questions); only these lower-bound functions are provided.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate, count, islice
@@ -63,8 +62,7 @@ class BoundVariant(Enum):
         return member
 
 
-@dataclass(frozen=True, slots=True)
-class DensityBound:
+class DensityBound(NamedTuple):
     """One row of a prior grid: the bound in [0, 1] and its branch.  `value`
     is an exact Fraction except at non-square N, where the square root forces
     a high-precision real; `exact` makes the difference explicit."""

@@ -48,9 +48,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from mpmath import mp
 from mpmath.libmp import dps_to_prec, from_man_exp, mpf_bernoulli, to_fixed
@@ -72,24 +72,29 @@ _CACHE_SIZE = 4096
 LADDER_GUARD_BITS = 64
 
 
-@dataclass(frozen=True)
-class PrecisionContext:
-    """Working precision, and the tolerance every comparison at it uses: a
-    finite value >= 0 (0 fails every comparison), read once, or by default
-    10^-(decimal_digits - GUARD_DIGITS)."""
-
+class _Precision(NamedTuple):
     decimal_digits: int = 60
     tolerance: object = None
 
-    def __post_init__(self):
-        if operator.index(self.decimal_digits) < 30:
+
+class PrecisionContext(_Precision):
+    """Working precision, and the tolerance every comparison at it uses: a
+    finite value >= 0 (0 fails every comparison), read once, or by default
+    10^-(decimal_digits - GUARD_DIGITS).  Building one checks both, also
+    through `_make` and `_replace`."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, decimal_digits: int = 60, tolerance: object = None):
+        if operator.index(decimal_digits) < 30:
             raise ValueError("decimal_digits must be >= 30")
-        if self.decimal_digits > MAX_DIGITS:
+        if decimal_digits > MAX_DIGITS:
             raise ValueError(f"decimal_digits must be <= {MAX_DIGITS}")
-        given = self.tolerance
-        with mp.workdps(self.working_digits):
+        given = tolerance
+        with mp.workdps(decimal_digits + GUARD_DIGITS):
             if given is None:
-                tol = mp.mpf(10) ** -(self.decimal_digits - GUARD_DIGITS)
+                tol = mp.mpf(10) ** -(decimal_digits - GUARD_DIGITS)
             else:
                 try:
                     tol = mp.mpf(given)
@@ -97,7 +102,7 @@ class PrecisionContext:
                     raise ValueError(f"bad tolerance {given!r}; want e.g. 1e-40") from None
                 if not mp.isfinite(tol) or tol < 0:
                     raise ValueError(f"tolerance {given!r} must be finite and >= 0")
-        object.__setattr__(self, "tolerance", tol)
+        return super().__new__(cls, decimal_digits, tol)
 
     @property
     def working_digits(self) -> int:
@@ -277,8 +282,7 @@ def _lattice_derivatives(family: ArgumentFamily, indices, n: int, ctx: Precision
     return vectors
 
 
-@dataclass(frozen=True)
-class Residual:
+class Residual(NamedTuple):
     """`value` checked against `reference`: both, the absolute and relative
     residual, and whether the check passed."""
 

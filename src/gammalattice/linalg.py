@@ -33,12 +33,10 @@ is its one Bareiss step, for the determinant, the inverse and the walk alike.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import product
 from math import comb, lcm, prod
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .budget import charge, hold, weight
 from .errors import (
@@ -51,21 +49,25 @@ from .errors import (
 from .sympoly import ArgumentFamily, PolyKind, PrefixTable
 
 
-@dataclass(frozen=True)
-class RationalMatrix:
-    """Dense matrix of exact rationals, stored row-major."""
-
+class _Matrix(NamedTuple):
     rows: int
     cols: int
     entries: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        if self.rows <= 0 or self.cols <= 0:
+
+class RationalMatrix(_Matrix):
+    """Dense matrix of exact rationals, stored row-major.  Building one checks
+    its shape, also through `_make` and `_replace`."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, rows: int, cols: int, entries: tuple[Fraction, ...]):
+        if rows <= 0 or cols <= 0:
             raise ValueError("matrix dimensions must be positive")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"{len(self.entries)} entries for a {self.rows}x{self.cols} matrix"
-            )
+        if len(entries) != rows * cols:
+            raise ValueError(f"{len(entries)} entries for a {rows}x{cols} matrix")
+        return super().__new__(cls, rows, cols, entries)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "RationalMatrix":
@@ -226,8 +228,7 @@ def prefix_matrix(
     return RationalMatrix.from_rows(table.values[j] for j in mp_)
 
 
-@dataclass(frozen=True)
-class BandedFactor:
+class BandedFactor(NamedTuple):
     """A p x q matrix as its p bands, band r the nonzero entries of row r as
     (0-based column, value) pairs.  The bands are disjoint, each wholly left
     of the next, so the columns read band after band strictly increase."""
@@ -274,21 +275,17 @@ def difference_factorization(
     return _chain(m_primes, family, kind)[1:]
 
 
-@dataclass(frozen=True)
-class CauchyBinetTerm:
-    """One surviving subset: 1-based column choices and both sub-determinants."""
+class CauchyBinetTerm(NamedTuple):
+    """One surviving subset: 1-based column choices, both sub-determinants and
+    their product, which `cauchy_binet` takes once and sums."""
 
     subset: tuple[int, ...]
     det_left: Fraction
     det_right: Fraction
-
-    @cached_property
-    def product(self) -> Fraction:
-        return self.det_left * self.det_right
+    product: Fraction
 
 
-@dataclass(frozen=True)
-class CauchyBinetCertificate:
+class CauchyBinetCertificate(NamedTuple):
     """The expansion: its total, the surviving terms in lexicographic order of
     their subsets, the number of column subsets that miss a band, and how many
     terms took the generic determinant because a pivot on their path was 0."""
@@ -372,7 +369,9 @@ def cauchy_binet(left: BandedFactor, right: RationalMatrix) -> CauchyBinetCertif
 
     def record(path: list[int], det_left: Fraction, det_right: Fraction) -> None:
         if det_right != 0:
-            surviving.append(CauchyBinetTerm(tuple(j + 1 for j in path), det_left, det_right))
+            subset = tuple(j + 1 for j in path)
+            term = CauchyBinetTerm(subset, det_left, det_right, det_left * det_right)
+            surviving.append(term)
 
     def walk(path: list[int], pivots: list[list[int]], scale: int, det_left: Fraction):
         # pivots[k] is the reduced row at depth k, from its pivot column on
@@ -401,15 +400,14 @@ def cauchy_binet(left: BandedFactor, right: RationalMatrix) -> CauchyBinetCertif
     return CauchyBinetCertificate(total, tuple(surviving), pruned, fallback)
 
 
-@dataclass(frozen=True)
-class PrefixCertificate:
+class PrefixCertificate(NamedTuple):
     """det > 0 of one prefix matrix, shown by Bareiss and again by the
     Cauchy-Binet expansion of its difference minor, term by term."""
 
     parent_det: Fraction
     expansion: CauchyBinetCertificate
 
-    @cached_property
+    @property
     def all_terms_positive(self) -> bool:
         return all(t.det_left > 0 and t.det_right > 0 for t in self.expansion.surviving)
 

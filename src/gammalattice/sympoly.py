@@ -28,10 +28,10 @@ All arithmetic is exact `fractions.Fraction`.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import log2
+from typing import NamedTuple
 
 from .budget import charge, weight
 from .errors import InvalidKappaError, MissingKappaError, SpecMismatchError
@@ -84,31 +84,34 @@ class PolyKind(Enum):
         return (max_len + 1) * (max_deg + 1) * (40 + weight(int(bits) // 2))
 
 
-@dataclass(frozen=True)
-class ArgumentFamily:
+class _Family(NamedTuple):
+    kind: FamilyKind
+    kappa: Fraction | None = None
+
+
+class ArgumentFamily(_Family):
     """One of the three lattice families, with its shift when applicable.
 
     The one place that knows how the families differ, and the one value every
     entry point of the package takes to name a lattice.  Building one checks
     the shift: the plain family takes none, the shifted ones need a `Fraction`
-    in (0, 1).
+    in (0, 1).  `_make`, and so `_replace`, builds through the same check.
     """
 
-    kind: FamilyKind
-    kappa: Fraction | None = None
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
-        if self.kind.shifted:
-            if self.kappa is None:
-                raise MissingKappaError(
-                    f"{self.kind.value}-shift family requires a shift value"
-                )
-            if not isinstance(self.kappa, Fraction):
-                raise InvalidKappaError(f"shift {self.kappa!r} is not a Fraction")
-            if not 0 < self.kappa < 1:
-                raise InvalidKappaError(f"shift {self.kappa} outside (0, 1)")
-        elif self.kappa is not None:
+    def __new__(cls, kind: FamilyKind, kappa: Fraction | None = None):
+        if kind.shifted:
+            if kappa is None:
+                raise MissingKappaError(f"{kind.value}-shift family requires a shift value")
+            if not isinstance(kappa, Fraction):
+                raise InvalidKappaError(f"shift {kappa!r} is not a Fraction")
+            if not 0 < kappa < 1:
+                raise InvalidKappaError(f"shift {kappa} outside (0, 1)")
+        elif kappa is not None:
             raise InvalidKappaError("plain family takes no shift value")
+        return super().__new__(cls, kind, kappa)
 
     @staticmethod
     def require(family: object) -> None:
@@ -160,8 +163,7 @@ class ArgumentFamily:
         return self.basis_point + self.sign * self.prefix_length(m)
 
 
-@dataclass(frozen=True)
-class PrefixTable:
+class PrefixTable(NamedTuple):
     """Dense table of symmetric polynomial values indexed (prefix length, degree).
 
     Row 0 is the empty prefix, materialized explicitly: value(0, 0) = 1 and

@@ -66,14 +66,23 @@ def _loose_family(name, annotation) -> bool:
     return name == "kappa" or "FamilyKind" in str(annotation)
 
 
+def _record_fields(obj) -> dict:
+    """A record's field names and annotations.  A NamedTuple's annotations are
+    merged over its MRO: a record that checks its fields subclasses a
+    NamedTuple of them, and its own `__annotations__` is empty."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: f.type for f in dataclasses.fields(obj)}
+    return {
+        field: annotation
+        for cls in reversed(obj.__mro__)
+        for field, annotation in vars(cls).get("__annotations__", {}).items()
+    }
+
+
 def _violations(name, obj):
     found = []
     if _is_record(obj):
-        fields = (
-            {f.name: f.type for f in dataclasses.fields(obj)}
-            if dataclasses.is_dataclass(obj)
-            else obj.__annotations__
-        )
+        fields = _record_fields(obj)
         found += [
             f"{name}.{field}"
             for field, annotation in fields.items()
@@ -107,6 +116,26 @@ def test_no_loose_family_argument(name, obj):
     assert _violations(name, obj) == []
 
 
+RECORDS = [
+    (name, getattr(gammalattice, name))
+    for name in EXPORTS
+    if _is_record(getattr(gammalattice, name))
+]
+
+
+def test_records_are_named_tuples():
+    names = {name for name, _ in RECORDS}
+    assert {"ArgumentFamily", "LatticeSpec", "RationalMatrix", "PrecisionContext"} <= names
+    for name, obj in RECORDS:
+        assert issubclass(obj, tuple) and not dataclasses.is_dataclass(obj), name
+
+
+@pytest.mark.parametrize("name,obj", RECORDS, ids=[name for name, _ in RECORDS])
+def test_guard_sees_every_record_field(name, obj):
+    # a record whose fields the guard cannot read would pass it unchecked
+    assert tuple(_record_fields(obj)) == obj._fields
+
+
 def test_guard_catches_a_loose_pair():
     def coefficient(family: "FamilyKind", n: int, kappa=None):
         pass
@@ -120,11 +149,17 @@ def test_guard_catches_a_loose_pair():
         family: "FamilyKind"
         kappa: object = None
 
+    class CheckedRow(Row):
+        __slots__ = ()
+
     assert _violations("coefficient", coefficient) == [
         "coefficient(family)", "coefficient(kappa)"
     ]
     assert _violations("Report", Report) == ["Report.family", "Report.kappa"]
     assert _violations("Row", Row) == ["Row.family", "Row.kappa"]
+    assert _violations("CheckedRow", CheckedRow) == [
+        "CheckedRow.family", "CheckedRow.kappa"
+    ]
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,8 @@
 """The numeric layer loads only where it runs.  mpmath and `gammanum` stay out
 of a process that imports the package or the CLI, or that runs an exact
 subcommand; `verify` and the inexact prior bound load them.  The package's
-numeric exports resolve lazily, each to the `gammanum` object itself."""
+numeric exports resolve lazily, each to the `gammanum` object itself.  Set-up
+stays light: no step, `verify` included, loads `dataclasses` or `inspect`."""
 
 import json
 import os
@@ -22,13 +23,17 @@ NUMERIC = [
     "verify_recovery",
 ]
 
-# Run in a fresh interpreter: after each step, whether mpmath and gammanum are
-# loaded.  A step is an import or a `cli.main` argv, with stdout discarded.
+# Run in a fresh interpreter: after each step, whether each watched module is
+# loaded, and was not already by the interpreter's start-up (a site hook may
+# load one).  A step is an import or a `cli.main` argv, with stdout discarded.
 _PROBE = """
 import contextlib, io, json, sys
 
+startup = set(sys.modules)
+watched = json.loads(sys.argv[2])
+
 def loaded():
-    return ["mpmath" in sys.modules, "gammalattice.gammanum" in sys.modules]
+    return [name in sys.modules and name not in startup for name in watched]
 
 states = []
 for step in json.loads(sys.argv[1]):
@@ -43,31 +48,41 @@ print(json.dumps(states))
 """
 
 
-def _loaded_after(steps):
+def _loaded_after(steps, watched=("mpmath", "gammalattice.gammanum")):
     done = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps(steps)],
+        [sys.executable, "-c", _PROBE, json.dumps(steps), json.dumps(watched)],
         capture_output=True, text=True, timeout=120, check=True, env=ENV,
     )
     return json.loads(done.stdout)
 
 
+EXACT = [
+    "gammalattice",
+    "gammalattice.cli",
+    ["coeffs", "--family", "plain", "--n", "3", "--m", "1:4"],
+    ["matrix", "--family", "plain", "--n", "3", "--indices", "1,2,3",
+     "--show", "det"],
+    ["density", "--variant", "bivariate", "--N", "2:5", "--M", "1:4",
+     "--with-oracle"],
+]
+VERIFY = ["verify", "--family", "plain", "--n-max", "2", "--m-max", "3",
+          "--digits", "30"]
+
+
 def test_numeric_layer_loads_only_where_it_runs():
-    exact = [
-        "gammalattice",
-        "gammalattice.cli",
-        ["coeffs", "--family", "plain", "--n", "3", "--m", "1:4"],
-        ["matrix", "--family", "plain", "--n", "3", "--indices", "1,2,3",
-         "--show", "det"],
-        ["density", "--variant", "bivariate", "--N", "2:5", "--M", "1:4",
-         "--with-oracle"],
-    ]
-    assert _loaded_after(exact) == [[False, False]] * len(exact)
-    verify = ["verify", "--family", "plain", "--n-max", "2", "--m-max", "3",
-              "--digits", "30"]
-    assert _loaded_after([verify]) == [[True, True]]
+    assert _loaded_after(EXACT) == [[False, False]] * len(EXACT)
+    assert _loaded_after([VERIFY]) == [[True, True]]
     # sqrt(7) is inexact: the prior bound needs mpmath but not the oracle
     prior = ["density", "--variant", "prior", "--N", "7"]
     assert _loaded_after([prior]) == [[True, False]]
+
+
+def test_setup_loads_no_dataclasses_or_inspect():
+    # every record is a NamedTuple: `dataclasses`, which loads `inspect`, and
+    # each class it builds would cost about half of the CLI's set-up
+    steps = [*EXACT, VERIFY]
+    loaded = _loaded_after(steps, ["dataclasses", "inspect"])
+    assert loaded == [[False, False]] * len(steps)
 
 
 def test_numeric_exports_are_the_gammanum_objects(monkeypatch):

@@ -566,10 +566,11 @@ class TestCertifyPrefixMatrix:
     def test_values_are_computed_once(self):
         certificate = certify_prefix_matrix((0, 2, 5), MINUS_THIRD, PolyKind.HOMOGENEOUS)
         term = certificate.expansion.surviving[0]
+        # the product is a field, filled by the walk that sums it
         assert term.product is term.product
-        assert "all_terms_positive" not in vars(certificate)
+        signs = [t.det_left > 0 and t.det_right > 0 for t in certificate.expansion.surviving]
+        assert certificate.all_terms_positive == all(signs)
         assert certificate.holds
-        assert "all_terms_positive" in vars(certificate)
 
     def test_disagreeing_routes_do_not_hold(self):
         certificate = certify_prefix_matrix((0, 1), PLAIN, PolyKind.ELEMENTARY)
