@@ -23,8 +23,9 @@ from .errors import GuardExceededError
 MAX_DIGITS = 1000
 
 #: Most cells of one output, a memory cap: at the cap a bivariate grid with
-#: the oracle in JSON (`--N 2:317 --M 1:316`) peaks at 119 MB (1.1 s), and the
-#: prior bound at 50 digits at 140 MB (4.2 s; 2-core x86-64, CPython 3.11).
+#: the oracle in JSON (`--N 2:317 --M 1:316`) peaks at 117 MB (0.7 s CPU), and
+#: the prior bound at 50 digits at 100 MB (2.2 s CPU; one `cli.main` run in a
+#: fresh interpreter, 2-core x86-64, CPython 3.11).
 MAX_CELLS = 100_000
 
 #: Digits per extra cell: a record of d digits weighs 1 + d // DIGITS_PER_CELL

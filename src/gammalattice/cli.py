@@ -13,9 +13,9 @@ never floats; reals carry an explicit digit count.  Exit codes: 0 success,
 1 verification failure, 2 usage error.  Warnings go to stderr and never change
 the exit code.
 
-Only `verify` and the prior bound print real numbers, so only their handlers
-import mpmath, and only `verify` imports the numeric oracle, `gammanum`; the
-other subcommands load neither.
+Only `verify` prints mpmath reals, so only its handler imports mpmath and the
+numeric oracle, `gammanum`; an inexact prior bound arrives as the text of its
+digits, and the other subcommands load neither.
 """
 
 from __future__ import annotations
@@ -351,15 +351,11 @@ def _cmd_density(args) -> OutputEnvelope:
     )
     name = variant.value
     if variant is BoundVariant.PRIOR:
-        from mpmath import mp
-
         rows = [
             {
                 "variant": name,
-                **bound.params,
-                "value": str(bound.value)
-                if bound.exact
-                else mp.nstr(bound.value, args.digits),
+                "N": bound.N,
+                "value": str(bound.value),
                 "branch": bound.branch,
                 "exact": bound.exact,
             }

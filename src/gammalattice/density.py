@@ -14,7 +14,7 @@ sum over the orders, so a grid costs one pass per M rather than one per cell.
 `density_grid` is the one entry point.  Every windowed bound is a ratio of
 small integers, so a grid keeps each cell as its unreduced pair (num, den),
 and the oracle's as its own pair, in one light `GridRow`: no `Fraction` per
-cell.  Prior rows are real numbers and are `DensityBound`s.
+cell.  A prior row is a `DensityBound`: a `Fraction` or the digits it prints.
 
 True densities of transcendental values are not computable (they hinge on open
 transcendence questions); only these lower-bound functions are provided.
@@ -63,37 +63,33 @@ class BoundVariant(Enum):
 
 
 class DensityBound(NamedTuple):
-    """One row of a prior grid: the bound in [0, 1] and its branch.  `value`
-    is an exact Fraction except at non-square N, where the square root forces
-    a high-precision real; `exact` makes the difference explicit."""
+    """One row of a prior grid: N, the bound in [0, 1] and its branch.  `value`
+    is an exact Fraction, or at a non-square N the text of the real's digits;
+    `exact` tells the two apart."""
 
-    variant: BoundVariant
-    params: dict
-    value: object
+    N: int
+    value: Fraction | str
     branch: str
-    exact: bool = True
+
+    @property
+    def exact(self) -> bool:
+        return isinstance(self.value, Fraction)
 
 
 def _prior_bound(N: int, digits: int) -> DensityBound:
-    """max{0, sqrt(N) - 5/2} / N over derivative orders 1..N at one point:
-    exact when the bound clamps to zero (N <= 6) or N is a perfect square,
-    otherwise a high-precision real computed at `digits` digits."""
-    if N < 1:
-        raise ValueError(f"N={N} must be >= 1")
-    params = {"N": N}
+    """max{0, sqrt(N) - 5/2} / N over derivative orders 1..N at one point
+    N >= 1: exact when the bound clamps to zero (N <= 6) or N is a perfect
+    square, otherwise a real computed and printed at `digits` digits."""
     if N <= 6:
-        return DensityBound(BoundVariant.PRIOR, params, Fraction(0), "clamped-zero")
+        return DensityBound(N, Fraction(0), "clamped-zero")
     root = isqrt(N)
     if root * root == N:
-        value = (Fraction(root) - Fraction(5, 2)) / N
-        return DensityBound(BoundVariant.PRIOR, params, value, "square-root-exact")
+        return DensityBound(N, (Fraction(root) - Fraction(5, 2)) / N, "square-root-exact")
     from mpmath import mp  # the one inexact branch; exact bounds never load it
 
     with mp.workdps(digits):
-        value = (mp.sqrt(N) - mp.mpf(5) / 2) / N
-    return DensityBound(
-        BoundVariant.PRIOR, params, value, "square-root-inexact", exact=False
-    )
+        value = mp.nstr((mp.sqrt(N) - mp.mpf(5) / 2) / N, digits)
+    return DensityBound(N, value, "square-root-inexact")
 
 
 def _check_window(variant: BoundVariant, first: int, M: int) -> None:
@@ -194,7 +190,7 @@ def density_grid(
     for the fixed-order ones, then M (ignored by the prior variant, required
     by the others, and nonempty unless the first range is empty); they and
     `digits` are read by `operator.index`.  A prior grid is a list of
-    `DensityBound`s; `digits` (>= 1) is the precision of their inexact values.
+    `DensityBound`s; `digits` (>= 1) are the digits of their inexact values.
     A windowed grid is a list of `GridRow`s, each bound an exact pair of
     integers; bivariate rows carry the min-sum oracle's pair unless
     `include_oracle` is switched off, and the oracle runs once per M, over
@@ -210,6 +206,9 @@ def density_grid(
     firsts = _ascending(first_range)
     if variant is BoundVariant.PRIOR:
         hold(_count(firsts), digits, "grid cells")
+        # the least N checks the whole grid
+        if firsts and firsts[0] < 1:
+            raise ValueError(f"N={firsts[0]} must be >= 1")
         return [_prior_bound(N, digits) for N in firsts]
     seconds = _ascending(second_range or ())
     if not seconds and (firsts or second_range is None):

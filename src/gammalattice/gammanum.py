@@ -140,6 +140,26 @@ def _psi_cached(k: int, q: Fraction, dps: int):
         return base - correction
 
 
+#: The last point a/b below 0 whose divisor product `_shift_product` built, as
+#: (a, b) -> product: one entry, all a sweep down a lattice reads.
+_last_product: dict = {}
+
+
+def _shift_product(a: int, b: int, shift: int) -> int:
+    """prod_{i<shift} (a + i b) for the point a/b below 0, shift = -floor(a/b).
+    At the next point down a sweep it is a times the last product built, the
+    point a step above's; any other point takes one product of `shift`
+    factors, so a cold deep point never recurses."""
+    above = _last_product.get((a + b, b))
+    if above is None:
+        product = math.prod(a + i * b for i in range(shift))
+    else:
+        product = a * above
+    _last_product.clear()
+    _last_product[a, b] = product
+    return product
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
 def _gamma_cached(q: Fraction, dps: int):
     with mp.workdps(dps):
@@ -147,10 +167,10 @@ def _gamma_cached(q: Fraction, dps: int):
             return mp.gamma(_to_mpf(q))
         shift = -math.floor(q)
         # prod_{i<shift} (q + i) = prod (a + i b) / b^shift, in lowest terms
-        # already: each factor a + i b is prime to b
+        # already, as a Fraction would hold it: each factor a + i b is prime to b
         a, b = q.numerator, q.denominator
-        divisor = Fraction(math.prod(a + i * b for i in range(shift)), b**shift)
-        return _gamma_cached(q + shift, dps) / _to_mpf(divisor)
+        divisor = mp.mpf(_shift_product(a, b, shift)) / mp.mpf(b**shift)
+        return _gamma_cached(q + shift, dps) / divisor
 
 
 def gamma_derivatives(q, n: int, ctx: PrecisionContext) -> tuple:

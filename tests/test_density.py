@@ -44,7 +44,7 @@ class TestPriorBound:
         assert four.branch == "clamped-zero"
         # sqrt(6) - 5/2 < 0 but sqrt(7) - 5/2 > 0
         assert six.value == 0
-        assert seven.value > 0
+        assert mp.mpf(seven.value) > 0
 
     def test_perfect_square(self):
         (bound,) = density_grid(PRIOR, [25])
@@ -55,11 +55,13 @@ class TestPriorBound:
     def test_non_square_high_precision(self):
         (bound,) = density_grid(PRIOR, [7], digits=50)
         assert not bound.exact
-        # frozen from (sqrt(7) - 5/2)/7 at 50 digits
+        # frozen from (sqrt(7) - 5/2)/7 at 50 digits, kept as its digits
         with mp.workdps(60):
             reference = (mp.sqrt(7) - mp.mpf(5) / 2) / 7
-            assert abs(bound.value - reference) < mp.mpf("1e-45")
-            assert abs(bound.value - mp.mpf("0.0208216158663700843573736790913")) < mp.mpf("1e-25")
+            assert bound.value == mp.nstr(reference, 50)
+            value = mp.mpf(bound.value)
+            assert abs(value - reference) < mp.mpf("1e-45")
+            assert abs(value - mp.mpf("0.0208216158663700843573736790913")) < mp.mpf("1e-25")
 
     def test_validation(self):
         with pytest.raises(ValueError, match="N=0 must be >= 1"):
@@ -69,7 +71,7 @@ class TestPriorBound:
         with pytest.raises(ValueError, match="must be >= 1"):
             density_grid(PRIOR, [30], digits=-3)
         # the least precision is admitted
-        assert [bound.params["N"] for bound in density_grid(PRIOR, [7], digits=1)] == [7]
+        assert [bound.N for bound in density_grid(PRIOR, [7], digits=1)] == [7]
 
     def test_maximum_digits(self):
         # the cap `verify` uses: a million digits ran for seconds and printed 1 MB
@@ -279,7 +281,7 @@ class TestDensityGrid:
 
     def test_prior_rows(self):
         rows = density_grid(PRIOR, [4, 25, 7])
-        assert [r.params["N"] for r in rows] == [4, 7, 25]
+        assert [r.N for r in rows] == [4, 7, 25]
         assert rows[2].value == Fraction(1, 10)
         assert all(isinstance(r, DensityBound) for r in rows)
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -157,6 +158,29 @@ class TestGammaValue:
             with mp.workdps(dps):
                 expected = base / (mp.mpf(divisor.numerator) / mp.mpf(divisor.denominator))
             assert gammanum._gamma_cached(q, dps)._mpf_ == expected._mpf_, (kappa, j)
+
+    @pytest.mark.parametrize("kappa", [Fraction(1, 3), Fraction(6, 7)], ids=["1/3", "6/7"])
+    def test_divisor_product_reuses_the_point_above(self, kappa, monkeypatch):
+        # kappa - j is a/b with divisor product prod_{i<j} (a + i b).  A cold
+        # point deeper than the recursion limit takes one product of its own;
+        # a walk down takes each as a times the one above, with the same bits
+        depth = 3000
+        b = kappa.denominator
+        points = [(kappa - j).numerator for j in range(depth + 1)]
+        checked = {*range(1, 40), *range(depth - 40, depth + 1), *range(1, depth, 97)}
+        expected = {j: math.prod(points[j] + i * b for i in range(j)) for j in checked}
+        gammanum._last_product.clear()
+        assert gammanum._shift_product(points[depth], b, depth) == expected[depth]
+
+        calls = []
+        prod = math.prod
+        monkeypatch.setattr(math, "prod", lambda factors: calls.append(1) or prod(factors))
+        gammanum._last_product.clear()
+        for j in range(1, depth + 1):
+            product = gammanum._shift_product(points[j], b, j)
+            if j in expected:
+                assert product == expected[j], (kappa, j)
+        assert len(calls) == 1  # only kappa - 1, whose point above is positive
 
 
 class TestCaches:

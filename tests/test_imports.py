@@ -1,6 +1,7 @@
 """The numeric layer loads only where it runs.  mpmath and `gammanum` stay out
 of a process that imports the package or the CLI, or that runs an exact
-subcommand; `verify` and the inexact prior bound load them.  The package's
+subcommand or prior grid; `verify` loads both and an inexact prior bound loads
+mpmath.  The package's
 numeric exports resolve lazily, each to the `gammanum` object itself.  Set-up
 stays light: no step, `verify` included, loads `dataclasses` or `inspect`."""
 
@@ -72,9 +73,11 @@ VERIFY = ["verify", "--family", "plain", "--n-max", "2", "--m-max", "3",
 def test_numeric_layer_loads_only_where_it_runs():
     assert _loaded_after(EXACT) == [[False, False]] * len(EXACT)
     assert _loaded_after([VERIFY]) == [[True, True]]
+    # N <= 6 clamps to 0 and 25 is a square: an exact prior grid loads neither
+    prior = ["density", "--variant", "prior", "--N"]
+    assert _loaded_after([[*prior, "1:6"], [*prior, "25"]]) == [[False, False]] * 2
     # sqrt(7) is inexact: the prior bound needs mpmath but not the oracle
-    prior = ["density", "--variant", "prior", "--N", "7"]
-    assert _loaded_after([prior]) == [[True, False]]
+    assert _loaded_after([[*prior, "7"]]) == [[True, False]]
 
 
 def test_setup_loads_no_dataclasses_or_inspect():
