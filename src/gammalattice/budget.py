@@ -23,7 +23,7 @@ from .errors import GuardExceededError
 MAX_DIGITS = 1000
 
 #: Most cells of one output, a memory cap: at the cap a bivariate grid with
-#: the oracle in JSON (`--N 2:317 --M 1:316`) peaks at 117 MB (0.7 s CPU), and
+#: the oracle in JSON (`--N 2:317 --M 1:316`) peaks at 114 MB (0.7 s CPU), and
 #: the prior bound at 50 digits at 100 MB (2.2 s CPU; one `cli.main` run in a
 #: fresh interpreter, 2-core x86-64, CPython 3.11).
 MAX_CELLS = 100_000

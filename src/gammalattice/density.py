@@ -8,8 +8,8 @@ lattice.  A plain window is the shifted window one step in
 bivariate bounds of both lattices.  The bivariate closed forms have a
 brute-force counterpart, `_min_sum_pairs`, that performs the min-sum directly,
 with no case split; the two must agree exactly on every cell.  The oracle
-takes a whole column of N values at one M and sums the caps once, as a running
-sum over the orders, so a grid costs one pass per M rather than one per cell.
+walks the orders once for a whole grid, with one running sum of the caps per
+M, and yields its pairs in the order the grid prints them.
 
 `density_grid` is the one entry point.  Every windowed bound is a ratio of
 small integers, so a grid keeps each cell as its unreduced pair (num, den),
@@ -25,9 +25,9 @@ from __future__ import annotations
 import operator
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate, count, islice
+from itertools import repeat
 from math import isqrt
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .budget import MAX_DIGITS, hold
 
@@ -123,28 +123,28 @@ def _window(variant: BoundVariant, first: int, M: int) -> tuple[int, int, str]:
 
 
 def _min_sum_pairs(
-    variant: BoundVariant, Ns: Sequence[int], M: int
-) -> list[tuple[int, int]]:
-    """The bivariate bound at each N of the checked, nonempty, strictly
-    ascending `Ns`, at one M, as unreduced pairs (size - caps, size).
+    variant: BoundVariant, Ns: Iterable[int], Ms: Sequence[int]
+) -> Iterator[tuple[int, int]]:
+    """The bivariate bound at each cell of the checked, nonempty, strictly
+    ascending `Ns` and `Ms`, N-major, as unreduced pairs (size - caps, size).
 
-    A direct min-summation with no branch arithmetic: the algebraic caps
-    min(n-1, M) (plain, orders n >= 2) or min(n, M+1) (shifted, n >= 1) are
-    summed once, as one running sum over n up to the largest N, and the
-    column reads its cells off that sum.
+    A direct min-summation with no branch arithmetic: the orders are walked
+    once, up to the largest N, and each order's algebraic cap, min(n-1, M)
+    (plain, orders n >= 2) or min(n, M+1) (shifted, n >= 1), is added to one
+    running sum per M; each N reads its row of cells off the sums.
     """
-    if variant.shifted:
-        first, points = 1, M + 1
-        caps = (min(n, points) for n in count(first))
-    else:
-        first, points = 2, M
-        caps = (min(n - 1, M) for n in count(first))
-    running = list(accumulate(islice(caps, Ns[-1] - first + 1)))
-    pairs = []
+    # the cap min(k, p), k = n - lift and p = M + 1 - lift the window's points,
+    # is min(n-1, M) or min(n, M+1); written out, as a call of min costs more
+    first, lift = (1, 0) if variant.shifted else (2, 1)
+    points = [M + 1 - lift for M in Ms]
+    sums, top = [0] * len(points), first - 1  # top: the last order summed
     for N in Ns:
-        size = (N - first + 1) * points  # orders in the window times its points
-        pairs.append((size - running[N - first], size))
-    return pairs
+        for k in range(top + 1 - lift, N + 1 - lift):
+            sums = [s + (k if k < p else p) for s, p in zip(sums, points)]
+        top, orders = N, N - first + 1
+        for running, window in zip(sums, points):
+            size = orders * window  # orders in the window times its points
+            yield size - running, size
 
 
 def _ascending(values: Iterable[int]) -> Sequence[int]:
@@ -166,7 +166,7 @@ def _count(values: Sequence[int]) -> int:
 class GridRow(NamedTuple):
     """One cell of a windowed grid: its coordinates (n or N, then M), its
     bound as the unreduced pair num/den, its branch label and, with the
-    oracle, the oracle's own unreduced pair."""
+    oracle, the oracle's own unreduced pair, checked by `oracle_match`."""
 
     first: int
     M: int
@@ -175,6 +175,14 @@ class GridRow(NamedTuple):
     branch: str
     oracle_num: int | None = None
     oracle_den: int | None = None
+
+    @property
+    def oracle_match(self) -> bool | None:
+        """Whether the oracle's pair is the bound (None without the oracle);
+        both denominators are positive, so cross products compare exactly."""
+        if self.oracle_den is None:
+            return None
+        return self.num * self.oracle_den == self.oracle_num * self.den
 
 
 def density_grid(
@@ -193,10 +201,10 @@ def density_grid(
     `DensityBound`s; `digits` (>= 1) are the digits of their inexact values.
     A windowed grid is a list of `GridRow`s, each bound an exact pair of
     integers; bivariate rows carry the min-sum oracle's pair unless
-    `include_oracle` is switched off, and the oracle runs once per M, over
-    every N at once.  A grid of more than `budget.MAX_CELLS` cells is refused
-    before any cell is computed; a prior cell weighs more at more digits, and
-    the oracle counts every order up to the largest N at each M.
+    `include_oracle` is switched off, and the oracle walks the orders once per
+    grid, in the rows' order.  A grid of more than `budget.MAX_CELLS` cells is
+    refused before any cell is computed; a prior cell weighs more at more
+    digits, and the oracle counts every order up to the largest N at each M.
     """
     digits = operator.index(digits)
     if digits < 1:
@@ -224,12 +232,6 @@ def density_grid(
         return []
     # the least cell has the least coordinates, so it checks the whole grid
     _check_window(variant, firsts[0], seconds[0])
-    if not oracle:
-        return [GridRow(a, b, *_window(variant, a, b)) for a in firsts for b in seconds]
-    columns = [_min_sum_pairs(variant, firsts, b) for b in seconds]
-    # the columns run down N at fixed M; the rows run along M at fixed N
-    return [
-        GridRow(a, b, *_window(variant, a, b), *pair)
-        for a, row in zip(firsts, zip(*columns))
-        for b, pair in zip(seconds, row)
-    ]
+    pairs = _min_sum_pairs(variant, firsts, seconds) if oracle else repeat(())
+    return [GridRow(a, b, *_window(variant, a, b), *next(pairs)) for a in firsts
+            for b in seconds]

@@ -345,7 +345,9 @@ def verify_grid(family: ArgumentFamily, n_max: int, ms, ctx: PrecisionContext):
     for n in range(n_max + 1):
         for (m, values), row in zip(points, rows(n)):
             with mp.workdps(ctx.working_digits):
-                yield n, m, _compare(_dot(row, basis), values[n], ctx)
+                residual = _compare(_dot(row, basis), values[n], ctx)
+            # the caller's loop body runs at its own precision
+            yield n, m, residual
 
 
 def verify_recovery(

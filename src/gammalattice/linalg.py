@@ -358,6 +358,12 @@ def cauchy_binet(left: BandedFactor, right: RationalMatrix) -> CauchyBinetCertif
             f"left is {p}x{q}, right is {right.rows}x{right.cols}; need {q}x{p}"
         )
     bands = left.bands
+    # the walk reads each column once, band after band, inside `right`
+    columns = [-1, *(j for band in bands for j, _ in band), q]
+    if any(b <= a for a, b in zip(columns, columns[1:])):
+        raise DimensionMismatchError(
+            f"band columns {columns[1:-1]} do not strictly increase within 0..{q - 1}"
+        )
     leaves = prod(len(band) for band in bands)
     scaled = {j: _integer_row(right.row(j)) for band in bands for j, _ in band}
     work, digits = _walk_estimates(bands, scaled)

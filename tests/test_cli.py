@@ -973,12 +973,10 @@ class TestDensityCommand:
         # the oracle's pair at N = 3, M = 2 is moved off the closed form's 1/4
         pairs = density._min_sum_pairs
 
-        def skewed(variant, Ns, M):
-            column = pairs(variant, Ns, M)
-            if M == 2:
-                num, den = column[Ns.index(3)]
-                column[Ns.index(3)] = (num + 1, den)
-            return column
+        def skewed(variant, Ns, Ms):
+            cells = ((N, M) for N in Ns for M in Ms)
+            for (N, M), (num, den) in zip(cells, pairs(variant, Ns, Ms)):
+                yield (num + 1 if (N, M) == (3, 2) else num), den
 
         monkeypatch.setattr(density, "_min_sum_pairs", skewed)
         code, payload, _ = run_json(

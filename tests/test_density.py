@@ -321,6 +321,18 @@ class TestDensityGrid:
             tracemalloc.stop()
         assert peak < 10**5
 
+    def test_peak_memory_is_the_rows(self):
+        # at the cell cap the oracle once held every M's column and their
+        # transpose beside the rows: a peak of 1.29 times the rows' size
+        tracemalloc.start()
+        try:
+            rows = density_grid(BIVARIATE, range(2, 318), range(1, 317))
+            size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 316 * 316
+        assert peak <= 1.1 * size
+
     def test_weighted_cells(self, monkeypatch):
         monkeypatch.setattr(budget, "MAX_CELLS", 12)
         monkeypatch.setattr(density, "_min_sum_pairs", _no_cell)

@@ -319,6 +319,18 @@ class TestVerifyIdentity:
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             next(verify_grid(PLAIN, n, ms, CTX))
 
+    def test_loop_body_keeps_the_callers_precision(self):
+        # the cells were yielded inside the sweep's workdps: the body read 50
+        # digits, and a precision it set was undone at the next item
+        with mp.workdps(20):
+            seen = []
+            for *_, residual in verify_grid(PLAIN, 1, range(1, 3), PrecisionContext(30)):
+                seen.append(mp.dps)
+                mp.dps = 40
+            assert seen == [20, 40, 40, 40]
+            assert mp.dps == 40
+            assert residual.passed
+
     def test_tolerance_override_can_fail(self):
         # residuals can round to exactly zero, so only a zero tolerance is a
         # guaranteed forcing knob under the strict comparison

@@ -382,6 +382,27 @@ class TestCauchyBinet:
         with pytest.raises(DimensionMismatchError):
             cauchy_binet(left, RationalMatrix.from_rows([[1, 2], [3, 4]]))
 
+    @pytest.mark.parametrize(
+        "bands",
+        [
+            # a column past the right factor's rows gave a bare IndexError
+            [[(0, 1)], [(2, 1)]],
+            # overlapping bands gave pruned_count -3 and subsets (1, 2), (2, 1)
+            [[(0, 1), (1, 1)], [(0, 1), (1, 1)]],
+            # bands out of order gave the subset (2, 1)
+            [[(1, 1)], [(0, 1)]],
+        ],
+        ids=["column-past-cols", "overlapping", "reversed"],
+    )
+    def test_malformed_bands_refused(self, monkeypatch, bands):
+        def no_scaling(row):
+            raise AssertionError("a row was scaled")
+
+        monkeypatch.setattr(linalg, "_integer_row", no_scaling)
+        right = RationalMatrix.from_rows([[1, 2], [3, 5]])
+        with pytest.raises(DimensionMismatchError, match="do not strictly increase"):
+            cauchy_binet(from_bands(2, *bands), right)
+
     def test_guard(self):
         # two bands of 1300 unit entries: 1,690,000 leaves at about 30 units
         # each estimate more work than the budget allows
