@@ -31,6 +31,7 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
+from .budget import MAX_DIGITS
 from .coeffs import (
     KNOWN_TRANSCENDENTAL_SHIFTS,
     LatticeSpec,
@@ -38,7 +39,12 @@ from .coeffs import (
     coefficient_table,
 )
 from .density import BoundVariant, density_grid
-from .errors import GammaLatticeError, NotSquareError, SingularMatrixError
+from .errors import (
+    GammaLatticeError,
+    GuardExceededError,
+    NotSquareError,
+    SingularMatrixError,
+)
 from .linalg import RationalMatrix, certify_lattice, det_exact, inverse_exact
 from .sympoly import ArgumentFamily, FamilyKind
 
@@ -136,7 +142,18 @@ def _parse_indices(text: str) -> tuple[int, ...]:
 
 def _parse_shift(text: str) -> Fraction:
     """'1/3' -> Fraction(1, 3); a malformed value or a zero denominator is a
-    usage error, not a crash."""
+    usage error, not a crash.  An exponent is read off the text before the
+    value is built, and refused past `MAX_DIGITS` plus the digits the text
+    writes out, so a shift's numerator and denominator stay that short."""
+    exponent = re.search(r"[eE][-+]?([\d_]+)\s*\Z", text)
+    if exponent:
+        digits = exponent[1].replace("_", "").lstrip("0") or "0"
+        bound = MAX_DIGITS + sum(c.isdecimal() for c in text[: exponent.start()])
+        if len(digits) > len(str(bound)) or int(digits) > bound:
+            raise GuardExceededError(
+                f"the exponent of shift {text!r} is past {bound}: the digit "
+                f"budget {MAX_DIGITS} plus the digits it writes"
+            )
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):

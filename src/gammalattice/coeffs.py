@@ -103,11 +103,21 @@ def _ratio_work(family: ArgumentFamily, m: int) -> int:
     """Estimated units of `_ratios` up to index m: a step per prefix variable,
     each a long integer times a short one, linear in the long one's bits, at
     a unit per 8,192 bits.  Those average under half the top's: the bits of
-    Gamma(point)/Gamma(basis), from `math.lgamma`, and of q^j twice, for the
-    basis denominator q and prefix length j.  A unit took 0.30-0.42 us (plain
-    up to index 100,000, plus-5/7 and minus-1/3 at 50,000)."""
+    Gamma(point)/Gamma(basis) and of q^j twice, for the basis denominator q and
+    prefix length j.  A unit took 0.30-0.42 us (plain up to index 100,000,
+    plus-5/7 and minus-1/3 at 50,000).
+
+    The ratio's magnitude is Gamma(j + c)/Gamma(c), for c the basis point
+    going up and 1 minus it going down (by reflection).  Its log is priced
+    from `math.lgamma` at j + c >= 1 and c + 1 with log c read off c's
+    integers, so no shift near 0 or 1 is rounded onto a pole; j = 0 walks
+    nothing."""
     j, q = family.prefix_length(m), family.basis_point.denominator
-    bits = abs(lgamma(family.point(m)) - lgamma(family.basis_point)) / log(2)
+    if not j:
+        return 0
+    c = family.basis_point if family.sign > 0 else 1 - family.basis_point
+    log_gamma_c = lgamma(c + 1) - log(c.numerator) + log(c.denominator)
+    bits = abs(lgamma(j + c) - log_gamma_c) / log(2)
     return j * (1 + int(bits + 2 * j * log2(q)) // 16384)
 
 

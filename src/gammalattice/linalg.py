@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from itertools import product
 from math import comb, lcm, prod
 from typing import Iterable, NamedTuple, Sequence
 
@@ -333,6 +332,28 @@ def _walk_estimates(bands, scaled: dict[int, tuple[int, list[int]]]) -> tuple[in
     return work, term_bits * 3 // 5
 
 
+def _band_products(bands, scaled, path=(), det_left=Fraction(1), pivots=(), scale=1):
+    """Every band product below `path`, in lexicographic order, as (1-based
+    subset, det_left, det_right, shared).  A node reduces its scaled row against
+    `pivots`, the Bareiss pivots of the rows above it on its path, and a leaf
+    takes the last pivot over the row scales.  Below a zero pivot `pivots` is
+    None: the shared elimination cannot divide, so a leaf there is not shared
+    and takes `_det` of its own scaled rows."""
+    last = len(path) == len(bands) - 1
+    for j, entry in bands[len(path)]:
+        here, det_here = (*path, j + 1), det_left * entry
+        mult, row = scaled[j]
+        if pivots is not None:
+            row = _reduce(row, pivots)
+        if not last:
+            below = None if pivots is None or row[0] == 0 else [*pivots, row]
+            yield from _band_products(bands, scaled, here, det_here, below, scale * mult)
+        elif pivots is not None:
+            yield here, det_here, Fraction(row[0], scale * mult), True
+        else:
+            yield here, det_here, _det([scaled[c - 1] for c in here]), False
+
+
 def cauchy_binet(left: BandedFactor, right: RationalMatrix) -> CauchyBinetCertificate:
     """det(left @ right) as a sum over column subsets, with a term-wise record.
 
@@ -343,14 +364,13 @@ def cauchy_binet(left: BandedFactor, right: RationalMatrix) -> CauchyBinetCertif
     Before the walk starts its estimated work is charged, and then its terms,
     weighed by their estimated digits, are held to the cell cap.
 
-    The walk takes band r at depth r, its columns in ascending order, so the
-    terms come out in lexicographic order.  Each row of `right` is scaled to
-    integers once; a node reduces its new row against the Bareiss pivots of
-    the rows above it on its path, and at a leaf the last pivot over the
-    product of the row scales is det_right.  Below a zero pivot the shared
-    elimination cannot divide, so each leaf there eliminates its own scaled
-    rows, charged as `det_exact` is, and counts in `fallback_count`.  Terms
-    with a nonzero product are kept with both factors; they sum to det(left @ right).
+    One walk (`_band_products`) takes band r at depth r, its columns in
+    ascending order, so the band products come out in lexicographic order.
+    Each row of `right` is scaled to integers once, and the rows on a path
+    share one Bareiss elimination.  Below a zero pivot each leaf eliminates
+    its own scaled rows instead, charged as `det_exact` is, and counts in
+    `fallback_count`.  One pass keeps the terms with a nonzero product, with
+    both factors, and sums them to det(left @ right).
     """
     p, q = left.rows, left.cols
     if right.rows != q or right.cols != p:
@@ -370,38 +390,13 @@ def cauchy_binet(left: BandedFactor, right: RationalMatrix) -> CauchyBinetCertif
     charge(work, f"the walk over {leaves} band products at depth {p}")
     hold(leaves, digits, "band products")
 
-    surviving: list[CauchyBinetTerm] = []
-    fallback = 0
-
-    def record(path: list[int], det_left: Fraction, det_right: Fraction) -> None:
+    surviving, total, fallback = [], Fraction(0), 0
+    for subset, det_left, det_right, shared in _band_products(bands, scaled):
+        fallback += not shared
         if det_right != 0:
-            subset = tuple(j + 1 for j in path)
-            term = CauchyBinetTerm(subset, det_left, det_right, det_left * det_right)
-            surviving.append(term)
-
-    def walk(path: list[int], pivots: list[list[int]], scale: int, det_left: Fraction):
-        # pivots[k] is the reduced row at depth k, from its pivot column on
-        nonlocal fallback
-        depth = len(path)
-        for j, entry in bands[depth]:
-            mult, row = scaled[j]
-            row = _reduce(row, pivots)
-            here = [*path, j]
-            det_here = det_left * entry
-            if depth == p - 1:
-                record(here, det_here, Fraction(row[0], scale * mult))
-            elif row[0] != 0:
-                walk(here, [*pivots, row], scale * mult, det_here)
-            else:
-                for rest in product(*bands[depth + 1 :]):
-                    subset = [*here, *(c for c, _ in rest)]
-                    fallback += 1
-                    entries = (y for _, y in rest)
-                    rows = [scaled[c] for c in subset]
-                    record(subset, prod(entries, start=det_here), _det(rows))
-
-    walk([], [], 1, Fraction(1))
-    total = sum((term.product for term in surviving), start=Fraction(0))
+            term = det_left * det_right
+            surviving.append(CauchyBinetTerm(subset, det_left, det_right, term))
+            total += term
     pruned = comb(q, p) - leaves
     return CauchyBinetCertificate(total, tuple(surviving), pruned, fallback)
 

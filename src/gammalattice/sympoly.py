@@ -33,6 +33,7 @@ from fractions import Fraction
 from math import log2
 from typing import NamedTuple
 
+from . import budget
 from .budget import charge, weight
 from .errors import InvalidKappaError, MissingKappaError, SpecMismatchError
 
@@ -73,7 +74,12 @@ class PolyKind(Enum):
         the last row's b bits.  The first L denominators average log2(L q) -
         1.44 bits, for the basis denominator q, and their lcm grows about
         log2(q) + 1.6 bits a variable.  An e_v entry's denominator divides
-        their product and the lcm's v-th power, an h_v one's either's v-th."""
+        their product and the lcm's v-th power, an h_v one's either's v-th.
+        A table whose fixed cost alone is over the cap is priced at that
+        cost, before a length or degree past float range can overflow."""
+        cells = (max_len + 1) * (max_deg + 1)
+        if 40 * cells > budget.MAX_WORK:
+            return 40 * cells
         q = family.basis_point.denominator
         lcm_bits = log2(q) + 1.6
         mean_bits = max(log2(max_len * q) - 1.44, 1) if max_len else 0
@@ -81,7 +87,7 @@ class PolyKind(Enum):
             bits = min(max_deg * lcm_bits, mean_bits) * max_len
         else:
             bits = max_deg * max_len * min(lcm_bits, mean_bits)
-        return (max_len + 1) * (max_deg + 1) * (40 + weight(int(bits) // 2))
+        return cells * (40 + weight(int(bits) // 2))
 
 
 class _Family(NamedTuple):

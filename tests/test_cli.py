@@ -8,7 +8,9 @@ import re
 import signal
 import subprocess
 import sys
+import time
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,7 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from _oracles import density_oracle, reference_csv, reference_json
+from _oracles import (
+    density_oracle,
+    minus_coefficient_oracle,
+    plus_coefficient_oracle,
+    reference_csv,
+    reference_json,
+)
 from gammalattice import (
     SingularMatrixError,
     budget,
@@ -41,6 +49,15 @@ def _no_cell(*args, **kwargs):
 
 
 BIG = "100000000000000000000000"  # 10**23, past 2**63
+FLOATLESS = str(10**309)  # past float range
+
+# (family, shift) whose points a float rounds onto a pole of Gamma
+NEAR_POLES = [
+    ("minus", "1/100000000000000000000"),
+    ("minus", "99999999999999999999/100000000000000000000"),
+    ("plus", "1e-400"),
+]
+NEAR_POLE_IDS = ["minus-near-0", "minus-near-1", "plus-1e-400"]
 
 
 def run_json(capsys, *argv):
@@ -289,6 +306,20 @@ class TestCoeffsCommand:
             capsys, "coeffs", "--family", "plain", "--n", "0", "--m", f"-{BIG}:8"
         ) == (2, "", f"error: plain lattice index -{BIG} must be >= 1\n")
 
+    @pytest.mark.parametrize("family, kappa", NEAR_POLES, ids=NEAR_POLE_IDS)
+    def test_shift_near_a_pole_prints_the_oracle_rows(self, capsys, family, kappa):
+        # the ratio estimate rounded a point onto a pole of lgamma: "error:
+        # math domain error", exit 2
+        code, payload, _ = run_json(
+            capsys, "coeffs", "--family", family, "--n", "1", "--m", "0:2", "--kappa", kappa
+        )
+        assert code == 0
+        oracle = plus_coefficient_oracle if family == "plus" else minus_coefficient_oracle
+        shift = Fraction(kappa)
+        assert [row["value"] for row in payload["rows"]] == [
+            str(oracle(1, ell, m, shift)) for m in range(3) for ell in range(2)
+        ]
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -302,9 +333,16 @@ class TestCoeffsCommand:
             ["matrix", "--family", "plain", "--n", "2", "--indices", f"1,{BIG}"],
             ["matrix", "--family", "minus", "--n", "1", "--indices", f"0,{BIG}",
              "--kappa", "1/3", "--show", "cauchy-binet"],
+            # raised OverflowError (exit 1, a traceback) from the table estimate
+            ["coeffs", "--family", "plain", "--n", "1", "--m", FLOATLESS],
+            ["coeffs", "--family", "plain", "--n", FLOATLESS, "--m", "1"],
+            ["verify", "--family", "plain", "--n-max", "1", "--m-max", FLOATLESS],
+            ["matrix", "--family", "minus", "--n", "2", "--indices", f"0,1,{FLOATLESS}",
+             "--kappa", "1/3", "--show", "cauchy-binet"],
         ],
         ids=["coeffs-plain", "coeffs-minus", "matrix-det", "matrix-huge-index",
-             "cauchy-binet-huge-index"],
+             "cauchy-binet-huge-index", "float-range-m", "float-range-n",
+             "float-range-verify", "float-range-cauchy-binet"],
     )
     def test_table_over_the_budget_is_usage_error(self, capsys, monkeypatch, argv):
         # refused before any row of the table is filled
@@ -476,6 +514,17 @@ class TestMatrixCommand:
             assert not row["det_left"].startswith("-")
             assert not row["det_right"].startswith("-")
 
+    @pytest.mark.parametrize("family, kappa", NEAR_POLES, ids=NEAR_POLE_IDS)
+    def test_cauchy_binet_near_a_pole(self, capsys, family, kappa):
+        # exited 2 with "error: math domain error" from the ratio estimate
+        code, payload, _ = run_json(
+            capsys, "matrix", "--family", family, "--n", "1", "--indices", "0,2",
+            "--kappa", kappa, "--show", "cauchy-binet",
+        )
+        assert code == 0
+        assert payload["params"]["total_det"] == payload["params"]["parent_det"]
+        assert payload["params"]["all_terms_positive"] is True
+
     def test_cauchy_binet_walks_band_products_not_subsets(self, capsys):
         # C(36, 7) = 8,347,680 column subsets, but only 30 * 1^6 band products
         code, payload, _ = run_json(
@@ -643,6 +692,19 @@ class TestVerifyCommand:
         assert payload["exitStatus"] == 0
         assert len(payload["rows"]) == 9
         assert all(row["pass"] for row in payload["rows"])
+
+    @pytest.mark.parametrize("mode", [["--m-max", "2"], ["--mode", "recover"]],
+                             ids=["identity", "recover"])
+    @pytest.mark.parametrize("family, kappa", NEAR_POLES[:2], ids=NEAR_POLE_IDS[:2])
+    def test_shift_near_a_pole_is_checked(self, capsys, family, kappa, mode):
+        # exited 2 with "error: math domain error" from the ratio estimate; a
+        # failing row here is the oracle's cancellation near the pole
+        code, payload, _ = run_json(
+            capsys, "verify", "--family", family, "--n-max", "2", *mode,
+            "--kappa-set", kappa, "--digits", "30",
+        )
+        assert code in (0, 1) and payload["rows"]
+        assert code == (not all(row["pass"] for row in payload["rows"]))
 
     def test_shifted_identity_single_kappa(self, capsys):
         code, payload, _ = run_json(
@@ -1078,6 +1140,30 @@ class TestArgumentParsing:
             2, "", f"error: bad range {text!r}; want e.g. 7 or 2:5\n"
         )
 
+    @pytest.mark.parametrize("kappa", ["1e-1000000", "1e-1002"])
+    def test_shift_exponent_past_the_digit_budget_is_refused_at_once(self, capsys, kappa):
+        # the shift was built first: 1e-1000000 spent 15 s of CPU before its
+        # refusal, 1e-10000000 (not run here) did not finish in 100 s, and
+        # 1e-1002 exited 2 with "math domain error"
+        start = time.process_time()
+        code, out, err = run(
+            capsys, "coeffs", "--family", "plus", "--n", "1", "--m", "0:2", "--kappa", kappa
+        )
+        assert time.process_time() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: the exponent of shift {kappa!r} is past {budget.MAX_DIGITS + 1}: "
+            f"the digit budget {budget.MAX_DIGITS} plus the digits it writes\n"
+        )
+
+    @pytest.mark.parametrize("kappa", ["1e-1001", "0.1e-1001", "1E-0_5"])
+    def test_shift_exponent_inside_the_digit_budget_runs(self, capsys, kappa):
+        code, payload, _ = run_json(
+            capsys, "coeffs", "--family", "plus", "--n", "0", "--m", "1", "--kappa", kappa
+        )
+        assert code == 0
+        assert payload["rows"][0]["value"] == str(Fraction(kappa))
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -1211,7 +1297,13 @@ class TestEnvelopeContract:
 # argv is a well-formed one, so that runs get past the parser, with some of
 # its values replaced by hostile ones or its flags dropped.
 _SMALL = st.integers(-1, 8)  # near 0, where the sweeps are small
-_INT = st.one_of(_SMALL, st.integers(-(2**70), -2), st.integers(2**63, 2**70))
+_INT = st.one_of(
+    _SMALL,
+    st.integers(-(2**70), -2),
+    st.integers(2**63, 2**70),
+    st.integers(10**308, 10**320),  # past float range
+    st.integers(-(10**320), -(10**308)),
+)
 _WHITELIST = st.sampled_from(["1/6", "1/4", "1/3", "1/2", "2/3", "3/4", "5/6", "2/5"])
 _HOSTILE = st.one_of(
     _INT.map(str),
@@ -1222,6 +1314,9 @@ _HOSTILE = st.one_of(
         ["", ":", "1:", "a:b", "1:2:3", ",", "1,,2", "1/0", "0/0", "3/2", "1//3",
          "abc", "nan", "inf", "other", "-1", "-1:2", "-1,2", "-1/3", "-x", "--", "-"]
     ),
+    # exponent-form shifts: past the digit budget either way, one whose
+    # points a float rounds onto a pole of Gamma, and a plain one
+    st.sampled_from(["1e-1000000", "1e-400", "1e1000000", "0.5e-1"]),
 )
 
 
@@ -1288,14 +1383,34 @@ def _argv(draw, command):
     return argv
 
 
-# A run that passes this is cut off.  The drawn values are near 0 or past
-# 2**63, so an accepted run stays well under it on a 2-core host, and a huge
-# one is refused by the work budget before it starts.
+# A run that passes this is cut off.  The drawn values are near 0, past 2**63
+# or past float range, so an accepted run stays well under it on a 2-core
+# host, and a huge one is refused by the work budget before it starts.
 _RUN_SECONDS = 10
 
 
 def _timed_out(signum, frame):
     raise TimeoutError(f"the run took more than {_RUN_SECONDS} s")
+
+
+def _check_contract(argv):
+    """Exit 0, 1 or 2 inside the timer, no traceback, and a usage error as one
+    `error:` line with no output."""
+    out, err = io.StringIO(), io.StringIO()
+    previous = signal.signal(signal.SIGALRM, _timed_out)
+    signal.setitimer(signal.ITIMER_REAL, _RUN_SECONDS)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    err = err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestCliContract:
@@ -1321,19 +1436,18 @@ class TestCliContract:
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_exit_codes_and_one_line_errors(self, command, data):
-        argv = data.draw(_argv(command), label="argv")
-        out, err = io.StringIO(), io.StringIO()
-        previous = signal.signal(signal.SIGALRM, _timed_out)
-        signal.setitimer(signal.ITIMER_REAL, _RUN_SECONDS)
-        try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
-        err = err.getvalue()
-        assert code in (0, 1, 2)
-        assert "Traceback" not in err
-        if code == 2:
-            assert out.getvalue() == ""
-            assert err.startswith("error: ") and err.count("\n") == 1
+        _check_contract(data.draw(_argv(command), label="argv"))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # OverflowError escaped `main` from the table estimate
+            ["coeffs", "--family", "plain", "--n", "1", "--m", FLOATLESS],
+            # the shift's million-digit denominator outlasted the timer
+            ["coeffs", "--family", "plus", "--n", "1", "--m", "0:2",
+             "--kappa", "1e-1000000"],
+        ],
+        ids=["float-range", "exponent"],
+    )
+    def test_pinned_hostile_argv(self, argv):
+        _check_contract(argv)

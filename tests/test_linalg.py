@@ -275,6 +275,17 @@ class TestPrefixMatrices:
         with pytest.raises(SpecMismatchError, match="^family must be an ArgumentFamily"):
             build([0, 1], FamilyKind.PLAIN, PolyKind.ELEMENTARY)
 
+    @pytest.mark.parametrize(
+        "build", [prefix_matrix, difference_factorization, certify_prefix_matrix]
+    )
+    def test_index_past_float_range_is_refused(self, build):
+        # the table estimate raised OverflowError
+        with pytest.raises(GuardExceededError, match=(
+            rf"^the homogeneous table of length {10**309} and degree 2 "
+            rf"is over the work budget {budget.MAX_WORK}$"
+        )):
+            build([0, 1, 10**309], MINUS_THIRD, PolyKind.HOMOGENEOUS)
+
 
 class TestRowDifference:
     """The oracle's row-difference steps, which check `difference_factorization`."""

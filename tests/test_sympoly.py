@@ -197,9 +197,11 @@ class TestTableBudget:
         def no_row(*args):
             raise AssertionError("a row was filled")
 
-        # degree 2 over 20,000 plain variables took 28 s
+        # degree 2 over 20,000 plain variables took 28 s, and a length past
+        # float range raised OverflowError from the estimate
         monkeypatch.setattr(ArgumentFamily, "x", no_row)
-        for build, length in ((elementary_prefix, 19999), (homogeneous_prefix, 10**23)):
+        for build, length in ((elementary_prefix, 19999), (homogeneous_prefix, 10**23),
+                              (elementary_prefix, 10**309), (homogeneous_prefix, 10**309)):
             with pytest.raises(GuardExceededError, match=(
                 rf"^the {build.__name__.split('_')[0]}\w* table of length {length} "
                 rf"and degree 2 is over the work budget {budget.MAX_WORK}$"
